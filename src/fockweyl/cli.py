@@ -2,7 +2,8 @@
 verification families, with deterministic text or JSON output.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (report still
-emitted), 2 usage or configuration error.
+emitted) or an internal consistency check failed, 2 usage or configuration
+error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .errors import EngineError
 from .fock import FockVector, apply_E, apply_F, apply_K
 from .partitions import (Partition, addable_boxes, color, content,
                          removable_boxes)
@@ -180,7 +182,7 @@ def _cmd_verify(args) -> int:
     try:
         config = RunConfig(ell=args.ell, n_rank=args.rank,
                            max_size=args.max_size, tolerance=args.tolerance,
-                           jobs=args.jobs, fmt=args.format)
+                           jobs=args.jobs)
     except ValueError as exc:
         raise SystemExit2(str(exc))
     if args.family == "all":
@@ -219,6 +221,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 2
 
 

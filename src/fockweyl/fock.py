@@ -6,26 +6,26 @@ sl_ell action, and an exhaustive relation checker.
 from __future__ import annotations
 
 from .ring import LaurentQ, q_int
+from .sparse import SparseVector
 from .partitions import (Partition, addable_boxes, removable_boxes, color,
                          n_left, n_right, all_partitions)
 
 
-class FockVector:
+class FockVector(SparseVector):
     """Finite formal sum of partitions with Laurent-in-v coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _key = Partition
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for lam, c in terms.items():
-                if not isinstance(c, LaurentQ):
-                    c = LaurentQ({0: c}, "v")
-                if c.var != "v":
-                    raise ValueError("Fock coefficients must be in v")
-                if not c.is_zero:
-                    t[Partition(lam)] = c
-        self.terms = t
+    def _coerce(self, c):
+        if not isinstance(c, LaurentQ):
+            c = LaurentQ({0: c}, "v")
+        if c.var != "v":
+            raise ValueError("Fock coefficients must be in v")
+        return c
+
+    def _space(self):
+        return ()
 
     @classmethod
     def ket(cls, lam) -> "FockVector":
@@ -34,47 +34,6 @@ class FockVector:
     @classmethod
     def zero(cls) -> "FockVector":
         return cls()
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, lam) -> LaurentQ:
-        return self.terms.get(Partition(lam), LaurentQ.zero("v"))
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for lam, c in other.terms.items():
-            s = t.get(lam, LaurentQ.zero("v")) + c
-            if s.is_zero:
-                t.pop(lam, None)
-            else:
-                t[lam] = s
-        out = FockVector()
-        out.terms = t
-        return out
-
-    def __neg__(self):
-        out = FockVector()
-        out.terms = {lam: -c for lam, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "FockVector":
-        if not isinstance(c, LaurentQ):
-            c = LaurentQ({0: c}, "v")
-        if c.is_zero:
-            return FockVector()
-        out = FockVector()
-        out.terms = {lam: co * c for lam, co in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self.terms == other.terms
 
     def sorted_terms(self):
         """Deterministic order: by size, then parts lexicographically."""
@@ -119,8 +78,7 @@ def apply_F(i: int, x: FockVector, ell: int) -> FockVector:
     for lam, c in x.terms.items():
         for b in addable_boxes(lam, ell, i):
             mu = lam.add_box(b)
-            add = c * LaurentQ.term(n_left(lam, b, ell), 1, "v")
-            _accumulate(out, mu, add)
+            out.add_term(mu, c * LaurentQ.term(n_left(lam, b, ell), 1, "v"))
     return out
 
 
@@ -134,8 +92,7 @@ def apply_E(i: int, x: FockVector, ell: int) -> FockVector:
     for lam, c in x.terms.items():
         for b in removable_boxes(lam, ell, i):
             mu = lam.remove_box(b)
-            add = c * LaurentQ.term(-n_right(mu, b, ell), 1, "v")
-            _accumulate(out, mu, add)
+            out.add_term(mu, c * LaurentQ.term(-n_right(mu, b, ell), 1, "v"))
     return out
 
 
@@ -146,16 +103,8 @@ def apply_K(i: int, x: FockVector, ell: int, inverse: bool = False) -> FockVecto
         d = len(addable_boxes(lam, ell, i)) - len(removable_boxes(lam, ell, i))
         if inverse:
             d = -d
-        _accumulate(out, lam, c * LaurentQ.term(d, 1, "v"))
+        out.add_term(lam, c * LaurentQ.term(d, 1, "v"))
     return out
-
-
-def _accumulate(vec: FockVector, lam: Partition, c: LaurentQ):
-    s = vec.terms.get(lam, LaurentQ.zero("v")) + c
-    if s.is_zero:
-        vec.terms.pop(lam, None)
-    else:
-        vec.terms[lam] = s
 
 
 def affine_cartan(i: int, j: int, ell: int) -> int:

@@ -12,6 +12,7 @@ representative per fraction, so equality is structural.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import PoleError
 from .ring import LaurentQ, QFrac, _coef
@@ -279,14 +280,14 @@ def _int_normalize(p: MultiPoly) -> MultiPoly:
     for v in p.terms.values():
         if not isinstance(v, int):
             all_int = False
-            den_lcm = _lcm(den_lcm, Fraction(v).denominator)
+            den_lcm = lcm(den_lcm, Fraction(v).denominator)
     if all_int:
         terms = dict(p.terms)
     else:
         terms = {e: int(Fraction(v) * den_lcm) for e, v in p.terms.items()}
     g = 0
     for v in terms.values():
-        g = _gcd_int(g, v)
+        g = gcd(g, v)
     if terms[max(terms)] < 0:
         g = -g
     if g != 1:
@@ -294,17 +295,6 @@ def _int_normalize(p: MultiPoly) -> MultiPoly:
     out = MultiPoly(p.rank)
     out.terms = terms
     return out
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd_int(a, b)
 
 
 def _content(coeffs) -> MultiPoly:
@@ -436,7 +426,7 @@ def _certified_coprime(cf: MultiPoly, cg: MultiPoly, tries: int = 3) -> bool:
             vg = _eval_var(vg, var, xi)
         a = abs(next(iter(vf.terms.values()))) if vf.terms else 0
         b = abs(next(iter(vg.terms.values()))) if vg.terms else 0
-        if _gcd_int(a, b) == 1:
+        if gcd(a, b) == 1:
             return True
         bump = bump * 31 + 127
     return False
@@ -519,7 +509,7 @@ def _heugcd(f: MultiPoly, g: MultiPoly, depth: int = 0):
     nv = f.rank + 1
     active = [v for v in range(nv) if f.max_deg(v) > 0 or g.max_deg(v) > 0]
     if not active:
-        c = _gcd_int(next(iter(f.terms.values())), next(iter(g.terms.values())))
+        c = gcd(next(iter(f.terms.values())), next(iter(g.terms.values())))
         return MultiPoly.const(f.rank, c)
     var = min(active, key=lambda v: max(f.max_deg(v), g.max_deg(v)))
     xi = 2 * max(_max_norm(f), _max_norm(g)) + 29

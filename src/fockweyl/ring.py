@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 def _coef(x):
@@ -209,8 +210,8 @@ class LaurentQ:
         num = 0
         den = 1
         for f in fracs:
-            num = _igcd(num, f.numerator)
-            den = _ilcm(den, f.denominator)
+            num = gcd(num, f.numerator)
+            den = lcm(den, f.denominator)
         return Fraction(abs(num), den)
 
     def primitive(self):
@@ -284,17 +285,6 @@ class LaurentQ:
                    var=data["var"])
 
 
-def _igcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _ilcm(a, b):
-    return a * b // _igcd(a, b) if a and b else a or b
-
-
 def _poly_divmod(a, b):
     """Division with remainder of ordinary polynomial dicts (b nonzero)."""
     db = max(b)
@@ -322,7 +312,7 @@ def _to_int_poly(p: LaurentQ) -> dict:
     s = p.low_degree()
     den_lcm = 1
     for v in p.c.values():
-        den_lcm = _ilcm(den_lcm, Fraction(v).denominator)
+        den_lcm = lcm(den_lcm, Fraction(v).denominator)
     ints = {e - s: int(Fraction(v) * den_lcm) for e, v in p.c.items()}
     return _int_prim(ints)
 
@@ -332,7 +322,7 @@ def _int_prim(r: dict) -> dict:
         return r
     g = 0
     for v in r.values():
-        g = _igcd(g, v)
+        g = gcd(g, v)
     if g > 1:
         return {e: v // g for e, v in r.items()}
     return r

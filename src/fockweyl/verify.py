@@ -31,7 +31,6 @@ class RunConfig:
     max_size: int = 4
     tolerance: str = "signed"          # strict (+q^m) | signed (+-q^m) | unit
     jobs: int = 1
-    fmt: str = "text"
 
     def __post_init__(self):
         if self.ell < 2:
@@ -42,8 +41,6 @@ class RunConfig:
             raise ValueError(f"unknown tolerance mode {self.tolerance!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.fmt not in ("text", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
     def echo(self, family: str) -> dict:
         cfg = {"family": family, "ell": self.ell, "max_size": self.max_size,
@@ -291,7 +288,7 @@ def run_all(config: RunConfig):
     """The full acceptance sweep at the documented bounds (yields reports)."""
     def derived(ell, max_size):
         return RunConfig(ell=ell, max_size=max_size, tolerance=config.tolerance,
-                         jobs=config.jobs, fmt=config.fmt)
+                         jobs=config.jobs)
 
     for ell in (2, 3, 4):
         yield run_family("fock-relations", derived(ell, 6))

@@ -19,6 +19,7 @@ from .linalg import field_det, field_kernel, field_rank
 from .multirat import MultiPoly, MultiRat, eval_at_weight, sigma_shift, unit_ratio
 from .partitions import Partition, Box, addable_boxes, removable_boxes, content, n_left
 from .ring import QFrac, q_int, val_cyclotomic
+from .sparse import SparseVector
 from .weights import Weight, alpha, positive_roots
 
 YWord = tuple  # sequence of indices in 1..N-1
@@ -31,24 +32,23 @@ def word_multidegree(word: YWord, rank: int) -> Weight:
     return w
 
 
-class VermaElement:
+class VermaElement(SparseVector):
     """K-linear combination of lowering words applied to v_{mu+}."""
 
-    __slots__ = ("shift", "rank", "terms")
+    __slots__ = ("shift", "rank")
 
     def __init__(self, shift: Weight, rank: int, terms=None):
         if shift.rank != rank:
             raise ValueError("shift length must equal rank")
         self.shift = shift
         self.rank = rank
-        t = {}
-        if terms:
-            for w, c in terms.items():
-                if not isinstance(c, MultiRat):
-                    c = MultiRat.const(rank, c)
-                if not c.is_zero:
-                    t[tuple(w)] = c
-        self.terms = t
+        super().__init__(terms)
+
+    def _coerce(self, c):
+        return c if isinstance(c, MultiRat) else MultiRat.const(self.rank, c)
+
+    def _space(self):
+        return (self.shift, self.rank)
 
     @classmethod
     def highest(cls, shift: Weight, rank: int) -> "VermaElement":
@@ -57,53 +57,6 @@ class VermaElement:
     @classmethod
     def word(cls, w, shift: Weight, rank: int) -> "VermaElement":
         return cls(shift, rank, {tuple(w): 1})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.shift != other.shift or self.rank != other.rank:
-            raise ValueError("mismatched shift or rank")
-
-    def __add__(self, other):
-        self._check(other)
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, MultiRat.zero(self.rank)) + c
-            if s.is_zero:
-                t.pop(w, None)
-            else:
-                t[w] = s
-        out = VermaElement(self.shift, self.rank)
-        out.terms = t
-        return out
-
-    def __neg__(self):
-        out = VermaElement(self.shift, self.rank)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "VermaElement":
-        if not isinstance(c, MultiRat):
-            c = MultiRat.const(self.rank, c)
-        if c.is_zero:
-            return VermaElement(self.shift, self.rank)
-        out = VermaElement(self.shift, self.rank)
-        out.terms = {w: co * c for w, co in self.terms.items()}
-        return out
-
-    def coeff(self, w) -> MultiRat:
-        return self.terms.get(tuple(w), MultiRat.zero(self.rank))
-
-    def __eq__(self, other):
-        if not isinstance(other, VermaElement):
-            return NotImplemented
-        return (self.shift == other.shift and self.rank == other.rank
-                and self.terms == other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -165,13 +118,7 @@ def act_x(i: int, e: VermaElement) -> VermaElement:
             suffix = w[t + 1:]
             nu = _word_weight(suffix, e.shift, e.rank)
             a = nu.coords[i - 1] - nu.coords[i]
-            add = c * _cartan_factor(e.rank, i, a)
-            key = w[:t] + suffix
-            s = out.terms.get(key, MultiRat.zero(e.rank)) + add
-            if s.is_zero:
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = s
+            out.add_term(w[:t] + suffix, c * _cartan_factor(e.rank, i, a))
     return out
 
 
@@ -358,19 +305,16 @@ def jantzen_closed(k: int, rank: int) -> MultiRat:
 # lowering words, so no word rewriting is ever needed.
 
 
-class _MTensor:
-    __slots__ = ("rank", "terms")
+class _MTensor(SparseVector):
+    __slots__ = ("rank",)
+    _coerce = VermaElement._coerce
 
     def __init__(self, rank, terms=None):
         self.rank = rank
-        self.terms = dict(terms or {})
+        super().__init__(terms)
 
-    def add_term(self, key, c):
-        s = self.terms.get(key, MultiRat.zero(self.rank)) + c
-        if s.is_zero:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
+    def _space(self):
+        return (self.rank,)
 
 
 def _mt_act_y(i: int, x: _MTensor) -> _MTensor:

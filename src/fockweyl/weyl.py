@@ -21,25 +21,25 @@ from .linalg import ff_echelon, kernel_basis
 from .partitions import (Partition, Box, addable_row_indices, color, content,
                          n_left)
 from .ring import LaurentQ, QFrac, poly_gcd, q_power, val_cyclotomic
+from .sparse import SparseVector
 from .verma import jantzen_evaluate_closed, hook_ratio
 
 
-class TensorVector:
+class TensorVector(SparseVector):
     """Exact linear combination of basis words of V^{(x)n}."""
 
-    __slots__ = ("n", "rank", "terms")
+    __slots__ = ("n", "rank")
 
     def __init__(self, n, rank, terms=None):
         self.n = n
         self.rank = rank
-        t = {}
-        if terms:
-            for w, c in terms.items():
-                if not isinstance(c, QFrac):
-                    c = QFrac(c) if isinstance(c, LaurentQ) else QFrac(LaurentQ({0: c}))
-                if not c.is_zero:
-                    t[tuple(w)] = c
-        self.terms = t
+        super().__init__(terms)
+
+    def _coerce(self, c):
+        return c if isinstance(c, QFrac) else QFrac(c)
+
+    def _space(self):
+        return (self.n, self.rank)
 
     @classmethod
     def word(cls, w, rank) -> "TensorVector":
@@ -49,58 +49,12 @@ class TensorVector:
     def zero(cls, n, rank) -> "TensorVector":
         return cls(n, rank)
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if self.n != other.n or self.rank != other.rank:
-            raise ValueError("tensor length or rank mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, QFrac.zero()) + c
-            if s.is_zero:
-                t.pop(w, None)
-            else:
-                t[w] = s
-        out = TensorVector(self.n, self.rank)
-        out.terms = t
-        return out
-
-    def __neg__(self):
-        out = TensorVector(self.n, self.rank)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TensorVector":
-        if not isinstance(c, QFrac):
-            c = QFrac(c if isinstance(c, LaurentQ) else LaurentQ({0: c}))
-        if c.is_zero:
-            return TensorVector(self.n, self.rank)
-        out = TensorVector(self.n, self.rank)
-        out.terms = {w: co * c for w, co in self.terms.items()}
-        return out
-
-    def coeff(self, w) -> QFrac:
-        return self.terms.get(tuple(w), QFrac.zero())
-
     def weight(self):
         """Letter-count weight, or None for a mixed-weight element."""
         wts = {_word_weight(w, self.rank) for w in self.terms}
         if len(wts) == 1:
             return next(iter(wts))
         return None
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorVector):
-            return NotImplemented
-        return (self.n, self.rank, self.terms) == (other.n, other.rank, other.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -143,7 +97,7 @@ def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
                 e = sum((1 if s == i else 0) - (1 if s == i + 1 else 0)
                         for s in w[t + 1:])
                 nw = w[:t] + (i,) + w[t + 1:]
-                _acc(out, nw, c * QFrac(q_power(e)))
+                out.add_term(nw, c * QFrac(q_power(e)))
         elif gen == "Y":
             for t, letter in enumerate(w):
                 if letter != i:
@@ -151,85 +105,10 @@ def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
                 e = sum((1 if s == i + 1 else 0) - (1 if s == i else 0)
                         for s in w[:t])
                 nw = w[:t] + (i + 1,) + w[t + 1:]
-                _acc(out, nw, c * QFrac(q_power(e)))
+                out.add_term(nw, c * QFrac(q_power(e)))
         else:
             raise ValueError(f"unknown generator {gen!r}")
     return out
-
-
-def _acc(vec: TensorVector, w, c):
-    s = vec.terms.get(w, QFrac.zero()) + c
-    if s.is_zero:
-        vec.terms.pop(w, None)
-    else:
-        vec.terms[w] = s
-
-
-# Coproduct tables for the split-recursive action used by the coassociativity
-# tests: Delta(g) = sum of (left symbol, right symbol) pairs.
-_COPRODUCT = {
-    "X": (("X", "K"), ("1", "X")),
-    "Y": (("Y", "1"), ("Kinv", "Y")),
-    "L": (("L", "L"),),
-    "Linv": (("Linv", "Linv"),),
-    "K": (("K", "K"),),
-    "Kinv": (("Kinv", "Kinv"),),
-    "1": (("1", "1"),),
-}
-
-
-def tensor_act_split(gen: str, i: int, x: TensorVector, split: int) -> TensorVector:
-    """Same action computed by recursively splitting the tensor factors at
-    `split`; any split point must agree with the flat formulas."""
-    rank = x.rank
-    if x.n == 0:
-        if gen in ("L", "Linv", "K", "Kinv", "1"):
-            return x
-        return TensorVector(0, rank)
-    if x.n == 1:
-        out = TensorVector(1, rank)
-        for (w,), c in x.terms.items():
-            for nw, e in _single_action(gen, i, w, rank):
-                _acc(out, (nw,), c * QFrac(q_power(e)))
-        return out
-    split = max(1, min(split, x.n - 1))
-    out = TensorVector(x.n, rank)
-    for pair in _COPRODUCT[gen]:
-        gl, gr = pair
-        # group terms by right part to act blockwise
-        for w, c in x.terms.items():
-            left = TensorVector(split, rank, {w[:split]: QFrac.one()})
-            right = TensorVector(x.n - split, rank, {w[split:]: QFrac.one()})
-            lv = tensor_act_split(gl, i, left, max(1, split // 2))
-            if lv.is_zero:
-                continue
-            rv = tensor_act_split(gr, i, right, max(1, (x.n - split) // 2))
-            if rv.is_zero:
-                continue
-            for wl, cl in lv.terms.items():
-                for wr, cr in rv.terms.items():
-                    _acc(out, wl + wr, c * cl * cr)
-    return out
-
-
-def _single_action(gen, i, letter, rank):
-    if gen == "1":
-        return [(letter, 0)]
-    if gen == "X":
-        return [(i, 0)] if letter == i + 1 else []
-    if gen == "Y":
-        return [(i + 1, 0)] if letter == i else []
-    if gen == "L":
-        return [(letter, 1 if letter == i else 0)]
-    if gen == "Linv":
-        return [(letter, -1 if letter == i else 0)]
-    if gen == "K":
-        e = (1 if letter == i else 0) - (1 if letter == i + 1 else 0)
-        return [(letter, e)]
-    if gen == "Kinv":
-        e = (1 if letter == i else 0) - (1 if letter == i + 1 else 0)
-        return [(letter, -e)]
-    raise ValueError(f"unknown generator {gen!r}")
 
 
 def tensor_form(x: TensorVector, y: TensorVector) -> QFrac:
@@ -343,11 +222,7 @@ def highest_weight_vector(lam: Partition, rank: int) -> TensorVector:
         if not coeffs[cw_idx].is_zero:
             coeffs = [c / coeffs[cw_idx] for c in coeffs]
             nums = _clear_vector(coeffs)
-            out = TensorVector(n, rank)
-            for w, p in zip(words, nums):
-                if not p.is_zero:
-                    out.terms[w] = QFrac(p)
-            return out
+            return TensorVector(n, rank, dict(zip(words, nums)))
     raise EngineError(f"no kernel vector supported on the column word of {lam}")
 
 
@@ -431,14 +306,7 @@ def _echelon_vectors(spanning, rank):
         rows.append(row)
     ech, _ = ff_echelon(rows)
     n1 = spanning[0].n
-    out = []
-    for row in ech:
-        v = TensorVector(n1, rank)
-        for w, e in zip(words, row):
-            if not e.is_zero:
-                v.terms[w] = QFrac(e)
-        out.append(v)
-    return out
+    return [TensorVector(n1, rank, dict(zip(words, row))) for row in ech]
 
 
 def verify_fock_match(lam: Partition, ell: int, rank: int | None = None,

@@ -1,6 +1,7 @@
 import json
 
 from fockweyl import cli
+from fockweyl.errors import EngineError
 from fockweyl.reports import CaseResult, Report, render_json
 
 
@@ -59,6 +60,16 @@ class TestJantzen:
         code2, out2, _ = run(capsys, "jantzen", "engine", "--k", "2", "--rank", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_engine_error_exits_one(self, capsys, monkeypatch):
+        def broken(k, rank):
+            raise EngineError("forced inconsistency")
+
+        monkeypatch.setattr(cli, "jantzen_engine", broken)
+        code, out, err = run(capsys, "jantzen", "engine", "--k", "2", "--rank", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: forced inconsistency\n"
 
 
 class TestShapovalov:

@@ -5,8 +5,8 @@ import pytest
 from fockweyl.partitions import Partition, all_partitions, addable_row_indices
 from fockweyl.ring import LaurentQ, QFrac, q_int, q_power
 from fockweyl.weyl import (TensorVector, highest_weight_vector,
-                           mu_singular_vectors, tensor_act, tensor_act_split,
-                           tensor_form, verify_fock_match)
+                           mu_singular_vectors, tensor_act, tensor_form,
+                           verify_fock_match)
 
 
 def word(*letters, rank=2):
@@ -15,6 +15,72 @@ def word(*letters, rank=2):
 
 def qf(p):
     return QFrac(p)
+
+
+# Reference action for the coassociativity test: the same generators computed
+# by recursively splitting the tensor factors through the coproduct tables
+# Delta(g) = sum of (left symbol, right symbol) pairs.
+_COPRODUCT = {
+    "X": (("X", "K"), ("1", "X")),
+    "Y": (("Y", "1"), ("Kinv", "Y")),
+    "L": (("L", "L"),),
+    "Linv": (("Linv", "Linv"),),
+    "K": (("K", "K"),),
+    "Kinv": (("Kinv", "Kinv"),),
+    "1": (("1", "1"),),
+}
+
+
+def tensor_act_split(gen, i, x, split):
+    """Same action computed by recursively splitting the tensor factors at
+    `split`; any split point must agree with the flat formulas."""
+    rank = x.rank
+    if x.n == 0:
+        if gen in ("L", "Linv", "K", "Kinv", "1"):
+            return x
+        return TensorVector(0, rank)
+    if x.n == 1:
+        out = TensorVector(1, rank)
+        for (w,), c in x.terms.items():
+            for nw, e in _single_action(gen, i, w):
+                out.add_term((nw,), c * QFrac(q_power(e)))
+        return out
+    split = max(1, min(split, x.n - 1))
+    out = TensorVector(x.n, rank)
+    for gl, gr in _COPRODUCT[gen]:
+        for w, c in x.terms.items():
+            left = TensorVector(split, rank, {w[:split]: QFrac.one()})
+            right = TensorVector(x.n - split, rank, {w[split:]: QFrac.one()})
+            lv = tensor_act_split(gl, i, left, max(1, split // 2))
+            if lv.is_zero:
+                continue
+            rv = tensor_act_split(gr, i, right, max(1, (x.n - split) // 2))
+            if rv.is_zero:
+                continue
+            for wl, cl in lv.terms.items():
+                for wr, cr in rv.terms.items():
+                    out.add_term(wl + wr, c * cl * cr)
+    return out
+
+
+def _single_action(gen, i, letter):
+    if gen == "1":
+        return [(letter, 0)]
+    if gen == "X":
+        return [(i, 0)] if letter == i + 1 else []
+    if gen == "Y":
+        return [(i + 1, 0)] if letter == i else []
+    if gen == "L":
+        return [(letter, 1 if letter == i else 0)]
+    if gen == "Linv":
+        return [(letter, -1 if letter == i else 0)]
+    if gen == "K":
+        e = (1 if letter == i else 0) - (1 if letter == i + 1 else 0)
+        return [(letter, e)]
+    if gen == "Kinv":
+        e = (1 if letter == i else 0) - (1 if letter == i + 1 else 0)
+        return [(letter, -e)]
+    raise ValueError(f"unknown generator {gen!r}")
 
 
 class TestTensorAct:
