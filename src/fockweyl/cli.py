@@ -85,7 +85,8 @@ def build_parser():
     ver.add_argument("family", choices=list(FAMILIES) + ["all"])
     ver.add_argument("--ell", type=int, default=2)
     ver.add_argument("--max-size", type=int, default=4)
-    ver.add_argument("--rank", type=int, default=None)
+    ver.add_argument("--rank", type=int, default=None,
+                     help="theorem51 only: one rank, up to height --max-size")
     ver.add_argument("--tolerance", choices=["strict", "signed", "unit"],
                      default="signed")
     ver.add_argument("--jobs", type=int, default=1)
@@ -179,6 +180,8 @@ def _cmd_jantzen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.rank is not None and args.family != "theorem51":
+        raise SystemExit2("--rank applies to theorem51 only")
     try:
         config = RunConfig(ell=args.ell, n_rank=args.rank,
                            max_size=args.max_size, tolerance=args.tolerance,

@@ -1,9 +1,11 @@
 """Exact linear algebra helpers.
 
-Two layers: division-controlled fraction-free elimination over a polynomial
-domain (entries need +, -, *, is_zero, exact_div, gcd and a complexity key),
-used for the large tensor-space solves; and plain Gaussian elimination over a
-fraction field, used for the small Gram matrices.
+Fraction-free elimination over a polynomial domain (`ff_echelon`; entries need
++, -, *, is_zero, exact_div, gcd and a complexity key) for the large
+tensor-space solves, and one forward Gaussian elimination over a field
+(`field_echelon`; entries need +, -, *, /, is_zero and a complexity key) from
+which determinants, ranks and the Gram word bases are read.  Both echelon
+forms share one back-substitution that turns them into a kernel basis.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ def ff_echelon(rows):
 
 
 def _strip_content(row):
+    """Divide a row of domain elements by the gcd of its nonzero entries."""
     g = None
     for e in row:
         if e.is_zero:
@@ -65,113 +68,88 @@ def _strip_content(row):
     return [e if e.is_zero else e.exact_div(g) for e in row]
 
 
-def rank_ff(rows) -> int:
-    _, piv = ff_echelon(rows)
-    return len(piv)
-
-
-def kernel_basis(rows, ncols, to_field, field_one):
-    """Right kernel of the matrix, as vectors over the fraction field.
-
-    Elimination is fraction-free; only the back substitution runs in the
-    field.  Returns (basis, rank); one basis vector per free column, in
-    increasing free-column order, with free coordinate 1.
-    """
-    ech, piv = ff_echelon(rows)
-    fech = [[to_field(e) for e in row] for row in ech]
-    pivset = set(piv)
-    free = [c for c in range(ncols) if c not in pivset]
-    zero = field_one - field_one
-    basis = []
-    for f in free:
-        x = {f: field_one}
-        for r in range(len(piv) - 1, -1, -1):
-            pc = piv[r]
-            s = zero
-            for c, val in x.items():
-                if c > pc and not val.is_zero and not fech[r][c].is_zero:
-                    s = s + fech[r][c] * val
-            x[pc] = -(s / fech[r][pc])
-        basis.append([x.get(c, zero) for c in range(ncols)])
-    return basis, len(piv)
-
-
 def field_echelon(rows):
-    """Gauss-Jordan over a field; returns (reduced rows, pivot cols)."""
+    """Forward Gaussian elimination over a field.
+
+    A column gets a pivot when it has a nonzero entry at or below the current
+    row, so the pivot columns are the lexicographically first column basis;
+    the pivot row is the one whose entry has the least complexity key, which
+    keeps entry growth down and does not change the pivot columns.  Rows are
+    not normalised.  Returns (echelon_rows, pivot_cols, sign), sign being the
+    parity (+1 or -1) of the row swaps.
+    """
     m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
     piv = []
-    r0 = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(r0, len(m)):
-            if not m[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[r0], m[pivot] = m[pivot], m[r0]
-        p = m[r0][col]
-        m[r0] = [e / p for e in m[r0]]
-        for r in range(len(m)):
-            if r != r0 and not m[r][col].is_zero:
-                a = m[r][col]
-                m[r] = [x - a * y for x, y in zip(m[r], m[r0])]
-        piv.append(col)
-        r0 += 1
+    sign = 1
+    for col in range(len(m[0]) if m else 0):
+        r0 = len(piv)
         if r0 == len(m):
             break
-    return m[:r0], piv
+        nonzero = [r for r in range(r0, len(m)) if not m[r][col].is_zero]
+        if not nonzero:
+            continue
+        pivot = min(nonzero, key=lambda r: m[r][col].complexity())
+        if pivot != r0:
+            m[r0], m[pivot] = m[pivot], m[r0]
+            sign = -sign
+        p = m[r0]
+        for r in range(r0 + 1, len(m)):
+            if not m[r][col].is_zero:
+                f = m[r][col] / p[col]
+                m[r] = [x if y.is_zero else x - f * y for x, y in zip(m[r], p)]
+        piv.append(col)
+    return m[:len(piv)], piv, sign
 
 
-def field_kernel(rows, ncols, field_one):
-    """Right kernel over a field; free coordinate of each vector is 1."""
-    ech, piv = field_echelon(rows)
-    free = [c for c in range(ncols) if c not in piv]
-    zero = field_one - field_one
+def _back_substitute(ech, piv, ncols, one):
+    """Right kernel of an echelon form over a field: one vector per free
+    column, in increasing order, with that coordinate 1 and the other free
+    coordinates 0."""
+    zero = one - one
+    pivset = set(piv)
     basis = []
-    for f in free:
-        x = [zero] * ncols
-        x[f] = field_one
-        for r, pc in enumerate(piv):
-            x[pc] = -ech[r][f]
-        basis.append(x)
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        x = {f: one}
+        for r in range(len(piv) - 1, -1, -1):
+            s = zero
+            for c, val in x.items():
+                if not val.is_zero and not ech[r][c].is_zero:
+                    s = s + ech[r][c] * val
+            x[piv[r]] = -(s / ech[r][piv[r]])
+        basis.append([x.get(c, zero) for c in range(ncols)])
     return basis
 
 
-def field_rank(rows) -> int:
-    _, piv = field_echelon(rows)
-    return len(piv)
+def kernel_basis(rows, ncols, to_field, field_one):
+    """Right kernel of a matrix over a domain, as vectors over its fraction
+    field.
+
+    Elimination is fraction-free; only the back substitution runs in the
+    field.  Returns (basis, rank), the basis as in `field_kernel`.
+    """
+    ech, piv = ff_echelon(rows)
+    fech = [[to_field(e) for e in row] for row in ech]
+    return _back_substitute(fech, piv, ncols, field_one), len(piv)
+
+
+def field_kernel(rows, ncols, field_one):
+    """Right kernel over a field: one vector per free column, in increasing
+    order, with that coordinate 1 and the other free coordinates 0."""
+    ech, piv, _ = field_echelon(rows)
+    return _back_substitute(ech, piv, ncols, field_one)
 
 
 def field_det(matrix):
-    """Determinant over a field by elimination (small matrices)."""
+    """Determinant over a field: the signed product of the echelon pivots."""
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    m = [list(r) for r in matrix]
-    zero = m[0][0] - m[0][0]
-    det = None
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not m[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            return zero
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        p = m[col][col]
-        det = p if det is None else det * p
-        for r in range(col + 1, n):
-            if not m[r][col].is_zero:
-                f = m[r][col] / p
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    if sign < 0:
-        det = -det
-    return det
+    ech, piv, sign = field_echelon(matrix)
+    if len(piv) < n:
+        return matrix[0][0] - matrix[0][0]
+    det = ech[0][0]
+    for r in range(1, n):
+        det = det * ech[r][r]
+    return -det if sign < 0 else det

@@ -630,6 +630,10 @@ class MultiRat:
     def is_zero(self):
         return self.num.is_zero
 
+    def complexity(self):
+        """Pivot-selection key: numerator plus denominator term count."""
+        return len(self.num.terms) + len(self.den.terms)
+
     def _wrap(self, x):
         if isinstance(x, MultiRat):
             return x

@@ -495,6 +495,10 @@ class QFrac:
     def is_zero(self):
         return self.num.is_zero
 
+    def complexity(self):
+        """Pivot-selection key: numerator plus denominator term count."""
+        return len(self.num.c) + len(self.den.c)
+
     def _wrap(self, x):
         if isinstance(x, QFrac):
             return x
@@ -578,6 +582,14 @@ class QFrac:
         if v == -1:
             return (-1, e)
         return None
+
+    def is_q_power(self, tolerance: str = "signed") -> bool:
+        """Whether this equals q^m ("strict"), +-q^m ("signed") or is any
+        nonzero element ("unit")."""
+        if tolerance == "unit":
+            return not self.is_zero
+        sp = self.as_signed_q_power()
+        return sp is not None and (tolerance == "signed" or sp[0] == 1)
 
     def to_text(self):
         if self.den == LaurentQ.one(self.var):

@@ -27,7 +27,7 @@ class RunConfig:
     """Validated bounds and modes for the verification families."""
 
     ell: int = 2
-    n_rank: int | None = None          # None: derived per case (parts + 1)
+    n_rank: int | None = None          # theorem51 only; None: ranks 2 and 3
     max_size: int = 4
     tolerance: str = "signed"          # strict (+q^m) | signed (+-q^m) | unit
     jobs: int = 1
@@ -35,6 +35,8 @@ class RunConfig:
     def __post_init__(self):
         if self.ell < 2:
             raise ValueError("ell must be >= 2")
+        if self.n_rank is not None and self.n_rank < 2:
+            raise ValueError("rank must be >= 2")
         if self.max_size < 0:
             raise ValueError("max_size must be >= 0")
         if self.tolerance not in ("strict", "signed", "unit"):
@@ -45,7 +47,7 @@ class RunConfig:
     def echo(self, family: str) -> dict:
         cfg = {"family": family, "ell": self.ell, "max_size": self.max_size,
                "tolerance": self.tolerance}
-        if self.n_rank is not None:
+        if self.n_rank is not None and family == "theorem51":
             cfg["n_rank"] = self.n_rank
         return cfg
 
@@ -60,16 +62,6 @@ def _ratio_ok(a, b, tolerance: str) -> bool:
     if tolerance == "signed":
         return parts.is_signed_q_power
     return parts.is_plus_q_power
-
-
-def _qfrac_power_ok(ratio, tolerance: str) -> bool:
-    """Compare a Q(q) ratio against 1 under the requested tolerance."""
-    if tolerance == "unit":
-        return not ratio.is_zero
-    sp = ratio.as_signed_q_power()
-    if sp is None:
-        return False
-    return tolerance == "signed" or sp[0] == 1
 
 
 def _root_lattice_points(rank: int, max_height: int):
@@ -218,7 +210,7 @@ def _case_prop64(spec, tolerance):
         detail = {"zero_case": True}
     else:
         ratio = closed / hook
-        ok = _qfrac_power_ok(ratio, tolerance)
+        ok = ratio.is_q_power(tolerance)
         detail = {"zero_case": False, "ratio": ratio.to_text()}
     return CaseResult(
         case_id=f"prop64/lam={','.join(map(str, lam_t)) or '0'}/k={k}",

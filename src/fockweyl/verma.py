@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import EngineError
-from .linalg import field_det, field_kernel, field_rank
+from .linalg import field_det, field_echelon, field_kernel
 from .multirat import MultiPoly, MultiRat, eval_at_weight, sigma_shift, unit_ratio
 from .partitions import Partition, Box, addable_boxes, removable_boxes, content, n_left
 from .ring import QFrac, q_int, val_cyclotomic
 from .sparse import SparseVector
-from .weights import Weight, alpha, positive_roots
+from .weights import Weight, alpha, positive_roots, words_with_counts
 
 YWord = tuple  # sequence of indices in 1..N-1
 
@@ -149,20 +149,7 @@ def ywords(nu: Weight, rank: int) -> list[YWord]:
     ac = nu.alpha_coords()
     if ac is None or any(c < 0 for c in ac):
         return []
-    counts = list(ac)
-
-    def rec(remaining):
-        if all(c == 0 for c in remaining):
-            yield ()
-            return
-        for i in range(len(remaining)):
-            if remaining[i] > 0:
-                remaining[i] -= 1
-                for rest in rec(remaining):
-                    yield (i + 1,) + rest
-                remaining[i] += 1
-
-    return list(rec(counts))
+    return words_with_counts(ac)
 
 
 @lru_cache(maxsize=None)
@@ -201,8 +188,9 @@ def kostant_p(gamma: Weight) -> int:
 
 @dataclass
 class GramMatrix:
-    """Pairings of all lowering words of one multidegree, with a maximal
-    independent sublist chosen greedily and the determinant on it."""
+    """Pairings of all lowering words of one multidegree, the maximal
+    independent sublist given by the pivot columns (the lexicographically
+    first column basis), and the determinant on it."""
 
     shift: Weight
     rank: int
@@ -216,9 +204,11 @@ class GramMatrix:
 def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
     """Pair all lowering words of multidegree nu over the mu-shifted module.
 
-    The independent sublist is grown greedily in word order, accepting a word
-    when the leading principal minor stays nonzero; its size must equal the
-    weight multiplicity kostant_p(-nu) (anything else is an engine bug).
+    The independent sublist is the pivot columns of one forward elimination
+    of the Gram matrix; its size must equal the weight multiplicity
+    kostant_p(-nu) (anything else is an engine bug).  The matrix is
+    symmetric, so its principal block on a column basis is nonsingular and
+    carries the determinant.
     """
     words = ywords(nu, rank)
     els = [VermaElement.word(w, mu, rank) for w in words]
@@ -229,20 +219,14 @@ def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
             v = shapovalov_pair(els[i], els[j])
             entries[i][j] = v
             entries[j][i] = v
-    chosen: list[int] = []
-    det = MultiRat.one(rank)
-    for cand in range(n):
-        trial = chosen + [cand]
-        sub = [[entries[r][c] for c in trial] for r in trial]
-        d = field_det(sub)
-        if not d.is_zero:
-            chosen = trial
-            det = d
+    _, chosen, _ = field_echelon(entries)
     expected = kostant_p(-nu)
     if len(chosen) != expected:
         raise EngineError(
             f"independent word count {len(chosen)} != multiplicity {expected} "
             f"for nu={nu}, rank={rank}")
+    det = (field_det([[entries[r][c] for c in chosen] for r in chosen])
+           if chosen else MultiRat.one(rank))
     return GramMatrix(mu, rank, nu, words, entries, chosen, det)
 
 
@@ -438,7 +422,7 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     else:
         sols = [[one if t == b else MultiRat.zero(rank) for t in range(n)]
                 for b in range(n)]
-    g_rank = field_rank(gram)
+    g_rank = len(field_echelon(gram)[1])
     expected_dim = 1 + (n - g_rank)
     if len(sols) != expected_dim:
         raise EngineError(

@@ -109,3 +109,16 @@ def from_alpha_coords(ac, n: int) -> Weight:
         coords.append(c - prev)
         prev = c
     return Weight(tuple(coords[:n]))
+
+
+def words_with_counts(counts) -> list[tuple[int, ...]]:
+    """All words with counts[i] copies of the letter i + 1, lexicographically."""
+    if not any(counts):
+        return [()]
+    out = []
+    for i, c in enumerate(counts):
+        if c:
+            rest = list(counts)
+            rest[i] -= 1
+            out.extend((i + 1,) + w for w in words_with_counts(rest))
+    return out

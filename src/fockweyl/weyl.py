@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import itertools
-
 from .errors import EngineError
 from .fock import FockVector, apply_F
-from .linalg import ff_echelon, kernel_basis
+from .linalg import _strip_content, ff_echelon, kernel_basis
 from .partitions import (Partition, Box, addable_row_indices, color, content,
                          n_left)
 from .ring import LaurentQ, QFrac, poly_gcd, q_power, val_cyclotomic
 from .sparse import SparseVector
 from .verma import jantzen_evaluate_closed, hook_ratio
+from .weights import words_with_counts
 
 
 class TensorVector(SparseVector):
@@ -125,24 +124,6 @@ def tensor_form(x: TensorVector, y: TensorVector) -> QFrac:
     return total
 
 
-def _weight_words(weight_counts, rank):
-    """All words with the given letter counts, lexicographically."""
-    counts = list(weight_counts)
-
-    def rec(remaining):
-        if all(c == 0 for c in remaining):
-            yield ()
-            return
-        for i in range(rank):
-            if remaining[i] > 0:
-                remaining[i] -= 1
-                for rest in rec(remaining):
-                    yield (i + 1,) + rest
-                remaining[i] += 1
-
-    return list(rec(counts))
-
-
 def _column_word(lam: Partition):
     """Row indices read down successive columns of the diagram."""
     out = []
@@ -167,15 +148,7 @@ def _clear_vector(coords):
             nums.append(LaurentQ.zero())
         else:
             nums.append(c.num * den.exact_div(c.den))
-    g = None
-    for p in nums:
-        if not p.is_zero:
-            g = p if g is None else poly_gcd(g, p)
-            if g.is_unit:
-                break
-    if g is not None and not g.is_unit:
-        nums = [p if p.is_zero else p.exact_div(g) for p in nums]
-    return nums
+    return _strip_content(nums)
 
 
 def _kernel_of_raising(vectors, rank):
@@ -211,7 +184,7 @@ def highest_weight_vector(lam: Partition, rank: int) -> TensorVector:
         raise ValueError(f"rank {rank} too small for {lam}")
     n = lam.size
     counts = tuple(lam.part(r) for r in range(1, rank + 1))
-    words = _weight_words(counts, rank)
+    words = words_with_counts(counts)
     vectors = [TensorVector.word(w, rank) for w in words]
     basis, _ = _kernel_of_raising(vectors, rank)
     if not basis:
@@ -257,7 +230,8 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
         for k in range(1, k_j + 1):
             gen = TensorVector(n1, rank,
                                {w + (k,): c for w, c in w_lam.terms.items()})
-            for word in _lowering_words(k, k_j):
+            # multidegree eps_k - eps_{k_j}: the letters k .. k_j - 1 once each
+            for word in words_with_counts([0] * (k - 1) + [1] * (k_j - k)):
                 v = gen
                 for letter in reversed(word):
                     v = tensor_act("Y", letter, v)
@@ -281,14 +255,6 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
         norm = (g * g) / (uu * ww)
         out.append(SingularVector(k_j, vec, norm))
     return tuple(out)
-
-
-def _lowering_words(k: int, k_j: int):
-    """Words of multidegree eps_k - eps_{k_j}: permutations of (k .. k_j-1)."""
-    letters = list(range(k, k_j))
-    if not letters:
-        return [()]
-    return sorted(set(itertools.permutations(letters)))
 
 
 def _echelon_vectors(spanning, rank):
@@ -370,9 +336,4 @@ def verify_fock_match(lam: Partition, ell: int, rank: int | None = None,
 def _power_match(a: QFrac, b: QFrac, tolerance: str = "signed") -> bool:
     if a.is_zero or b.is_zero:
         return a.is_zero and b.is_zero
-    if tolerance == "unit":
-        return True
-    sp = (a / b).as_signed_q_power()
-    if sp is None:
-        return False
-    return tolerance == "signed" or sp[0] == 1
+    return (a / b).is_q_power(tolerance)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fockweyl import cli
 from fockweyl.errors import EngineError
 from fockweyl.reports import CaseResult, Report, render_json
@@ -126,6 +128,29 @@ class TestVerify:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("family", ["lemma63", "all"])
+    def test_rank_rejected_outside_theorem51(self, capsys, family):
+        code, out, err = run(capsys, "verify", family, "--rank", "9")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --rank applies to theorem51 only\n"
+
+    @pytest.mark.parametrize("rank", ["0", "1"])
+    def test_rank_below_two_rejected(self, capsys, rank):
+        code, out, err = run(capsys, "verify", "theorem51", "--rank", rank)
+        assert code == 2
+        assert out == ""
+        assert err == "error: rank must be >= 2\n"
+
+    def test_rank_echoed_for_theorem51(self, capsys):
+        code, out, _ = run(capsys, "verify", "theorem51", "--rank", "2",
+                           "--max-size", "2", "--format", "json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["config"]["n_rank"] == 2
+        assert [c["case"] for c in data["cases"]] == [
+            "theorem51/rank=2/nu=1,-1", "theorem51/rank=2/nu=2,-2"]
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "fock", "apply", "--bogus", "x")

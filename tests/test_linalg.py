@@ -1,7 +1,7 @@
 import random
 
-from fockweyl.linalg import (ff_echelon, field_det, field_kernel, field_rank,
-                             kernel_basis, rank_ff)
+from fockweyl.linalg import (ff_echelon, field_det, field_echelon,
+                             field_kernel, kernel_basis)
 from fockweyl.ring import LaurentQ, QFrac
 
 
@@ -13,10 +13,29 @@ def M(rows):
     return [[L({0: v}) if isinstance(v, int) else v for v in row] for row in rows]
 
 
+def field_rank(rows):
+    return len(field_echelon(rows)[1])
+
+
+def Q(rows):
+    return [[QFrac(e) for e in row] for row in M(rows)]
+
+
+def cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    total = QFrac.zero()
+    for c in range(len(m)):
+        minor = [row[:c] + row[c + 1:] for row in m[1:]]
+        term = m[0][c] * cofactor_det(minor)
+        total = total + term if c % 2 == 0 else total - term
+    return total
+
+
 class TestFractionFree:
     def test_rank_of_singular(self):
         m = M([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert rank_ff(m) == 2
+        assert len(ff_echelon(m)[1]) == 2
 
     def test_kernel_vector(self):
         m = M([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
@@ -47,6 +66,32 @@ class TestFieldOps:
         assert field_det(m).is_zero
         assert field_rank(m) == 1
 
+    def test_det_sign_under_row_swap(self):
+        assert field_det(Q([[0, 1], [1, 0]])) == QFrac(L({0: -1}))
+        assert field_det(Q([[1, 0], [0, 1]])) == QFrac.one()
+
+    def test_det_against_cofactor_expansion(self):
+        q = L({1: 1})
+        # zero top-left entry forces a swap; q-dependent entries elsewhere
+        m = [[QFrac.zero(), QFrac(q), QFrac.one()],
+             [QFrac(q + L({0: 1})), QFrac.one(), QFrac(L({-1: 2}))],
+             [QFrac.one(), QFrac(L({2: 1}) - L({0: 3})), QFrac(q) / QFrac(L({0: 1}) + q)]]
+        d = field_det(m)
+        assert not d.is_zero
+        assert d == cofactor_det(m)
+
+    def test_det_sign_with_least_complex_pivot(self):
+        # the pivot of column 0 is row 1 (entry 1, simpler than 1 + q)
+        m = Q([[L({0: 1, 1: 1}), 1], [1, 1]])
+        ech, piv, sign = field_echelon(m)
+        assert ech[0][0] == QFrac.one() and piv == [0, 1] and sign == -1
+        assert field_det(m) == QFrac(L({1: 1})) == cofactor_det(m)
+
+    def test_echelon_sign_and_pivots(self):
+        ech, piv, sign = field_echelon(Q([[0, 0, 1], [0, 2, 0], [3, 0, 0]]))
+        assert piv == [0, 1, 2] and sign == -1
+        assert all(ech[r][c].is_zero for r in range(3) for c in range(r))
+
     def test_kernel_matches_rank(self):
         m = [[QFrac(L({1: 1})), QFrac.one()], [QFrac.one(), QFrac(L({-1: 1}))]]
         basis = field_kernel(m, 2, QFrac.one())
@@ -65,4 +110,22 @@ class TestFieldOps:
             frows = [[QFrac(e) for e in row] for row in rows]
             d = field_det(frows)
             assert d.is_zero == (field_rank(frows) < n)
-            assert rank_ff(rows) == field_rank(frows)
+            assert d == cofactor_det(frows)
+            assert len(ff_echelon(rows)[1]) == field_rank(frows)
+
+    def test_kernels_agree(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[L({rng.randint(-1, 1): rng.randint(-1, 1)})
+                     for _ in range(ncols)] for _ in range(nrows)]
+            frows = [[QFrac(e) for e in row] for row in rows]
+            basis, rank = kernel_basis(rows, ncols, QFrac, QFrac.one())
+            assert basis == field_kernel(frows, ncols, QFrac.one())
+            assert rank == field_rank(frows) == ncols - len(basis)
+            for x in basis:
+                for row in frows:
+                    s = QFrac.zero()
+                    for e, c in zip(row, x):
+                        s = s + e * c
+                    assert s.is_zero

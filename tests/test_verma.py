@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fockweyl.linalg import field_det
 from fockweyl.multirat import MultiRat, eval_at_weight, sigma_shift, unit_ratio
 from fockweyl.partitions import Partition
 from fockweyl.ring import QFrac, q_int
@@ -12,7 +13,8 @@ from fockweyl.verma import (VermaElement, act_l, act_x, act_y,
                             jantzen_evaluate_closed, jantzen_valuation,
                             kostant_p, shapovalov_det_closed, shapovalov_pair,
                             ywords)
-from fockweyl.weights import Weight, alpha, from_alpha_coords, positive_roots
+from fockweyl.weights import (Weight, alpha, from_alpha_coords, positive_roots,
+                              words_with_counts)
 
 
 def cartan(rank, i, a=0):
@@ -177,6 +179,29 @@ class TestGramMatrix:
         gk = gram_matrix(mu, nu, 2)
         assert gk.det == sigma_shift(g0.det, mu)
 
+    @staticmethod
+    def greedy_basis(entries, rank):
+        """Reference: grow the basis in word order, keeping a word when the
+        principal minor on the chosen words stays nonzero."""
+        chosen, det = [], MultiRat.one(rank)
+        for cand in range(len(entries)):
+            trial = chosen + [cand]
+            d = field_det([[entries[r][c] for c in trial] for r in trial])
+            if not d.is_zero:
+                chosen, det = trial, d
+        return chosen, det
+
+    @pytest.mark.parametrize("rank,height", [(3, 3), (4, 2)])
+    def test_pivot_basis_matches_greedy(self, rank, height):
+        for ac in itertools.product(range(height + 1), repeat=rank - 1):
+            if not 0 < sum(ac) <= height:
+                continue
+            for mu in (Weight.zero(rank), Weight.eps(1, rank)):
+                gm = gram_matrix(mu, from_alpha_coords(ac, rank), rank)
+                chosen, det = self.greedy_basis(gm.entries, rank)
+                assert gm.independent == chosen
+                assert repr(gm.det) == repr(det)
+
 
 class TestClosedDeterminant:
     def test_first_weight_space(self):
@@ -298,3 +323,10 @@ class TestYWords:
 
     def test_not_in_cone(self):
         assert ywords(Weight.eps(1, 3) - Weight.eps(2, 3) * 2, 3) == []
+
+    @pytest.mark.parametrize("counts", [(0,), (2, 1), (1, 0, 2), (2, 2, 1),
+                                        (0, 1, 1, 1)])
+    def test_words_with_counts_lexicographic(self, counts):
+        letters = [i + 1 for i, c in enumerate(counts) for _ in range(c)]
+        assert words_with_counts(counts) == sorted(
+            set(itertools.permutations(letters)))
