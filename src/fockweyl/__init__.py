@@ -4,6 +4,9 @@ pairing and closed-form determinant, Jantzen numbers, and a finite-dimensional
 tensor-space oracle that re-derives the Fock matrix-entry exponents.
 """
 
+# Set before the submodules load: reports reads it for the report generator.
+__version__ = "0.1.0"
+
 from .ring import (LaurentQ, QFrac, cyclotomic, q_int, q_power,
                    val_cyclotomic, factor_q_integers, render_q_integers)
 from .weights import Weight, alpha, positive_roots
@@ -22,5 +25,3 @@ from .weyl import (TensorVector, tensor_act, tensor_form,
                    highest_weight_vector, mu_singular_vectors,
                    verify_fock_match, SingularVector)
 from .errors import PoleError, EngineError
-
-__version__ = "0.1.0"

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from .ring import LaurentQ, q_int
 from .sparse import SparseVector
-from .partitions import (Partition, addable_boxes, removable_boxes, color,
-                         n_left, n_right, all_partitions)
+from .partitions import (Partition, addable_boxes, removable_boxes, n_left,
+                         n_right, all_partitions)
 
 
 class FockVector(SparseVector):

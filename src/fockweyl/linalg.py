@@ -18,6 +18,7 @@ def ff_echelon(rows):
     Each elimination step cross-multiplies (no division) and then divides the
     row by the gcd of its entries, which keeps growth comparable to Bareiss.
     Row scaling is unconstrained, so use this for rank / kernel work only.
+    Products with a zero factor are skipped, which matters on sparse rows.
     Returns (echelon_rows, pivot_cols).
     """
     m = [list(r) for r in rows]
@@ -39,19 +40,28 @@ def ff_echelon(rows):
         if pivot is None:
             continue
         m[r0], m[pivot] = m[pivot], m[r0]
-        p = m[r0][col]
+        prow = m[r0]
+        p = prow[col]
         for r in range(r0 + 1, len(m)):
             a = m[r][col]
             if a.is_zero:
                 continue
-            row = m[r]
-            m[r] = _strip_content(
-                [p * row[c] - a * m[r0][c] for c in range(ncols)])
+            m[r] = _strip_content([_cross(p, x, a, y)
+                                   for x, y in zip(m[r], prow)])
         piv_cols.append(col)
         r0 += 1
         if r0 == len(m):
             break
     return m[:r0], piv_cols
+
+
+def _cross(p, x, a, y):
+    """p * x - a * y, without multiplying by a zero x or y."""
+    if y.is_zero:
+        return x if x.is_zero else p * x
+    if x.is_zero:
+        return -(a * y)
+    return p * x - a * y
 
 
 def _strip_content(row):

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import __version__
+
 SCHEMA = "fwl-report/1"
-GENERATOR = "fockweyl 0.1.0"
+GENERATOR = f"fockweyl {__version__}"
 
 
 @dataclass

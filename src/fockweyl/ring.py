@@ -467,6 +467,12 @@ class QFrac:
             self.num = LaurentQ.zero(num.var)
             self.den = LaurentQ.one(num.var)
             return
+        if den.c == {0: 1}:
+            # gcd(num, 1) = 1: the fraction is already canonical
+            self.num = LaurentQ.zero(num.var)
+            self.num.c = {e: _coef(v) for e, v in num.c.items()}
+            self.den = den
+            return
         g = poly_gcd(num, den)
         n = num.exact_div(g)
         d = den.exact_div(g)
@@ -494,6 +500,14 @@ class QFrac:
     @property
     def is_zero(self):
         return self.num.is_zero
+
+    def shift(self, k):
+        """Multiply by q**k.  q is a unit prime to the canonical denominator,
+        so only the numerator's exponents move and no gcd is needed."""
+        out = QFrac.zero(self.var)
+        out.num = self.num.shift(k)
+        out.den = self.den
+        return out
 
     def complexity(self):
         """Pivot-selection key: numerator plus denominator term count."""

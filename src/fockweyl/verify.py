@@ -5,6 +5,7 @@ deterministic report.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .errors import EngineError
@@ -263,10 +264,11 @@ def _pool_worker(args):
 
 def run_family(family: str, config: RunConfig) -> Report:
     specs = enumerate_cases(family, config)
-    if config.jobs > 1 and len(specs) > 1:
+    workers = min(config.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 cases = list(pool.map(_pool_worker,
                                       [(s, config.tolerance) for s in specs]))
         except (OSError, PermissionError):

@@ -3,9 +3,11 @@ the standard module, canonical highest weight vectors, the singular vectors of
 (Weyl module) x (standard module) with their triangular normalization, and the
 end-to-end comparison against the Fock-space operators.
 
-Tensor words are tuples over 1..N; all coefficients are exact rational
-functions in q.  The iterated coproduct is left-nested, which gives the flat
-position formulas below.
+Tensor words are tuples over 1..N.  Coefficients are Laurent polynomials in
+q (`LaurentQ`) through every action, pairing and elimination; rational
+functions (`QFrac`) enter only after the kernel solve, in the triangular
+normalization of the singular vectors and their self-pairings.  The iterated
+coproduct is left-nested, which gives the flat position formulas below.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from .fock import FockVector, apply_F
 from .linalg import _strip_content, ff_echelon, kernel_basis
 from .partitions import (Partition, Box, addable_row_indices, color, content,
                          n_left)
-from .ring import LaurentQ, QFrac, poly_gcd, q_power, val_cyclotomic
+from .ring import LaurentQ, QFrac, poly_gcd, val_cyclotomic
 from .sparse import SparseVector
 from .verma import jantzen_evaluate_closed, hook_ratio
 from .weights import words_with_counts
 
 
 class TensorVector(SparseVector):
-    """Exact linear combination of basis words of V^{(x)n}."""
+    """Exact linear combination of basis words of V^{(x)n}, with LaurentQ
+    (or, once normalized, QFrac) coefficients."""
 
     __slots__ = ("n", "rank")
 
@@ -35,14 +38,14 @@ class TensorVector(SparseVector):
         super().__init__(terms)
 
     def _coerce(self, c):
-        return c if isinstance(c, QFrac) else QFrac(c)
+        return c if isinstance(c, (LaurentQ, QFrac)) else LaurentQ({0: c})
 
     def _space(self):
         return (self.n, self.rank)
 
     @classmethod
     def word(cls, w, rank) -> "TensorVector":
-        return cls(len(w), rank, {tuple(w): QFrac.one()})
+        return cls(len(w), rank, {tuple(w): LaurentQ.one()})
 
     @classmethod
     def zero(cls, n, rank) -> "TensorVector":
@@ -74,6 +77,7 @@ def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
 
     gen is one of 'X', 'Y', 'L', 'Linv'.  On a single factor the actions are
     X_i v_{i+1} = v_i, Y_i v_i = v_{i+1}, L_i v_j = q^{delta_ij} v_j.
+    The q-powers are exponent shifts, so LaurentQ coefficients stay LaurentQ.
     """
     rank = x.rank
     if gen in ("L", "Linv"):
@@ -83,7 +87,7 @@ def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
         out = TensorVector(x.n, rank)
         for w, c in x.terms.items():
             k = sum(1 for letter in w if letter == i)
-            out.terms[w] = c * QFrac(q_power(sgn * k))
+            out.terms[w] = c.shift(sgn * k)
         return out
     if not 1 <= i <= rank - 1:
         raise ValueError(f"{gen} index {i} out of range for rank {rank}")
@@ -96,7 +100,7 @@ def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
                 e = sum((1 if s == i else 0) - (1 if s == i + 1 else 0)
                         for s in w[t + 1:])
                 nw = w[:t] + (i,) + w[t + 1:]
-                out.add_term(nw, c * QFrac(q_power(e)))
+                out.add_term(nw, c.shift(e))
         elif gen == "Y":
             for t, letter in enumerate(w):
                 if letter != i:
@@ -104,23 +108,26 @@ def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
                 e = sum((1 if s == i + 1 else 0) - (1 if s == i else 0)
                         for s in w[:t])
                 nw = w[:t] + (i + 1,) + w[t + 1:]
-                out.add_term(nw, c * QFrac(q_power(e)))
+                out.add_term(nw, c.shift(e))
         else:
             raise ValueError(f"unknown generator {gen!r}")
     return out
 
 
-def tensor_form(x: TensorVector, y: TensorVector) -> QFrac:
-    """Product contravariant form: diagonal on words, (v_k, v_k) = q^{1-k}."""
+def tensor_form(x: TensorVector, y: TensorVector) -> LaurentQ | QFrac:
+    """Product contravariant form: diagonal on words, (v_k, v_k) = q^{1-k}.
+
+    A LaurentQ on integral vectors; a QFrac when either side has QFrac
+    coefficients."""
     x._check(y)
-    total = QFrac.zero()
+    total = LaurentQ.zero()
     small, big = (x.terms, y.terms) if len(x.terms) <= len(y.terms) else (y.terms, x.terms)
     for w, c1 in small.items():
         c2 = big.get(w)
         if c2 is None:
             continue
         e = sum(1 - letter for letter in w)
-        total = total + c1 * c2 * QFrac(q_power(e))
+        total = total + (c1 * c2).shift(e)
     return total
 
 
@@ -154,8 +161,8 @@ def _clear_vector(coords):
 def _kernel_of_raising(vectors, rank):
     """Kernel coefficients c with sum c_t vectors[t] annihilated by all X_i.
 
-    `vectors` are TensorVectors with denominator-free coordinates over the
-    ambient word basis; returns (kernel basis over QFrac, rank of system).
+    `vectors` are TensorVectors with LaurentQ coordinates over the ambient
+    word basis; returns (kernel basis over QFrac, rank of system).
     """
     rows = {}
     ncols = len(vectors)
@@ -163,13 +170,12 @@ def _kernel_of_raising(vectors, rank):
         for i in range(1, rank):
             img = tensor_act("X", i, vec)
             for w, c in img.terms.items():
-                rows.setdefault((i, w), [LaurentQ.zero()] * ncols)[idx] = c.num
+                rows.setdefault((i, w), [LaurentQ.zero()] * ncols)[idx] = c
     matrix = [rows[k] for k in sorted(rows)]
     if not matrix:
         return [[QFrac.one() if t == s else QFrac.zero() for t in range(ncols)]
                 for s in range(ncols)], 0
-    basis, rk = kernel_basis(matrix, ncols, lambda e: QFrac(e), QFrac.one())
-    return basis, rk
+    return kernel_basis(matrix, ncols, QFrac, QFrac.one())
 
 
 def highest_weight_vector(lam: Partition, rank: int) -> TensorVector:
@@ -219,6 +225,8 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
     obtained through orthogonality to the lower summands: with u any nonzero
     singular vector, the normalized one is ((u, top)/(u, u)) u where
     top = w_lam (x) v_k, and the reported norm divides out (w_lam, w_lam).
+    Both are invariant under rescaling u, so u is taken integral (the kernel
+    vector cleared of denominators) and QFrac enters only in the two ratios.
     """
     lam = Partition(lam)
     w_lam = highest_weight_vector(lam, rank)
@@ -242,7 +250,7 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
             raise EngineError(
                 f"singular space dimension {len(kern)} != 1 for {lam}, row {k_j}")
         u = TensorVector(n1, rank)
-        for c, vec in zip(kern[0], basis_vecs):
+        for c, vec in zip(_clear_vector(kern[0]), basis_vecs):
             if not c.is_zero:
                 u = u + vec.scale(c)
         top = TensorVector(n1, rank,
@@ -251,24 +259,24 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
         uu = tensor_form(u, u)
         if g.is_zero or uu.is_zero:
             raise EngineError(f"degenerate singular pairing for {lam}, row {k_j}")
-        vec = u.scale(g / uu)
-        norm = (g * g) / (uu * ww)
+        vec = u.scale(QFrac(g, uu))
+        norm = QFrac(g * g, uu * ww)
         out.append(SingularVector(k_j, vec, norm))
     return tuple(out)
 
 
 def _echelon_vectors(spanning, rank):
     """Reduce spanning TensorVectors to an independent list via fraction-free
-    elimination on their word coordinates."""
+    elimination on their word coordinates, which must be integral."""
     words = sorted({w for v in spanning for w in v.terms})
     col = {w: j for j, w in enumerate(words)}
     rows = []
     for v in spanning:
         row = [LaurentQ.zero()] * len(words)
         for w, c in v.terms.items():
-            row[col[w]] = c.num if c.den == LaurentQ.one() else None
-        if any(e is None for e in row):
-            raise EngineError("spanning vector with nontrivial denominator")
+            if not isinstance(c, LaurentQ):
+                raise EngineError("spanning vector with non-integral coefficient")
+            row[col[w]] = c
         rows.append(row)
     ech, _ = ff_echelon(rows)
     n1 = spanning[0].n

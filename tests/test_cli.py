@@ -105,6 +105,50 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_jobs_capped_by_cases_and_cpus(self, monkeypatch):
+        import concurrent.futures
+        from fockweyl import verify as ver
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(ver.os, "cpu_count", lambda: 4)
+        cfg = ver.RunConfig(ell=2, max_size=2, jobs=5000)
+        ncases = len(ver.enumerate_cases("prop65", cfg))
+        assert 1 < ncases
+        pooled = ver.run_family("prop65", cfg)
+        assert started == [min(4, ncases)]
+        serial = ver.run_family("prop65", ver.RunConfig(ell=2, max_size=2))
+        assert render_json(pooled) == render_json(serial)
+        assert started == [min(4, ncases)]
+        # one CPU, or one case: no pool at all
+        monkeypatch.setattr(ver.os, "cpu_count", lambda: 1)
+        ver.run_family("prop65", cfg)
+        monkeypatch.setattr(ver.os, "cpu_count", lambda: None)
+        ver.run_family("prop65", cfg)
+        monkeypatch.setattr(ver.os, "cpu_count", lambda: 4)
+        ver.run_family("prop65", ver.RunConfig(ell=2, max_size=0, jobs=5000))
+        assert started == [min(4, ncases)]
+
+    def test_generator_from_version(self):
+        import fockweyl
+        from fockweyl import reports
+        assert reports.GENERATOR == f"fockweyl {fockweyl.__version__}"
+        assert reports.GENERATOR == "fockweyl 0.1.0"
+
     def test_schema_fields(self, capsys):
         _, out, _ = run(capsys, "verify", "lemma63", "--format", "json")
         data = json.loads(out)

@@ -1,7 +1,7 @@
 import random
 
-from fockweyl.linalg import (ff_echelon, field_det, field_echelon,
-                             field_kernel, kernel_basis)
+from fockweyl.linalg import (_strip_content, ff_echelon, field_det,
+                             field_echelon, field_kernel, kernel_basis)
 from fockweyl.ring import LaurentQ, QFrac
 
 
@@ -57,6 +57,58 @@ class TestFractionFree:
     def test_empty_matrix(self):
         ech, piv = ff_echelon([])
         assert ech == [] and piv == []
+
+
+def dense_ff_echelon(rows):
+    """ff_echelon with the plain dense row update, as a reference."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    piv_cols = []
+    r0 = 0
+    for col in range(ncols):
+        nonzero = [r for r in range(r0, len(m)) if not m[r][col].is_zero]
+        if not nonzero:
+            continue
+        pivot = min(nonzero, key=lambda r: m[r][col].complexity())
+        m[r0], m[pivot] = m[pivot], m[r0]
+        p = m[r0][col]
+        for r in range(r0 + 1, len(m)):
+            a = m[r][col]
+            if a.is_zero:
+                continue
+            row = m[r]
+            m[r] = _strip_content(
+                [p * row[c] - a * m[r0][c] for c in range(ncols)])
+        piv_cols.append(col)
+        r0 += 1
+        if r0 == len(m):
+            break
+    return m[:r0], piv_cols
+
+
+class TestSparseUpdate:
+    def test_matches_dense_update(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+            zero_rows = {r for r in range(nrows) if rng.random() < 0.2}
+            zero_cols = {c for c in range(ncols) if rng.random() < 0.2}
+            rows = []
+            for r in range(nrows):
+                row = []
+                for c in range(ncols):
+                    if r in zero_rows or c in zero_cols or rng.random() < 0.6:
+                        row.append(LaurentQ.zero())
+                    else:
+                        row.append(L({rng.randint(-2, 2): rng.randint(-3, 3),
+                                      rng.randint(-2, 2): rng.randint(-3, 3)}))
+                rows.append(row)
+            ech, piv = ff_echelon(rows)
+            ref_ech, ref_piv = dense_ff_echelon(rows)
+            assert piv == ref_piv
+            assert ech == ref_ech
 
 
 class TestFieldOps:

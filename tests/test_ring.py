@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from fockweyl.ring import (LaurentQ, QFrac, cyclotomic, factor_q_integers,
@@ -167,6 +168,23 @@ class TestQFrac:
         x = QFrac(a, b)
         assert (x - x).is_zero
         assert x + QFrac.zero() == x
+
+    @given(laurents(), nonzero_laurents())
+    def test_unit_denominator_fast_path(self, p, d):
+        x = QFrac(p)
+        assert repr(x) == repr(QFrac(p, LaurentQ.one()))
+        # same canonical form as the gcd path
+        y = QFrac(p * d, d)
+        assert x == y and repr(x) == repr(y)
+        assert x.den == LaurentQ.one()
+        assert all(type(v) is int or v.denominator > 1 for v in x.num.c.values())
+
+    @given(laurents(), nonzero_laurents(), st.integers(-5, 5))
+    def test_shift_is_q_power_product(self, a, b, k):
+        x = QFrac(a, b)
+        y = x.shift(k)
+        assert y == x * QFrac(LaurentQ.term(k))
+        assert y.den == x.den
 
     def test_signed_power(self):
         assert QFrac(L({3: -1})).as_signed_q_power() == (-1, 3)

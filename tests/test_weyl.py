@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from fockweyl.errors import EngineError
 from fockweyl.partitions import Partition, all_partitions, addable_row_indices
 from fockweyl.ring import LaurentQ, QFrac, q_int, q_power
-from fockweyl.weyl import (TensorVector, highest_weight_vector,
-                           mu_singular_vectors, tensor_act, tensor_form,
-                           verify_fock_match)
+from fockweyl.weyl import (TensorVector, _echelon_vectors,
+                           highest_weight_vector, mu_singular_vectors,
+                           tensor_act, tensor_form, verify_fock_match)
 
 
 def word(*letters, rank=2):
@@ -107,6 +108,53 @@ class TestTensorAct:
         empty = TensorVector.word((), 3)
         assert tensor_act("Y", 1, empty).is_zero
         assert tensor_act("L", 1, empty) == empty
+
+
+def random_integral_vector(rng, n, rank, nterms=4):
+    terms = {}
+    for _ in range(nterms):
+        w = tuple(rng.randint(1, rank) for _ in range(n))
+        terms[w] = LaurentQ({rng.randint(-2, 2): rng.randint(-3, 3),
+                             rng.randint(-2, 2): rng.randint(-3, 3)})
+    return TensorVector(n, rank, terms)
+
+
+class TestIntegralCoefficients:
+    def test_actions_and_form_stay_laurent(self, monkeypatch):
+        built = []
+        init = QFrac.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QFrac, "__init__", counting_init)
+        rng = random.Random(17)
+        rank = 3
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            x = random_integral_vector(rng, n, rank)
+            y = random_integral_vector(rng, n, rank)
+            for gen in ("X", "Y", "L", "Linv"):
+                for i in range(1, rank if gen in ("X", "Y") else rank + 1):
+                    out = tensor_act(gen, i, x)
+                    assert all(type(c) is LaurentQ for c in out.terms.values())
+            assert type(tensor_form(x, y)) is LaurentQ
+            assert type(tensor_form(x, x)) is LaurentQ
+        assert built == []
+
+    def test_qfrac_input_stays_qfrac(self):
+        x = word(1, 2).scale(QFrac(LaurentQ.one(), q_int(2)))
+        out = tensor_act("Y", 1, x)
+        assert all(type(c) is QFrac for c in out.terms.values())
+        assert tensor_form(x, x) == QFrac(LaurentQ({-1: 1}), q_int(2) * q_int(2))
+
+    def test_echelon_rejects_denominator(self):
+        good = word(1, 2)
+        bad = word(2, 1).scale(QFrac(LaurentQ.one(), q_int(2)))
+        assert len(_echelon_vectors([good, word(2, 1)], 2)) == 2
+        with pytest.raises(EngineError):
+            _echelon_vectors([good, bad], 2)
 
 
 class TestCoassociativity:
