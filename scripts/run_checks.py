@@ -12,7 +12,7 @@ import sys
 import time
 
 from fockweyl.ring import cyclotomic
-from fockweyl.verify import RunConfig, run_all
+from fockweyl.verify import TOLERANCES, RunConfig, run_all
 from fockweyl.verma import _kostant_cached
 from fockweyl.weights import positive_roots
 from fockweyl.weyl import mu_singular_vectors
@@ -28,8 +28,7 @@ def clear_caches():
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--tolerance", choices=["strict", "signed", "unit"],
-                    default="signed")
+    ap.add_argument("--tolerance", choices=TOLERANCES, default="signed")
     args = ap.parse_args()
 
     config = RunConfig(jobs=args.jobs, tolerance=args.tolerance)

@@ -2,8 +2,7 @@
 verification families, with deterministic text or JSON output.
 
 Exit codes: 0 all requested checks pass, 1 a check failed (report still
-emitted) or an internal consistency check failed, 2 usage or configuration
-error.
+emitted) or a computation raised an error, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .partitions import (Partition, addable_boxes, color, content,
                          removable_boxes)
 from .reports import render_json, render_text
 from .ring import render_q_integers
-from .verify import FAMILIES, RunConfig, run_all, run_family
+from .verify import FAMILIES, TOLERANCES, RunConfig, run_all, run_family
 from .verma import (hook_ratio, jantzen_closed, jantzen_engine,
                     jantzen_valuation, shapovalov_det_closed)
 from .weights import Weight
@@ -35,6 +34,24 @@ def parse_partition(text: str) -> Partition:
 
 class SystemExit2(Exception):
     """Usage error carrying its message (mapped to exit code 2)."""
+
+
+# The verify flags that set a RunConfig field, and the ones each family
+# reads; --jobs and --format apply to every family.  theorem51 also reads
+# --max-size, but only together with --rank.
+CONFIG_FLAGS = {"--ell": "ell", "--max-size": "max_size", "--rank": "n_rank",
+                "--tolerance": "tolerance"}
+FAMILY_FLAGS = {
+    "fock-relations": ("--ell", "--max-size"),
+    "theorem51": ("--rank",),
+    "prop52": (),
+    "lemma62": ("--tolerance",),
+    "lemma63": ("--tolerance",),
+    "prop64": ("--max-size", "--tolerance"),
+    "prop65": ("--ell", "--max-size"),
+    "theorem61": ("--ell", "--max-size", "--tolerance"),
+    "all": ("--tolerance",),
+}
 
 
 def build_parser():
@@ -83,12 +100,12 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="batch verification families")
     ver.add_argument("family", choices=list(FAMILIES) + ["all"])
-    ver.add_argument("--ell", type=int, default=2)
-    ver.add_argument("--max-size", type=int, default=4)
-    ver.add_argument("--rank", type=int, default=None,
+    # None marks a flag not given; RunConfig supplies its default
+    ver.add_argument("--ell", type=int)
+    ver.add_argument("--max-size", type=int)
+    ver.add_argument("--rank", type=int, dest="n_rank",
                      help="theorem51 only: one rank, up to height --max-size")
-    ver.add_argument("--tolerance", choices=["strict", "signed", "unit"],
-                     default="signed")
+    ver.add_argument("--tolerance", choices=TOLERANCES)
     ver.add_argument("--jobs", type=int, default=1)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     return ap
@@ -180,12 +197,20 @@ def _cmd_jantzen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.rank is not None and args.family != "theorem51":
-        raise SystemExit2("--rank applies to theorem51 only")
+    given = {flag: getattr(args, field) for flag, field in CONFIG_FLAGS.items()
+             if getattr(args, field) is not None}
+    reads = FAMILY_FLAGS[args.family]
+    if args.family == "theorem51" and "--rank" in given:
+        reads += ("--max-size",)
+    for flag in given:
+        if flag not in reads:
+            readers = [f for f, flags in FAMILY_FLAGS.items() if flag in flags]
+            if len(readers) == 1:
+                raise SystemExit2(f"{flag} applies to {readers[0]} only")
+            raise SystemExit2(f"{flag} does not apply to {args.family}")
     try:
-        config = RunConfig(ell=args.ell, n_rank=args.rank,
-                           max_size=args.max_size, tolerance=args.tolerance,
-                           jobs=args.jobs)
+        config = RunConfig(jobs=args.jobs, **{CONFIG_FLAGS[flag]: value
+                                              for flag, value in given.items()})
     except ValueError as exc:
         raise SystemExit2(str(exc))
     if args.family == "all":
@@ -221,10 +246,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EngineError as exc:
+    except (EngineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

@@ -1,28 +1,33 @@
 """Multivariate exact arithmetic: Laurent polynomials in z_1..z_N and q over Q,
 and their field of fractions.
 
-Exponent vectors have length rank+1 with the q exponent last, matching the
-fixed variable order z_1 > ... > z_N > q used for canonical forms.  A fraction
-is stored with an ordinary (all exponents >= 0) denominator that has minimal
-exponent 0 in every variable and lexicographic leading coefficient 1; the
-numerator absorbs the net Laurent monomial and the scalar.  This pins one
-representative per fraction, so equality is structural.
+`MultiPoly` and `MultiRat` sit on the same bases as the univariate tower
+(`ring._Poly` and `ring._Frac`) and add what depends on exponent vectors and
+on the canonical form.  Exponent vectors have length rank+1 with the q
+exponent last, matching the fixed variable order z_1 > ... > z_N > q used for
+canonical forms.  A fraction is stored with an ordinary (all exponents >= 0)
+denominator that has minimal exponent 0 in every variable, integer
+coefficients with content 1 and lexicographic leading coefficient positive;
+the numerator absorbs the net Laurent monomial and the scalar.  This pins one
+representative per fraction, so equality is structural.  Gcds run a heuristic
+evaluation gcd, certified or repaired, with a subresultant fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import PoleError
-from .ring import LaurentQ, QFrac, _coef
+from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly
 from .weights import Weight
 
 
-class MultiPoly:
-    """Sparse multivariate Laurent polynomial over Q (q is the last variable)."""
+class MultiPoly(_Poly):
+    """Sparse multivariate Laurent polynomial over Q (q is the last variable):
+    exponents are tuples of length rank+1."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, rank, terms=None):
         self.rank = rank
@@ -68,45 +73,32 @@ class MultiPoly:
 
     @classmethod
     def from_laurent(cls, p: LaurentQ, rank):
-        return cls(rank, {(0,) * rank + (e,): v for e, v in p.c.items()})
+        return cls(rank, {(0,) * rank + (e,): v for e, v in p.terms.items()})
 
-    @property
-    def is_zero(self):
-        return not self.terms
+    def _space(self):
+        return self.rank
 
-    def _check(self, other):
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
+    def _origin(self):
+        return (0,) * (self.rank + 1)
 
-    def __add__(self, other):
-        self._check(other)
-        t = dict(self.terms)
-        for e, v in other.terms.items():
-            s = t.get(e, 0) + v
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        out = MultiPoly(self.rank)
-        out.terms = t
+    def _like(self, terms):
+        out = MultiPoly.__new__(MultiPoly)
+        out.rank = self.rank
+        out.terms = terms
         return out
 
-    def __neg__(self):
-        out = MultiPoly(self.rank)
-        out.terms = {e: -v for e, v in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _monomial_text(self, e):
+        names = [f"z{i + 1}" if k == 1 else f"z{i + 1}^{k}"
+                 for i, k in enumerate(e[:-1]) if k]
+        if e[-1]:
+            names.append("q" if e[-1] == 1 else f"q^{e[-1]}")
+        return "*".join(names)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _coef(other)
-            if not other:
-                return MultiPoly.zero(self.rank)
-            out = MultiPoly(self.rank)
-            out.terms = {e: _coef(v * other) for e, v in self.terms.items()}
-            return out
+            return self._scaled(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check(other)
         t = {}
         for e1, v1 in self.terms.items():
@@ -117,31 +109,9 @@ class MultiPoly:
                     t[e] = s
                 else:
                     t.pop(e, None)
-        out = MultiPoly(self.rank)
-        out.terms = {e: _coef(v) for e, v in t.items()}
-        return out
+        return self._like({e: _coef(v) for e, v in t.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial; use MultiRat")
-        out = MultiPoly.one(self.rank)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
 
     def min_exps(self):
         if not self.terms:
@@ -152,10 +122,8 @@ class MultiPoly:
 
     def shifted(self, delta):
         """Multiply by the Laurent monomial with exponent vector delta."""
-        out = MultiPoly(self.rank)
-        out.terms = {tuple(a + b for a, b in zip(e, delta)): v
-                     for e, v in self.terms.items()}
-        return out
+        return self._like({tuple(a + b for a, b in zip(e, delta)): v
+                           for e, v in self.terms.items()})
 
     def lead(self):
         """Lexicographically largest exponent vector and its coefficient."""
@@ -192,36 +160,9 @@ class MultiPoly:
         coords = mu.coords if isinstance(mu, Weight) else tuple(mu)
         if len(coords) != self.rank:
             raise ValueError("weight length does not match rank")
-        out = MultiPoly(self.rank)
-        out.terms = {e[:-1] + (e[-1] + sum(a * b for a, b in zip(e[:-1], coords)),): v
-                     for e, v in self.terms.items()}
-        return out
-
-    def to_text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            v = self.terms[e]
-            mag = abs(Fraction(v))
-            names = []
-            for i, k in enumerate(e[:-1]):
-                if k:
-                    names.append(f"z{i + 1}" if k == 1 else f"z{i + 1}^{k}")
-            if e[-1]:
-                names.append("q" if e[-1] == 1 else f"q^{e[-1]}")
-            if not names:
-                body = str(_coef(mag))
-            else:
-                mono = "*".join(names)
-                body = mono if mag == 1 else f"{_coef(mag)}*{mono}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
-
-    __str__ = to_text
+        return self._like({
+            e[:-1] + (e[-1] + sum(a * b for a, b in zip(e[:-1], coords)),): v
+            for e, v in self.terms.items()})
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()!r})"
@@ -250,9 +191,7 @@ def _divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 rem[e2] = _coef(s)
             else:
                 rem.pop(e2, None)
-    res = MultiPoly(f.rank)
-    res.terms = out
-    return res
+    return f._like(out)
 
 
 def _as_univar(f: MultiPoly, var: int):
@@ -262,46 +201,14 @@ def _as_univar(f: MultiPoly, var: int):
         k = e[var]
         e0 = e[:var] + (0,) + e[var + 1:]
         by.setdefault(k, {})[e0] = v
-    out = {}
-    for k, terms in by.items():
-        p = MultiPoly(f.rank)
-        p.terms = terms
-        out[k] = p
-    return out
-
-
-def _int_normalize(p: MultiPoly) -> MultiPoly:
-    """Unique associate with integer coefficients, content 1 and positive
-    lexicographic leading coefficient."""
-    if p.is_zero:
-        return p
-    den_lcm = 1
-    all_int = True
-    for v in p.terms.values():
-        if not isinstance(v, int):
-            all_int = False
-            den_lcm = lcm(den_lcm, Fraction(v).denominator)
-    if all_int:
-        terms = dict(p.terms)
-    else:
-        terms = {e: int(Fraction(v) * den_lcm) for e, v in p.terms.items()}
-    g = 0
-    for v in terms.values():
-        g = gcd(g, v)
-    if terms[max(terms)] < 0:
-        g = -g
-    if g != 1:
-        terms = {e: v // g for e, v in terms.items()}
-    out = MultiPoly(p.rank)
-    out.terms = terms
-    return out
+    return {k: f._like(terms) for k, terms in by.items()}
 
 
 def _content(coeffs) -> MultiPoly:
     g = None
     for p in coeffs:
         g = p if g is None else poly_gcd_multi(g, p)
-        if g.terms == {(0,) * (g.rank + 1): 1}:
+        if _is_one(g):
             break
     return g
 
@@ -364,7 +271,7 @@ def _subresultant_last(a, b):
 
 def _primitive_univar(u):
     cont = _content(u.values())
-    if cont.terms == {(0,) * (cont.rank + 1): 1}:
+    if _is_one(cont):
         return dict(u), cont
     return {k: _divexact(p, cont) for k, p in u.items()}, cont
 
@@ -378,11 +285,11 @@ def poly_gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     deterministic fallback; all intermediate arithmetic stays over Z.
     """
     if f.is_zero:
-        return _int_normalize(g)
+        return g.int_primitive()
     if g.is_zero:
-        return _int_normalize(f)
-    f = _int_normalize(f)
-    g = _int_normalize(g)
+        return f.int_primitive()
+    f = f.int_primitive()
+    g = g.int_primitive()
     if f.terms == g.terms:
         return f
     nv = f.rank + 1
@@ -393,7 +300,7 @@ def poly_gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _gcd_univar_q(f, g, active[0])
     h = _heugcd(f, g)
     if h is not None:
-        h = _int_normalize(h)
+        h = h.int_primitive()
         # the heuristic guarantees h | gcd; certify maximality or repair
         cf = f if _is_one(h) else _divexact(f, h)
         cg = g if _is_one(h) else _divexact(g, h)
@@ -401,7 +308,7 @@ def poly_gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             return h
         if not _is_one(h):
             extra = poly_gcd_multi(cf, cg)
-            return h if _is_one(extra) else _int_normalize(h * extra)
+            return h if _is_one(extra) else (h * extra).int_primitive()
     return _gcd_subresultant(f, g, active)
 
 
@@ -452,7 +359,7 @@ def _gcd_subresultant(f: MultiPoly, g: MultiPoly, active) -> MultiPoly:
         e[var] = k
         prim = prim + p.shifted(tuple(e))
     prim, _ = _strip_monomial(prim)
-    return _int_normalize(cont * prim)
+    return (cont * prim).int_primitive()
 
 
 def _max_norm(p: MultiPoly) -> int:
@@ -468,9 +375,7 @@ def _eval_var(p: MultiPoly, var: int, xi: int) -> MultiPoly:
             terms[e0] = s
         else:
             terms.pop(e0, None)
-    out = MultiPoly(p.rank)
-    out.terms = terms
-    return out
+    return p._like(terms)
 
 
 def _from_digits(h: MultiPoly, var: int, xi: int) -> MultiPoly:
@@ -492,9 +397,7 @@ def _from_digits(h: MultiPoly, var: int, xi: int) -> MultiPoly:
                 nxt[e] = w
         cur = nxt
         i += 1
-    res = MultiPoly(h.rank)
-    res.terms = out
-    return res
+    return h._like(out)
 
 
 def _try_divides(a: MultiPoly, b: MultiPoly):
@@ -520,7 +423,7 @@ def _heugcd(f: MultiPoly, g: MultiPoly, depth: int = 0):
         if he is not None and not he.is_zero:
             h = _from_digits(he, var, xi)
             if not h.is_zero:
-                h = _int_normalize(_strip_monomial(h)[0])
+                h = _strip_monomial(h)[0].int_primitive()
                 if _try_divides(f, h) is not None and _try_divides(g, h) is not None:
                     return h
         xi = xi * 73794 // 27011 + 37
@@ -551,16 +454,14 @@ def _gcd_univar_q(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
     from .ring import poly_gcd
     d = poly_gcd(a, b)
     nv = f.rank + 1
-    out = MultiPoly(f.rank)
-    out.terms = {tuple(k if i == var else 0 for i in range(nv)): v
-                 for k, v in d.c.items()}
-    return out
+    return f._like({tuple(k if i == var else 0 for i in range(nv)): v
+                    for k, v in d.terms.items()})
 
 
-class MultiRat:
+class MultiRat(_Frac):
     """Element of the fraction field Q(q, z_1, ..., z_N) in canonical form."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None, *,
                  coprime: bool = False):
@@ -578,14 +479,14 @@ class MultiRat:
         d0, md = _strip_monomial(den)
         if not coprime:
             g = poly_gcd_multi(n0, d0)
-            if g.terms != {(0,) * (num.rank + 1): 1}:
+            if not _is_one(g):
                 n0 = _divexact(n0, g)
                 d0 = _divexact(d0, g)
                 n0, m2 = _strip_monomial(n0)
                 d0, m3 = _strip_monomial(d0)
                 mn = tuple(a + b for a, b in zip(mn, m2))
                 md = tuple(a + b for a, b in zip(md, m3))
-        dc = _int_normalize(d0)
+        dc = d0.int_primitive()
         scale = Fraction(dc.lead()[1]) / Fraction(d0.lead()[1])
         if scale != 1:
             n0 = n0 * scale
@@ -620,19 +521,6 @@ class MultiRat:
     @classmethod
     def from_laurent(cls, p: LaurentQ, rank):
         return cls(MultiPoly.from_laurent(p, rank), coprime=True)
-
-    @classmethod
-    def from_qfrac(cls, x: QFrac, rank):
-        return cls(MultiPoly.from_laurent(x.num, rank),
-                   MultiPoly.from_laurent(x.den, rank), coprime=True)
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def complexity(self):
-        """Pivot-selection key: numerator plus denominator term count."""
-        return len(self.num.terms) + len(self.den.terms)
 
     def _wrap(self, x):
         if isinstance(x, MultiRat):
@@ -671,21 +559,6 @@ class MultiRat:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = MultiRat.zero(self.rank)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._wrap(other)
         if other is NotImplemented:
@@ -714,44 +587,10 @@ class MultiRat:
             raise ZeroDivisionError("division by zero")
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return MultiRat.one(self.rank) / self ** (-n)
-        out = MultiRat.one(self.rank)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def inverse(self):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         return MultiRat(self.den, self.num, coprime=True)
-
-    def __eq__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def to_text(self):
-        if self.den == MultiPoly.one(self.rank):
-            return self.num.to_text()
-        return f"({self.num.to_text()})/({self.den.to_text()})"
-
-    __str__ = to_text
-
-    def __repr__(self):
-        return f"MultiRat({self.to_text()!r})"
 
 
 def sigma_shift(f: MultiRat, mu) -> MultiRat:
@@ -812,6 +651,13 @@ class UnitParts:
     @property
     def is_plus_q_power(self):
         return self.is_signed_q_power and self.sign == 1
+
+    def is_q_power(self, tolerance: str = "signed") -> bool:
+        """Whether this unit is a z-monomial times q^m ("strict"), times
+        +-q^m ("signed") or any unit ("unit"), as in `QFrac.is_q_power`."""
+        if tolerance == "unit":
+            return True
+        return self.is_signed_q_power and (tolerance == "signed" or self.sign == 1)
 
     def __repr__(self):
         return (f"UnitParts(sign={self.sign}, q_exp={self.q_exp}, "

@@ -35,10 +35,6 @@ class Report:
     def failed(self) -> int:
         return sum(1 for c in self.cases if not c.passed)
 
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
     def sorted_cases(self):
         return sorted(self.cases, key=lambda c: c.case_id)
 

@@ -1,8 +1,14 @@
 """Exact scalar arithmetic: Laurent polynomials over Q and rational functions in q.
 
 Everything is exact (int / fractions.Fraction coefficients); there is no
-floating point anywhere in the package.  Laurent polynomials carry a variable
-tag ('q' for quantum-group scalars, 'v' for Fock-space scalars) so the two
+floating point anywhere in the package.  Two bases carry what both levels of
+the scalar tower share: `_Poly`, a sparse Laurent polynomial over Q (the
+ring operations, equality, hashing and the printer), and `_Frac`, a fraction
+of two `_Poly`s in a canonical form (negation, subtraction, powers, equality,
+hashing and the printer).  `LaurentQ` and `QFrac` here, and `MultiPoly` and
+`MultiRat` in `fockweyl.multirat`, supply only what depends on their
+exponents and canonical form.  Laurent polynomials carry a variable tag ('q'
+for quantum-group scalars, 'v' for Fock-space scalars) so the two
 deformation parameters cannot be mixed by accident.
 """
 
@@ -26,24 +32,152 @@ def _coef(x):
     raise TypeError(f"bad coefficient {x!r}")
 
 
-class LaurentQ:
-    """Sparse Laurent polynomial with exact rational coefficients.
+class _Poly:
+    """Sparse Laurent polynomial over Q: `terms` maps an exponent to a nonzero
+    int or Fraction.  Instances are immutable by convention.
 
-    Zero coefficients are never stored; the zero polynomial has an empty
-    coefficient map.  Instances are immutable by convention.
+    A subclass fixes the exponents (int or tuple) and supplies `_space()`
+    (what two operands must share), `_origin()` (the exponent of the constant
+    monomial), `_like(terms)` (a polynomial in the same space holding already
+    normalized terms), `_monomial_text(exp)` and `__mul__`.
     """
 
-    __slots__ = ("var", "c")
+    __slots__ = ("terms",)
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def _check(self, other):
+        if self._space() != other._space():
+            raise ValueError(f"{type(self).__name__} space mismatch: "
+                             f"{self._space()!r} vs {other._space()!r}")
+
+    def _wrap(self, x):
+        if isinstance(x, type(self)):
+            return x
+        if isinstance(x, (int, Fraction)):
+            x = _coef(x)
+            return self._like({self._origin(): x} if x else {})
+        return NotImplemented
+
+    def _scaled(self, c):
+        c = _coef(c)
+        if not c:
+            return self._like({})
+        return self._like({e: _coef(v * c) for e, v in self.terms.items()})
+
+    def __add__(self, other):
+        other = self._wrap(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        t = dict(self.terms)
+        for e, v in other.terms.items():
+            s = t.get(e, 0) + v
+            if s:
+                t[e] = s
+            else:
+                del t[e]
+        return self._like(t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({e: -v for e, v in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._wrap(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of a polynomial; use a fraction")
+        out = self._like({self._origin(): 1})
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __eq__(self, other):
+        other = self._wrap(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms and self._space() == other._space()
+
+    def __hash__(self):
+        # a constant hashes as the number it equals
+        if self.terms.keys() <= {self._origin()}:
+            return hash(self.terms.get(self._origin(), 0))
+        return hash((self._space(), frozenset(self.terms.items())))
+
+    def int_primitive(self):
+        """The associate with integer coefficients, content 1 and a positive
+        coefficient at the largest exponent."""
+        terms = self.terms
+        if not terms:
+            return self
+        if not all(type(v) is int for v in terms.values()):
+            den = lcm(*(v.denominator for v in terms.values()))
+            terms = {e: int(v * den) for e, v in terms.items()}
+        g = gcd(*terms.values())
+        if terms[max(terms)] < 0:
+            g = -g
+        if g != 1:
+            terms = {e: v // g for e, v in terms.items()}
+        return self if terms is self.terms else self._like(terms)
+
+    def to_text(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for e in sorted(self.terms):
+            v = self.terms[e]
+            mag = abs(v)
+            mono = self._monomial_text(e)
+            if not mono:
+                body = f"{mag}"
+            else:
+                body = mono if mag == 1 else f"{mag}*{mono}"
+            if parts:
+                body = f"+ {body}" if v > 0 else f"- {body}"
+            elif v < 0:
+                body = f"-{body}"
+            parts.append(body)
+        return " ".join(parts)
+
+    __str__ = to_text
+
+
+class LaurentQ(_Poly):
+    """Laurent polynomial in one tagged variable: int exponents.
+
+    Zero coefficients are never stored; the zero polynomial has an empty
+    coefficient map.
+    """
+
+    __slots__ = ("var",)
 
     def __init__(self, coeffs=None, var="q"):
-        c = {}
+        terms = {}
         if coeffs:
             for e, v in coeffs.items():
                 v = _coef(v)
                 if v:
-                    c[int(e)] = v
+                    terms[int(e)] = v
         self.var = var
-        self.c = c
+        self.terms = terms
+
+    c = property(lambda self: self.terms, doc="Read-only alias of `terms`.")
 
     @classmethod
     def zero(cls, var="q"):
@@ -57,171 +191,82 @@ class LaurentQ:
     def term(cls, exp, coeff=1, var="q"):
         return cls({exp: coeff}, var)
 
-    @classmethod
-    def gen(cls, var="q"):
-        return cls({1: 1}, var)
+    def _space(self):
+        return self.var
 
-    @property
-    def is_zero(self):
-        return not self.c
+    def _origin(self):
+        return 0
 
-    def _check(self, other):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def _wrap(self, x):
-        if isinstance(x, LaurentQ):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return LaurentQ({0: x}, self.var)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        c = dict(self.c)
-        for e, v in other.c.items():
-            s = c.get(e, 0) + v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        out = LaurentQ.zero(self.var)
-        out.c = c
+    def _like(self, terms):
+        out = LaurentQ.__new__(LaurentQ)
+        out.var = self.var
+        out.terms = terms
         return out
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = LaurentQ.zero(self.var)
-        out.c = {e: -v for e, v in self.c.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _monomial_text(self, e):
+        if e == 0:
+            return ""
+        return self.var if e == 1 else f"{self.var}^{e}"
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _coef(other)
-            if not other:
-                return LaurentQ.zero(self.var)
-            out = LaurentQ.zero(self.var)
-            out.c = {e: _coef(v * other) for e, v in self.c.items()}
-            return out
+            return self._scaled(other)
         if not isinstance(other, LaurentQ):
             return NotImplemented
         self._check(other)
         c = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
+        for e1, v1 in self.terms.items():
+            for e2, v2 in other.terms.items():
                 e = e1 + e2
                 s = c.get(e, 0) + v1 * v2
                 if s:
                     c[e] = s
                 else:
                     c.pop(e, None)
-        out = LaurentQ.zero(self.var)
-        out.c = {e: _coef(v) for e, v in c.items()}
-        return out
+        return self._like({e: _coef(v) for e, v in c.items()})
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial; use QFrac")
-        out = LaurentQ.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._wrap(other)
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return self.var == other.var and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.var, frozenset(self.c.items())))
-
     def shift(self, k):
         """Multiply by var**k."""
-        out = LaurentQ.zero(self.var)
-        out.c = {e + k: v for e, v in self.c.items()}
-        return out
+        return self._like({e + k: v for e, v in self.terms.items()})
 
     def degree(self):
-        if not self.c:
+        if not self.terms:
             raise ValueError("degree of zero polynomial")
-        return max(self.c)
+        return max(self.terms)
 
     def low_degree(self):
-        if not self.c:
+        if not self.terms:
             raise ValueError("low degree of zero polynomial")
-        return min(self.c)
+        return min(self.terms)
 
     def leading_coeff(self):
-        return self.c[self.degree()]
+        return self.terms[self.degree()]
 
     def trailing_coeff(self):
-        return self.c[self.low_degree()]
-
-    def scale(self, s):
-        return self * s
+        return self.terms[self.low_degree()]
 
     def as_monomial(self):
         """Return (exp, coeff) when this is a single term, else None."""
-        if len(self.c) == 1:
-            ((e, v),) = self.c.items()
+        if len(self.terms) == 1:
+            ((e, v),) = self.terms.items()
             return e, v
         return None
 
     @property
     def is_unit(self):
         """Unit of the Laurent ring: a single term."""
-        return len(self.c) == 1
+        return len(self.terms) == 1
 
     def complexity(self):
         """Pivot-selection key: term count, then exponent span."""
-        if not self.c:
+        if not self.terms:
             return (0, 0)
-        return (len(self.c), max(self.c) - min(self.c))
+        return (len(self.terms), max(self.terms) - min(self.terms))
 
     def gcd(self, other):
         return poly_gcd(self, other)
-
-    def content(self):
-        """Positive rational content: gcd of numerators / lcm of denominators."""
-        if not self.c:
-            return Fraction(1)
-        fracs = [Fraction(v) for v in self.c.values()]
-        num = 0
-        den = 1
-        for f in fracs:
-            num = gcd(num, f.numerator)
-            den = lcm(den, f.denominator)
-        return Fraction(abs(num), den)
-
-    def primitive(self):
-        """Divide by content and by the sign of the leading coefficient."""
-        if not self.c:
-            return self
-        g = self.content()
-        if self.leading_coeff() < 0:
-            g = -g
-        return self * (Fraction(1) / g)
 
     def try_exact_div(self, other):
         """Exact division in the Laurent ring; None when not divisible."""
@@ -232,13 +277,11 @@ class LaurentQ:
             return LaurentQ.zero(self.var)
         sa = self.low_degree()
         sb = other.low_degree()
-        quo, rem = _poly_divmod({e - sa: v for e, v in self.c.items()},
-                                {e - sb: v for e, v in other.c.items()})
+        quo, rem = _poly_divmod({e - sa: v for e, v in self.terms.items()},
+                                {e - sb: v for e, v in other.terms.items()})
         if rem:
             return None
-        out = LaurentQ.zero(self.var)
-        out.c = {e + sa - sb: _coef(v) for e, v in quo.items()}
-        return out
+        return self._like({e + sa - sb: _coef(v) for e, v in quo.items()})
 
     def exact_div(self, other):
         q = self.try_exact_div(other)
@@ -246,38 +289,12 @@ class LaurentQ:
             raise ArithmeticError("inexact polynomial division")
         return q
 
-    def subs_power(self, k):
-        """Substitute var -> var**k (k nonzero integer)."""
-        out = LaurentQ.zero(self.var)
-        out.c = {e * k: v for e, v in self.c.items()}
-        return out
-
-    def to_text(self):
-        if not self.c:
-            return "0"
-        parts = []
-        for e in sorted(self.c):
-            v = self.c[e]
-            mag = abs(Fraction(v))
-            if e == 0:
-                body = str(_coef(mag))
-            else:
-                p = self.var if e == 1 else f"{self.var}^{e}"
-                body = p if mag == 1 else f"{_coef(mag)}*{p}"
-            if not parts:
-                parts.append(body if v > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
-
-    __str__ = to_text
-
     def __repr__(self):
         return f"LaurentQ({self.to_text()!r}, var={self.var!r})"
 
     def to_json(self):
         return {"var": self.var,
-                "coeffs": {str(e): str(v) for e, v in sorted(self.c.items())}}
+                "coeffs": {str(e): str(v) for e, v in sorted(self.terms.items())}}
 
     @classmethod
     def from_json(cls, data):
@@ -307,25 +324,9 @@ def _poly_divmod(a, b):
     return quo, r
 
 
-def _to_int_poly(p: LaurentQ) -> dict:
-    """Primitive integer-coefficient ordinary polynomial dict from a Laurent one."""
-    s = p.low_degree()
-    den_lcm = 1
-    for v in p.c.values():
-        den_lcm = lcm(den_lcm, Fraction(v).denominator)
-    ints = {e - s: int(Fraction(v) * den_lcm) for e, v in p.c.items()}
-    return _int_prim(ints)
-
-
 def _int_prim(r: dict) -> dict:
-    if not r:
-        return r
-    g = 0
-    for v in r.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {e: v // g for e, v in r.items()}
-    return r
+    g = gcd(*r.values())
+    return {e: v // g for e, v in r.items()} if g > 1 else r
 
 
 def _int_prem(a: dict, b: dict) -> dict:
@@ -360,38 +361,17 @@ def poly_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     blowup of naive Euclid over Q.
     """
     a._check(b)
-    if a.is_zero and b.is_zero:
-        return LaurentQ.zero(a.var)
     if a.is_zero or b.is_zero:
         p = b if a.is_zero else a
-        ints = _to_int_poly(p)
-        if ints[max(ints)] < 0:
-            ints = {e: -v for e, v in ints.items()}
-        out = LaurentQ.zero(a.var)
-        out.c = ints
-        return out
-    ra = _to_int_poly(a)
-    rb = _to_int_poly(b)
+        return p if p.is_zero else p.shift(-p.low_degree()).int_primitive()
+    ra = a.shift(-a.low_degree()).int_primitive().terms
+    rb = b.shift(-b.low_degree()).int_primitive().terms
     if max(ra) < max(rb):
         ra, rb = rb, ra
     while rb:
         rem = _int_prim(_int_prem(ra, rb))
         ra, rb = rb, rem
-    out = LaurentQ.zero(a.var)
-    if ra[max(ra)] < 0:
-        ra = {e: -v for e, v in ra.items()}
-    out.c = ra
-    return out
-
-
-def _monic_ordinary(p: LaurentQ) -> LaurentQ:
-    if p.is_zero:
-        return p
-    s = p.low_degree()
-    lead = p.leading_coeff()
-    out = LaurentQ.zero(p.var)
-    out.c = {e - s: _coef(Fraction(v) / Fraction(lead)) for e, v in p.c.items()}
-    return out
+    return a._like(ra).int_primitive()
 
 
 def q_int(n: int, var: str = "q") -> LaurentQ:
@@ -443,15 +423,95 @@ def val_cyclotomic(x, d: int) -> int:
     raise TypeError(f"cannot take valuation of {x!r}")
 
 
-class QFrac:
+class _Frac:
+    """Fraction num/den of two `_Poly`s, held in the canonical form that the
+    subclass's `__init__` pins, so equality is structural.
+
+    A subclass supplies `__init__`, `_wrap` (lift a scalar or polynomial),
+    `+`, `*` and `/`.
+    """
+
+    __slots__ = ("num", "den")
+
+    def _raw(self, num, den):
+        """A fraction of this type from a numerator and denominator already
+        in canonical form."""
+        out = object.__new__(type(self))
+        out.num = num
+        out.den = den
+        return out
+
+    @property
+    def is_zero(self):
+        return self.num.is_zero
+
+    def complexity(self):
+        """Pivot-selection key: numerator plus denominator term count."""
+        return len(self.num.terms) + len(self.den.terms)
+
+    def __neg__(self):
+        return self._raw(-self.num, self.den)
+
+    def __sub__(self, other):
+        other = self._wrap(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rtruediv__(self, other):
+        return self._wrap(other) / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return (self ** -n).inverse()
+        out = self._wrap(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def inverse(self):
+        return self._wrap(1) / self
+
+    def __eq__(self, other):
+        other = self._wrap(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        # a fraction over 1 hashes as the polynomial it equals
+        if self.den == 1:
+            return hash(self.num)
+        return hash((self.num, self.den))
+
+    def to_text(self):
+        if self.den == 1:
+            return self.num.to_text()
+        return f"({self.num.to_text()})/({self.den.to_text()})"
+
+    __str__ = to_text
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()!r})"
+
+
+class QFrac(_Frac):
     """Rational function in q, stored as a reduced fraction of Laurent polynomials.
 
     Canonical form: the denominator is an ordinary polynomial with nonzero
     constant term and leading coefficient 1; numerator and denominator share
-    no polynomial factor.  Equality is exact structural equality.
+    no polynomial factor.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(self, num, den=None, var="q"):
         if not isinstance(num, LaurentQ):
@@ -467,23 +527,18 @@ class QFrac:
             self.num = LaurentQ.zero(num.var)
             self.den = LaurentQ.one(num.var)
             return
-        if den.c == {0: 1}:
+        if den.terms == {0: 1}:
             # gcd(num, 1) = 1: the fraction is already canonical
-            self.num = LaurentQ.zero(num.var)
-            self.num.c = {e: _coef(v) for e, v in num.c.items()}
+            self.num = num._like({e: _coef(v) for e, v in num.terms.items()})
             self.den = den
             return
         g = poly_gcd(num, den)
         n = num.exact_div(g)
         d = den.exact_div(g)
         shift = d.low_degree()
-        lead = d.leading_coeff()
-        dd = LaurentQ.zero(d.var)
-        dd.c = {e - shift: _coef(Fraction(v) / Fraction(lead)) for e, v in d.c.items()}
-        nn = LaurentQ.zero(n.var)
-        nn.c = {e - shift: _coef(Fraction(v) / Fraction(lead)) for e, v in n.c.items()}
-        self.num = nn
-        self.den = dd
+        lead = Fraction(d.leading_coeff())
+        self.num = n._like({e - shift: _coef(v / lead) for e, v in n.terms.items()})
+        self.den = d._like({e - shift: _coef(v / lead) for e, v in d.terms.items()})
 
     @classmethod
     def zero(cls, var="q"):
@@ -497,21 +552,10 @@ class QFrac:
     def var(self):
         return self.num.var
 
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
     def shift(self, k):
         """Multiply by q**k.  q is a unit prime to the canonical denominator,
         so only the numerator's exponents move and no gcd is needed."""
-        out = QFrac.zero(self.var)
-        out.num = self.num.shift(k)
-        out.den = self.den
-        return out
-
-    def complexity(self):
-        """Pivot-selection key: numerator plus denominator term count."""
-        return len(self.num.c) + len(self.den.c)
+        return self._raw(self.num.shift(k), self.den)
 
     def _wrap(self, x):
         if isinstance(x, QFrac):
@@ -529,21 +573,6 @@ class QFrac:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = QFrac.zero(self.var)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._wrap(other)
         if other is NotImplemented:
@@ -560,32 +589,9 @@ class QFrac:
             raise ZeroDivisionError("division by zero rational function")
         return QFrac(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return QFrac.one(self.var) / self ** (-n)
-        out = QFrac.one(self.var)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def inverse(self):
-        return QFrac.one(self.var) / self
-
-    def __eq__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def as_signed_q_power(self):
         """Return (sign, m) when this equals sign * q**m, else None."""
-        if self.den != LaurentQ.one(self.var):
+        if self.den != 1:
             return None
         mono = self.num.as_monomial()
         if mono is None:
@@ -604,16 +610,6 @@ class QFrac:
             return not self.is_zero
         sp = self.as_signed_q_power()
         return sp is not None and (tolerance == "signed" or sp[0] == 1)
-
-    def to_text(self):
-        if self.den == LaurentQ.one(self.var):
-            return self.num.to_text()
-        return f"({self.num.to_text()})/({self.den.to_text()})"
-
-    __str__ = to_text
-
-    def __repr__(self):
-        return f"QFrac({self.to_text()!r})"
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}

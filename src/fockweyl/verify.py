@@ -22,6 +22,9 @@ from .weyl import verify_fock_match
 FAMILIES = ("fock-relations", "theorem51", "prop52", "lemma62", "lemma63",
             "prop64", "prop65", "theorem61")
 
+# How far a ratio may be from 1: q^m, +-q^m, or any unit.
+TOLERANCES = ("strict", "signed", "unit")
+
 
 @dataclass
 class RunConfig:
@@ -40,7 +43,7 @@ class RunConfig:
             raise ValueError("rank must be >= 2")
         if self.max_size < 0:
             raise ValueError("max_size must be >= 0")
-        if self.tolerance not in ("strict", "signed", "unit"):
+        if self.tolerance not in TOLERANCES:
             raise ValueError(f"unknown tolerance mode {self.tolerance!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -53,16 +56,9 @@ class RunConfig:
         return cfg
 
 
-def _ratio_ok(a, b, tolerance: str) -> bool:
-    """Compare two MultiRats under the requested tolerance."""
-    parts = unit_ratio(a, b)
-    if parts is None:
-        return False
-    if tolerance == "unit":
-        return True
-    if tolerance == "signed":
-        return parts.is_signed_q_power
-    return parts.is_plus_q_power
+def _ratio_ok(parts, tolerance: str) -> bool:
+    """Whether a unit_ratio result (None: not a unit) meets the tolerance."""
+    return parts is not None and parts.is_q_power(tolerance)
 
 
 def _root_lattice_points(rank: int, max_height: int):
@@ -178,11 +174,9 @@ def _case_lemma62(spec, tolerance):
     _, rank, k = spec
     eta = Weight.eps(k, rank)
     res = det_product_identity(eta, rank)
-    passed = {"unit": res["is_unit"], "signed": res["passed"],
-              "strict": res["strict_plus_power"]}[tolerance]
     return CaseResult(
         case_id=f"lemma62/rank={rank}/eta=eps{k}",
-        passed=passed,
+        passed=_ratio_ok(res["parts"], tolerance),
         detail={"strict_plus_power": res["strict_plus_power"],
                 "ks_used": res["ks_used"]})
 
@@ -192,10 +186,9 @@ def _case_lemma63(spec, tolerance):
     engine = jantzen_engine(k, rank)
     closed = jantzen_closed(k, rank)
     parts = unit_ratio(engine, closed)
-    ok = _ratio_ok(engine, closed, tolerance)
     return CaseResult(
         case_id=f"lemma63/rank={rank}/k={k}",
-        passed=ok,
+        passed=_ratio_ok(parts, tolerance),
         detail={"strict_plus_power": bool(parts and parts.is_plus_q_power),
                 "ratio": str(parts) if parts else "not a unit"})
 

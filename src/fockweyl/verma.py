@@ -334,20 +334,6 @@ def _zz_exp(rank, i, pi, pi1, qe):
     return tuple(e)
 
 
-def _mt_form(x: _MTensor, y: _MTensor, pair_cache) -> MultiRat:
-    total = MultiRat.zero(x.rank)
-    for (w1, s1), c1 in x.terms.items():
-        for (w2, s2), c2 in y.terms.items():
-            if s1 != s2:
-                continue
-            base = pair_cache(w1, w2)
-            if base.is_zero:
-                continue
-            mono = MultiRat(MultiPoly.q(x.rank, 1 - s1), coprime=True)
-            total = total + c1 * c2 * base * mono
-    return total
-
-
 def jantzen_engine(k: int, rank: int) -> MultiRat:
     """The k-th Jantzen number from first principles.
 
@@ -505,7 +491,8 @@ def det_product_identity(eta: Weight, rank: int):
     """Check the product identity tying Jantzen numbers to determinant ratios.
 
     Both sides are computed from the engine on matched word bases; they must
-    agree up to +-q^m.  Returns a result dict.
+    agree up to +-q^m.  Returns a result dict; "parts" is the UnitParts of
+    their ratio (None when it is not a unit).
     """
     lhs = MultiRat.one(rank)
     rhs = MultiRat.one(rank)
@@ -531,4 +518,5 @@ def det_product_identity(eta: Weight, rank: int):
         "passed": passed,
         "strict_plus_power": bool(parts is not None and parts.is_plus_q_power),
         "ratio": str(parts) if parts is not None else "not a unit",
+        "parts": parts,
     }

@@ -50,11 +50,6 @@ class Weight:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Weight") -> int:
-        """Inner product with (eps_i, eps_j) = delta_ij."""
-        self._check(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords))
-
     def alpha_coords(self):
         """Coordinates in the simple-root basis, or None if not in the root lattice."""
         if sum(self.coords) != 0:
@@ -70,11 +65,6 @@ class Weight:
     def in_q_plus(self) -> bool:
         ac = self.alpha_coords()
         return ac is not None and all(c >= 0 for c in ac)
-
-    @property
-    def in_q_minus(self) -> bool:
-        ac = self.alpha_coords()
-        return ac is not None and all(c <= 0 for c in ac)
 
     def height(self) -> int:
         """Number of simple roots in an element of Q+ (sum of alpha coordinates)."""

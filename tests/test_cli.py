@@ -5,6 +5,7 @@ import pytest
 from fockweyl import cli
 from fockweyl.errors import EngineError
 from fockweyl.reports import CaseResult, Report, render_json
+from fockweyl.verify import RunConfig
 
 
 def run(capsys, *argv):
@@ -72,6 +73,16 @@ class TestJantzen:
         assert code == 1
         assert out == ""
         assert err == "error: forced inconsistency\n"
+
+    def test_internal_value_error_exits_one(self, capsys, monkeypatch):
+        # bad input is a usage error before any computation starts; a
+        # ValueError from inside one is an internal error
+        def broken(k, rank):
+            raise ValueError("forced internal error")
+
+        monkeypatch.setattr(cli, "jantzen_engine", broken)
+        code, out, err = run(capsys, "jantzen", "engine", "--k", "2", "--rank", "2")
+        assert (code, out, err) == (1, "", "error: forced internal error\n")
 
 
 class TestShapovalov:
@@ -195,6 +206,54 @@ class TestVerify:
         assert data["config"]["n_rank"] == 2
         assert [c["case"] for c in data["cases"]] == [
             "theorem51/rank=2/nu=1,-1", "theorem51/rank=2/nu=2,-2"]
+
+    @pytest.mark.parametrize("family, flag, value", [
+        ("lemma63", "--max-size", "0"),
+        ("lemma62", "--ell", "3"),
+        ("prop52", "--tolerance", "strict"),
+        ("prop52", "--max-size", "2"),
+        ("fock-relations", "--tolerance", "unit"),
+        ("theorem51", "--max-size", "3"),
+        ("theorem51", "--tolerance", "strict"),
+        ("prop64", "--ell", "3"),
+        ("prop65", "--tolerance", "strict"),
+        ("all", "--ell", "3"),
+        ("all", "--max-size", "2"),
+    ])
+    def test_unread_flag_rejected(self, capsys, family, flag, value):
+        code, out, err = run(capsys, "verify", family, flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} does not apply to {family}\n"
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["fock-relations", "--ell", "3", "--max-size", "2"],
+         {"ell": 3, "max_size": 2}),
+        (["theorem51"], {}),
+        (["theorem51", "--rank", "3", "--max-size", "2"],
+         {"n_rank": 3, "max_size": 2}),
+        (["prop52", "--jobs", "2", "--format", "json"], {"jobs": 2}),
+        (["lemma62", "--tolerance", "unit"], {"tolerance": "unit"}),
+        (["lemma63", "--tolerance", "strict"], {"tolerance": "strict"}),
+        (["prop64", "--max-size", "2", "--tolerance", "unit"],
+         {"max_size": 2, "tolerance": "unit"}),
+        (["prop65", "--ell", "3", "--max-size", "2"], {"ell": 3, "max_size": 2}),
+        (["theorem61", "--ell", "3", "--max-size", "2", "--tolerance", "strict"],
+         {"ell": 3, "max_size": 2, "tolerance": "strict"}),
+        (["all", "--tolerance", "strict", "--jobs", "2"],
+         {"tolerance": "strict", "jobs": 2}),
+    ])
+    def test_read_flags_reach_config(self, capsys, monkeypatch, argv, fields):
+        seen = []
+
+        def fake_family(family, config):
+            seen.append(config)
+            return Report(family=family, config={}, cases=[])
+
+        monkeypatch.setattr(cli, "run_family", fake_family)
+        monkeypatch.setattr(cli, "run_all", lambda config: [fake_family("all", config)])
+        code, _, err = run(capsys, "verify", *argv)
+        assert (code, err) == (0, "")
+        assert seen == [RunConfig(**fields)]
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "fock", "apply", "--bogus", "x")

@@ -8,6 +8,7 @@ from fockweyl.multirat import (MultiPoly, MultiRat, eval_at_weight,
                                poly_gcd_multi, q_bracket_binom, sigma_shift,
                                unit_ratio)
 from fockweyl.ring import LaurentQ, QFrac, q_int
+from fockweyl.verify import TOLERANCES
 from fockweyl.weights import Weight
 
 from conftest import multipolys, multirats, weights
@@ -53,7 +54,7 @@ class TestMultiPolyGcd:
     def test_subresultant_fallback_agrees(self):
         import random
         from fockweyl.multirat import (_gcd_subresultant, _heugcd,
-                                       _int_normalize, _strip_monomial)
+                                       _strip_monomial)
         rng = random.Random(21)
         rank = 2
         checked = 0
@@ -65,8 +66,8 @@ class TestMultiPolyGcd:
             common, f, g = rnd(), rnd(), rnd()
             if common.is_zero or f.is_zero or g.is_zero:
                 continue
-            f0 = _int_normalize(_strip_monomial(common * f)[0])
-            g0 = _int_normalize(_strip_monomial(common * g)[0])
+            f0 = _strip_monomial(common * f)[0].int_primitive()
+            g0 = _strip_monomial(common * g)[0].int_primitive()
             nv = rank + 1
             active = [v for v in range(nv)
                       if f0.max_deg(v) > 0 or g0.max_deg(v) > 0]
@@ -77,7 +78,7 @@ class TestMultiPolyGcd:
             if heu is not None:
                 # the raw heuristic may undershoot; it must still divide
                 from fockweyl.multirat import _divexact
-                _divexact(sub, _int_normalize(heu))
+                _divexact(sub, heu.int_primitive())
             # the public entry certifies and repairs the heuristic answer
             assert poly_gcd_multi(f0, g0) == sub
             checked += 1
@@ -204,3 +205,14 @@ class TestUnitRatio:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             unit_ratio(z(1), MultiRat.zero(2))
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    @pytest.mark.parametrize("scalar", [
+        QFrac.one(), QFrac(LaurentQ.term(3)), QFrac(LaurentQ.term(-2, -1)),
+        QFrac(q_int(2)), QFrac(2), QFrac(LaurentQ.one(), q_int(2))])
+    def test_is_q_power_as_for_qfrac(self, scalar, tolerance):
+        f = z(1) - z(2)
+        unit = MultiRat(MultiPoly.from_laurent(scalar.num, 2),
+                        MultiPoly.from_laurent(scalar.den, 2))
+        parts = unit_ratio(f * z(2, p=-1) * unit, f)
+        assert parts.is_q_power(tolerance) == scalar.is_q_power(tolerance)
