@@ -283,7 +283,12 @@ def poly_gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     Strategy: heuristic evaluation gcd first (fast on the structured inputs
     the library produces), subresultant pseudo-remainder sequence as the
     deterministic fallback; all intermediate arithmetic stays over Z.
+    Raises ValueError on a negative exponent (strip monomials first).
     """
+    for p in (f, g):
+        if not p.is_zero and min(p.min_exps()) < 0:
+            raise ValueError(f"poly_gcd_multi takes ordinary polynomials "
+                             f"(no negative exponents), got {p}")
     if f.is_zero:
         return g.int_primitive()
     if g.is_zero:

@@ -6,13 +6,17 @@ vectors in (Verma) x (standard module)).
 
 Lowering words are tuples (i_1, ..., i_m) meaning Y_{i_1} Y_{i_2} ... applied
 to the shifted highest weight vector.  All linear algebra happens through the
-pairing, so dependent words never need to be rewritten.
+pairing, so dependent words never need to be rewritten.  `gram_matrix` is the
+one place that pairs words: the engine takes its basis and every pairing from
+the Gram matrix of each tensor slot, and builds its constraint rows from a
+closed formula for the coproduct action, so it needs no tensor type of its
+own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import EngineError
 from .linalg import field_det, field_echelon, field_kernel
@@ -91,19 +95,20 @@ def act_l(i: int, e: VermaElement, inverse: bool = False) -> VermaElement:
     return out
 
 
+def _zq(rank: int, i: int, j: int, a: int = 0) -> tuple:
+    """Exponent vector of the monomial z_i z_j^{-1} q^a."""
+    e = [0] * (rank + 1)
+    e[i - 1] = 1
+    e[j - 1] = -1
+    e[rank] = a
+    return tuple(e)
+
+
 def _cartan_factor(rank: int, i: int, a: int) -> MultiRat:
     """(q^a z_i z_{i+1}^{-1} - q^{-a} z_i^{-1} z_{i+1}) / (q - q^{-1})."""
-    e_plus = [0] * (rank + 1)
-    e_plus[i - 1] = 1
-    e_plus[i] = -1
-    e_plus[rank] = a
-    e_minus = [0] * (rank + 1)
-    e_minus[i - 1] = -1
-    e_minus[i] = 1
-    e_minus[rank] = -a
-    num = MultiPoly(rank, {tuple(e_plus): 1, tuple(e_minus): -1})
-    den = MultiPoly(rank, {(0,) * rank + (1,): 1, (0,) * rank + (-1,): -1})
-    return MultiRat(num, den, coprime=True)
+    num = MultiPoly(rank, {_zq(rank, i, i + 1, a): 1,
+                           _zq(rank, i + 1, i, -a): -1})
+    return MultiRat(num, MultiPoly.q(rank) - MultiPoly.q(rank, -1), coprime=True)
 
 
 def act_x(i: int, e: VermaElement) -> VermaElement:
@@ -190,7 +195,7 @@ def kostant_p(gamma: Weight) -> int:
 class GramMatrix:
     """Pairings of all lowering words of one multidegree, the maximal
     independent sublist given by the pivot columns (the lexicographically
-    first column basis), and the determinant on it."""
+    first column basis), and, on first use, the determinant on it."""
 
     shift: Weight
     rank: int
@@ -198,7 +203,13 @@ class GramMatrix:
     words: list
     entries: list
     independent: list
-    det: MultiRat
+
+    @cached_property
+    def det(self) -> MultiRat:
+        chosen = self.independent
+        if not chosen:
+            return MultiRat.one(self.rank)
+        return field_det([[self.entries[r][c] for c in chosen] for r in chosen])
 
 
 def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
@@ -225,9 +236,13 @@ def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
         raise EngineError(
             f"independent word count {len(chosen)} != multiplicity {expected} "
             f"for nu={nu}, rank={rank}")
-    det = (field_det([[entries[r][c] for c in chosen] for r in chosen])
-           if chosen else MultiRat.one(rank))
-    return GramMatrix(mu, rank, nu, words, entries, chosen, det)
+    return GramMatrix(mu, rank, nu, words, entries, chosen)
+
+
+def _jantzen_factor(j: int, k: int, rank: int, m: int = 1) -> MultiPoly:
+    """z_j z_k^{-1} - q^{2m+2j-2k} z_j^{-1} z_k."""
+    return MultiPoly(rank, {_zq(rank, j, k): 1,
+                            _zq(rank, k, j, 2 * m + 2 * j - 2 * k): -1})
 
 
 def shapovalov_det_closed(eta: Weight, rank: int) -> MultiRat:
@@ -242,30 +257,9 @@ def shapovalov_det_closed(eta: Weight, rank: int) -> MultiRat:
                 p = kostant_p(eta + m * step)
                 if p == 0:
                     break
-                e_plus = [0] * (rank + 1)
-                e_plus[i - 1] = 1
-                e_plus[j - 1] = -1
-                e_plus[rank] = 0
-                e_minus = [0] * (rank + 1)
-                e_minus[i - 1] = -1
-                e_minus[j - 1] = 1
-                e_minus[rank] = 2 * m + 2 * i - 2 * j
-                factor = MultiPoly(rank, {tuple(e_plus): 1, tuple(e_minus): -1})
-                out = out * factor ** p
+                out = out * _jantzen_factor(i, j, rank, m) ** p
                 m += 1
     return MultiRat(out, coprime=True)
-
-
-def _jantzen_factor(j: int, k: int, rank: int) -> MultiPoly:
-    """z_j z_k^{-1} - q^{2+2j-2k} z_j^{-1} z_k."""
-    e_plus = [0] * (rank + 1)
-    e_plus[j - 1] = 1
-    e_plus[k - 1] = -1
-    e_minus = [0] * (rank + 1)
-    e_minus[j - 1] = -1
-    e_minus[k - 1] = 1
-    e_minus[rank] = 2 + 2 * j - 2 * k
-    return MultiPoly(rank, {tuple(e_plus): 1, tuple(e_minus): -1})
 
 
 def jantzen_closed(k: int, rank: int) -> MultiRat:
@@ -281,159 +275,74 @@ def jantzen_closed(k: int, rank: int) -> MultiRat:
     return MultiRat(num, den, coprime=True)
 
 
-# ---------------------------------------------------------------------------
-# Tensor elements of (universal Verma) x (standard module)
-# ---------------------------------------------------------------------------
-# Terms are (word, slot) with slot the standard-basis index of the right
-# factor; the coproduct actions below keep everything inside the span of all
-# lowering words, so no word rewriting is ever needed.
-
-
-class _MTensor(SparseVector):
-    __slots__ = ("rank",)
-    _coerce = VermaElement._coerce
-
-    def __init__(self, rank, terms=None):
-        self.rank = rank
-        super().__init__(terms)
-
-    def _space(self):
-        return (self.rank,)
-
-
-def _mt_act_y(i: int, x: _MTensor) -> _MTensor:
-    out = _MTensor(x.rank)
-    rank = x.rank
-    for (w, slot), c in x.terms.items():
-        out.add_term(((i,) + w, slot), c)
-        if slot == i:
-            nu = _word_weight(w, Weight.zero(rank), rank)
-            a = nu.coords[i - 1] - nu.coords[i]
-            mono = MultiPoly(rank, {_zz_exp(rank, i, -1, +1, -a): 1})
-            out.add_term((w, i + 1), c * MultiRat(mono, coprime=True))
-    return out
-
-
-def _mt_act_l(i: int, x: _MTensor, inverse: bool = False) -> _MTensor:
-    out = _MTensor(x.rank)
-    rank = x.rank
-    p = -1 if inverse else 1
-    for (w, slot), c in x.terms.items():
-        a = _word_weight(w, Weight.zero(rank), rank).coords[i - 1]
-        qshift = a + (1 if slot == i else 0)
-        mono = MultiPoly.z(i, rank, p).shifted((0,) * rank + (p * qshift,))
-        out.add_term((w, slot), c * MultiRat(mono, coprime=True))
-    return out
-
-
-def _zz_exp(rank, i, pi, pi1, qe):
-    e = [0] * (rank + 1)
-    e[i - 1] = pi
-    e[i] = pi1
-    e[rank] = qe
-    return tuple(e)
-
-
 def jantzen_engine(k: int, rank: int) -> MultiRat:
     """The k-th Jantzen number from first principles.
 
-    Builds the weight space of (universal Verma) x (standard module) at the
-    k-th coordinate weight, solves for the singular vector through the
-    pairing (the form is nondegenerate over the fraction field), applies the
-    triangular normalization via orthogonality to the lower summands, and
-    returns the self-pairing.
+    The eps_k weight space of (universal Verma) x (standard module) is the sum
+    over slots j <= k of (words of multidegree eps_j - eps_k) x v_j.  The form
+    is the `gram_matrix` of slot j times q^{1-j}, with distinct slots
+    orthogonal, so the independent words of each slot give a basis on which
+    it is nondegenerate.  A vector is singular iff it is orthogonal to
+    omega(X_i) y for every y spanning the raised weight spaces; that solution
+    space must be one line.  Its normalised self-pairing
+    (u, v_+ x v_k)^2 / (u, u) is returned.
     """
     if not 1 <= k <= rank:
         raise ValueError(f"k={k} out of range for rank {rank}")
     zero_w = Weight.zero(rank)
     eps_k = Weight.eps(k, rank)
+    grams = {j: gram_matrix(zero_w, Weight.eps(j, rank) - eps_k, rank)
+             for j in range(1, k + 1)}
+    pos = {j: {w: t for t, w in enumerate(gm.words)} for j, gm in grams.items()}
+    basis = [(j, gm.words[t]) for j, gm in grams.items() for t in gm.independent]
+    n = len(basis)
 
-    spanning = []
-    for j in range(1, k + 1):
-        nu = Weight.eps(j, rank) - eps_k
-        for w in ywords(nu, rank):
-            spanning.append((w, j))
-    index = {key: t for t, key in enumerate(spanning)}
-    n = len(spanning)
+    def form(b, y):
+        """Form of basis vector b with y = {(slot, word): coefficient}, whose
+        coefficients already carry the slot factor q^{1-slot}."""
+        jb, wb = basis[b]
+        row = grams[jb].entries[pos[jb][wb]]
+        s = MultiRat.zero(rank)
+        for (j, w), c in y.items():
+            if j != jb:
+                continue
+            e = row[pos[j][w]]
+            if not e.is_zero:
+                s = s + c * e
+        return s
 
-    pair_vals = {}
-
-    def pair_cache(w1, w2):
-        key = (w1, w2) if w1 <= w2 else (w2, w1)
-        if key not in pair_vals:
-            pair_vals[key] = shapovalov_pair(
-                VermaElement.word(key[0], zero_w, rank),
-                VermaElement.word(key[1], zero_w, rank))
-        return pair_vals[key]
-
-    gram = [[None] * n for _ in range(n)]
-    for a in range(n):
-        wa, sa = spanning[a]
-        for b in range(a, n):
-            wb, sb = spanning[b]
-            if sa != sb:
-                v = MultiRat.zero(rank)
-            else:
-                v = pair_cache(wa, wb) * MultiRat(
-                    MultiPoly.q(rank, 1 - sa), coprime=True)
-            gram[a][b] = v
-            gram[b][a] = v
-
-    # singular <=> orthogonal to omega(X_i) . y for spanning y of each
-    # raised weight space
+    # with a the weight of w,
+    #   omega(X_i) (w x v_j) = z_i z_{i+1}^{-1} q^{a_i+[j=i]-a_{i+1}-[j=i+1]}
+    #                          (Y_i w x v_j) + [j=i] q (w x v_{i+1});
+    # each coefficient below also carries the slot factor q^{1-slot}
     rows = []
     for i in range(1, rank):
         for j in range(1, k + 1):
             nu = Weight.eps(j, rank) - eps_k - alpha(i, rank)
             for w in ywords(nu, rank):
-                y = _MTensor(rank, {(w, j): MultiRat.one(rank)})
-                y = _mt_act_l(i + 1, y, inverse=True)
-                y = _mt_act_l(i, y)
-                y = _mt_act_y(i, y)
-                coords = {}
-                for key, c in y.terms.items():
-                    coords[index[key]] = c
-                row = []
-                for b in range(n):
-                    s = MultiRat.zero(rank)
-                    for t, c in coords.items():
-                        if not gram[b][t].is_zero:
-                            s = s + c * gram[b][t]
-                    row.append(s)
-                rows.append(row)
+                a = _word_weight(w, zero_w, rank).coords
+                qe = a[i - 1] + (j == i) - a[i] - (j == i + 1)
+                c = MultiPoly(rank, {_zq(rank, i, i + 1, qe + 1 - j): 1})
+                y = {(j, (i,) + w): MultiRat(c, coprime=True)}
+                if j == i:
+                    y[(i + 1, w)] = MultiRat.q(rank, 1 - i)
+                rows.append([form(b, y) for b in range(n)])
 
-    one = MultiRat.one(rank)
-    if rows:
-        sols = field_kernel(rows, n, one)
-    else:
-        sols = [[one if t == b else MultiRat.zero(rank) for t in range(n)]
-                for b in range(n)]
-    g_rank = len(field_echelon(gram)[1])
-    expected_dim = 1 + (n - g_rank)
-    if len(sols) != expected_dim:
+    sols = field_kernel(rows, n, MultiRat.one(rank))
+    if len(sols) != 1:
         raise EngineError(
             f"singular solution space has dimension {len(sols)}, "
-            f"expected {expected_dim} (k={k}, rank={rank})")
-
-    top = index[((), k)]
-
-    def pair_with(u, t):
-        s = MultiRat.zero(rank)
-        for b, ub in enumerate(u):
-            if not ub.is_zero and not gram[b][t].is_zero:
-                s = s + ub * gram[b][t]
-        return s
-
-    for u in sols:
-        tp = pair_with(u, top)
-        if not tp.is_zero:
-            uu = MultiRat.zero(rank)
-            for b, ub in enumerate(u):
-                if ub.is_zero:
-                    continue
-                uu = uu + ub * pair_with(u, b)
-            return tp * tp / uu
-    raise EngineError(f"no singular vector pairs with the top term (k={k})")
+            f"expected 1 (k={k}, rank={rank})")
+    u = {key: c * MultiRat.q(rank, 1 - key[0])
+         for key, c in zip(basis, sols[0]) if not c.is_zero}
+    tp = form(basis.index((k, ())), u)
+    if tp.is_zero:
+        raise EngineError(f"no singular vector pairs with the top term (k={k})")
+    uu = MultiRat.zero(rank)
+    for b, c in enumerate(sols[0]):
+        if not c.is_zero:
+            uu = uu + c * form(b, u)
+    return tp * tp / uu
 
 
 def hook_ratio(lam: Partition, k: int) -> QFrac:

@@ -172,9 +172,6 @@ def _kernel_of_raising(vectors, rank):
             for w, c in img.terms.items():
                 rows.setdefault((i, w), [LaurentQ.zero()] * ncols)[idx] = c
     matrix = [rows[k] for k in sorted(rows)]
-    if not matrix:
-        return [[QFrac.one() if t == s else QFrac.zero() for t in range(ncols)]
-                for s in range(ncols)], 0
     return kernel_basis(matrix, ncols, QFrac, QFrac.one())
 
 

@@ -58,6 +58,12 @@ class TestFractionFree:
         ech, piv = ff_echelon([])
         assert ech == [] and piv == []
 
+    def test_no_rows_give_identity_kernel(self):
+        one, zero = QFrac.one(), QFrac.zero()
+        identity = [[one if c == r else zero for c in range(3)] for r in range(3)]
+        assert kernel_basis([], 3, QFrac, one) == (identity, 0)
+        assert field_kernel([], 3, one) == identity
+
 
 def dense_ff_echelon(rows):
     """ff_echelon with the plain dense row update, as a reference."""

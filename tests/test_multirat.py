@@ -83,6 +83,17 @@ class TestMultiPolyGcd:
             assert poly_gcd_multi(f0, g0) == sub
             checked += 1
 
+    def test_laurent_input_rejected(self):
+        rank = 2
+        z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+        qq = MultiPoly.q(rank)
+        h = z1 + z2 * qq
+        f = (MultiPoly.z(1, rank, -1) + qq) * h
+        g = (z2 + qq * qq) * h
+        for args in ((f, g), (g, f), (MultiPoly.zero(rank), f)):
+            with pytest.raises(ValueError, match="ordinary polynomials"):
+                poly_gcd_multi(*args)
+
 
 class TestMultiRatField:
     @given(multirats(), multirats(), multirats())

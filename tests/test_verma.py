@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from fockweyl import verma
+from fockweyl.errors import EngineError
 from fockweyl.linalg import field_det
 from fockweyl.multirat import MultiRat, eval_at_weight, sigma_shift, unit_ratio
 from fockweyl.partitions import Partition
@@ -250,6 +253,35 @@ class TestJantzenEngine:
     def test_matches_closed_form(self, rank, k):
         parts = unit_ratio(jantzen_engine(k, rank), jantzen_closed(k, rank))
         assert parts is not None and parts.is_signed_q_power
+
+    # canonical reprs, the same at every rank >= k; k=4 by sha256
+    EXPECTED_REPR = {
+        1: "MultiRat('1')",
+        2: "MultiRat('(-z2^2*q + z1^2*q)/(-z2^2 + z1^2*q^2)')",
+        3: "MultiRat('(z3^4*q^2 - z2^2*z3^2*q^2 - z1^2*z3^2*q^4 "
+           "+ z1^2*z2^2*q^4)/(z3^4 - z2^2*z3^2*q^2 - z1^2*z3^2*q^4 "
+           "+ z1^2*z2^2*q^6)')",
+        4: "24d1c1d9cbc4fdfb6083414e78fb654a3897ddf9c29aeb6de3e9c064fb7d9d2c",
+    }
+
+    @pytest.mark.parametrize("rank,k", [(r, k) for r in (2, 3, 4)
+                                        for k in range(1, r + 1)])
+    def test_exact_value(self, rank, k):
+        text = repr(jantzen_engine(k, rank))
+        if k == 4:
+            text = hashlib.sha256(text.encode()).hexdigest()
+        assert text == self.EXPECTED_REPR[k]
+
+    def test_extra_kernel_vector_raises(self, monkeypatch):
+        real = verma.field_kernel
+
+        def padded(rows, ncols, one):
+            sols = real(rows, ncols, one)
+            return sols + [sols[0]]
+
+        monkeypatch.setattr(verma, "field_kernel", padded)
+        with pytest.raises(EngineError, match="dimension 2"):
+            jantzen_engine(3, 3)
 
 
 class TestHookRatio:
