@@ -16,7 +16,7 @@ from .partitions import (Partition, Box, content, color, addable_boxes,
                          removable_boxes, n_left, n_right,
                          addable_row_indices, all_partitions)
 from .fock import FockVector, apply_E, apply_F, apply_K, check_relations
-from .verma import (VermaElement, GramMatrix, act_x, act_y, act_l,
+from .verma import (VermaElement, GramMatrix, act_y, pair_words,
                     shapovalov_pair, ywords, kostant_p, gram_matrix,
                     shapovalov_det_closed, jantzen_closed, jantzen_engine,
                     jantzen_evaluate_closed, jantzen_valuation, hook_ratio,

@@ -164,6 +164,12 @@ class MultiPoly(_Poly):
             e[:-1] + (e[-1] + sum(a * b for a, b in zip(e[:-1], coords)),): v
             for e, v in self.terms.items()})
 
+    def __hash__(self):
+        # a polynomial in q alone hashes as the LaurentQ with its terms
+        if any(any(e[:-1]) for e in self.terms):
+            return super().__hash__()
+        return hash(LaurentQ({e[-1]: v for e, v in self.terms.items()}))
+
     def __repr__(self):
         return f"MultiPoly({self.to_text()!r})"
 
@@ -293,6 +299,11 @@ def poly_gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return g.int_primitive()
     if g.is_zero:
         return f.int_primitive()
+    common = tuple(map(min, f.min_exps(), g.min_exps()))
+    if any(common):
+        # the gcd below runs up to monomials; put the common one back
+        strip = tuple(-m for m in common)
+        return poly_gcd_multi(f.shifted(strip), g.shifted(strip)).shifted(common)
     f = f.int_primitive()
     g = g.int_primitive()
     if f.terms == g.terms:
@@ -534,9 +545,22 @@ class MultiRat(_Frac):
             return MultiRat.const(self.rank, x)
         if isinstance(x, MultiPoly):
             return MultiRat(x)
-        if isinstance(x, LaurentQ):
+        if isinstance(x, LaurentQ) and x.var == "q":
             return MultiRat.from_laurent(x, self.rank)
+        if isinstance(x, QFrac) and x.var == "q":
+            return MultiRat(MultiPoly.from_laurent(x.num, self.rank),
+                            MultiPoly.from_laurent(x.den, self.rank), coprime=True)
         return NotImplemented
+
+    def __hash__(self):
+        # in Q(q) the QFrac canonical form is this one divided by the
+        # denominator's leading coefficient: hash as that QFrac
+        lead = self.den.lead()[1]
+        if lead != 1 and not any(any(e[:-1]) for p in (self.num, self.den)
+                                 for e in p.terms):
+            return hash((self.num._scaled(Fraction(1, lead)),
+                         self.den._scaled(Fraction(1, lead))))
+        return super().__hash__()
 
     def __add__(self, other):
         other = self._wrap(other)
@@ -604,6 +628,48 @@ def sigma_shift(f: MultiRat, mu) -> MultiRat:
         return f
     # gcd-free: an automorphism preserves coprimality, only renormalize units
     return MultiRat(f.num.sigma(mu), f.den.sigma(mu), coprime=True)
+
+
+def over_q_diff(p: MultiPoly, k: int) -> MultiRat:
+    """The canonical fraction p / (q - q^{-1})^k, built without a gcd.
+
+    (q - q^{-1})^k = q^{-k} (q - 1)^k (q + 1)^k, and q - 1 and q + 1 are prime,
+    so dividing each out of p as often as it goes (at most k times) leaves a
+    coprime fraction.  Division by q - c runs synthetically on each block of
+    terms that share their z exponents.
+    """
+    rank = p.rank
+    if p.is_zero:
+        return MultiRat.zero(rank)
+    blocks = {}
+    for e, v in p.terms.items():
+        blocks.setdefault(e[:-1], {})[e[-1] + k] = v
+
+    def divided(c):
+        """The blocks divided by q - c; None when one leaves a remainder."""
+        quo = {}
+        for z, b in blocks.items():
+            lo = min(b)
+            carry = 0
+            out = quo[z] = {}
+            for e in range(max(b), lo, -1):
+                carry = carry * c + b.get(e, 0)
+                if carry:
+                    out[e - 1] = _coef(carry)
+            if carry * c + b[lo]:
+                return None
+        return quo
+
+    den = MultiPoly.one(rank)
+    for c in (1, -1):
+        left = k
+        while left and (quo := divided(c)) is not None:
+            blocks = quo
+            left -= 1
+        if left:
+            den = den * MultiPoly(rank, {_qexp(rank, 1): 1, _qexp(rank, 0): -c}) ** left
+    num = p._like({z + (e,): v for z, b in blocks.items() for e, v in b.items()})
+    return MultiRat(num, den, coprime=True)
 
 
 def eval_at_weight(f: MultiRat, lam) -> QFrac:

@@ -1,16 +1,20 @@
-"""Universal Verma modules over Q(q, z_1..z_N): generator actions on lowering
-words, the contravariant (Shapovalov) pairing, Gram matrices and their closed
-form determinant, Kostant's partition function, and the Jantzen numbers (both
-the closed product form and an independent engine that solves for singular
+"""Universal Verma modules over Q(q, z_1..z_N): lowering words, the
+contravariant (Shapovalov) pairing, Gram matrices and their closed form
+determinant, Kostant's partition function, and the Jantzen numbers (both the
+closed product form and an independent engine that solves for singular
 vectors in (Verma) x (standard module)).
 
 Lowering words are tuples (i_1, ..., i_m) meaning Y_{i_1} Y_{i_2} ... applied
 to the shifted highest weight vector.  All linear algebra happens through the
-pairing, so dependent words never need to be rewritten.  `gram_matrix` is the
-one place that pairs words: the engine takes its basis and every pairing from
-the Gram matrix of each tensor slot, and builds its constraint rows from a
-closed formula for the coproduct action, so it needs no tensor type of its
-own.
+pairing, so dependent words never need to be rewritten.  There is one pairing
+path, `pair_words`, and it is integral: every raising step divides by the
+same q - q^{-1}, so two words of height m pair to P / (q - q^{-1})^m with P a
+Laurent polynomial in Z[q^{+-1}, z^{+-1}], and P is computed without a
+fraction or a gcd.  `gram_matrix` keeps these scaled entries, eliminates the
+denominator-free matrix and divides the power out of the determinant only at
+the end.  The engine takes its basis and every pairing from the Gram matrix of
+each tensor slot, and builds its constraint rows from a closed formula for the
+coproduct action, so it needs no tensor type of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from functools import cached_property, lru_cache
 
 from .errors import EngineError
 from .linalg import field_det, field_echelon, field_kernel
-from .multirat import MultiPoly, MultiRat, eval_at_weight, sigma_shift, unit_ratio
+from .multirat import (MultiPoly, MultiRat, eval_at_weight, over_q_diff,
+                       sigma_shift, unit_ratio)
 from .partitions import Partition, Box, addable_boxes, removable_boxes, content, n_left
 from .ring import QFrac, q_int, val_cyclotomic
 from .sparse import SparseVector
@@ -81,20 +86,6 @@ def act_y(i: int, e: VermaElement) -> VermaElement:
     return out
 
 
-def act_l(i: int, e: VermaElement, inverse: bool = False) -> VermaElement:
-    """Diagonal action: on weight nu the eigenvalue is q^{(nu, eps_i)} z_i."""
-    if not 1 <= i <= e.rank:
-        raise ValueError(f"L index {i} out of range for rank {e.rank}")
-    out = VermaElement(e.shift, e.rank)
-    p = -1 if inverse else 1
-    for w, c in e.terms.items():
-        a = _word_weight(w, e.shift, e.rank).coords[i - 1]
-        mono = MultiPoly.z(i, e.rank, p).shifted(
-            (0,) * e.rank + (p * a,))
-        out.terms[w] = c * MultiRat(mono, coprime=True)
-    return out
-
-
 def _zq(rank: int, i: int, j: int, a: int = 0) -> tuple:
     """Exponent vector of the monomial z_i z_j^{-1} q^a."""
     e = [0] * (rank + 1)
@@ -104,48 +95,66 @@ def _zq(rank: int, i: int, j: int, a: int = 0) -> tuple:
     return tuple(e)
 
 
-def _cartan_factor(rank: int, i: int, a: int) -> MultiRat:
-    """(q^a z_i z_{i+1}^{-1} - q^{-a} z_i^{-1} z_{i+1}) / (q - q^{-1})."""
-    num = MultiPoly(rank, {_zq(rank, i, i + 1, a): 1,
-                           _zq(rank, i + 1, i, -a): -1})
-    return MultiRat(num, MultiPoly.q(rank) - MultiPoly.q(rank, -1), coprime=True)
+def _cartan_numerator(rank: int, i: int, a: int) -> MultiPoly:
+    """q^a z_i z_{i+1}^{-1} - q^{-a} z_i^{-1} z_{i+1}: X_i Y_i - Y_i X_i on a
+    vector whose weight pairs to a with alpha_i, times q - q^{-1}."""
+    return MultiPoly(rank, {_zq(rank, i, i + 1, a): 1,
+                            _zq(rank, i + 1, i, -a): -1})
 
 
-def act_x(i: int, e: VermaElement) -> VermaElement:
-    """Raising action via the commutation rule past each lowering letter."""
-    if not 1 <= i <= e.rank - 1:
-        raise ValueError(f"X index {i} out of range for rank {e.rank}")
-    out = VermaElement(e.shift, e.rank)
-    for w, c in e.terms.items():
-        for t, letter in enumerate(w):
-            if letter != i:
-                continue
-            suffix = w[t + 1:]
-            nu = _word_weight(suffix, e.shift, e.rank)
-            a = nu.coords[i - 1] - nu.coords[i]
-            out.add_term(w[:t] + suffix, c * _cartan_factor(e.rank, i, a))
-    return out
+def pair_words(wa: YWord, wb: YWord, shift: Weight, rank: int) -> MultiPoly:
+    """The integral pairing P with (Y_wa v, Y_wb v) = P / (q - q^{-1})^m,
+    m = len(wb), in the Verma module shifted by `shift`.
+
+    Each leftmost letter Y_i of wb moves across the pairing as
+    L_i^{-1} L_{i+1} X_i applied to Y_wa v.  X_i deletes one letter i, which
+    multiplies by the numerator of its Cartan factor; L_i^{-1} L_{i+1} acts on
+    the weight beta that is left as z_i^{-1} z_{i+1} q^{beta_{i+1} - beta_i},
+    the same monomial for every term, so the monomials add up to one exponent
+    shift.  The coefficient of the empty word is the pairing.
+    """
+    if sorted(wa) != sorted(wb):
+        return MultiPoly.zero(rank)
+    base = [shift.coords[i] - shift.coords[i + 1] for i in range(rank - 1)]
+    left = [0] * (rank + 1)  # letters still in the words, by index
+    for letter in wa:
+        left[letter] += 1
+    terms = {wa: MultiPoly.one(rank)}
+    delta = [0] * (rank + 1)
+    for i in wb:
+        nxt = {}
+        for w, c in terms.items():
+            a = base[i - 1]  # (weight of the suffix, alpha_i)
+            for t in range(len(w) - 1, -1, -1):
+                letter = w[t]
+                if letter == i:
+                    key = w[:t] + w[t + 1:]
+                    term = c * _cartan_numerator(rank, i, a)
+                    nxt[key] = nxt[key] + term if key in nxt else term
+                    a -= 2
+                elif abs(letter - i) == 1:
+                    a += 1
+        terms = {w: c for w, c in nxt.items() if not c.is_zero}
+        if not terms:
+            return MultiPoly.zero(rank)
+        left[i] -= 1
+        h = base[i - 1] - 2 * left[i] + left[i - 1] + left[i + 1]
+        delta[i - 1] -= 1
+        delta[i] += 1
+        delta[rank] -= h
+    return terms[()].shifted(tuple(delta))
 
 
 def shapovalov_pair(a: VermaElement, b: VermaElement) -> MultiRat:
-    """The contravariant bilinear form, computed by peeling b's letters.
-
-    Each leftmost letter Y_i of b moves across the pairing as
-    L_i^{-1} L_{i+1} X_i applied to a; the base case reads off the
-    coefficient of the empty word.
-    """
+    """The contravariant bilinear form, bilinear over the word pairings of
+    `pair_words`."""
     a._check(b)
     total = MultiRat.zero(a.rank)
-    for w, c in b.terms.items():
-        e = a
-        for letter in w:
-            e = act_x(letter, e)
-            if e.is_zero:
-                break
-            e = act_l(letter + 1, e)
-            e = act_l(letter, e, inverse=True)
-        if not e.is_zero:
-            total = total + c * e.coeff(())
+    for wb, cb in b.terms.items():
+        for wa, ca in a.terms.items():
+            p = pair_words(wa, wb, a.shift, a.rank)
+            if not p.is_zero:
+                total = total + ca * cb * over_q_diff(p, len(wb))
     return total
 
 
@@ -193,50 +202,77 @@ def kostant_p(gamma: Weight) -> int:
 
 @dataclass
 class GramMatrix:
-    """Pairings of all lowering words of one multidegree, the maximal
+    """Pairings of all lowering words of one multidegree nu, the maximal
     independent sublist given by the pivot columns (the lexicographically
-    first column basis), and, on first use, the determinant on it."""
+    first column basis), and, on first use, the determinant on it.
+
+    The pairings are integral up to one power: entry (a, b) of the form is
+    scaled[a][b] / (q - q^{-1})^m, with scaled[a][b] in Z[q^{+-1}, z^{+-1}]
+    and m the height of nu.  `entry` and `entries` give the true values.
+    """
 
     shift: Weight
     rank: int
     nu: Weight
     words: list
-    entries: list
+    scaled: list
     independent: list
+
+    @property
+    def height(self) -> int:
+        return len(self.words[0]) if self.words else 0
+
+    def entry(self, a: int, b: int) -> MultiRat:
+        return over_q_diff(self.scaled[a][b], self.height)
+
+    @cached_property
+    def entries(self) -> list:
+        n = len(self.words)
+        out = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                out[a][b] = out[b][a] = self.entry(a, b)
+        return out
 
     @cached_property
     def det(self) -> MultiRat:
+        """field_det of the scaled principal block on the independent words,
+        divided by (q - q^{-1})^{m r}, r the block size."""
         chosen = self.independent
         if not chosen:
             return MultiRat.one(self.rank)
-        return field_det([[self.entries[r][c] for c in chosen] for r in chosen])
+        d = field_det([[MultiRat(self.scaled[r][c], coprime=True) for c in chosen]
+                       for r in chosen])
+        if d.den != 1:
+            raise EngineError(f"determinant of integral pairings has "
+                              f"denominator {d.den} for nu={self.nu}")
+        return over_q_diff(d.num, self.height * len(chosen))
 
 
 def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
     """Pair all lowering words of multidegree nu over the mu-shifted module.
 
-    The independent sublist is the pivot columns of one forward elimination
-    of the Gram matrix; its size must equal the weight multiplicity
-    kostant_p(-nu) (anything else is an engine bug).  The matrix is
-    symmetric, so its principal block on a column basis is nonsingular and
-    carries the determinant.
+    The words are paired integrally (`pair_words`).  The independent sublist
+    is the pivot columns of one forward elimination of that scaled matrix,
+    which has the pivot columns of the true one; its size must equal the
+    weight multiplicity kostant_p(-nu) (anything else is an engine bug).  The
+    matrix is symmetric, so its principal block on a column basis is
+    nonsingular and carries the determinant.
     """
     words = ywords(nu, rank)
-    els = [VermaElement.word(w, mu, rank) for w in words]
     n = len(words)
-    entries = [[None] * n for _ in range(n)]
+    scaled = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = shapovalov_pair(els[i], els[j])
-            entries[i][j] = v
-            entries[j][i] = v
-    _, chosen, _ = field_echelon(entries)
+            scaled[i][j] = scaled[j][i] = pair_words(words[i], words[j], mu, rank)
+    _, chosen, _ = field_echelon([[MultiRat(p, coprime=True) for p in row]
+                                  for row in scaled])
     expected = kostant_p(-nu)
     if len(chosen) != expected:
         raise EngineError(
             f"independent word count {len(chosen)} != multiplicity {expected} "
             f"for nu={nu}, rank={rank}")
-    return GramMatrix(mu, rank, nu, words, entries, chosen)
+    return GramMatrix(mu, rank, nu, words, scaled, chosen)
 
 
 def _jantzen_factor(j: int, k: int, rank: int, m: int = 1) -> MultiPoly:
@@ -286,6 +322,11 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     omega(X_i) y for every y spanning the raised weight spaces; that solution
     space must be one line.  Its normalised self-pairing
     (u, v_+ x v_k)^2 / (u, u) is returned.
+
+    The constraint rows use the scaled slot Grams: scaling the column of each
+    slot-j basis vector by (q - q^{-1})^{k-j}, the height of its words, makes
+    every row integral.  The same diagonal turns the kernel back into true
+    coordinates.
     """
     if not 1 <= k <= rank:
         raise ValueError(f"k={k} out of range for rank {rank}")
@@ -297,18 +338,15 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     basis = [(j, gm.words[t]) for j, gm in grams.items() for t in gm.independent]
     n = len(basis)
 
-    def form(b, y):
-        """Form of basis vector b with y = {(slot, word): coefficient}, whose
-        coefficients already carry the slot factor q^{1-slot}."""
+    def scaled_form(b, y):
+        """(q - q^{-1})^{k-slot} times the form of basis vector b with
+        y = {(slot, word): exponent of a monomial coefficient}."""
         jb, wb = basis[b]
-        row = grams[jb].entries[pos[jb][wb]]
-        s = MultiRat.zero(rank)
-        for (j, w), c in y.items():
-            if j != jb:
-                continue
-            e = row[pos[j][w]]
-            if not e.is_zero:
-                s = s + c * e
+        row = grams[jb].scaled[pos[jb][wb]]
+        s = MultiPoly.zero(rank)
+        for (j, w), e in y.items():
+            if j == jb:
+                s = s + row[pos[j][w]].shifted(e)
         return s
 
     # with a the weight of w,
@@ -322,26 +360,39 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
             for w in ywords(nu, rank):
                 a = _word_weight(w, zero_w, rank).coords
                 qe = a[i - 1] + (j == i) - a[i] - (j == i + 1)
-                c = MultiPoly(rank, {_zq(rank, i, i + 1, qe + 1 - j): 1})
-                y = {(j, (i,) + w): MultiRat(c, coprime=True)}
+                y = {(j, (i,) + w): _zq(rank, i, i + 1, qe + 1 - j)}
                 if j == i:
-                    y[(i + 1, w)] = MultiRat.q(rank, 1 - i)
-                rows.append([form(b, y) for b in range(n)])
+                    y[(i + 1, w)] = (0,) * rank + (1 - i,)
+                rows.append([MultiRat(scaled_form(b, y), coprime=True)
+                             for b in range(n)])
 
     sols = field_kernel(rows, n, MultiRat.one(rank))
     if len(sols) != 1:
         raise EngineError(
             f"singular solution space has dimension {len(sols)}, "
             f"expected 1 (k={k}, rank={rank})")
-    u = {key: c * MultiRat.q(rank, 1 - key[0])
-         for key, c in zip(basis, sols[0]) if not c.is_zero}
-    tp = form(basis.index((k, ())), u)
+    qd = MultiPoly.q(rank) - MultiPoly.q(rank, -1)
+    u = {b: c * MultiRat(qd ** (k - basis[b][0]), coprime=True)
+         for b, c in enumerate(sols[0]) if not c.is_zero}
+
+    def pair_u(b):
+        """The true form of basis vector b with u."""
+        jb, wb = basis[b]
+        s = MultiRat.zero(rank)
+        for c, x in u.items():
+            jc, wc = basis[c]
+            if jc == jb:
+                e = grams[jb].entry(pos[jb][wb], pos[jc][wc])
+                if not e.is_zero:
+                    s = s + x * e
+        return s * MultiRat.q(rank, 1 - jb)
+
+    tp = pair_u(basis.index((k, ())))
     if tp.is_zero:
         raise EngineError(f"no singular vector pairs with the top term (k={k})")
     uu = MultiRat.zero(rank)
-    for b, c in enumerate(sols[0]):
-        if not c.is_zero:
-            uu = uu + c * form(b, u)
+    for b, x in u.items():
+        uu = uu + x * pair_u(b)
     return tp * tp / uu
 
 

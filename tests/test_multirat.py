@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -227,3 +228,75 @@ class TestUnitRatio:
                         MultiPoly.from_laurent(scalar.den, 2))
         parts = unit_ratio(f * z(2, p=-1) * unit, f)
         assert parts.is_q_power(tolerance) == scalar.is_q_power(tolerance)
+
+
+try:
+    import sympy
+except ImportError:  # the differential tests need sympy
+    sympy = None
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+class TestAgainstSympy:
+    """poly_gcd_multi and the MultiRat and QFrac canonical forms against
+    sympy on seeded random ordinary polynomials f, g, h."""
+
+    RANK = 2
+
+    @staticmethod
+    def random_poly(rng, rank):
+        while True:
+            p = MultiPoly(rank, {
+                tuple(rng.randint(0, 2) for _ in range(rank + 1)): rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 4))})
+            if not p.is_zero:
+                return p
+
+    @staticmethod
+    def to_sympy(p):
+        syms = sympy.symbols(f"z1:{p.rank + 1}") + (sympy.Symbol("q"),)
+        return sum(sympy.Rational(v.numerator, v.denominator)
+                   * sympy.Mul(*(s ** e for s, e in zip(syms, exps)))
+                   for exps, v in p.terms.items()), syms
+
+    def triples(self, seed, count=25):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield tuple(self.random_poly(rng, self.RANK) for _ in range(3))
+
+    def test_gcd_matches_up_to_sign(self):
+        for f, g, h in self.triples(7):
+            ours, syms = self.to_sympy(poly_gcd_multi(f * h, g * h))
+            a, _ = self.to_sympy(f * h)
+            b, _ = self.to_sympy(g * h)
+            # over Q the gcd is fixed up to a unit; compare primitive parts
+            ref = sympy.Poly(sympy.gcd(a, b), *syms).primitive()[1]
+            assert sympy.Poly(ours, *syms) in (ref, -ref)
+
+    def test_multirat_matches_cancel(self):
+        for f, g, h in self.triples(8):
+            x = MultiRat(f * h, g * h)
+            num, syms = self.to_sympy(x.num)
+            den, _ = self.to_sympy(x.den)
+            a, _ = self.to_sympy(f)
+            b, _ = self.to_sympy(g)
+            assert sympy.cancel(num / den - sympy.cancel(a / b)) == 0
+            # reduced: an ordinary associate of the numerator shares no
+            # factor with the denominator
+            shift, _ = self.to_sympy(MultiPoly.monomial(
+                self.RANK, tuple(-m for m in x.num.min_exps())))
+            assert sympy.gcd(sympy.expand(num * shift), den).is_number
+
+    def test_qfrac_matches_cancel(self):
+        qs = sympy.Symbol("q")
+        for f, g, h in self.triples(9):
+            lq = [LaurentQ({e[-1] + 2 * e[0] + 3 * e[1]: v for e, v in p.terms.items()})
+                  for p in (f, g, h)]
+            if any(p.is_zero for p in lq):
+                continue
+            x = QFrac(lq[0] * lq[2], lq[1] * lq[2])
+            as_sym = [sum(sympy.Rational(v.numerator, v.denominator) * qs ** e
+                          for e, v in p.terms.items()) for p in (x.num, x.den, *lq)]
+            num, den, a, b = as_sym[:4]
+            assert sympy.cancel(num / den - a / b) == 0
+            assert sympy.gcd(sympy.expand(num * qs ** 20), den).is_number

@@ -9,7 +9,7 @@ from hypothesis import given
 from fockweyl.multirat import MultiPoly, MultiRat, q_bracket_binom
 from fockweyl.ring import LaurentQ, QFrac, q_int
 
-from conftest import laurents, multipolys
+from conftest import laurents, multipolys, nonzero_laurents
 
 z1, z2, q2 = MultiPoly.z(1, 2), MultiPoly.z(2, 2), MultiPoly.q(2)
 
@@ -146,6 +146,43 @@ class TestHash:
         x = MultiRat(p)
         assert x.den == 1
         assert x == x.num and hash(x) == hash(x.num)
+
+    def test_multirat_in_q_equals_and_hashes_as_laurent(self):
+        p = LaurentQ({1: 1, 0: 2})
+        x = MultiRat.from_laurent(p, 2)
+        assert x == p and p == x and hash(x) == hash(p)
+        assert x == QFrac(p) and QFrac(p) == x
+        assert len({p, QFrac(p), x}) == 1
+
+    @given(laurents(), nonzero_laurents())
+    def test_q_fractions_agree_across_types(self, p, d):
+        a = QFrac(p, d)
+        x = MultiRat(MultiPoly.from_laurent(p, 2), MultiPoly.from_laurent(d, 2))
+        assert a == x and x == a and hash(a) == hash(x)
+
+    @given(laurents())
+    def test_q_values_hash_alike_at_every_rank(self, p):
+        hashes = {hash(p), hash(QFrac(p))}
+        hashes |= {hash(MultiRat.from_laurent(p, r)) for r in (1, 2, 3)}
+        assert len(hashes) == 1
+
+    def test_monic_and_primitive_denominators_hash_alike(self):
+        a = QFrac(LaurentQ({0: 1}), LaurentQ({1: 2, 0: 1}))
+        x = MultiRat(MultiPoly.one(2), 2 * q2 + 1)
+        assert str(a) == "(1/2)/(1/2 + q)" and str(x) == "(1)/(1 + 2*q)"
+        assert a == x and len({a, x}) == 1
+
+    def test_mixed_arithmetic_lifts_q_fractions(self):
+        a = QFrac(q_int(2), q_int(3))
+        x = MultiRat.z(1, 2)
+        assert x * a == a * x == x * MultiRat.from_laurent(q_int(2), 2) \
+            / MultiRat.from_laurent(q_int(3), 2)
+        assert (x + a) - a == x
+
+    def test_other_variable_stays_apart(self):
+        v = LaurentQ({1: 1, 0: 2}, "v")
+        x = MultiRat.from_laurent(LaurentQ({1: 1, 0: 2}), 2)
+        assert x != v and v != x and x != QFrac(v)
 
     def test_equal_values_share_a_set_entry(self):
         p = q_int(2) * q_int(3)

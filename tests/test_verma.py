@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -7,24 +8,73 @@ import pytest
 from fockweyl import verma
 from fockweyl.errors import EngineError
 from fockweyl.linalg import field_det
-from fockweyl.multirat import MultiRat, eval_at_weight, sigma_shift, unit_ratio
+from fockweyl import multirat
+from fockweyl.multirat import (MultiPoly, MultiRat, eval_at_weight, over_q_diff,
+                               sigma_shift, unit_ratio)
 from fockweyl.partitions import Partition
 from fockweyl.ring import QFrac, q_int
-from fockweyl.verma import (VermaElement, act_l, act_x, act_y,
-                            det_product_identity, gram_matrix, hook_ratio,
-                            jantzen_closed, jantzen_engine,
-                            jantzen_evaluate_closed, jantzen_valuation,
-                            kostant_p, shapovalov_det_closed, shapovalov_pair,
-                            ywords)
+from fockweyl.verma import (VermaElement, act_y, det_product_identity,
+                            gram_matrix, hook_ratio, jantzen_closed,
+                            jantzen_engine, jantzen_evaluate_closed,
+                            jantzen_valuation, kostant_p, pair_words,
+                            shapovalov_det_closed, shapovalov_pair, ywords)
 from fockweyl.weights import (Weight, alpha, from_alpha_coords, positive_roots,
                               words_with_counts)
 
 
+@functools.lru_cache(maxsize=None)
 def cartan(rank, i, a=0):
     """(q^a z_i z_{i+1}^{-1} - q^{-a} z_i^{-1} z_{i+1}) / (q - q^{-1})."""
     num = (MultiRat.q(rank, a) * MultiRat.z(i, rank) * MultiRat.z(i + 1, rank, -1)
            - MultiRat.q(rank, -a) * MultiRat.z(i, rank, -1) * MultiRat.z(i + 1, rank))
     return num / (MultiRat.q(rank) - MultiRat.q(rank, -1))
+
+
+def word_weight(word, shift):
+    for i in word:
+        shift = shift - alpha(i, shift.rank)
+    return shift
+
+
+# Reference for the integral pairing: the generator actions over MultiRat and
+# the peel that paired words with them.
+
+def act_l(i, e, inverse=False):
+    """L_i on a weight-nu term is q^{(nu, eps_i)} z_i (its inverse if asked)."""
+    p = -1 if inverse else 1
+    out = VermaElement(e.shift, e.rank)
+    for w, c in e.terms.items():
+        a = word_weight(w, e.shift).coords[i - 1]
+        mono = MultiPoly.z(i, e.rank, p).shifted((0,) * e.rank + (p * a,))
+        out.add_term(w, c * MultiRat(mono, coprime=True))
+    return out
+
+
+def act_x(i, e):
+    """X_i through the commutation rule past each lowering letter."""
+    out = VermaElement(e.shift, e.rank)
+    for w, c in e.terms.items():
+        for t, letter in enumerate(w):
+            if letter == i:
+                nu = word_weight(w[t + 1:], e.shift)
+                a = nu.coords[i - 1] - nu.coords[i]
+                out.add_term(w[:t] + w[t + 1:], c * cartan(e.rank, i, a))
+    return out
+
+
+def reference_pair(a, b):
+    """Peel b's letters: Y_i moves across as L_i^{-1} L_{i+1} X_i on a."""
+    total = MultiRat.zero(a.rank)
+    for w, c in b.terms.items():
+        e = a
+        for letter in w:
+            e = act_l(letter, act_l(letter + 1, act_x(letter, e)), inverse=True)
+        total = total + c * e.coeff(())
+    return total
+
+
+def q_diff(rank):
+    return MultiPoly.q(rank) - MultiPoly.q(rank, -1)
 
 
 class TestGeneratorActions:
@@ -107,6 +157,74 @@ class TestShapovalovPair:
                     a = VermaElement.word(w1, mu, rank)
                     b = VermaElement.word(w2, mu, rank)
                     assert shapovalov_pair(a, b).is_zero
+
+
+class TestIntegralPairing:
+    @staticmethod
+    def words_up_to(rank, height):
+        return [w for m in range(height + 1)
+                for w in itertools.product(range(1, rank), repeat=m)]
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_matches_reference_times_power(self, rank):
+        words = self.words_up_to(rank, 3)
+        shifts = (Weight.zero(rank), Weight.eps(1, rank),
+                  Weight((2, 1) + (0,) * (rank - 2)))
+        for mu in shifts:
+            for wa in words:
+                for wb in words:
+                    p = pair_words(wa, wb, mu, rank)
+                    if sorted(wa) != sorted(wb):
+                        assert p.is_zero
+                        continue
+                    ref = reference_pair(VermaElement.word(wa, mu, rank),
+                                         VermaElement.word(wb, mu, rank))
+                    scale = MultiRat(q_diff(rank) ** len(wb), coprime=True)
+                    assert MultiRat(p, coprime=True) == ref * scale
+
+    def test_builds_no_multirat_and_no_gcd(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the integral pairing left the ring")
+
+        monkeypatch.setattr(multirat, "poly_gcd_multi", forbidden)
+        monkeypatch.setattr(MultiRat, "__init__", forbidden)
+        rank = 4
+        for wa in ywords(alpha(1, rank) * 2 + alpha(2, rank) + alpha(3, rank), rank):
+            assert not pair_words(wa, (1, 2, 3, 1), Weight.eps(1, rank), rank).is_zero
+
+    def test_shapovalov_pair_is_bilinear(self):
+        rank, mu = 3, Weight.eps(1, 3)
+        words = ywords(alpha(1, rank) + alpha(2, rank), rank)
+        c1 = MultiRat.z(1, rank) + MultiRat.q(rank)
+        c2 = MultiRat.q(rank, -2)
+        a = VermaElement(mu, rank, {words[0]: c1, words[1]: c2})
+        b = VermaElement(mu, rank, {words[1]: c1, (): c2})
+        assert shapovalov_pair(a, b) == reference_pair(a, b)
+
+
+class TestOverQDiff:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_matches_gcd_path(self, rank):
+        rng = random.Random(100 + rank)
+        qm, qp = MultiPoly.q(rank) - 1, MultiPoly.q(rank) + 1
+        for _ in range(80):
+            p = MultiPoly(rank, {
+                tuple(rng.randint(-2, 2) for _ in range(rank + 1)):
+                rng.randint(-3, 3) for _ in range(rng.randint(1, 4))})
+            mono = tuple(rng.randint(-2, 2) for _ in range(rank + 1))
+            p = (p * qm ** rng.randint(0, 3) * qp ** rng.randint(0, 3)).shifted(mono)
+            k = rng.randint(0, 4)
+            assert repr(over_q_diff(p, k)) == repr(MultiRat(p, q_diff(rank) ** k))
+
+    def test_calls_no_gcd(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gcd called")
+
+        p = (MultiPoly.q(2) - 1) ** 2 * (MultiPoly.z(1, 2) + MultiPoly.q(2, 3))
+        with monkeypatch.context() as m:
+            m.setattr(multirat, "poly_gcd_multi", forbidden)
+            x = over_q_diff(p, 3)
+        assert x * MultiRat(q_diff(2) ** 3, coprime=True) == p
 
 
 class TestKostant:
