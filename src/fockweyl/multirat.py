@@ -188,7 +188,11 @@ def _divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         de = tuple(a - b for a, b in zip(fe, ge))
         if any(d < 0 for d in de):
             raise ArithmeticError("inexact multivariate division")
-        t = _coef(Fraction(rem[fe]) / Fraction(gc))
+        c = rem[fe]
+        if type(c) is int and type(gc) is int and c % gc == 0:
+            t = c // gc
+        else:
+            t = _coef(Fraction(c) / Fraction(gc))
         out[de] = t
         for e, v in g.terms.items():
             e2 = tuple(a + b for a, b in zip(e, de))

@@ -8,12 +8,20 @@ q (`LaurentQ`) through every action, pairing and elimination; rational
 functions (`QFrac`) enter only after the kernel solve, in the triangular
 normalization of the singular vectors and their self-pairings.  The iterated
 coproduct is left-nested, which gives the flat position formulas below.
+
+The highest weight vector w_lam is closed-form: a tensor product of column
+q-wedges, with no solve.  The singular vector of weight lam + eps_{k_j} in
+V(lam) (x) V is the one kernel direction of the raising operators on the span
+of Y_word (w_lam (x) v_k), k <= k_j, over 2^{d-1} words in the d = k_j - k
+letters k .. k_j - 1 (a basis of that weight space of U^-, not all d!
+orderings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations, product
 
 from .errors import EngineError
 from .fock import FockVector, apply_F
@@ -23,7 +31,6 @@ from .partitions import (Partition, Box, addable_row_indices, color, content,
 from .ring import LaurentQ, QFrac, poly_gcd, val_cyclotomic
 from .sparse import SparseVector
 from .verma import jantzen_evaluate_closed, hook_ratio
-from .weights import words_with_counts
 
 
 class TensorVector(SparseVector):
@@ -131,17 +138,6 @@ def tensor_form(x: TensorVector, y: TensorVector) -> LaurentQ | QFrac:
     return total
 
 
-def _column_word(lam: Partition):
-    """Row indices read down successive columns of the diagram."""
-    out = []
-    width = lam[0] if lam else 0
-    for c in range(1, width + 1):
-        for r in range(1, len(lam) + 1):
-            if lam.part(r) >= c:
-                out.append(r)
-    return tuple(out)
-
-
 def _clear_vector(coords):
     """Scale a QFrac vector to integral Laurent coordinates with unit content."""
     den = LaurentQ.one()
@@ -175,40 +171,89 @@ def _kernel_of_raising(vectors, rank):
     return kernel_basis(matrix, ncols, QFrac, QFrac.one())
 
 
+def _q_wedge(height: int) -> list[tuple[tuple[int, ...], int]]:
+    """The q-wedge of v_1 .. v_height as (word, inv) pairs: the sum over
+    permutations s of (-q^{-1})^{inv s} v_{s(1)} (x) .. (x) v_{s(height)}."""
+    return [(perm, sum(1 for a, b in combinations(perm, 2) if a > b))
+            for perm in permutations(range(1, height + 1))]
+
+
 def highest_weight_vector(lam: Partition, rank: int) -> TensorVector:
     """Canonical singular vector of the given partition weight in V^{(x)|lam|}.
 
-    Deterministic choice: first kernel basis vector (in word order) with a
-    nonzero coefficient on the column reading word, scaled so that
-    coefficient is 1, then cleared to integral coordinates.
+    The tensor product, over the columns of the diagram from left to right,
+    of the q-wedge of v_1 .. v_c with c the column height.  Under the
+    left-nested coproduct Delta(X_i) = X_i (x) L_i L_{i+1}^{-1} + 1 (x) X_i a
+    tensor product of singular vectors is singular, and each q-wedge is
+    singular of weight eps_1 + .. + eps_c.  The vector has prod c! terms,
+    each +-q^{-k}, with coefficient 1 on the column reading word.
     """
     lam = Partition(lam)
     if rank < len(lam):
         raise ValueError(f"rank {rank} too small for {lam}")
-    n = lam.size
-    counts = tuple(lam.part(r) for r in range(1, rank + 1))
-    words = words_with_counts(counts)
-    vectors = [TensorVector.word(w, rank) for w in words]
-    basis, _ = _kernel_of_raising(vectors, rank)
-    if not basis:
-        raise EngineError(f"empty raising kernel for {lam}")
-    cw = _column_word(lam)
-    cw_idx = words.index(cw)
-    for coeffs in basis:
-        if not coeffs[cw_idx].is_zero:
-            coeffs = [c / coeffs[cw_idx] for c in coeffs]
-            nums = _clear_vector(coeffs)
-            return TensorVector(n, rank, dict(zip(words, nums)))
-    raise EngineError(f"no kernel vector supported on the column word of {lam}")
+    terms = {(): 0}
+    for c in range(1, (lam[0] if lam else 0) + 1):
+        wedge = _q_wedge(sum(1 for part in lam if part >= c))
+        terms = {w + p: e + f for w, e in terms.items() for p, f in wedge}
+    return TensorVector(lam.size, rank,
+                        {w: LaurentQ({-e: (-1) ** e}) for w, e in terms.items()})
+
+
+def _spanning_words(k: int, k_j: int) -> list[tuple[int, ...]]:
+    """One word in the letters k .. k_j - 1, each once, per orientation of
+    the adjacent pairs: the letters cut into consecutive increasing runs, the
+    runs concatenated last-first.  Only Y_a Y_b = Y_b Y_a for |a - b| >= 2
+    relates such words in U^-, so these 2^{d-1} words (d = k_j - k >= 1) are a
+    basis of its weight space -(alpha_k + .. + alpha_{k_j - 1}), whose
+    dimension is the Kostant partition function 2^{d-1}."""
+    if k == k_j:
+        return [()]
+    words = []
+    for cuts in product((False, True), repeat=k_j - k - 1):
+        runs = [[k]]
+        for letter, cut in zip(range(k + 1, k_j), cuts):
+            if cut:
+                runs.append([letter])
+            else:
+                runs[-1].append(letter)
+        words.append(tuple(letter for run in reversed(runs) for letter in run))
+    return words
+
+
+def _lowered(gen: TensorVector, words) -> list[TensorVector]:
+    """Y_{a_1} .. Y_{a_d} gen for each word (a_1 .. a_d), in the order of the
+    reversed words.  In that order each word shares its longest common suffix
+    with the one before, and the shared lowerings are applied once."""
+    out = []
+    path, prev = [gen], ()
+    for rev in sorted(w[::-1] for w in words):
+        keep = 0
+        while keep < min(len(prev), len(rev)) and prev[keep] == rev[keep]:
+            keep += 1
+        del path[keep + 1:]
+        for letter in rev[keep:]:
+            path.append(tensor_act("Y", letter, path[-1]))
+        out.append(path[-1])
+        prev = rev
+    return out
 
 
 @dataclass
 class SingularVector:
-    """One addable row: its canonical singular vector and normalized self-pairing."""
+    """One addable row: its canonical singular vector and normalized self-pairing.
+
+    `integral` is the singular vector u cleared of denominators and `ratio` is
+    (u, top)/(u, u); the triangular normalization `vector` = ratio * u is
+    built on first use, since the Fock comparison reads only `norm`."""
 
     row: int
-    vector: TensorVector
+    integral: TensorVector
+    ratio: QFrac
     norm: QFrac
+
+    @cached_property
+    def vector(self) -> TensorVector:
+        return self.integral.scale(self.ratio)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +262,9 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
     row, normalized triangularly, with their self-pairings.
 
     The submodule generated by the highest weight vector is spanned, weight by
-    weight, by lowering words applied to w_lam (x) v_k; the singular direction
+    weight, by lowering words applied to w_lam (x) v_k: in weight
+    lam + eps_{k_j} the `_spanning_words(k, k_j)` for k <= k_j, whose span is
+    that of all orderings of the letters k .. k_j - 1.  The singular direction
     in each relevant weight space is unique.  The triangular normalization is
     obtained through orthogonality to the lower summands: with u any nonzero
     singular vector, the normalized one is ((u, top)/(u, u)) u where
@@ -235,12 +282,7 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
         for k in range(1, k_j + 1):
             gen = TensorVector(n1, rank,
                                {w + (k,): c for w, c in w_lam.terms.items()})
-            # multidegree eps_k - eps_{k_j}: the letters k .. k_j - 1 once each
-            for word in words_with_counts([0] * (k - 1) + [1] * (k_j - k)):
-                v = gen
-                for letter in reversed(word):
-                    v = tensor_act("Y", letter, v)
-                spanning.append(v)
+            spanning += _lowered(gen, _spanning_words(k, k_j))
         basis_vecs = _echelon_vectors(spanning, rank)
         kern, _ = _kernel_of_raising(basis_vecs, rank)
         if len(kern) != 1:
@@ -256,9 +298,8 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
         uu = tensor_form(u, u)
         if g.is_zero or uu.is_zero:
             raise EngineError(f"degenerate singular pairing for {lam}, row {k_j}")
-        vec = u.scale(QFrac(g, uu))
         norm = QFrac(g * g, uu * ww)
-        out.append(SingularVector(k_j, vec, norm))
+        out.append(SingularVector(k_j, u, QFrac(g, uu), norm))
     return tuple(out)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from fockweyl.errors import PoleError
-from fockweyl.multirat import (MultiPoly, MultiRat, eval_at_weight,
+from fockweyl.multirat import (MultiPoly, MultiRat, _divexact, eval_at_weight,
                                poly_gcd_multi, q_bracket_binom, sigma_shift,
                                unit_ratio)
 from fockweyl.ring import LaurentQ, QFrac, q_int
@@ -94,6 +94,36 @@ class TestMultiPolyGcd:
         for args in ((f, g), (g, f), (MultiPoly.zero(rank), f)):
             with pytest.raises(ValueError, match="ordinary polynomials"):
                 poly_gcd_multi(*args)
+
+
+class TestDivExact:
+    rank = 2
+    z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+    qq = MultiPoly.q(rank)
+
+    def test_integer_quotient_stays_int(self):
+        d = self.z1 * 3 - self.qq * 2
+        quot = self.z2 * 5 + self.qq * self.qq - 7
+        out = _divexact(d * quot, d)
+        assert out == quot
+        assert all(type(v) is int for v in out.terms.values())
+
+    def test_fraction_quotient(self):
+        two = MultiPoly.const(self.rank, 2)
+        out = _divexact(self.z1, two)
+        assert out == MultiPoly.monomial(self.rank, (1, 0, 0), Fraction(1, 2))
+        assert out.terms[(1, 0, 0)] == Fraction(1, 2)
+
+    def test_fraction_coefficients(self):
+        d = self.z1 * Fraction(1, 3) + self.qq
+        quot = self.z2 * 2 - Fraction(5, 7)
+        assert _divexact(d * quot, d) == quot
+
+    def test_inexact_raises(self):
+        with pytest.raises(ArithmeticError):
+            _divexact(self.z1 * self.z1 + self.z2, self.z1 + self.qq)
+        with pytest.raises(ArithmeticError):
+            _divexact(self.z1, self.z2)
 
 
 class TestMultiRatField:

@@ -1,11 +1,17 @@
+import math
 import random
+from itertools import permutations
 
 import pytest
 
+from fockweyl import weyl
 from fockweyl.errors import EngineError
+from fockweyl.linalg import ff_echelon
 from fockweyl.partitions import Partition, all_partitions, addable_row_indices
 from fockweyl.ring import LaurentQ, QFrac, q_int, q_power
-from fockweyl.weyl import (TensorVector, _echelon_vectors,
+from fockweyl.weights import words_with_counts
+from fockweyl.weyl import (TensorVector, _clear_vector, _echelon_vectors,
+                           _kernel_of_raising, _lowered, _spanning_words,
                            highest_weight_vector, mu_singular_vectors,
                            tensor_act, tensor_form, verify_fock_match)
 
@@ -298,6 +304,151 @@ class TestHighestWeightVector:
             v = highest_weight_vector(p, len(p) + 1)
             for i in range(1, len(p) + 1):
                 assert tensor_act("X", i, v).is_zero
+
+
+# Reference for the closed-form highest weight vector: the dense raising
+# kernel over the whole lam weight space, its first basis vector supported on
+# the column reading word, scaled to 1 there and cleared to integral
+# coordinates.
+def column_word(lam):
+    """Row indices read down successive columns of the diagram."""
+    return tuple(r for c in range(1, (lam[0] if lam else 0) + 1)
+                 for r in range(1, len(lam) + 1) if lam.part(r) >= c)
+
+
+def raising_kernel(lam, rank):
+    """(words of weight lam, kernel basis of all X_i on their span)."""
+    counts = tuple(lam.part(r) for r in range(1, rank + 1))
+    words = words_with_counts(counts)
+    basis, _ = _kernel_of_raising([TensorVector.word(w, rank) for w in words],
+                                  rank)
+    return words, basis
+
+
+def dense_highest_weight_vector(lam, rank):
+    words, basis = raising_kernel(lam, rank)
+    cw_idx = words.index(column_word(lam))
+    coeffs = next(b for b in basis if not b[cw_idx].is_zero)
+    coeffs = [c / coeffs[cw_idx] for c in coeffs]
+    return TensorVector(lam.size, rank,
+                        dict(zip(words, _clear_vector(coeffs))))
+
+
+def column_heights(lam):
+    return [sum(1 for part in lam if part >= c)
+            for c in range(1, (lam[0] if lam else 0) + 1)]
+
+
+def orientation(word):
+    """For each adjacent pair (a, a + 1) of letters, whether a comes first."""
+    pos = {a: i for i, a in enumerate(word)}
+    return tuple(pos[a] < pos[a + 1] for a in sorted(pos)[:-1])
+
+
+class TestClosedFormAgainstDenseKernel:
+    @pytest.mark.parametrize("lam", list(all_partitions(5)), ids=str)
+    def test_singular_weight_and_size(self, lam):
+        rank = len(lam) + 1
+        v = highest_weight_vector(lam, rank)
+        for i in range(1, rank):
+            assert tensor_act("X", i, v).is_zero
+        assert v.weight() == tuple(lam.part(r) for r in range(1, rank + 1))
+        assert len(v.terms) == math.prod(math.factorial(c)
+                                         for c in column_heights(lam))
+        assert v.coeff(column_word(lam)) == LaurentQ.one()
+        for c in v.terms.values():
+            ((e, sign),) = c.terms.items()
+            assert sign in (1, -1) and e <= 0
+
+    @pytest.mark.parametrize("lam", list(all_partitions(5)), ids=str)
+    def test_in_span_of_dense_kernel(self, lam):
+        rank = len(lam) + 1
+        words, basis = raising_kernel(lam, rank)
+        kernel_rows = [_clear_vector(b) for b in basis]
+        v = highest_weight_vector(lam, rank)
+        row = [v.terms.get(w, LaurentQ.zero()) for w in words]
+        assert set(v.terms) <= set(words)
+        assert len(ff_echelon(kernel_rows + [row])[0]) == len(kernel_rows)
+        # the support is as large as the reference vector's
+        assert len(v.terms) == len(dense_highest_weight_vector(lam, rank).terms)
+
+    @pytest.mark.parametrize("lam", list(all_partitions(4)), ids=str)
+    def test_norms_match_dense_reference(self, lam, monkeypatch):
+        rank = len(lam) + 1
+        closed = mu_singular_vectors.__wrapped__(lam, rank)
+        monkeypatch.setattr(weyl, "highest_weight_vector",
+                            dense_highest_weight_vector)
+        dense = mu_singular_vectors.__wrapped__(lam, rank)
+        assert [sv.row for sv in closed] == [sv.row for sv in dense]
+        assert [sv.norm for sv in closed] == [sv.norm for sv in dense]
+
+    def test_equal_where_kernel_is_a_line(self):
+        # only f^lam > 1 leaves the dense solver a choice of kernel vector
+        lines = 0
+        for lam in all_partitions(5):
+            rank = len(lam) + 1
+            if len(raising_kernel(lam, rank)[1]) == 1:
+                lines += 1
+                assert highest_weight_vector(lam, rank) == \
+                    dense_highest_weight_vector(lam, rank)
+        assert lines == 10
+
+
+class TestSpanningWords:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_one_word_per_orientation(self, k, d):
+        words = _spanning_words(k, k + d)
+        assert len(words) == len(set(words)) == 2 ** (d - 1)
+        for w in words:
+            assert sorted(w) == list(range(k, k + d))
+        assert len({orientation(w) for w in words}) == 2 ** (d - 1)
+
+    def test_empty_word(self):
+        assert _spanning_words(3, 3) == [()]
+
+    def test_lowered_matches_letter_by_letter(self):
+        rank = 5
+        gen = highest_weight_vector(Partition((2, 1)), rank)
+        gen = TensorVector(4, rank, {w + (1,): c for w, c in gen.terms.items()})
+        words = _spanning_words(1, 5)
+        expected = {}
+        for word in words:
+            v = gen
+            for letter in reversed(word):
+                v = tensor_act("Y", letter, v)
+            expected[word[::-1]] = v
+        assert _lowered(gen, words) == [expected[r] for r in sorted(expected)]
+
+    @pytest.mark.parametrize("lam", [(), (1,), (2, 1), (1, 1, 1), (2, 2), (3, 1)],
+                             ids=str)
+    def test_same_rank_as_all_orderings(self, lam):
+        lam = Partition(lam)
+        rank = len(lam) + 1
+        w_lam = highest_weight_vector(lam, rank)
+        for k_j in addable_row_indices(lam, rank):
+            fewer, every = [], []
+            for k in range(1, k_j + 1):
+                gen = TensorVector(lam.size + 1, rank,
+                                   {w + (k,): c for w, c in w_lam.terms.items()})
+                fewer += _lowered(gen, _spanning_words(k, k_j))
+                every += _lowered(gen, words_with_counts(
+                    [0] * (k - 1) + [1] * (k_j - k)))
+            r = len(_echelon_vectors(fewer, rank))
+            assert r == len(_echelon_vectors(every, rank))
+            assert r == len(_echelon_vectors(fewer + every, rank))
+
+    def test_all_orderings_collapse_onto_the_words(self):
+        # words with the same orientations give the same vector
+        rank = 5
+        gen = TensorVector.word((1, 2, 3, 4), rank)
+        by_orientation = {}
+        for word in permutations(range(1, 5)):
+            (v,) = _lowered(gen, [word])
+            by_orientation.setdefault(orientation(word), []).append(v)
+        assert len(by_orientation) == 8
+        for vs in by_orientation.values():
+            assert all(v == vs[0] for v in vs)
 
 
 class TestSingularVectors:
