@@ -9,8 +9,9 @@ canonical forms.  A fraction is stored with an ordinary (all exponents >= 0)
 denominator that has minimal exponent 0 in every variable, integer
 coefficients with content 1 and lexicographic leading coefficient positive;
 the numerator absorbs the net Laurent monomial and the scalar.  This pins one
-representative per fraction, so equality is structural.  Gcds run a heuristic
-evaluation gcd, certified or repaired, with a subresultant fallback.
+representative per fraction, so equality is structural.  Gcds run an exact
+heuristic evaluation gcd whose trial divisions prove its answer; a
+subresultant remainder sequence is the fallback when it gives up.
 """
 
 from __future__ import annotations
@@ -290,10 +291,17 @@ def poly_gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """GCD of ordinary multivariate polynomials over Q, normalized to integer
     coefficients with content 1 and positive leading coefficient in lex order.
 
-    Strategy: heuristic evaluation gcd first (fast on the structured inputs
-    the library produces), subresultant pseudo-remainder sequence as the
-    deterministic fallback; all intermediate arithmetic stays over Z.
-    Raises ValueError on a negative exponent (strip monomials first).
+    After the common monomial and the integer contents are split off, the
+    answer is `_heugcd`'s whenever it gives one.  That answer is exact: if
+    at every level of its recursion (1) the inputs are primitive, (2) the
+    evaluation point is at least 2 min(|f|_inf, |g|_inf) + 2 and (3) the
+    gcd of the images is exact, then a lifted candidate whose primitive part
+    divides both inputs is their gcd (proof in `_heugcd`), so the trial
+    division is the certificate.  The subresultant pseudo-remainder sequence
+    runs only when the heuristic gives up after its six evaluation points;
+    a gcd in one variable goes to the univariate `ring.poly_gcd`.  All
+    intermediate arithmetic stays over Z.  Raises ValueError on a negative
+    exponent (strip monomials first).
     """
     for p in (f, g):
         if not p.is_zero and min(p.min_exps()) < 0:
@@ -305,35 +313,31 @@ def poly_gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f.int_primitive()
     common = tuple(map(min, f.min_exps(), g.min_exps()))
     if any(common):
-        # the gcd below runs up to monomials; put the common one back
+        # the gcd below has no monomial factor; put the common one back
         strip = tuple(-m for m in common)
         return poly_gcd_multi(f.shifted(strip), g.shifted(strip)).shifted(common)
     f = f.int_primitive()
     g = g.int_primitive()
+    if _is_one(f) or _is_one(g):
+        return MultiPoly.one(f.rank)
     if f.terms == g.terms:
         return f
-    nv = f.rank + 1
-    active = [v for v in range(nv) if f.max_deg(v) > 0 or g.max_deg(v) > 0]
-    if not active:
-        return MultiPoly.one(f.rank)
+    df, dg = _degrees(f), _degrees(g)
+    active = [v for v, (a, b) in enumerate(zip(df, dg)) if a or b]
     if len(active) == 1:
         return _gcd_univar_q(f, g, active[0])
     h = _heugcd(f, g)
     if h is not None:
-        h = h.int_primitive()
-        # the heuristic guarantees h | gcd; certify maximality or repair
-        cf = f if _is_one(h) else _divexact(f, h)
-        cg = g if _is_one(h) else _divexact(g, h)
-        if _certified_coprime(cf, cg):
-            return h
-        if not _is_one(h):
-            extra = poly_gcd_multi(cf, cg)
-            return h if _is_one(extra) else (h * extra).int_primitive()
+        return h
     return _gcd_subresultant(f, g, active)
 
 
 def _certified_coprime(cf: MultiPoly, cg: MultiPoly, tries: int = 3) -> bool:
     """Prove two primitive polynomials coprime by joint integer evaluation.
+
+    Not on the gcd path: `_heugcd` proves its own answers, so nothing in the
+    package calls this.  It is kept because `fwlbench/layertrace.py` resolves
+    it by name to count failed certifications.
 
     A common nonconstant factor keeps absolute value > 1 at every sufficiently
     large evaluation point, so a single gcd-1 evaluation is a certificate;
@@ -360,9 +364,13 @@ def _certified_coprime(cf: MultiPoly, cg: MultiPoly, tries: int = 3) -> bool:
 
 
 def _gcd_subresultant(f: MultiPoly, g: MultiPoly, active) -> MultiPoly:
+    """The gcd by a subresultant remainder sequence in the active variable of
+    smallest degree.  The inputs must share no monomial factor (the result
+    drops one in the main variable); `poly_gcd_multi` splits it off first."""
     nv = f.rank + 1
     # main variable of smallest degree keeps the remainder sequence short
-    var = min(active, key=lambda v: max(f.max_deg(v), g.max_deg(v)))
+    df, dg = _degrees(f), _degrees(g)
+    var = min(active, key=lambda v: max(df[v], dg[v]))
     uf = _as_univar(f, var)
     ug = _as_univar(g, var)
     pf, cf = _primitive_univar(uf)
@@ -428,26 +436,58 @@ def _try_divides(a: MultiPoly, b: MultiPoly):
 
 
 def _heugcd(f: MultiPoly, g: MultiPoly, depth: int = 0):
-    """Heuristic gcd by integer evaluation; None when no attempt verifies."""
-    nv = f.rank + 1
-    active = [v for v in range(nv) if f.max_deg(v) > 0 or g.max_deg(v) > 0]
-    if not active:
-        c = gcd(next(iter(f.terms.values())), next(iter(g.terms.values())))
+    """The exact gcd in Z[vars] of two nonzero integer polynomials, by
+    integer evaluation (GCDHEU); None when six evaluation points fail.
+
+    Each level splits off the integer contents, evaluates one variable of the
+    primitive parts f, g at xi, recurses on the images, lifts their gcd
+    gamma by balanced base-xi digits and multiplies the primitive part P of
+    the lift, when it divides both f and g, by gcd(cont f, cont g).
+    Monomials are factors like any other and are never stripped here.
+
+    The trial division is the proof.  Suppose (1) f and g are primitive,
+    (2) xi >= 2 min(|f|_inf, |g|_inf) + 2, and (3) gamma is the exact gcd of
+    the images.  Write gcd(f, g) = P H and c for the content of the lift, so
+    gamma = c P(xi).  Then H(xi) divides c.  The leading coefficient of H in
+    the remaining variables divides those of f and g, whose roots lie below
+    xi, so H is a polynomial in the evaluated variable alone.  Its roots lie
+    below 1 + min(|f|_inf, |g|_inf) <= xi / 2, so a nonconstant H has
+    |H(xi)| > xi / 2 >= |c| (c divides balanced digits).  Hence H = +-1 and
+    P is the gcd.  Here (1) holds by the content split, (2) because xi
+    starts at 2 max(|f|_inf, |g|_inf) + 29 and only grows, and (3) by
+    induction: the innermost images are integers.
+    """
+    cf = gcd(*f.terms.values())
+    cg = gcd(*g.terms.values())
+    c = gcd(cf, cg)
+    if _is_constant(f) or _is_constant(g):
         return MultiPoly.const(f.rank, c)
-    var = min(active, key=lambda v: max(f.max_deg(v), g.max_deg(v)))
+    if cf != 1:
+        f = f._like({e: v // cf for e, v in f.terms.items()})
+    if cg != 1:
+        g = g._like({e: v // cg for e, v in g.terms.items()})
+    df, dg = _degrees(f), _degrees(g)
+    var = min((max(a, b), v) for v, (a, b) in enumerate(zip(df, dg)) if a or b)[1]
     xi = 2 * max(_max_norm(f), _max_norm(g)) + 29
     for _ in range(6):
-        fe = _eval_var(f, var, xi)
-        ge = _eval_var(g, var, xi)
-        he = _heugcd(fe, ge, depth + 1)
-        if he is not None and not he.is_zero:
-            h = _from_digits(he, var, xi)
-            if not h.is_zero:
-                h = _strip_monomial(h)[0].int_primitive()
-                if _try_divides(f, h) is not None and _try_divides(g, h) is not None:
-                    return h
+        he = _heugcd(_eval_var(f, var, xi), _eval_var(g, var, xi), depth + 1)
+        if he is not None:
+            h = _from_digits(he, var, xi).int_primitive()
+            if _is_one(h):
+                return MultiPoly.const(f.rank, c)
+            if _try_divides(f, h) is not None and _try_divides(g, h) is not None:
+                return h if c == 1 else h._scaled(c)
         xi = xi * 73794 // 27011 + 37
     return None
+
+
+def _degrees(p: MultiPoly):
+    """The largest exponent of each variable, in one pass over the terms."""
+    return tuple(map(max, zip(*p.terms)))
+
+
+def _is_constant(p: MultiPoly) -> bool:
+    return len(p.terms) == 1 and not any(next(iter(p.terms)))
 
 
 def _strip_monomial(p: MultiPoly):

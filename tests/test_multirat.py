@@ -96,6 +96,90 @@ class TestMultiPolyGcd:
                 poly_gcd_multi(*args)
 
 
+class TestExactHeuristic:
+    """`_heugcd` returns the exact gcd in Z[vars], integer content and
+    monomials included, and `poly_gcd_multi` needs no certification."""
+
+    @staticmethod
+    def random_poly(rng, rank, terms):
+        while True:
+            p = MultiPoly(rank, {
+                tuple(rng.randint(0, 2) for _ in range(rank + 1)):
+                    rng.randint(-1000, 1000) for _ in range(terms)})
+            if not p.is_zero:
+                return p
+
+    def pairs(self, seed, count=150):
+        """f, g with a common factor carrying integer content and, every
+        other time, a z1 monomial."""
+        rng = random.Random(seed)
+        for i in range(count):
+            rank = rng.randint(1, 3)
+            h = self.random_poly(rng, rank, rng.randint(1, 3)) * rng.randint(1, 12)
+            h = h.shifted((i % 2,) + (0,) * rank)
+            yield (self.random_poly(rng, rank, rng.randint(1, 4)) * h,
+                   self.random_poly(rng, rank, rng.randint(1, 4)) * h)
+
+    @staticmethod
+    def reference(f, g):
+        """The subresultant gcd, run as `poly_gcd_multi` runs it: on the
+        primitive parts with the common monomial split off."""
+        from fockweyl.multirat import _gcd_subresultant
+        common = tuple(map(min, f.min_exps(), g.min_exps()))
+        strip = tuple(-m for m in common)
+        f0 = f.shifted(strip).int_primitive()
+        g0 = g.shifted(strip).int_primitive()
+        active = [v for v in range(f.rank + 1)
+                  if f0.max_deg(v) > 0 or g0.max_deg(v) > 0]
+        return _gcd_subresultant(f0, g0, active).shifted(common)
+
+    def test_integer_content_factor_kept(self):
+        # z1 + 1 evaluates to an integer; the gcd must not drop it
+        from fockweyl.multirat import _heugcd
+        rank = 2
+        z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+        qq = MultiPoly.q(rank)
+        f = (z1 + 1) * (z1 + z2 + qq * qq)
+        g = (z1 + 1) * (z2 * z2 + qq + 1)
+        assert _heugcd(f, g).int_primitive() == z1 + 1
+
+    def test_content_and_monomial_kept(self):
+        from fockweyl.multirat import _heugcd
+        rank = 2
+        z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+        qq = MultiPoly.q(rank)
+        f = (z1 * 6) * (z1 + z2 + qq * qq)
+        g = (z1 * 4) * (z2 * z2 + qq + 1)
+        assert _heugcd(f, g) == z1 * 2
+
+    def test_matches_subresultant(self):
+        from fockweyl.multirat import _heugcd
+        answered = 0
+        for f, g in self.pairs(41):
+            h = _heugcd(f, g)
+            if h is not None:
+                assert h.int_primitive() == self.reference(f, g)
+                answered += 1
+        assert answered > 0
+
+    def test_no_certification(self, monkeypatch):
+        import fockweyl.multirat as mr
+
+        def refuse(*args):
+            raise AssertionError("_certified_coprime called")
+
+        monkeypatch.setattr(mr, "_certified_coprime", refuse)
+        for f, g in self.pairs(42, count=100):
+            assert poly_gcd_multi(f, g) == self.reference(f, g)
+
+    def test_unit_operand(self):
+        rank = 2
+        f = MultiPoly.z(1, rank) * 3 + MultiPoly.q(rank)
+        for one in (MultiPoly.const(rank, 5), MultiPoly.const(rank, -1)):
+            assert poly_gcd_multi(f, one) == MultiPoly.one(rank)
+            assert poly_gcd_multi(one, f) == MultiPoly.one(rank)
+
+
 class TestDivExact:
     rank = 2
     z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
