@@ -11,13 +11,15 @@ import argparse
 import sys
 import time
 
+from fockweyl.fock import _ket_action
 from fockweyl.ring import cyclotomic
 from fockweyl.verify import TOLERANCES, RunConfig, run_all
 from fockweyl.verma import _kostant_cached
 from fockweyl.weights import positive_roots
 from fockweyl.weyl import mu_singular_vectors
 
-CACHED = (cyclotomic, positive_roots, _kostant_cached, mu_singular_vectors)
+CACHED = (cyclotomic, positive_roots, _kostant_cached, mu_singular_vectors,
+          _ket_action)
 
 
 def clear_caches():

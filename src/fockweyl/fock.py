@@ -1,9 +1,16 @@
 """The v-deformed Fock space: box-adding/removing operators with power-of-v
 matrix entries, the diagonal operator completing them to a quantum affine
 sl_ell action, and an exhaustive relation checker.
+
+Each generator's column at a basis ket, a tuple of (partition, v-exponent),
+is computed once per (operator, color, partition, ell) and kept in a cache
+bounded at 4,096 entries (`_ket_action`); applying E_i, F_i or K_i to a
+vector shifts each term's coefficient along its ket's column.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .ring import LaurentQ, q_int
 from .sparse import SparseVector
@@ -72,39 +79,62 @@ class FockVector(SparseVector):
         return f"FockVector({self.render()})"
 
 
-def apply_F(i: int, x: FockVector, ell: int) -> FockVector:
-    """Add one i-colored box to each term, with exponent n_left."""
+@lru_cache(maxsize=4096)
+def _ket_action(op: str, i: int, lam: Partition, ell: int):
+    """Column of E_i, F_i or K_i (op "E", "F" or "K") at the ket |lam>.
+
+    A tuple of (mu, e): the generator sends |lam> to the sum of v^e |mu>.
+    Each column is computed once per (op, i, lam, ell) and kept in a cache
+    bounded at 4,096 entries.
+    """
+    if op == "F":
+        return tuple((lam.add_box(b), n_left(lam, b, ell))
+                     for b in addable_boxes(lam, ell, i))
+    if op == "E":
+        out = []
+        for b in removable_boxes(lam, ell, i):
+            mu = lam.remove_box(b)
+            out.append((mu, -n_right(mu, b, ell)))
+        return tuple(out)
+    d = len(addable_boxes(lam, ell, i)) - len(removable_boxes(lam, ell, i))
+    return ((lam, d),)
+
+
+def _apply(op: str, i: int, x: FockVector, ell: int, sign: int = 1) -> FockVector:
     out = FockVector()
     for lam, c in x.terms.items():
-        for b in addable_boxes(lam, ell, i):
-            mu = lam.add_box(b)
-            out.add_term(mu, c * LaurentQ.term(n_left(lam, b, ell), 1, "v"))
+        for mu, e in _ket_action(op, i, lam, ell):
+            out.add_term(mu, c.shift(sign * e))
     return out
+
+
+def apply_F(i: int, x: FockVector, ell: int) -> FockVector:
+    """Add one i-colored box to each term, with exponent n_left.
+
+    Each ket's column is computed once per (op, i, lam, ell) by
+    `_ket_action`, whose cache holds at most 4,096 columns.
+    """
+    return _apply("F", i, x, ell)
 
 
 def apply_E(i: int, x: FockVector, ell: int) -> FockVector:
     """Remove one i-colored box from each term, with exponent -n_right.
 
     The statistic is computed on the smaller partition, with the removed
-    box as reference.
+    box as reference.  Each ket's column is computed once per
+    (op, i, lam, ell) by `_ket_action`, whose cache holds at most 4,096
+    columns.
     """
-    out = FockVector()
-    for lam, c in x.terms.items():
-        for b in removable_boxes(lam, ell, i):
-            mu = lam.remove_box(b)
-            out.add_term(mu, c * LaurentQ.term(-n_right(mu, b, ell), 1, "v"))
-    return out
+    return _apply("E", i, x, ell)
 
 
 def apply_K(i: int, x: FockVector, ell: int, inverse: bool = False) -> FockVector:
-    """Diagonal operator with eigenvalue v^(#addable - #removable) per color."""
-    out = FockVector()
-    for lam, c in x.terms.items():
-        d = len(addable_boxes(lam, ell, i)) - len(removable_boxes(lam, ell, i))
-        if inverse:
-            d = -d
-        out.add_term(lam, c * LaurentQ.term(d, 1, "v"))
-    return out
+    """Diagonal operator with eigenvalue v^(#addable - #removable) per color.
+
+    Each ket's column is computed once per (op, i, lam, ell) by
+    `_ket_action`, whose cache holds at most 4,096 columns.
+    """
+    return _apply("K", i, x, ell, -1 if inverse else 1)
 
 
 def affine_cartan(i: int, j: int, ell: int) -> int:
@@ -150,7 +180,7 @@ def check_relations(ell: int, max_size: int):
                 lhs = apply_E(i, apply_F(j, ket, ell), ell) \
                     - apply_F(j, apply_E(i, ket, ell), ell)
                 if i == j:
-                    d = len(addable_boxes(lam, ell, i)) - len(removable_boxes(lam, ell, i))
+                    ((_, d),) = _ket_action("K", i, lam, ell)
                     rhs = ket.scale(q_int(d, "v"))
                 else:
                     rhs = FockVector.zero()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 from .errors import PoleError
 from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly
@@ -104,7 +105,7 @@ class MultiPoly(_Poly):
         t = {}
         for e1, v1 in self.terms.items():
             for e2, v2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = t.get(e, 0) + v1 * v2
                 if s:
                     t[e] = s
@@ -117,13 +118,11 @@ class MultiPoly(_Poly):
     def min_exps(self):
         if not self.terms:
             raise ValueError("min exponents of zero polynomial")
-        nv = self.rank + 1
-        m = [min(e[i] for e in self.terms) for i in range(nv)]
-        return tuple(m)
+        return tuple(map(min, zip(*self.terms)))
 
     def shifted(self, delta):
         """Multiply by the Laurent monomial with exponent vector delta."""
-        return self._like({tuple(a + b for a, b in zip(e, delta)): v
+        return self._like({tuple(map(add, e, delta)): v
                            for e, v in self.terms.items()})
 
     def lead(self):
@@ -186,7 +185,7 @@ def _divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     rem = dict(f.terms)
     while rem:
         fe = max(rem)
-        de = tuple(a - b for a, b in zip(fe, ge))
+        de = tuple(map(sub, fe, ge))
         if any(d < 0 for d in de):
             raise ArithmeticError("inexact multivariate division")
         c = rem[fe]
@@ -196,7 +195,7 @@ def _divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             t = _coef(Fraction(c) / Fraction(gc))
         out[de] = t
         for e, v in g.terms.items():
-            e2 = tuple(a + b for a, b in zip(e, de))
+            e2 = tuple(map(add, e, de))
             s = rem.get(e2, 0) - t * v
             if s:
                 rem[e2] = _coef(s)
@@ -544,13 +543,13 @@ class MultiRat(_Frac):
                 d0 = _divexact(d0, g)
                 n0, m2 = _strip_monomial(n0)
                 d0, m3 = _strip_monomial(d0)
-                mn = tuple(a + b for a, b in zip(mn, m2))
-                md = tuple(a + b for a, b in zip(md, m3))
+                mn = tuple(map(add, mn, m2))
+                md = tuple(map(add, md, m3))
         dc = d0.int_primitive()
         scale = Fraction(dc.lead()[1]) / Fraction(d0.lead()[1])
         if scale != 1:
             n0 = n0 * scale
-        delta = tuple(a - b for a, b in zip(mn, md))
+        delta = tuple(map(sub, mn, md))
         self.num = n0.shifted(delta) if any(delta) else n0
         self.den = dc
 

@@ -96,25 +96,42 @@ def is_removable(lam: Partition, b: Box) -> bool:
     return lam.part(b.row) > lam.part(b.row + 1)
 
 
+def _wanted_color(ell: int, color_filter: int | None):
+    """The color a box must have to pass the filter, or None for any."""
+    if color_filter is None:
+        return None
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
+    return color_filter % ell
+
+
 def addable_boxes(lam: Partition, ell: int, color_filter: int | None = None):
-    """Addable boxes, ordered by decreasing content, optionally one color only."""
+    """Addable boxes, ordered by decreasing content, optionally one color only.
+
+    One pass over the parts, padded with a zero row: row r takes a box at
+    column part(r) + 1 when it is the first row or shorter than the row above.
+    """
+    want = _wanted_color(ell, color_filter)
+    parts = lam + (0,)
     out = []
-    for r in range(1, len(lam) + 2):
-        b = Box(r, lam.part(r) + 1)
-        if is_addable(lam, b):
-            if color_filter is None or color(b, ell) == color_filter % ell:
-                out.append(b)
+    for r, (above, p) in enumerate(zip((parts[0] + 1,) + parts, parts), 1):
+        if p < above and (want is None or (p + 1 - r) % ell == want):
+            out.append(Box(r, p + 1))
     return out
 
 
 def removable_boxes(lam: Partition, ell: int, color_filter: int | None = None):
-    """Removable boxes, ordered by decreasing content, optionally one color only."""
+    """Removable boxes, ordered by decreasing content, optionally one color only.
+
+    One pass over the parts, padded with a zero row: row r gives up its last
+    box when it is longer than the row below.
+    """
+    want = _wanted_color(ell, color_filter) if lam else None
+    parts = lam + (0,)
     out = []
-    for r in range(1, len(lam) + 1):
-        b = Box(r, lam.part(r))
-        if is_removable(lam, b):
-            if color_filter is None or color(b, ell) == color_filter % ell:
-                out.append(b)
+    for r, (p, below) in enumerate(zip(parts, parts[1:]), 1):
+        if p > below and (want is None or (p - r) % ell == want):
+            out.append(Box(r, p))
     return out
 
 

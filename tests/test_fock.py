@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from fockweyl.fock import (FockVector, apply_E, apply_F, apply_K,
+from fockweyl.fock import (FockVector, _ket_action, apply_E, apply_F, apply_K,
                            check_relations)
-from fockweyl.partitions import Partition, all_partitions
+from fockweyl.partitions import (Partition, addable_boxes, all_partitions,
+                                 n_left, n_right, removable_boxes)
 from fockweyl.ring import LaurentQ, q_int
 
 
@@ -140,3 +142,75 @@ class TestRendering:
             {"partition": [2], "coeff": {"var": "v", "coeffs": {"0": "1"}}},
         ]
         json.dumps(data)  # serializable
+
+
+def old_apply_F(i, x, ell):
+    out = FockVector()
+    for lam, c in x.terms.items():
+        for b in addable_boxes(lam, ell, i):
+            mu = lam.add_box(b)
+            out.add_term(mu, c * LaurentQ.term(n_left(lam, b, ell), 1, "v"))
+    return out
+
+
+def old_apply_E(i, x, ell):
+    out = FockVector()
+    for lam, c in x.terms.items():
+        for b in removable_boxes(lam, ell, i):
+            mu = lam.remove_box(b)
+            out.add_term(mu, c * LaurentQ.term(-n_right(mu, b, ell), 1, "v"))
+    return out
+
+
+def old_apply_K(i, x, ell, inverse=False):
+    out = FockVector()
+    for lam, c in x.terms.items():
+        d = len(addable_boxes(lam, ell, i)) - len(removable_boxes(lam, ell, i))
+        if inverse:
+            d = -d
+        out.add_term(lam, c * LaurentQ.term(d, 1, "v"))
+    return out
+
+
+class TestCachedColumns:
+    """apply_* read cached columns; they must agree with the per-term
+    product loops they replaced, cold and warm."""
+
+    PAIRS = (
+        (apply_E, old_apply_E),
+        (apply_F, old_apply_F),
+        (apply_K, old_apply_K),
+        (lambda i, x, ell: apply_K(i, x, ell, inverse=True),
+         lambda i, x, ell: old_apply_K(i, x, ell, inverse=True)),
+    )
+
+    def check(self, x, ell):
+        for i in range(ell + 1):
+            for new, old in self.PAIRS:
+                want = old(i, x, ell)
+                got = new(i, x, ell)
+                assert got == want
+                assert got.to_json() == want.to_json()
+
+    def test_every_ket(self):
+        _ket_action.cache_clear()
+        for _ in range(2):
+            for ell in (2, 3, 4):
+                for lam in all_partitions(6):
+                    self.check(FockVector.ket(lam), ell)
+
+    def test_vector_with_polynomial_coefficients(self):
+        x = FockVector({
+            Partition((2, 1)): q_int(3, "v"),
+            Partition((3,)): LaurentQ({-2: Fraction(1, 2), 1: -4}, "v"),
+            Partition((1, 1, 1)): LaurentQ({0: 7}, "v"),
+            Partition((2,)): LaurentQ({3: 1, 5: Fraction(-2, 3)}, "v"),
+        })
+        for ell in (2, 3, 4):
+            self.check(x, ell)
+
+    def test_cache_bounded(self):
+        check_relations(4, 6)
+        info = _ket_action.cache_info()
+        assert info.maxsize == 4096
+        assert info.currsize <= 4096

@@ -8,7 +8,7 @@ from fockweyl.errors import PoleError
 from fockweyl.multirat import (MultiPoly, MultiRat, _divexact, eval_at_weight,
                                poly_gcd_multi, q_bracket_binom, sigma_shift,
                                unit_ratio)
-from fockweyl.ring import LaurentQ, QFrac, q_int
+from fockweyl.ring import LaurentQ, QFrac, _coef, q_int
 from fockweyl.verify import TOLERANCES
 from fockweyl.weights import Weight
 
@@ -414,3 +414,99 @@ class TestAgainstSympy:
             num, den, a, b = as_sym[:4]
             assert sympy.cancel(num / den - a / b) == 0
             assert sympy.gcd(sympy.expand(num * qs ** 20), den).is_number
+
+
+def old_divexact(f, g):
+    """`_divexact` as it was written with generator expressions over zip."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    if f.is_zero:
+        return MultiPoly.zero(f.rank)
+    ge, gc = g.lead()
+    out = {}
+    rem = dict(f.terms)
+    while rem:
+        fe = max(rem)
+        de = tuple(a - b for a, b in zip(fe, ge))
+        if any(d < 0 for d in de):
+            raise ArithmeticError("inexact multivariate division")
+        c = rem[fe]
+        if type(c) is int and type(gc) is int and c % gc == 0:
+            t = c // gc
+        else:
+            t = _coef(Fraction(c) / Fraction(gc))
+        out[de] = t
+        for e, v in g.terms.items():
+            e2 = tuple(a + b for a, b in zip(e, de))
+            s = rem.get(e2, 0) - t * v
+            if s:
+                rem[e2] = _coef(s)
+            else:
+                rem.pop(e2, None)
+    return MultiPoly(f.rank, out)
+
+
+class TestExponentKernels:
+    """The one-pass exponent kernels of `MultiPoly` against the per-variable
+    formulas they replaced, on seeded random Laurent polynomials."""
+
+    @staticmethod
+    def random_poly(rng, rank, low=-3):
+        while True:
+            p = MultiPoly(rank, {
+                tuple(rng.randint(low, 3) for _ in range(rank + 1)):
+                    rng.choice((rng.randint(-50, 50), Fraction(rng.randint(-9, 9), 7)))
+                for _ in range(rng.randint(1, 5))})
+            if not p.is_zero:
+                return p
+
+    def cases(self, seed, count=60):
+        rng = random.Random(seed)
+        for _ in range(count):
+            rank = rng.randint(1, 4)
+            yield rng, rank, self.random_poly(rng, rank), self.random_poly(rng, rank)
+
+    def test_min_exps(self):
+        for _, rank, f, _ in self.cases(1):
+            assert f.min_exps() == tuple(min(e[i] for e in f.terms)
+                                         for i in range(rank + 1))
+        with pytest.raises(ValueError):
+            MultiPoly.zero(2).min_exps()
+
+    def test_shifted(self):
+        for rng, rank, f, _ in self.cases(2):
+            delta = tuple(rng.randint(-4, 4) for _ in range(rank + 1))
+            want = {tuple(a + b for a, b in zip(e, delta)): v
+                    for e, v in f.terms.items()}
+            assert f.shifted(delta).terms == want
+
+    def test_mul(self):
+        for _, _, f, g in self.cases(3):
+            want = {}
+            for e1, v1 in f.terms.items():
+                for e2, v2 in g.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    want[e] = want.get(e, 0) + v1 * v2
+            want = {e: _coef(v) for e, v in want.items() if v}
+            got = (f * g).terms
+            assert got == want
+            assert {e: type(v) for e, v in got.items()} == \
+                {e: type(v) for e, v in want.items()}
+
+    def test_divexact(self):
+        rng = random.Random(4)
+        for _ in range(60):
+            rank = rng.randint(1, 4)
+            f = self.random_poly(rng, rank, low=0)
+            g = self.random_poly(rng, rank, low=0)
+            for num in (f * g, f + g):
+                try:
+                    want = old_divexact(num, g)
+                except ArithmeticError:
+                    with pytest.raises(ArithmeticError):
+                        _divexact(num, g)
+                    continue
+                got = _divexact(num, g)
+                assert got.terms == want.terms
+                assert {e: type(v) for e, v in got.terms.items()} == \
+                    {e: type(v) for e, v in want.terms.items()}

@@ -144,3 +144,70 @@ class TestAddableRows:
             rows = addable_row_indices(lam, len(lam) + 1)
             boxes = addable_boxes(lam, 2)
             assert rows == sorted(b.row for b in boxes)
+
+
+def brute_addable(lam, ell, color_filter=None):
+    """Boxes outside lam whose upper and left neighbours are inside it."""
+    width = lam[0] if lam else 0
+    boxes = [Box(r, c) for r in range(1, len(lam) + 2)
+             for c in range(1, width + 2)
+             if not lam.contains(Box(r, c))
+             and (r == 1 or lam.contains(Box(r - 1, c)))
+             and (c == 1 or lam.contains(Box(r, c - 1)))]
+    return _by_content(boxes, ell, color_filter)
+
+
+def brute_removable(lam, ell, color_filter=None):
+    """Boxes of lam whose lower and right neighbours are outside it."""
+    boxes = [b for b in lam.boxes()
+             if not lam.contains(Box(b.row + 1, b.col))
+             and not lam.contains(Box(b.row, b.col + 1))]
+    return _by_content(boxes, ell, color_filter)
+
+
+def _by_content(boxes, ell, color_filter):
+    if color_filter is not None:
+        boxes = [b for b in boxes if (b.col - b.row) % ell == color_filter % ell]
+    return sorted(boxes, key=lambda b: b.row - b.col)
+
+
+def brute_n(lam, new_box, ell, side):
+    i = (new_box.col - new_box.row) % ell
+    c0 = new_box.col - new_box.row
+    rem = sum(1 for b in brute_removable(lam, ell, i)
+              if side * (b.col - b.row - c0) > 0)
+    add = sum(1 for b in brute_addable(lam, ell, i)
+              if side * (b.col - b.row - c0) > 0)
+    return rem - add
+
+
+class TestOnePassScans:
+    """The one-pass box scans against a reference built on `contains`."""
+
+    def test_boxes_match_reference(self):
+        for lam in all_partitions(8):
+            for ell in range(2, 6):
+                for f in (None, *range(ell), ell + 1, -1):
+                    assert addable_boxes(lam, ell, f) == brute_addable(lam, ell, f)
+                    assert removable_boxes(lam, ell, f) == brute_removable(lam, ell, f)
+
+    def test_left_right_match_reference(self):
+        for lam in all_partitions(8):
+            for ell in range(2, 6):
+                for b in brute_addable(lam, ell):
+                    assert n_left(lam, b, ell) == brute_n(lam, b, ell, 1)
+                    assert n_right(lam, b, ell) == brute_n(lam, b, ell, -1)
+
+    @pytest.mark.parametrize("ell", [1, 0, -3])
+    def test_filter_below_two_raises(self, ell):
+        for lam in (Partition(()), Partition((1,)), Partition((3, 1))):
+            with pytest.raises(ValueError, match="ell must be >= 2"):
+                addable_boxes(lam, ell, 0)
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            removable_boxes(Partition((3, 1)), ell, 0)
+        assert removable_boxes(Partition(()), ell, 0) == []
+
+    def test_no_filter_ignores_ell(self):
+        lam = Partition((3, 1))
+        assert addable_boxes(lam, 1) == [Box(1, 4), Box(2, 2), Box(3, 1)]
+        assert removable_boxes(lam, 1) == [Box(1, 3), Box(2, 1)]
