@@ -303,7 +303,9 @@ class LaurentQ(_Poly):
 
 
 def _poly_divmod(a, b):
-    """Division with remainder of ordinary polynomial dicts (b nonzero)."""
+    """Division with remainder of ordinary polynomial dicts (b nonzero).
+    A quotient coefficient is an int when the leading coefficients are ints
+    and divide evenly, and a Fraction otherwise."""
     db = max(b)
     lb = b[db]
     r = dict(a)
@@ -312,7 +314,11 @@ def _poly_divmod(a, b):
         dr = max(r)
         if dr < db:
             break
-        t = _coef(Fraction(r[dr]) / Fraction(lb))
+        lr = r[dr]
+        if type(lr) is int and type(lb) is int and lr % lb == 0:
+            t = lr // lb
+        else:
+            t = _coef(Fraction(lr) / Fraction(lb))
         quo[dr - db] = t
         for e, v in b.items():
             e2 = e + dr - db

@@ -1,27 +1,52 @@
-"""Finite-dimensional brute force: the quantum gl_N action on tensor powers of
-the standard module, canonical highest weight vectors, the singular vectors of
-(Weyl module) x (standard module) with their triangular normalization, and the
-end-to-end comparison against the Fock-space operators.
+"""Finite-dimensional brute force: the quantum gl_N action on tensor products
+of column q-wedges and the standard module, canonical highest weight vectors,
+the singular vectors of (Weyl module) x (standard module) with their
+triangular normalization, and the end-to-end comparison against the
+Fock-space operators.
 
-Tensor words are tuples over 1..N.  Coefficients are Laurent polynomials in
-q (`LaurentQ`) through every action, pairing and elimination; rational
-functions (`QFrac`) enter only after the kernel solve, in the triangular
-normalization of the singular vectors and their self-pairings.  The iterated
-coproduct is left-nested, which gives the flat position formulas below.
+The ambient space is Lambda_q^{c_1} V (x) .. (x) Lambda_q^{c_r} V (x) V, with
+c_1 .. c_r the column heights of lam and V the added box; V(lam) already lies
+in it.  Lambda_q^c V is the submodule of V^{(x)c} spanned by the column
+q-wedges omega_S, one per c-subset S of 1..N: the sum over the orderings
+s_1 .. s_c of S of (-q^{-1})^{inv} v_{s_1} (x) .. (x) v_{s_c}.
 
-The highest weight vector w_lam is closed-form: a tensor product of column
-q-wedges, with no solve.  The singular vector of weight lam + eps_{k_j} in
-V(lam) (x) V is the one kernel direction of the raising operators on the span
-of Y_word (w_lam (x) v_k), k <= k_j, over 2^{d-1} words in the d = k_j - k
-letters k .. k_j - 1 (a basis of that weight space of U^-, not all d!
-orderings).
+A basis key is a tuple of factors.  A factor is one letter (an int: a
+factor V = Lambda_q^1 V) or an increasing tuple S of letters (omega_S).  A
+plain word of V^{(x)n} is the key whose factors are all letters, so every
+function here acts on V^{(x)n} as before.  `TensorVector.n` is the degree, the
+number of letters in a key.
+
+The iterated coproduct is left-nested, which gives flat position formulas.
+Each Lambda_q^c V is minuscule: X_i omega_S = omega_{S - {i+1} + {i}} when
+i + 1 is in S and i is not, and 0 otherwise (Y_i the other way), with
+coefficient 1.  So X_i on a key replaces i + 1 by i inside one factor, times q
+to the K_i weight of the later factors; Y_i replaces i by i + 1, times q to
+minus the K_i weight of the earlier factors; L_i is q to the number of factors
+that contain i.  The contravariant form is diagonal,
+(e, e) = q^{sum over factors S, s in S, of (1 - s)}.  In V^{(x)c},
+(omega_S, omega_S) is that times sum_sigma q^{-2 inv sigma}, a constant of the
+column height alone.  Every key of one weight space in the singular-vector
+solve has the same factor heights, so these constants appear once in (u, top)
+and (u, u) and twice in (u, top)^2 and (u, u)(w_lam, w_lam): they cancel in the
+normalization (u, top)/(u, u) and in the reported norm.
+
+Coefficients are Laurent polynomials in q (`LaurentQ`) through every action,
+pairing and elimination; rational functions (`QFrac`) enter only after the
+kernel solve, in the triangular normalization of the singular vectors and
+their self-pairings.
+
+The highest weight vector w_lam is the single key (1..c_1, .., 1..c_r).  The
+singular vector of weight lam + eps_{k_j} in V(lam) (x) V is the one kernel
+direction of the raising operators on the span of Y_word (w_lam (x) v_k),
+k <= k_j, over 2^{d-1} words in the d = k_j - k letters k .. k_j - 1 (a basis
+of that weight space of U^-, not all d! orderings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import product
 
 from .errors import EngineError
 from .fock import FockVector, apply_F
@@ -34,8 +59,9 @@ from .verma import jantzen_evaluate_closed, hook_ratio
 
 
 class TensorVector(SparseVector):
-    """Exact linear combination of basis words of V^{(x)n}, with LaurentQ
-    (or, once normalized, QFrac) coefficients."""
+    """Exact linear combination of basis keys (tuples of letters and column
+    q-wedges) of degree n, with LaurentQ (or, once normalized, QFrac)
+    coefficients."""
 
     __slots__ = ("n", "rank")
 
@@ -52,7 +78,8 @@ class TensorVector(SparseVector):
 
     @classmethod
     def word(cls, w, rank) -> "TensorVector":
-        return cls(len(w), rank, {tuple(w): LaurentQ.one()})
+        """The basis key w (a word, or a tuple of letters and wedges)."""
+        return cls(sum(map(len, _factors(w))), rank, {tuple(w): LaurentQ.one()})
 
     @classmethod
     def zero(cls, n, rank) -> "TensorVector":
@@ -60,7 +87,7 @@ class TensorVector(SparseVector):
 
     def weight(self):
         """Letter-count weight, or None for a mixed-weight element."""
-        wts = {_word_weight(w, self.rank) for w in self.terms}
+        wts = {_key_weight(w, self.rank) for w in self.terms}
         if len(wts) == 1:
             return next(iter(wts))
         return None
@@ -68,22 +95,50 @@ class TensorVector(SparseVector):
     def __repr__(self):
         if not self.terms:
             return "TensorVector(0)"
-        bits = [f"({c}) v{list(w)}" for w, c in sorted(self.terms.items())]
+        bits = [f"({c}) v{list(w)}"
+                for w, c in sorted(self.terms.items(),
+                                   key=lambda t: _factors(t[0]))]
         return "TensorVector(" + " + ".join(bits) + ")"
 
 
-def _word_weight(w, rank):
+def _factors(key):
+    """The key with every letter factor as a 1-tuple (as a sort key, it
+    orders words as before)."""
+    return tuple((f,) if type(f) is int else f for f in key)
+
+
+def _key_weight(w, rank):
     counts = [0] * rank
-    for letter in w:
-        counts[letter - 1] += 1
+    for f in _factors(w):
+        for letter in f:
+            counts[letter - 1] += 1
     return tuple(counts)
+
+
+def _k_weight(f, i):
+    """K_i weight of one factor: [i in S] - [i+1 in S]."""
+    if type(f) is int:
+        return (f == i) - (f == i + 1)
+    return (i in f) - (i + 1 in f)
+
+
+def _swap(f, old, new):
+    """The factor with letter `old` replaced by `new`, or None unless it
+    holds `old` and not `new` (for adjacent letters the order is kept)."""
+    if type(f) is int:
+        return new if f == old else None
+    if old not in f or new in f:
+        return None
+    return tuple(new if s == old else s for s in f)
 
 
 def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
     """Act by a generator through the left-nested iterated coproduct.
 
     gen is one of 'X', 'Y', 'L', 'Linv'.  On a single factor the actions are
-    X_i v_{i+1} = v_i, Y_i v_i = v_{i+1}, L_i v_j = q^{delta_ij} v_j.
+    X_i omega_S = omega_{S'} with S' = S - {i+1} + {i} (when i+1 in S and i
+    not), Y_i the other way, L_i omega_S = q^{[i in S]} omega_S; a letter is
+    the wedge of one element (X_i v_{i+1} = v_i, Y_i v_i = v_{i+1}).
     The q-powers are exponent shifts, so LaurentQ coefficients stay LaurentQ.
     """
     rank = x.rank
@@ -93,36 +148,40 @@ def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
         sgn = -1 if gen == "Linv" else 1
         out = TensorVector(x.n, rank)
         for w, c in x.terms.items():
-            k = sum(1 for letter in w if letter == i)
+            k = sum(1 for f in w if (f == i if type(f) is int else i in f))
             out.terms[w] = c.shift(sgn * k)
         return out
     if not 1 <= i <= rank - 1:
         raise ValueError(f"{gen} index {i} out of range for rank {rank}")
+    if gen not in ("X", "Y"):
+        raise ValueError(f"unknown generator {gen!r}")
     out = TensorVector(x.n, rank)
     for w, c in x.terms.items():
         if gen == "X":
-            for t, letter in enumerate(w):
-                if letter != i + 1:
-                    continue
-                e = sum((1 if s == i else 0) - (1 if s == i + 1 else 0)
-                        for s in w[t + 1:])
-                nw = w[:t] + (i,) + w[t + 1:]
-                out.add_term(nw, c.shift(e))
-        elif gen == "Y":
-            for t, letter in enumerate(w):
-                if letter != i:
-                    continue
-                e = sum((1 if s == i + 1 else 0) - (1 if s == i else 0)
-                        for s in w[:t])
-                nw = w[:t] + (i + 1,) + w[t + 1:]
-                out.add_term(nw, c.shift(e))
+            # q to the K_i weight of the factors after the one acted on
+            e = 0
+            for t in range(len(w) - 1, -1, -1):
+                f = w[t]
+                nf = _swap(f, i + 1, i)
+                if nf is not None:
+                    out.add_term(w[:t] + (nf,) + w[t + 1:], c.shift(e))
+                e += _k_weight(f, i)
         else:
-            raise ValueError(f"unknown generator {gen!r}")
+            # q to minus the K_i weight of the factors before it
+            e = 0
+            for t, f in enumerate(w):
+                nf = _swap(f, i, i + 1)
+                if nf is not None:
+                    out.add_term(w[:t] + (nf,) + w[t + 1:], c.shift(e))
+                e -= _k_weight(f, i)
     return out
 
 
 def tensor_form(x: TensorVector, y: TensorVector) -> LaurentQ | QFrac:
-    """Product contravariant form: diagonal on words, (v_k, v_k) = q^{1-k}.
+    """Product contravariant form, diagonal on keys:
+    (e, e) = q^{sum over factors S, s in S, of (1 - s)}; on words,
+    (v_k, v_k) = q^{1-k}.  On a wedge factor this leaves out the constant
+    (omega_S, omega_S) / q^{sum (1 - s)} of V^{(x)c}, which depends only on c.
 
     A LaurentQ on integral vectors; a QFrac when either side has QFrac
     coefficients."""
@@ -133,7 +192,7 @@ def tensor_form(x: TensorVector, y: TensorVector) -> LaurentQ | QFrac:
         c2 = big.get(w)
         if c2 is None:
             continue
-        e = sum(1 - letter for letter in w)
+        e = sum(len(f) - sum(f) for f in _factors(w))
         total = total + (c1 * c2).shift(e)
     return total
 
@@ -171,32 +230,24 @@ def _kernel_of_raising(vectors, rank):
     return kernel_basis(matrix, ncols, QFrac, QFrac.one())
 
 
-def _q_wedge(height: int) -> list[tuple[tuple[int, ...], int]]:
-    """The q-wedge of v_1 .. v_height as (word, inv) pairs: the sum over
-    permutations s of (-q^{-1})^{inv s} v_{s(1)} (x) .. (x) v_{s(height)}."""
-    return [(perm, sum(1 for a, b in combinations(perm, 2) if a > b))
-            for perm in permutations(range(1, height + 1))]
-
-
 def highest_weight_vector(lam: Partition, rank: int) -> TensorVector:
-    """Canonical singular vector of the given partition weight in V^{(x)|lam|}.
+    """Canonical singular vector of the given partition weight: the single
+    key (1..c_1, .., 1..c_r), c_j the column heights from left to right, with
+    coefficient 1 (a column of height 1 is the letter 1).
 
-    The tensor product, over the columns of the diagram from left to right,
-    of the q-wedge of v_1 .. v_c with c the column height.  Under the
-    left-nested coproduct Delta(X_i) = X_i (x) L_i L_{i+1}^{-1} + 1 (x) X_i a
-    tensor product of singular vectors is singular, and each q-wedge is
-    singular of weight eps_1 + .. + eps_c.  The vector has prod c! terms,
-    each +-q^{-k}, with coefficient 1 on the column reading word.
+    Under the left-nested coproduct Delta(X_i) = X_i (x) L_i L_{i+1}^{-1}
+    + 1 (x) X_i a tensor product of singular vectors is singular, and each
+    omega_{1..c} is singular of weight eps_1 + .. + eps_c.  Expanded in
+    V^{(x)|lam|} it has prod c! terms, each +-q^{-k}, with coefficient 1 on
+    the column reading word.
     """
     lam = Partition(lam)
     if rank < len(lam):
         raise ValueError(f"rank {rank} too small for {lam}")
-    terms = {(): 0}
-    for c in range(1, (lam[0] if lam else 0) + 1):
-        wedge = _q_wedge(sum(1 for part in lam if part >= c))
-        terms = {w + p: e + f for w, e in terms.items() for p, f in wedge}
-    return TensorVector(lam.size, rank,
-                        {w: LaurentQ({-e: (-1) ** e}) for w, e in terms.items()})
+    heights = (sum(1 for part in lam if part >= c)
+               for c in range(1, (lam[0] if lam else 0) + 1))
+    key = tuple(1 if h == 1 else tuple(range(1, h + 1)) for h in heights)
+    return TensorVector(lam.size, rank, {key: LaurentQ.one()})
 
 
 def _spanning_words(k: int, k_j: int) -> list[tuple[int, ...]]:
@@ -271,6 +322,10 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
     top = w_lam (x) v_k, and the reported norm divides out (w_lam, w_lam).
     Both are invariant under rescaling u, so u is taken integral (the kernel
     vector cleared of denominators) and QFrac enters only in the two ratios.
+    Every vector here is keyed by column wedges of the heights of lam and the
+    added letter; the form's per-column constants cancel in both ratios, so
+    they, and the normalized vector once expanded, are those of
+    V^{(x)(n+1)}.
     """
     lam = Partition(lam)
     w_lam = highest_weight_vector(lam, rank)

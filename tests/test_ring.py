@@ -4,8 +4,10 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
-from fockweyl.ring import (LaurentQ, QFrac, cyclotomic, factor_q_integers,
-                           poly_gcd, q_int, render_q_integers, val_cyclotomic)
+from fockweyl import ring
+from fockweyl.ring import (LaurentQ, QFrac, _coef, _poly_divmod, cyclotomic,
+                           factor_q_integers, poly_gcd, q_int,
+                           render_q_integers, val_cyclotomic)
 
 from conftest import laurents, nonzero_laurents
 
@@ -210,3 +212,65 @@ class TestQIntegerRendering:
 
     def test_fallback(self):
         assert render_q_integers(QFrac(L({0: 1, 1: 1}))) is None
+
+
+def fraction_divmod(a, b):
+    """Division with remainder with every quotient coefficient a Fraction."""
+    db = max(b)
+    r = dict(a)
+    quo = {}
+    while r and max(r) >= db:
+        dr = max(r)
+        t = _coef(Fraction(r[dr]) / Fraction(b[db]))
+        quo[dr - db] = t
+        for e, v in b.items():
+            s = r.get(e + dr - db, 0) - t * v
+            if s:
+                r[e + dr - db] = _coef(s)
+            else:
+                r.pop(e + dr - db, None)
+    return quo, r
+
+
+small_ints = st.integers(-30, 30).filter(bool)
+int_polys = st.dictionaries(st.integers(0, 6), small_ints, max_size=5)
+rat_polys = st.dictionaries(
+    st.integers(0, 6),
+    st.one_of(small_ints, st.fractions(-9, 9, max_denominator=6).filter(bool)),
+    max_size=5)
+
+
+def typed(d):
+    return {e: (type(v), v) for e, v in d.items()}
+
+
+class TestPolyDivmod:
+    @given(int_polys, int_polys.filter(bool), int_polys)
+    def test_integer_dicts(self, c, b, r):
+        # a = b c + r: the quotient is exact (and integral) when r is empty
+        prod = dict(r)
+        for e1, v1 in b.items():
+            for e2, v2 in c.items():
+                prod[e1 + e2] = prod.get(e1 + e2, 0) + v1 * v2
+        a = {e: v for e, v in prod.items() if v}
+        got = _poly_divmod(a, b)
+        assert tuple(map(typed, got)) == tuple(map(typed, fraction_divmod(a, b)))
+
+    @given(rat_polys, rat_polys.filter(bool))
+    def test_rational_dicts(self, a, b):
+        a = {e: _coef(v) for e, v in a.items()}
+        b = {e: _coef(v) for e, v in b.items()}
+        got = _poly_divmod(a, b)
+        assert tuple(map(typed, got)) == tuple(map(typed, fraction_divmod(a, b)))
+
+    def test_exact_integer_quotient_has_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("Fraction built on integer data")
+
+        # (2q^3 + 2q^2 - 3q - 3) / (2q + 2) = q^2 - 3/2 is not integral,
+        # (2q^3 + 2q^2 - 3q - 3) / (q + 1) = 2q^2 - 3 is
+        a = {0: -3, 1: -3, 2: 2, 3: 2}
+        assert _poly_divmod(a, {0: 2, 1: 2}) == ({0: Fraction(-3, 2), 2: 1}, {})
+        monkeypatch.setattr(ring, "Fraction", no_fraction)
+        assert _poly_divmod(a, {0: 1, 1: 1}) == ({0: -3, 2: 2}, {})
+        assert _poly_divmod({0: 5, 2: 3}, {1: 1}) == ({1: 3}, {0: 5})

@@ -1,13 +1,14 @@
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from fockweyl import weyl
 from fockweyl.errors import EngineError
 from fockweyl.linalg import ff_echelon
-from fockweyl.partitions import Partition, all_partitions, addable_row_indices
+from fockweyl.partitions import (Partition, all_partitions, addable_row_indices,
+                                 partitions_of)
 from fockweyl.ring import LaurentQ, QFrac, q_int, q_power
 from fockweyl.weights import words_with_counts
 from fockweyl.weyl import (TensorVector, _clear_vector, _echelon_vectors,
@@ -22,6 +23,113 @@ def word(*letters, rank=2):
 
 def qf(p):
     return QFrac(p)
+
+
+# Reference for the wedge basis: the q-wedges of V^{(x)c}, the expansion of a
+# wedge-keyed vector into the word basis of V^{(x)n}, and the V^{(x)n} action,
+# form and highest weight vector the oracle used before it worked on wedges.
+def _q_wedge(letters):
+    """The q-wedge of v_s, s in `letters`, as (word, inv) pairs: the sum over
+    orderings of (-q^{-1})^{inv} v_{s_1} (x) .. (x) v_{s_c}."""
+    return [(perm, sum(1 for a, b in combinations(perm, 2) if a > b))
+            for perm in permutations(letters)]
+
+
+def expand(x):
+    """A TensorVector keyed by letters and wedges, written out in V^{(x)n}."""
+    out = TensorVector(x.n, x.rank)
+    for key, c in x.terms.items():
+        parts = [[((f,), 0)] if type(f) is int else _q_wedge(f) for f in key]
+        for combo in product(*parts):
+            w = tuple(letter for part, _ in combo for letter in part)
+            inv = sum(e for _, e in combo)
+            t = c.shift(-inv)
+            out.add_term(w, -t if inv % 2 else t)
+    return out
+
+
+def wedge_constant(c):
+    """(omega_S, omega_S) / q^{sum (1 - s)} in V^{(x)c}: sum_sigma q^{-2 inv}."""
+    total = LaurentQ.zero()
+    for _, inv in _q_wedge(range(1, c + 1)):
+        total = total + LaurentQ({-2 * inv: 1})
+    return total
+
+
+def flat_tensor_act(gen, i, x):
+    """The flat position formulas on words of V^{(x)n}."""
+    rank = x.rank
+    if gen in ("L", "Linv"):
+        sgn = -1 if gen == "Linv" else 1
+        out = TensorVector(x.n, rank)
+        for w, c in x.terms.items():
+            k = sum(1 for letter in w if letter == i)
+            out.terms[w] = c.shift(sgn * k)
+        return out
+    out = TensorVector(x.n, rank)
+    for w, c in x.terms.items():
+        if gen == "X":
+            for t, letter in enumerate(w):
+                if letter != i + 1:
+                    continue
+                e = sum((1 if s == i else 0) - (1 if s == i + 1 else 0)
+                        for s in w[t + 1:])
+                out.add_term(w[:t] + (i,) + w[t + 1:], c.shift(e))
+        else:
+            for t, letter in enumerate(w):
+                if letter != i:
+                    continue
+                e = sum((1 if s == i + 1 else 0) - (1 if s == i else 0)
+                        for s in w[:t])
+                out.add_term(w[:t] + (i + 1,) + w[t + 1:], c.shift(e))
+    return out
+
+
+def flat_tensor_form(x, y):
+    """Diagonal on words, (v_k, v_k) = q^{1-k}."""
+    total = LaurentQ.zero()
+    for w, c1 in x.terms.items():
+        c2 = y.terms.get(w)
+        if c2 is not None:
+            total = total + (c1 * c2).shift(sum(1 - letter for letter in w))
+    return total
+
+
+def flat_highest_weight_vector(lam, rank):
+    """The tensor product over the columns of the q-wedges of v_1 .. v_c."""
+    terms = {(): 0}
+    for c in range(1, (lam[0] if lam else 0) + 1):
+        wedge = _q_wedge(range(1, sum(1 for part in lam if part >= c) + 1))
+        terms = {w + p: e + f for w, e in terms.items() for p, f in wedge}
+    return TensorVector(lam.size, rank,
+                        {w: LaurentQ({-e: (-1) ** e}) for w, e in terms.items()})
+
+
+def flat_mu_singular_vectors(lam, rank):
+    """`mu_singular_vectors` on V^{(x)(n+1)}: the same solve, run on the
+    flat action, form and highest weight vector."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(weyl, "tensor_act", flat_tensor_act)
+        m.setattr(weyl, "tensor_form", flat_tensor_form)
+        m.setattr(weyl, "highest_weight_vector", flat_highest_weight_vector)
+        return mu_singular_vectors.__wrapped__(lam, rank)
+
+
+def wedge_keys(rank, heights):
+    """Every key with the given factor heights (height 1 is a letter)."""
+    letters = range(1, rank + 1)
+    return list(product(*(letters if h == 1 else combinations(letters, h)
+                          for h in heights)))
+
+
+def key_shapes(rank):
+    """Factor heights <= min(3, rank): one and two factors, and three
+    factors at rank <= 3."""
+    hs = range(1, min(3, rank) + 1)
+    shapes = [(h,) for h in hs] + list(product(hs, repeat=2))
+    if rank <= 3:
+        shapes += list(product(hs, repeat=3))
+    return shapes
 
 
 # Reference action for the coassociativity test: the same generators computed
@@ -281,22 +389,84 @@ class TestTensorForm:
                 assert lhs2 == tensor_form(u, w2)
 
 
+class TestWedgeBasis:
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_structure_constants(self, rank):
+        # the action on keys is the V^{(x)n} action on their expansions
+        gens = [("X", i) for i in range(1, rank)] \
+            + [("Y", i) for i in range(1, rank)] \
+            + [(g, i) for g in ("L", "Linv") for i in range(1, rank + 1)]
+        for heights in key_shapes(rank):
+            for key in wedge_keys(rank, heights):
+                x = TensorVector.word(key, rank)
+                assert x.n == sum(heights)
+                ex = expand(x)
+                for g, i in gens:
+                    assert expand(tensor_act(g, i, x)) == \
+                        flat_tensor_act(g, i, ex)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_form_up_to_column_constants(self, rank):
+        rng = random.Random(rank)
+        for heights in key_shapes(rank):
+            keys = wedge_keys(rank, heights)
+            const = LaurentQ.one()
+            for h in heights:
+                if h > 1:
+                    const = const * wedge_constant(h)
+            for key in keys:
+                x = TensorVector.word(key, rank)
+                assert flat_tensor_form(expand(x), expand(x)) == \
+                    tensor_form(x, x) * const
+            for _ in range(5):
+                x, y = (TensorVector(sum(heights), rank, {
+                    k: LaurentQ({rng.randint(-2, 2): rng.randint(-3, 3)})
+                    for k in rng.sample(keys, min(3, len(keys)))})
+                    for _ in range(2))
+                assert flat_tensor_form(expand(x), expand(y)) == \
+                    tensor_form(x, y) * const
+
+    def test_minuscule(self):
+        # Y_i omega_S = omega_{S'} with coefficient 1, in V^{(x)3}
+        x = TensorVector.word(((1, 2, 4),), 5)
+        assert tensor_act("Y", 2, x) == TensorVector.word(((1, 3, 4),), 5)
+        assert tensor_act("Y", 1, x).is_zero
+        assert tensor_act("X", 3, x) == TensorVector.word(((1, 2, 3),), 5)
+        assert tensor_act("X", 1, x).is_zero
+
+    def test_word_degree_and_weight(self):
+        x = TensorVector.word(((1, 2), 3, (1, 3)), 3)
+        assert x.n == 5
+        assert x.weight() == (2, 1, 2)
+        assert "v[(1, 2), 3, (1, 3)]" in repr(x)
+
+
 class TestHighestWeightVector:
     def test_single_box(self):
         assert highest_weight_vector(Partition((1,)), 2) == word(1)
+        assert expand(highest_weight_vector(Partition((1,)), 2)) == word(1)
 
     def test_column(self):
-        v = highest_weight_vector(Partition((1, 1)), 2)
+        w = highest_weight_vector(Partition((1, 1)), 2)
+        assert w == TensorVector.word(((1, 2),), 2)
+        v = expand(w)
         assert v.coeff((1, 2)) == QFrac.one()
         assert v.coeff((2, 1)) == qf(LaurentQ({-1: -1}))
         assert len(v.terms) == 2
 
     def test_row(self):
         assert highest_weight_vector(Partition((2,)), 2) == word(1, 1)
+        assert expand(highest_weight_vector(Partition((2,)), 2)) == word(1, 1)
+
+    def test_single_key(self):
+        w = highest_weight_vector(Partition((3, 2, 2, 1)), 5)
+        assert w == TensorVector.word(((1, 2, 3, 4), (1, 2, 3), 1), 5)
+        assert w.n == 8
 
     def test_empty(self):
         v = highest_weight_vector(Partition(()), 1)
         assert v.coeff(()) == QFrac.one()
+        assert expand(v).coeff(()) == QFrac.one()
 
     def test_is_singular(self):
         for lam in [(2, 1), (2, 2), (3, 1)]:
@@ -304,6 +474,7 @@ class TestHighestWeightVector:
             v = highest_weight_vector(p, len(p) + 1)
             for i in range(1, len(p) + 1):
                 assert tensor_act("X", i, v).is_zero
+                assert flat_tensor_act("X", i, expand(v)).is_zero
 
 
 # Reference for the closed-form highest weight vector: the dense raising
@@ -349,9 +520,14 @@ class TestClosedFormAgainstDenseKernel:
     @pytest.mark.parametrize("lam", list(all_partitions(5)), ids=str)
     def test_singular_weight_and_size(self, lam):
         rank = len(lam) + 1
-        v = highest_weight_vector(lam, rank)
+        w = highest_weight_vector(lam, rank)
+        v = expand(w)
+        assert v == flat_highest_weight_vector(lam, rank)
         for i in range(1, rank):
+            assert tensor_act("X", i, w).is_zero
             assert tensor_act("X", i, v).is_zero
+            assert flat_tensor_act("X", i, v).is_zero
+        assert w.weight() == v.weight()
         assert v.weight() == tuple(lam.part(r) for r in range(1, rank + 1))
         assert len(v.terms) == math.prod(math.factorial(c)
                                          for c in column_heights(lam))
@@ -365,7 +541,7 @@ class TestClosedFormAgainstDenseKernel:
         rank = len(lam) + 1
         words, basis = raising_kernel(lam, rank)
         kernel_rows = [_clear_vector(b) for b in basis]
-        v = highest_weight_vector(lam, rank)
+        v = expand(highest_weight_vector(lam, rank))
         row = [v.terms.get(w, LaurentQ.zero()) for w in words]
         assert set(v.terms) <= set(words)
         assert len(ff_echelon(kernel_rows + [row])[0]) == len(kernel_rows)
@@ -389,9 +565,24 @@ class TestClosedFormAgainstDenseKernel:
             rank = len(lam) + 1
             if len(raising_kernel(lam, rank)[1]) == 1:
                 lines += 1
-                assert highest_weight_vector(lam, rank) == \
+                assert expand(highest_weight_vector(lam, rank)) == \
                     dense_highest_weight_vector(lam, rank)
         assert lines == 10
+
+    @pytest.mark.parametrize("lam", list(all_partitions(6)), ids=str)
+    def test_norms_match_flat_reference(self, lam):
+        # the norms, ratios and normalized vectors of the solve on
+        # V^{(x)(n+1)}: the per-column wedge constants cancel in all three
+        rank = len(lam) + 1
+        wedge = mu_singular_vectors.__wrapped__(lam, rank)
+        flat = flat_mu_singular_vectors(lam, rank)
+        assert [sv.row for sv in wedge] == [sv.row for sv in flat]
+        assert [sv.norm for sv in wedge] == [sv.norm for sv in flat]
+        assert [sv.ratio for sv in wedge] == [sv.ratio for sv in flat]
+        assert [sv.norm.to_text() for sv in wedge] == \
+            [sv.norm.to_text() for sv in flat]
+        for a, b in zip(wedge, flat):
+            assert expand(a.vector) == b.vector
 
 
 class TestSpanningWords:
@@ -488,6 +679,16 @@ class TestSingularVectors:
                 for i in range(1, rank):
                     assert tensor_act("X", i, sv.vector).is_zero
 
+    @pytest.mark.parametrize("lam", list(all_partitions(5)), ids=str)
+    def test_expanded_vectors_are_singular(self, lam):
+        rank = len(lam) + 1
+        for sv in mu_singular_vectors(lam, rank):
+            v = expand(sv.vector)
+            assert v.n == lam.size + 1
+            for i in range(1, rank):
+                assert tensor_act("X", i, sv.vector).is_zero
+                assert flat_tensor_act("X", i, v).is_zero
+
 
 class TestEndToEnd:
     def test_single_box_exponents(self):
@@ -504,3 +705,11 @@ class TestEndToEnd:
     def test_size_up_to_three(self, ell):
         for lam in all_partitions(3):
             assert verify_fock_match(lam, ell)["passed"]
+
+    def test_size_eight(self):
+        # the scaling wall: size 8 needs 9-letter keys with up to 8! words
+        # each in V^{(x)9}, and a single key per column in the wedge basis
+        results = [verify_fock_match(lam, 2) for lam in partitions_of(8)]
+        assert len(results) == 22
+        for res in results:
+            assert res["passed"], res["partition"]
