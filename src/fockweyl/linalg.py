@@ -4,8 +4,11 @@ Fraction-free elimination over a polynomial domain (`ff_echelon`; entries need
 +, -, *, is_zero, exact_div, gcd and a complexity key) for the large
 tensor-space solves, and one forward Gaussian elimination over a field
 (`field_echelon`; entries need +, -, *, /, is_zero and a complexity key) from
-which determinants, ranks and the Gram word bases are read.  Both echelon
-forms share one back-substitution that turns them into a kernel basis.
+which determinants, ranks and kernels are read.  Both echelon forms share one
+back-substitution that turns them into a kernel basis.  A symmetric matrix
+whose form is anisotropic, such as a Gram matrix, takes one diagonal-pivot
+elimination instead (`symmetric_pivots`): its chosen indices are the word
+basis and the product of its pivots is the determinant on them.
 """
 
 from __future__ import annotations
@@ -109,6 +112,44 @@ def field_echelon(rows):
                 m[r] = [x if y.is_zero else x - f * y for x, y in zip(m[r], p)]
         piv.append(col)
     return m[:len(piv)], piv, sign
+
+
+def symmetric_pivots(matrix):
+    """Diagonal-pivot elimination of a symmetric matrix over a field.
+
+    Step k eliminates index k against the Schur complement left by the
+    earlier steps, updating only the upper triangle:
+    s_ij -= (s_ki / s_kk) s_kj for k < i <= j.  A nonzero s_kk chooses k with
+    pivot s_kk.  A zero s_kk requires the rest of its row to be zero, which
+    by symmetry makes the whole Schur row zero, so the rank is proven and not
+    assumed; otherwise the form is isotropic there and ValueError is raised.
+    When it is not raised, the chosen indices are the lexicographically first
+    column basis, and the product of the first t pivots is the principal
+    minor on the first t chosen indices.  `matrix` is not modified.
+    Returns (chosen, pivots).
+    """
+    n = len(matrix)
+    s = [list(row) for row in matrix]
+    chosen, pivots = [], []
+    for k in range(n):
+        row = s[k]
+        p = row[k]
+        if p.is_zero:
+            if any(not row[j].is_zero for j in range(k + 1, n)):
+                raise ValueError(f"zero pivot with a nonzero row at index {k}: "
+                                 f"the form is isotropic")
+            continue
+        chosen.append(k)
+        pivots.append(p)
+        for i in range(k + 1, n):
+            if row[i].is_zero:
+                continue
+            f = row[i] / p
+            si = s[i]
+            for j in range(i, n):
+                if not row[j].is_zero:
+                    si[j] = si[j] - f * row[j]
+    return chosen, pivots
 
 
 def _back_substitute(ech, piv, ncols, one):

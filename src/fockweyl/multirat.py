@@ -783,19 +783,28 @@ def unit_ratio(a: MultiRat, b: MultiRat, strict: bool = False):
 
     Returns UnitParts, or None when a/b is not a unit.  In strict mode the
     residual Q(q) scalar must be exactly +-q^m (else None).
+
+    a/b = P/Q with P = a.num * b.den and Q = b.num * a.den, and it is a unit
+    c z^m (c in Q(q)) iff the z-blocks of P are those of Q moved by z^m, each
+    c times its match.  m is read off the least block keys and each block is
+    checked against the first pair by cross-multiplying, with no gcd.
     """
     if b.is_zero:
         raise ZeroDivisionError("unit_ratio with zero divisor")
-    r = a / b
-    if r.is_zero:
+    if a.is_zero:
         return None
-    nz = _single_z_block(r.num)
-    dz = _single_z_block(r.den)
-    if nz is None or dz is None:
+    pb = _z_blocks(a.num * b.den)
+    qb = _z_blocks(b.num * a.den)
+    if len(pb) != len(qb):
         return None
-    (zn, pn), (zd, pd) = nz, dz
-    z_exps = tuple(x - y for x, y in zip(zn, zd))
-    u = QFrac(pn, pd)
+    zp, zq = min(pb), min(qb)
+    z_exps = tuple(x - y for x, y in zip(zp, zq))
+    p0, q0 = pb[zp], qb[zq]
+    for z, blk in pb.items():
+        match = qb.get(tuple(x - y for x, y in zip(z, z_exps)))
+        if match is None or blk * q0 != match * p0:
+            return None
+    u = QFrac(p0, q0)
     m = u.num.low_degree() - u.den.low_degree()
     sign = 1 if (u.num.trailing_coeff() > 0) == (u.den.trailing_coeff() > 0) else -1
     scalar = u / QFrac(LaurentQ.term(m, sign))
@@ -805,10 +814,10 @@ def unit_ratio(a: MultiRat, b: MultiRat, strict: bool = False):
     return parts
 
 
-def _single_z_block(p: MultiPoly):
-    """If all terms share one z-exponent vector, return (z_exps, q-Laurent part)."""
-    zs = {e[:-1] for e in p.terms}
-    if len(zs) != 1:
-        return None
-    (z,) = zs
-    return z, LaurentQ({e[-1]: v for e, v in p.terms.items()})
+def _z_blocks(p: MultiPoly):
+    """The terms of p grouped by z-exponent vector, each block a q-Laurent
+    polynomial."""
+    blocks = {}
+    for e, v in p.terms.items():
+        blocks.setdefault(e[:-1], {})[e[-1]] = v
+    return {z: LaurentQ(t) for z, t in blocks.items()}

@@ -542,7 +542,13 @@ class QFrac(_Frac):
         n = num.exact_div(g)
         d = den.exact_div(g)
         shift = d.low_degree()
-        lead = Fraction(d.leading_coeff())
+        lead = d.leading_coeff()
+        if lead == 1 or lead == -1:
+            # no Fraction division: shift the exponents, negate on -1
+            self.num = n._like({e - shift: v * lead for e, v in n.terms.items()})
+            self.den = d._like({e - shift: v * lead for e, v in d.terms.items()})
+            return
+        lead = Fraction(lead)
         self.num = n._like({e - shift: _coef(v / lead) for e, v in n.terms.items()})
         self.den = d._like({e - shift: _coef(v / lead) for e, v in d.terms.items()})
 

@@ -10,11 +10,13 @@ pairing, so dependent words never need to be rewritten.  There is one pairing
 path, `pair_words`, and it is integral: every raising step divides by the
 same q - q^{-1}, so two words of height m pair to P / (q - q^{-1})^m with P a
 Laurent polynomial in Z[q^{+-1}, z^{+-1}], and P is computed without a
-fraction or a gcd.  `gram_matrix` keeps these scaled entries, eliminates the
-denominator-free matrix and divides the power out of the determinant only at
-the end.  The engine takes its basis and every pairing from the Gram matrix of
-each tensor slot, and builds its constraint rows from a closed formula for the
-coproduct action, so it needs no tensor type of its own.
+fraction or a gcd.  `gram_matrix` keeps these scaled entries and runs one
+symmetric diagonal-pivot elimination on them, in word order: its chosen words
+are the basis, its zero rows prove the rank, and its pivots give the
+determinant, whose power of q - q^{-1} is divided out only at the end.  The
+engine takes its basis and every pairing from the Gram matrix of each tensor
+slot, and builds its constraint rows from a closed formula for the coproduct
+action, so it needs no tensor type of its own.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import EngineError
-from .linalg import field_det, field_echelon, field_kernel
-from .multirat import (MultiPoly, MultiRat, eval_at_weight, over_q_diff,
-                       sigma_shift, unit_ratio)
+# field_det is unused here: fwlbench/selftest.py asserts verma.field_det is linalg.field_det
+from .linalg import field_det, field_kernel, symmetric_pivots
+from .multirat import (MultiPoly, MultiRat, _div_laurent, eval_at_weight,
+                       over_q_diff, sigma_shift, unit_ratio)
 from .partitions import Partition, Box, addable_boxes, removable_boxes, content, n_left
 from .ring import QFrac, q_int, val_cyclotomic
 from .sparse import SparseVector
@@ -203,8 +206,9 @@ def kostant_p(gamma: Weight) -> int:
 @dataclass
 class GramMatrix:
     """Pairings of all lowering words of one multidegree nu, the maximal
-    independent sublist given by the pivot columns (the lexicographically
-    first column basis), and, on first use, the determinant on it.
+    independent sublist (the lexicographically first column basis) with the
+    pivots of its symmetric elimination, and, on first use, the determinant
+    on it.
 
     The pairings are integral up to one power: entry (a, b) of the form is
     scaled[a][b] / (q - q^{-1})^m, with scaled[a][b] in Z[q^{+-1}, z^{+-1}]
@@ -217,6 +221,7 @@ class GramMatrix:
     words: list
     scaled: list
     independent: list
+    pivots: list
 
     @property
     def height(self) -> int:
@@ -236,43 +241,58 @@ class GramMatrix:
 
     @cached_property
     def det(self) -> MultiRat:
-        """field_det of the scaled principal block on the independent words,
-        divided by (q - q^{-1})^{m r}, r the block size."""
-        chosen = self.independent
-        if not chosen:
-            return MultiRat.one(self.rank)
-        d = field_det([[MultiRat(self.scaled[r][c], coprime=True) for c in chosen]
-                       for r in chosen])
-        if d.den != 1:
-            raise EngineError(f"determinant of integral pairings has "
-                              f"denominator {d.den} for nu={self.nu}")
-        return over_q_diff(d.num, self.height * len(chosen))
+        """The determinant of the scaled principal block on the independent
+        words, divided by (q - q^{-1})^{m r}, r the block size.
+
+        Pivot k is D_k / D_{k-1}, with D_k the integral principal minor on the
+        first k independent words, so D_k = num_k * (D_{k-1} / den_k) and each
+        division is exact: no gcd and no second elimination.
+        """
+        d = MultiPoly.one(self.rank)
+        for p in self.pivots:
+            try:
+                q = _div_laurent(d, p.den)
+            except ArithmeticError:
+                raise EngineError(f"principal minor of integral pairings is "
+                                  f"not integral for nu={self.nu}") from None
+            d = p.num * q
+        return over_q_diff(d, self.height * len(self.pivots))
 
 
 def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
     """Pair all lowering words of multidegree nu over the mu-shifted module.
 
-    The words are paired integrally (`pair_words`).  The independent sublist
-    is the pivot columns of one forward elimination of that scaled matrix,
-    which has the pivot columns of the true one; its size must equal the
-    weight multiplicity kostant_p(-nu) (anything else is an engine bug).  The
-    matrix is symmetric, so its principal block on a column basis is
-    nonsingular and carries the determinant.
+    The words are paired integrally (`pair_words`), and the scaled matrix is
+    eliminated once, symmetrically, in word order (`symmetric_pivots`).  A
+    word is independent of the earlier ones iff its diagonal pivot is
+    nonzero: for dominant lambda large against nu the form is anisotropic over
+    Q(q) (M(lambda) = L(lambda) in this weight, and Kashiwara's polarization
+    is the identity mod q on the crystal basis), and independence of words
+    does not depend on z since M(lambda) is free over U^-.  So the chosen
+    words are the lexicographically first column basis, and a zero pivot
+    with a nonzero row, which would contradict this, is an engine error.  The
+    basis size must equal the weight multiplicity kostant_p(-nu) (anything
+    else is an engine bug).
     """
     words = ywords(nu, rank)
     n = len(words)
     scaled = [[None] * n for _ in range(n)]
+    entries = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            scaled[i][j] = scaled[j][i] = pair_words(words[i], words[j], mu, rank)
-    _, chosen, _ = field_echelon([[MultiRat(p, coprime=True) for p in row]
-                                  for row in scaled])
+            p = pair_words(words[i], words[j], mu, rank)
+            scaled[i][j] = scaled[j][i] = p
+            entries[i][j] = entries[j][i] = MultiRat(p, coprime=True)
+    try:
+        chosen, pivots = symmetric_pivots(entries)
+    except ValueError as exc:
+        raise EngineError(f"{exc} (nu={nu}, rank={rank})") from None
     expected = kostant_p(-nu)
     if len(chosen) != expected:
         raise EngineError(
             f"independent word count {len(chosen)} != multiplicity {expected} "
             f"for nu={nu}, rank={rank}")
-    return GramMatrix(mu, rank, nu, words, scaled, chosen)
+    return GramMatrix(mu, rank, nu, words, scaled, chosen, pivots)
 
 
 def _jantzen_factor(j: int, k: int, rank: int, m: int = 1) -> MultiPoly:

@@ -1,7 +1,13 @@
 import random
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
 
 from fockweyl.linalg import (_strip_content, ff_echelon, field_det,
-                             field_echelon, field_kernel, kernel_basis)
+                             field_echelon, field_kernel, kernel_basis,
+                             symmetric_pivots)
 from fockweyl.ring import LaurentQ, QFrac
 
 
@@ -187,3 +193,64 @@ class TestFieldOps:
                     for e, c in zip(row, x):
                         s = s + e * c
                     assert s.is_zero
+
+
+@st.composite
+def integer_grams(draw):
+    """G = A^T A for a random integer A whose rank may be deficient: some of
+    its columns are combinations of others."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    cols = []
+    for _ in range(n):
+        if cols and draw(st.booleans()):
+            c1, c2 = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            a, b = draw(entries), draw(entries)
+            cols.append([a * x + b * y for x, y in zip(c1, c2)])
+        else:
+            cols.append([draw(entries) for _ in range(m)])
+    return [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
+
+
+class TestSymmetricPivots:
+    @given(integer_grams())
+    def test_gram_of_integer_matrix(self, g):
+        # A^T A is positive semidefinite over Q, so every zero diagonal pivot
+        # comes with a zero row and the form is anisotropic
+        m = Q(g)
+        chosen, pivots = symmetric_pivots(m)
+        assert chosen == field_echelon(m)[1]
+        assert len(pivots) == len(chosen)
+        if chosen:
+            det = pivots[0]
+            for p in pivots[1:]:
+                det = det * p
+            assert det == field_det([[m[r][c] for c in chosen] for r in chosen])
+
+    def test_leading_minors(self):
+        # pivots are ratios of successive leading principal minors
+        m = Q([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+        assert symmetric_pivots(m) == (
+            [0, 1, 2], [QFrac(2), QFrac(Fraction(3, 2)), QFrac(Fraction(4, 3))])
+
+    def test_zero_pivot_needs_zero_row(self):
+        m = Q([[1, 1, 2], [1, 1, 3], [2, 3, 5]])
+        with pytest.raises(ValueError):
+            symmetric_pivots(m)  # index 1: zero pivot, row entry 3 - 2 = 1
+        chosen, pivots = symmetric_pivots(Q([[1, 2, 1], [2, 4, 2], [1, 2, 2]]))
+        assert chosen == [0, 2] and pivots == [QFrac.one(), QFrac.one()]
+
+    def test_isotropic_raises(self):
+        with pytest.raises(ValueError):
+            symmetric_pivots(Q([[0, 1], [1, 0]]))
+
+    def test_zero_and_empty(self):
+        assert symmetric_pivots([]) == ([], [])
+        assert symmetric_pivots(Q([[0, 0], [0, 0]])) == ([], [])
+
+    def test_input_unchanged(self):
+        m = Q([[1, 2], [2, 1]])
+        before = [row[:] for row in m]
+        symmetric_pivots(m)
+        assert m == before

@@ -2,17 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from fockweyl.errors import PoleError
-from fockweyl.multirat import (MultiPoly, MultiRat, _divexact, eval_at_weight,
-                               poly_gcd_multi, q_bracket_binom, sigma_shift,
-                               unit_ratio)
+from fockweyl.multirat import (MultiPoly, MultiRat, UnitParts, _divexact,
+                               eval_at_weight, poly_gcd_multi, q_bracket_binom,
+                               sigma_shift, unit_ratio)
 from fockweyl.ring import LaurentQ, QFrac, _coef, q_int
 from fockweyl.verify import TOLERANCES
 from fockweyl.weights import Weight
 
-from conftest import multipolys, multirats, weights
+from conftest import multipolys, multirats, nonzero_laurents, weights
 
 
 def z(i, rank=2, p=1):
@@ -299,6 +300,94 @@ class TestQBracketBinom:
         val = eval_at_weight(b, Weight((4,)))
         gauss = QFrac(q_int(4) * q_int(3), q_int(2) * q_int(1))
         assert val == gauss
+
+
+def unit_ratio_by_division(a, b, strict=False):
+    """Reference unit_ratio: reduce a / b to its canonical fraction (one
+    multivariate gcd) and read the unit off its single z-blocks."""
+    if b.is_zero:
+        raise ZeroDivisionError("unit_ratio with zero divisor")
+    r = a / b
+    if r.is_zero:
+        return None
+    blocks = []
+    for p in (r.num, r.den):
+        zs = {e[:-1] for e in p.terms}
+        if len(zs) != 1:
+            return None
+        blocks.append((zs.pop(), LaurentQ({e[-1]: v for e, v in p.terms.items()})))
+    (zn, pn), (zd, pd) = blocks
+    z_exps = tuple(x - y for x, y in zip(zn, zd))
+    u = QFrac(pn, pd)
+    m = u.num.low_degree() - u.den.low_degree()
+    sign = 1 if (u.num.trailing_coeff() > 0) == (u.den.trailing_coeff() > 0) else -1
+    parts = UnitParts(sign, m, z_exps, u / QFrac(LaurentQ.term(m, sign)))
+    if strict and not parts.is_signed_q_power:
+        return None
+    return parts
+
+
+def as_multirat(x: QFrac, rank, z_exps=None):
+    """The QFrac x times the z-monomial z^z_exps, as a MultiRat."""
+    num = MultiPoly.from_laurent(x.num, rank)
+    if z_exps is not None:
+        num = num.shifted(tuple(z_exps) + (0,))
+    return MultiRat(num, MultiPoly.from_laurent(x.den, rank))
+
+
+class TestUnitRatioAgainstDivision:
+    """unit_ratio without a gcd against the division-based reference: the
+    same None or the same str(UnitParts)."""
+
+    @staticmethod
+    def check(a, b):
+        for strict in (True, False):
+            want = unit_ratio_by_division(a, b, strict)
+            got = unit_ratio(a, b, strict)
+            assert (got is None) == (want is None)
+            assert str(got) == str(want)
+        return got  # the non-strict result
+
+    def test_non_units(self):
+        f = z(1) - z(2)
+        assert self.check((z(1) - z(2)) * (z(1) + q()), z(1) + q()) is None
+        assert self.check(f * (z(1) + z(2)), f) is None
+        # same block keys, blocks not proportional
+        assert self.check(z(1) * q() + z(2), z(1) + z(2)) is None
+        # same block count, not one translate
+        assert self.check(z(1) + z(2, p=2), z(1) + z(2)) is None
+
+    def test_z_shifted_units(self):
+        f = z(1) * q(p=2) - z(2) + q(p=-1)
+        unit = as_multirat(QFrac(q_int(2), q_int(3)), 2, (2, -1))
+        parts = self.check(f * unit, f)
+        assert parts.z_exps == (2, -1)
+        parts = self.check(-q(p=-3) * z(2, p=-1) * f, f)
+        assert (parts.sign, parts.q_exp, parts.z_exps) == (-1, -3, (0, -1))
+
+    def test_strict(self):
+        f = z(1) - z(2)
+        assert self.check(q(p=4) * f, f).is_plus_q_power
+        assert unit_ratio(f * q_int(2), f, strict=True) is None
+        self.check(f * q_int(2), f)
+
+    def test_zero_a(self):
+        assert self.check(MultiRat.zero(2), z(1) - z(2)) is None
+
+    def test_zero_b(self):
+        for fn in (unit_ratio, unit_ratio_by_division):
+            with pytest.raises(ZeroDivisionError):
+                fn(z(1), MultiRat.zero(2))
+
+    @given(multirats(), nonzero_laurents(), nonzero_laurents(),
+           st.tuples(st.integers(-2, 2), st.integers(-2, 2)), multirats())
+    def test_unit_times_fraction(self, f, cn, cd, zs, g):
+        if f.is_zero:
+            return
+        unit = as_multirat(QFrac(cn, cd), 2, zs)
+        parts = self.check(f * unit, f)
+        assert parts is not None and parts.z_exps == zs
+        self.check(f * g, f)
 
 
 class TestUnitRatio:

@@ -274,3 +274,47 @@ class TestPolyDivmod:
         monkeypatch.setattr(ring, "Fraction", no_fraction)
         assert _poly_divmod(a, {0: 1, 1: 1}) == ({0: -3, 2: 2}, {})
         assert _poly_divmod({0: 5, 2: 3}, {1: 1}) == ({1: 3}, {0: 5})
+
+
+def fraction_path(num, den):
+    """QFrac's canonical (num, den) terms with the division by the
+    denominator's leading coefficient always done through Fraction."""
+    g = poly_gcd(num, den)
+    n, d = num.exact_div(g), den.exact_div(g)
+    shift = d.low_degree()
+    lead = Fraction(d.leading_coeff())
+    return ({e - shift: _coef(v / lead) for e, v in n.terms.items()},
+            {e - shift: _coef(v / lead) for e, v in d.terms.items()})
+
+
+class TestQFracUnitLead:
+    @given(int_polys.filter(bool), int_polys.filter(bool), st.integers(-3, 3),
+           st.sampled_from([1, -1]))
+    def test_integer_data(self, a, b, k, top):
+        # a denominator with leading coefficient +-1 before the gcd
+        b = dict(b)
+        b[max(b) + 1] = top
+        num, den = L(a).shift(k), L(b)
+        x = QFrac(num, den)
+        assert (typed(x.num.terms), typed(x.den.terms)) == \
+            tuple(map(typed, fraction_path(num, den)))
+
+    @given(rat_polys.filter(bool), rat_polys.filter(bool))
+    def test_rational_data(self, a, b):
+        num = L({e: _coef(v) for e, v in a.items()})
+        den = L({e: _coef(v) for e, v in b.items()})
+        x = QFrac(num, den)
+        assert (typed(x.num.terms), typed(x.den.terms)) == \
+            tuple(map(typed, fraction_path(num, den)))
+
+    def test_unit_lead_builds_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("Fraction built for a leading coefficient of +-1")
+
+        monkeypatch.setattr(ring, "Fraction", no_fraction)
+        # 1 / (1 - q): the leading coefficient -1 is divided out by negation
+        x = QFrac(L({0: 1}), L({0: 1, 1: -1}))
+        assert (x.num.terms, x.den.terms) == ({0: -1}, {0: -1, 1: 1})
+        # (q^2 + q) / (q^3 + q^2) = q^{-1}: the shift moves the numerator
+        y = QFrac(L({1: 1, 2: 1}), L({2: 1, 3: 1}))
+        assert (y.num.terms, y.den.terms) == ({-1: 1}, {0: 1})

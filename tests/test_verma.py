@@ -323,6 +323,41 @@ class TestGramMatrix:
                 assert gm.independent == chosen
                 assert repr(gm.det) == repr(det)
 
+    def test_pivots_are_minor_ratios(self):
+        nu = 2 * alpha(1, 3) + alpha(2, 3)
+        gm = gram_matrix(Weight.zero(3), nu, 3)
+        minors = [MultiRat.one(3)]
+        for t in range(1, len(gm.independent) + 1):
+            block = gm.independent[:t]
+            minors.append(field_det([[MultiRat(gm.scaled[r][c]) for c in block]
+                                     for r in block]))
+        assert gm.pivots == [minors[t + 1] / minors[t]
+                             for t in range(len(gm.pivots))]
+
+    def test_non_integral_pivot_raises(self, monkeypatch):
+        real = verma.symmetric_pivots
+
+        def bad(matrix):
+            chosen, pivots = real(matrix)
+            rank = pivots[0].rank
+            # D_1 = pivot_1 would have the denominator z_1 + q
+            return chosen, [pivots[0] / (MultiRat.z(1, rank) + MultiRat.q(rank))
+                            ] + pivots[1:]
+
+        monkeypatch.setattr(verma, "symmetric_pivots", bad)
+        gm = gram_matrix(Weight.zero(3), alpha(1, 3) + alpha(2, 3), 3)
+        with pytest.raises(EngineError, match="not integral"):
+            gm.det
+
+    def test_isotropic_gram_raises(self, monkeypatch):
+        # pairings [[0, 1], [1, 0]] on the words (1, 2), (2, 1)
+        def hyperbolic(wa, wb, shift, rank):
+            return MultiPoly.zero(rank) if wa == wb else MultiPoly.one(rank)
+
+        monkeypatch.setattr(verma, "pair_words", hyperbolic)
+        with pytest.raises(EngineError, match="isotropic"):
+            gram_matrix(Weight.zero(3), alpha(1, 3) + alpha(2, 3), 3)
+
 
 class TestClosedDeterminant:
     def test_first_weight_space(self):
