@@ -5,7 +5,8 @@ Fraction-free elimination over a polynomial domain (`ff_echelon`; entries need
 tensor-space solves, and one forward Gaussian elimination over a field
 (`field_echelon`; entries need +, -, *, /, is_zero and a complexity key) from
 which determinants, ranks and kernels are read.  Both echelon forms share one
-back-substitution that turns them into a kernel basis.  A symmetric matrix
+fraction-free back-substitution that turns them into a kernel basis (over a
+field, gcd is self and exact_div is /).  A symmetric matrix
 whose form is anisotropic, such as a Gram matrix, takes one diagonal-pivot
 elimination instead (`symmetric_pivots`): its chosen indices are the word
 basis and the product of its pivots is the determinant on them.
@@ -153,9 +154,11 @@ def symmetric_pivots(matrix):
 
 
 def _back_substitute(ech, piv, ncols, one):
-    """Right kernel of an echelon form over a field: one vector per free
-    column, in increasing order, with that coordinate 1 and the other free
-    coordinates 0."""
+    """Right kernel of an echelon form over a domain: one vector per free
+    column, in increasing order, with the other free coordinates 0.  At each
+    pivot p, with s the row times x so far, x is scaled by p / gcd(p, s) and
+    its pivot coordinate set to -s / gcd(p, s).  Over a field gcd(p, s) is p,
+    so the free coordinate stays 1."""
     zero = one - one
     pivset = set(piv)
     basis = []
@@ -168,21 +171,35 @@ def _back_substitute(ech, piv, ncols, one):
             for c, val in x.items():
                 if not val.is_zero and not ech[r][c].is_zero:
                     s = s + ech[r][c] * val
-            x[piv[r]] = -(s / ech[r][piv[r]])
+            if s.is_zero:
+                continue
+            p = ech[r][piv[r]]
+            g = p.gcd(s)
+            if g != p:
+                scale = p.exact_div(g)
+                x = {c: val * scale for c, val in x.items()}
+            x[piv[r]] = -s.exact_div(g)
         basis.append([x.get(c, zero) for c in range(ncols)])
     return basis
 
 
-def kernel_basis(rows, ncols, to_field, field_one):
-    """Right kernel of a matrix over a domain, as vectors over its fraction
-    field.
+def kernel_basis(rows, ncols, one):
+    """Right kernel of a matrix over Z[q^{+-1}] (`LaurentQ`), within the ring.
 
-    Elimination is fraction-free; only the back substitution runs in the
-    field.  Returns (basis, rank), the basis as in `field_kernel`.
+    Elimination and back substitution are both fraction-free.  Returns
+    (basis, rank), one vector per free column f as in `field_kernel`, scaled
+    to the canonical generator of its line: the gcd of its entries is 1, and
+    x_f has lowest exponent 0 and a positive leading coefficient.
     """
     ech, piv = ff_echelon(rows)
-    fech = [[to_field(e) for e in row] for row in ech]
-    return _back_substitute(fech, piv, ncols, field_one), len(piv)
+    free = sorted(set(range(ncols)) - set(piv))
+    basis = []
+    for f, x in zip(free, _back_substitute(ech, piv, ncols, one)):
+        x = _strip_content(x)
+        e = x[f].low_degree()
+        x = [c.shift(-e) for c in x]
+        basis.append(x if x[f].leading_coeff() > 0 else [-c for c in x])
+    return basis, len(piv)
 
 
 def field_kernel(rows, ncols, field_one):

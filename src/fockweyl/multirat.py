@@ -21,7 +21,7 @@ from math import gcd
 from operator import add, sub
 
 from .errors import PoleError
-from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly
+from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly, poly_gcd
 from .weights import Weight
 
 
@@ -510,7 +510,6 @@ def _div_laurent(p: MultiPoly, g: MultiPoly) -> MultiPoly:
 def _gcd_univar_q(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
     a = LaurentQ({e[var]: v for e, v in f.terms.items()})
     b = LaurentQ({e[var]: v for e, v in g.terms.items()})
-    from .ring import poly_gcd
     d = poly_gcd(a, b)
     nv = f.rank + 1
     return f._like({tuple(k if i == var else 0 for i in range(nv)): v

@@ -29,7 +29,8 @@ from .errors import EngineError
 from .linalg import field_det, field_kernel, symmetric_pivots
 from .multirat import (MultiPoly, MultiRat, _div_laurent, eval_at_weight,
                        over_q_diff, sigma_shift, unit_ratio)
-from .partitions import Partition, Box, addable_boxes, removable_boxes, content, n_left
+from .partitions import (Partition, Box, addable_boxes, content, is_addable,
+                         n_left, removable_boxes)
 from .ring import QFrac, q_int, val_cyclotomic
 from .sparse import SparseVector
 from .weights import Weight, alpha, positive_roots, words_with_counts
@@ -212,7 +213,7 @@ class GramMatrix:
 
     The pairings are integral up to one power: entry (a, b) of the form is
     scaled[a][b] / (q - q^{-1})^m, with scaled[a][b] in Z[q^{+-1}, z^{+-1}]
-    and m the height of nu.  `entry` and `entries` give the true values.
+    and m the height of nu.
     """
 
     shift: Weight
@@ -226,18 +227,6 @@ class GramMatrix:
     @property
     def height(self) -> int:
         return len(self.words[0]) if self.words else 0
-
-    def entry(self, a: int, b: int) -> MultiRat:
-        return over_q_diff(self.scaled[a][b], self.height)
-
-    @cached_property
-    def entries(self) -> list:
-        n = len(self.words)
-        out = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                out[a][b] = out[b][a] = self.entry(a, b)
-        return out
 
     @cached_property
     def det(self) -> MultiRat:
@@ -343,10 +332,13 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     space must be one line.  Its normalised self-pairing
     (u, v_+ x v_k)^2 / (u, u) is returned.
 
-    The constraint rows use the scaled slot Grams: scaling the column of each
-    slot-j basis vector by (q - q^{-1})^{k-j}, the height of its words, makes
-    every row integral.  The same diagonal turns the kernel back into true
-    coordinates.
+    The constraint rows use the scaled slot Grams S_j: scaling the column of
+    each slot-j basis vector by (q - q^{-1})^{k-j}, the height of its words,
+    makes every row integral.  The answer is read off the kernel vector s in
+    these coordinates, u_j = (q - q^{-1})^{k-j} s_j.  The top v_+ x v_k is the
+    last basis vector, alone in slot k with scaled Gram 1, so
+    (u, top) = q^{1-k} s_top and
+    (u, u) = sum_j q^{1-j} (q - q^{-1})^{k-j} s_j^T S_j s_j.
     """
     if not 1 <= k <= rank:
         raise ValueError(f"k={k} out of range for rank {rank}")
@@ -391,29 +383,24 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
         raise EngineError(
             f"singular solution space has dimension {len(sols)}, "
             f"expected 1 (k={k}, rank={rank})")
-    qd = MultiPoly.q(rank) - MultiPoly.q(rank, -1)
-    u = {b: c * MultiRat(qd ** (k - basis[b][0]), coprime=True)
-         for b, c in enumerate(sols[0]) if not c.is_zero}
-
-    def pair_u(b):
-        """The true form of basis vector b with u."""
-        jb, wb = basis[b]
-        s = MultiRat.zero(rank)
-        for c, x in u.items():
-            jc, wc = basis[c]
-            if jc == jb:
-                e = grams[jb].entry(pos[jb][wb], pos[jc][wc])
-                if not e.is_zero:
-                    s = s + x * e
-        return s * MultiRat.q(rank, 1 - jb)
-
-    tp = pair_u(basis.index((k, ())))
-    if tp.is_zero:
+    sol = sols[0]
+    if sol[-1].is_zero:
         raise EngineError(f"no singular vector pairs with the top term (k={k})")
+    qd = MultiPoly.q(rank) - MultiPoly.q(rank, -1)
     uu = MultiRat.zero(rank)
-    for b, x in u.items():
-        uu = uu + x * pair_u(b)
-    return tp * tp / uu
+    coords = iter(sol)
+    for j, gm in grams.items():
+        s = [(a, c) for a, c in zip(gm.independent, coords) if not c.is_zero]
+        ss = MultiRat.zero(rank)
+        for a, sa in s:
+            va = MultiRat.zero(rank)  # (S_j s_j)_a
+            for b, sb in s:
+                if not gm.scaled[a][b].is_zero:
+                    va = va + sb * MultiRat(gm.scaled[a][b], coprime=True)
+            ss = ss + sa * va
+        slot = (qd ** (k - j)).shifted((0,) * rank + (1 - j,))
+        uu = uu + ss * MultiRat(slot, coprime=True)
+    return MultiRat.q(rank, 2 - 2 * k) * sol[-1] * sol[-1] / uu
 
 
 def hook_ratio(lam: Partition, k: int) -> QFrac:
@@ -425,7 +412,6 @@ def hook_ratio(lam: Partition, k: int) -> QFrac:
     """
     lam = Partition(lam)
     new_box = Box(k, lam.part(k) + 1)
-    from .partitions import is_addable
     if not is_addable(lam, new_box):
         return QFrac.zero()
     c0 = content(new_box)

@@ -31,9 +31,9 @@ and (u, u) and twice in (u, top)^2 and (u, u)(w_lam, w_lam): they cancel in the
 normalization (u, top)/(u, u) and in the reported norm.
 
 Coefficients are Laurent polynomials in q (`LaurentQ`) through every action,
-pairing and elimination; rational functions (`QFrac`) enter only after the
-kernel solve, in the triangular normalization of the singular vectors and
-their self-pairings.
+pairing, elimination and the kernel solve; rational functions (`QFrac`) enter
+only in the triangular normalization of the singular vectors and their
+self-pairings.
 
 The highest weight vector w_lam is the single key (1..c_1, .., 1..c_r).  The
 singular vector of weight lam + eps_{k_j} in V(lam) (x) V is the one kernel
@@ -50,10 +50,10 @@ from itertools import product
 
 from .errors import EngineError
 from .fock import FockVector, apply_F
-from .linalg import _strip_content, ff_echelon, kernel_basis
+from .linalg import ff_echelon, kernel_basis
 from .partitions import (Partition, Box, addable_row_indices, color, content,
                          n_left)
-from .ring import LaurentQ, QFrac, poly_gcd, val_cyclotomic
+from .ring import LaurentQ, QFrac, val_cyclotomic
 from .sparse import SparseVector
 from .verma import jantzen_evaluate_closed, hook_ratio
 
@@ -197,27 +197,11 @@ def tensor_form(x: TensorVector, y: TensorVector) -> LaurentQ | QFrac:
     return total
 
 
-def _clear_vector(coords):
-    """Scale a QFrac vector to integral Laurent coordinates with unit content."""
-    den = LaurentQ.one()
-    for c in coords:
-        if not c.is_zero:
-            g = poly_gcd(den, c.den)
-            den = den * c.den.exact_div(g)
-    nums = []
-    for c in coords:
-        if c.is_zero:
-            nums.append(LaurentQ.zero())
-        else:
-            nums.append(c.num * den.exact_div(c.den))
-    return _strip_content(nums)
-
-
 def _kernel_of_raising(vectors, rank):
     """Kernel coefficients c with sum c_t vectors[t] annihilated by all X_i.
 
     `vectors` are TensorVectors with LaurentQ coordinates over the ambient
-    word basis; returns (kernel basis over QFrac, rank of system).
+    word basis; returns the integral kernel basis of `kernel_basis`.
     """
     rows = {}
     ncols = len(vectors)
@@ -227,7 +211,7 @@ def _kernel_of_raising(vectors, rank):
             for w, c in img.terms.items():
                 rows.setdefault((i, w), [LaurentQ.zero()] * ncols)[idx] = c
     matrix = [rows[k] for k in sorted(rows)]
-    return kernel_basis(matrix, ncols, QFrac, QFrac.one())
+    return kernel_basis(matrix, ncols, LaurentQ.one())[0]
 
 
 def highest_weight_vector(lam: Partition, rank: int) -> TensorVector:
@@ -293,7 +277,7 @@ def _lowered(gen: TensorVector, words) -> list[TensorVector]:
 class SingularVector:
     """One addable row: its canonical singular vector and normalized self-pairing.
 
-    `integral` is the singular vector u cleared of denominators and `ratio` is
+    `integral` is the singular vector u with integral coordinates and `ratio` is
     (u, top)/(u, u); the triangular normalization `vector` = ratio * u is
     built on first use, since the Fock comparison reads only `norm`."""
 
@@ -320,8 +304,8 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
     obtained through orthogonality to the lower summands: with u any nonzero
     singular vector, the normalized one is ((u, top)/(u, u)) u where
     top = w_lam (x) v_k, and the reported norm divides out (w_lam, w_lam).
-    Both are invariant under rescaling u, so u is taken integral (the kernel
-    vector cleared of denominators) and QFrac enters only in the two ratios.
+    Both are invariant under rescaling u, so u is taken integral (the
+    fraction-free kernel vector) and QFrac enters only in the two ratios.
     Every vector here is keyed by column wedges of the heights of lam and the
     added letter; the form's per-column constants cancel in both ratios, so
     they, and the normalized vector once expanded, are those of
@@ -339,12 +323,12 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
                                {w + (k,): c for w, c in w_lam.terms.items()})
             spanning += _lowered(gen, _spanning_words(k, k_j))
         basis_vecs = _echelon_vectors(spanning, rank)
-        kern, _ = _kernel_of_raising(basis_vecs, rank)
+        kern = _kernel_of_raising(basis_vecs, rank)
         if len(kern) != 1:
             raise EngineError(
                 f"singular space dimension {len(kern)} != 1 for {lam}, row {k_j}")
         u = TensorVector(n1, rank)
-        for c, vec in zip(_clear_vector(kern[0]), basis_vecs):
+        for c, vec in zip(kern[0], basis_vecs):
             if not c.is_zero:
                 u = u + vec.scale(c)
         top = TensorVector(n1, rank,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fockweyl import verma
+from fockweyl import verify, verma
 from fockweyl.errors import EngineError
 from fockweyl.linalg import field_det
 from fockweyl import multirat
@@ -300,6 +300,23 @@ class TestGramMatrix:
         gk = gram_matrix(mu, nu, 2)
         assert gk.det == sigma_shift(g0.det, mu)
 
+    def test_prop52_detects_a_wrong_shifted_entry(self, monkeypatch):
+        real = verify.gram_matrix
+
+        def perturbed(mu, nu, rank):
+            gm = real(mu, nu, rank)
+            if mu != Weight.zero(rank):
+                gm.scaled[0][-1] = gm.scaled[0][-1] + MultiPoly.one(rank)
+            return gm
+
+        spec = ("prop52", 3, tuple((alpha(1, 3) + alpha(2, 3)).coords), 1)
+        assert verify.run_case(spec).passed
+        monkeypatch.setattr(verify, "gram_matrix", perturbed)
+        case = verify.run_case(spec)
+        assert not case.passed
+        assert case.detail == {"matched_words": True, "entries_exact": False,
+                               "det_exact": True}
+
     @staticmethod
     def greedy_basis(entries, rank):
         """Reference: grow the basis in word order, keeping a word when the
@@ -319,7 +336,10 @@ class TestGramMatrix:
                 continue
             for mu in (Weight.zero(rank), Weight.eps(1, rank)):
                 gm = gram_matrix(mu, from_alpha_coords(ac, rank), rank)
-                chosen, det = self.greedy_basis(gm.entries, rank)
+                n = len(gm.words)
+                entries = [[over_q_diff(gm.scaled[a][b], gm.height)
+                            for b in range(n)] for a in range(n)]
+                chosen, det = self.greedy_basis(entries, rank)
                 assert gm.independent == chosen
                 assert repr(gm.det) == repr(det)
 
@@ -434,6 +454,17 @@ class TestJantzenEngine:
 
         monkeypatch.setattr(verma, "field_kernel", padded)
         with pytest.raises(EngineError, match="dimension 2"):
+            jantzen_engine(3, 3)
+
+    def test_kernel_without_top_raises(self, monkeypatch):
+        real = verma.field_kernel
+
+        def topless(rows, ncols, one):
+            return [sol[:-1] + [one - one] for sol in real(rows, ncols, one)]
+
+        monkeypatch.setattr(verma, "field_kernel", topless)
+        with pytest.raises(EngineError,
+                           match="no singular vector pairs with the top term"):
             jantzen_engine(3, 3)
 
 

@@ -6,12 +6,12 @@ import pytest
 
 from fockweyl import weyl
 from fockweyl.errors import EngineError
-from fockweyl.linalg import ff_echelon
+from fockweyl.linalg import _strip_content, ff_echelon
 from fockweyl.partitions import (Partition, all_partitions, addable_row_indices,
                                  partitions_of)
-from fockweyl.ring import LaurentQ, QFrac, q_int, q_power
+from fockweyl.ring import LaurentQ, QFrac, poly_gcd, q_int, q_power
 from fockweyl.weights import words_with_counts
-from fockweyl.weyl import (TensorVector, _clear_vector, _echelon_vectors,
+from fockweyl.weyl import (TensorVector, _echelon_vectors,
                            _kernel_of_raising, _lowered, _spanning_words,
                            highest_weight_vector, mu_singular_vectors,
                            tensor_act, tensor_form, verify_fock_match)
@@ -257,6 +257,27 @@ class TestIntegralCoefficients:
             assert type(tensor_form(x, x)) is LaurentQ
         assert built == []
 
+    def test_kernel_solve_stays_laurent(self, monkeypatch):
+        built = []
+        init = QFrac.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QFrac, "__init__", counting_init)
+        # the weight space of (2, 1) + eps_3, as mu_singular_vectors spans it
+        rank = 4
+        w_lam = highest_weight_vector(Partition((2, 1)), rank)
+        spanning = []
+        for k in (1, 2, 3):
+            gen = TensorVector(4, rank,
+                               {w + (k,): c for w, c in w_lam.terms.items()})
+            spanning += _lowered(gen, _spanning_words(k, 3))
+        (kern,) = _kernel_of_raising(_echelon_vectors(spanning, rank), rank)
+        assert all(type(c) is LaurentQ for c in kern)
+        assert built == []
+
     def test_qfrac_input_stays_qfrac(self):
         x = word(1, 2).scale(QFrac(LaurentQ.one(), q_int(2)))
         out = tensor_act("Y", 1, x)
@@ -479,8 +500,24 @@ class TestHighestWeightVector:
 
 # Reference for the closed-form highest weight vector: the dense raising
 # kernel over the whole lam weight space, its first basis vector supported on
-# the column reading word, scaled to 1 there and cleared to integral
-# coordinates.
+# the column reading word, scaled to 1 there over QFrac and cleared to
+# integral coordinates.
+def clear_vector(coords):
+    """Scale a QFrac vector to integral Laurent coordinates with unit content."""
+    den = LaurentQ.one()
+    for c in coords:
+        if not c.is_zero:
+            g = poly_gcd(den, c.den)
+            den = den * c.den.exact_div(g)
+    nums = []
+    for c in coords:
+        if c.is_zero:
+            nums.append(LaurentQ.zero())
+        else:
+            nums.append(c.num * den.exact_div(c.den))
+    return _strip_content(nums)
+
+
 def column_word(lam):
     """Row indices read down successive columns of the diagram."""
     return tuple(r for c in range(1, (lam[0] if lam else 0) + 1)
@@ -491,8 +528,8 @@ def raising_kernel(lam, rank):
     """(words of weight lam, kernel basis of all X_i on their span)."""
     counts = tuple(lam.part(r) for r in range(1, rank + 1))
     words = words_with_counts(counts)
-    basis, _ = _kernel_of_raising([TensorVector.word(w, rank) for w in words],
-                                  rank)
+    basis = _kernel_of_raising([TensorVector.word(w, rank) for w in words],
+                               rank)
     return words, basis
 
 
@@ -500,9 +537,9 @@ def dense_highest_weight_vector(lam, rank):
     words, basis = raising_kernel(lam, rank)
     cw_idx = words.index(column_word(lam))
     coeffs = next(b for b in basis if not b[cw_idx].is_zero)
-    coeffs = [c / coeffs[cw_idx] for c in coeffs]
+    coeffs = [QFrac(c, coeffs[cw_idx]) for c in coeffs]
     return TensorVector(lam.size, rank,
-                        dict(zip(words, _clear_vector(coeffs))))
+                        dict(zip(words, clear_vector(coeffs))))
 
 
 def column_heights(lam):
@@ -540,11 +577,10 @@ class TestClosedFormAgainstDenseKernel:
     def test_in_span_of_dense_kernel(self, lam):
         rank = len(lam) + 1
         words, basis = raising_kernel(lam, rank)
-        kernel_rows = [_clear_vector(b) for b in basis]
         v = expand(highest_weight_vector(lam, rank))
         row = [v.terms.get(w, LaurentQ.zero()) for w in words]
         assert set(v.terms) <= set(words)
-        assert len(ff_echelon(kernel_rows + [row])[0]) == len(kernel_rows)
+        assert len(ff_echelon(basis + [row])[0]) == len(basis)
         # the support is as large as the reference vector's
         assert len(v.terms) == len(dense_highest_weight_vector(lam, rank).terms)
 
