@@ -1,12 +1,11 @@
 """Exact linear algebra helpers.
 
 Fraction-free elimination over a polynomial domain (`ff_echelon`; entries need
-+, -, *, is_zero, exact_div, gcd and a complexity key) for the large
-tensor-space solves, and one forward Gaussian elimination over a field
-(`field_echelon`; entries need +, -, *, /, is_zero and a complexity key) from
-which determinants, ranks and kernels are read.  Both echelon forms share one
-fraction-free back-substitution that turns them into a kernel basis (over a
-field, gcd is self and exact_div is /).  A symmetric matrix
++, -, *, is_zero, exact_div, gcd and a complexity key) for the tensor-space
+solve, which reads its singular vectors straight off the echelon rows, and one
+forward Gaussian elimination over a field (`field_echelon`; entries need
++, -, *, /, is_zero and a complexity key) from which determinants, ranks and
+kernels (`field_kernel`, by back-substitution) are read.  A symmetric matrix
 whose form is anisotropic, such as a Gram matrix, takes one diagonal-pivot
 elimination instead (`symmetric_pivots`): its chosen indices are the word
 basis and the product of its pivots is the determinant on them.
@@ -153,60 +152,26 @@ def symmetric_pivots(matrix):
     return chosen, pivots
 
 
-def _back_substitute(ech, piv, ncols, one):
-    """Right kernel of an echelon form over a domain: one vector per free
-    column, in increasing order, with the other free coordinates 0.  At each
-    pivot p, with s the row times x so far, x is scaled by p / gcd(p, s) and
-    its pivot coordinate set to -s / gcd(p, s).  Over a field gcd(p, s) is p,
-    so the free coordinate stays 1."""
-    zero = one - one
+def field_kernel(rows, ncols, field_one):
+    """Right kernel over a field: one vector per free column, in increasing
+    order, with that coordinate 1 and the other free coordinates 0."""
+    ech, piv, _ = field_echelon(rows)
+    zero = field_one - field_one
     pivset = set(piv)
     basis = []
     for f in range(ncols):
         if f in pivset:
             continue
-        x = {f: one}
+        x = {f: field_one}
         for r in range(len(piv) - 1, -1, -1):
             s = zero
             for c, val in x.items():
                 if not val.is_zero and not ech[r][c].is_zero:
                     s = s + ech[r][c] * val
-            if s.is_zero:
-                continue
-            p = ech[r][piv[r]]
-            g = p.gcd(s)
-            if g != p:
-                scale = p.exact_div(g)
-                x = {c: val * scale for c, val in x.items()}
-            x[piv[r]] = -s.exact_div(g)
+            if not s.is_zero:
+                x[piv[r]] = -s / ech[r][piv[r]]
         basis.append([x.get(c, zero) for c in range(ncols)])
     return basis
-
-
-def kernel_basis(rows, ncols, one):
-    """Right kernel of a matrix over Z[q^{+-1}] (`LaurentQ`), within the ring.
-
-    Elimination and back substitution are both fraction-free.  Returns
-    (basis, rank), one vector per free column f as in `field_kernel`, scaled
-    to the canonical generator of its line: the gcd of its entries is 1, and
-    x_f has lowest exponent 0 and a positive leading coefficient.
-    """
-    ech, piv = ff_echelon(rows)
-    free = sorted(set(range(ncols)) - set(piv))
-    basis = []
-    for f, x in zip(free, _back_substitute(ech, piv, ncols, one)):
-        x = _strip_content(x)
-        e = x[f].low_degree()
-        x = [c.shift(-e) for c in x]
-        basis.append(x if x[f].leading_coeff() > 0 else [-c for c in x])
-    return basis, len(piv)
-
-
-def field_kernel(rows, ncols, field_one):
-    """Right kernel over a field: one vector per free column, in increasing
-    order, with that coordinate 1 and the other free coordinates 0."""
-    ech, piv, _ = field_echelon(rows)
-    return _back_substitute(ech, piv, ncols, field_one)
 
 
 def field_det(matrix):

@@ -135,30 +135,29 @@ def removable_boxes(lam: Partition, ell: int, color_filter: int | None = None):
     return out
 
 
+def _n_side(lam: Partition, new_box: Box, ell: int, side: int) -> int:
+    """Removable-minus-addable count of the boxes of new_box's color whose
+    content is greater (side 1) or smaller (side -1) than new_box's."""
+    if not is_addable(lam, new_box):
+        raise ValueError(f"box {new_box} is not addable to {lam}")
+    i = color(new_box, ell)
+    c0 = content(new_box) * side
+    return (sum(content(b) * side > c0 for b in removable_boxes(lam, ell, i))
+            - sum(content(b) * side > c0 for b in addable_boxes(lam, ell, i)))
+
+
 def n_left(lam: Partition, new_box: Box, ell: int) -> int:
     """Removable-minus-addable count of same-color boxes left of new_box.
 
     "Left" means strictly greater content.  new_box must be addable; its own
     color fixes the filter.
     """
-    if not is_addable(lam, new_box):
-        raise ValueError(f"box {new_box} is not addable to {lam}")
-    i = color(new_box, ell)
-    c0 = content(new_box)
-    rem = sum(1 for b in removable_boxes(lam, ell, i) if content(b) > c0)
-    add = sum(1 for b in addable_boxes(lam, ell, i) if content(b) > c0)
-    return rem - add
+    return _n_side(lam, new_box, ell, 1)
 
 
 def n_right(lam: Partition, new_box: Box, ell: int) -> int:
     """Same as n_left with "right": strictly smaller content."""
-    if not is_addable(lam, new_box):
-        raise ValueError(f"box {new_box} is not addable to {lam}")
-    i = color(new_box, ell)
-    c0 = content(new_box)
-    rem = sum(1 for b in removable_boxes(lam, ell, i) if content(b) < c0)
-    add = sum(1 for b in addable_boxes(lam, ell, i) if content(b) < c0)
-    return rem - add
+    return _n_side(lam, new_box, ell, -1)
 
 
 def addable_row_indices(lam: Partition, n_rank: int) -> list[int]:

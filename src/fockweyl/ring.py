@@ -486,12 +486,6 @@ class _Frac:
     def inverse(self):
         return self._wrap(1) / self
 
-    def gcd(self, other):
-        return self  # in a field every nonzero element divides every other
-
-    def exact_div(self, other):
-        return self / other
-
     def __eq__(self, other):
         other = self._wrap(other)
         if other is NotImplemented:

@@ -31,15 +31,18 @@ and (u, u) and twice in (u, top)^2 and (u, u)(w_lam, w_lam): they cancel in the
 normalization (u, top)/(u, u) and in the reported norm.
 
 Coefficients are Laurent polynomials in q (`LaurentQ`) through every action,
-pairing, elimination and the kernel solve; rational functions (`QFrac`) enter
-only in the triangular normalization of the singular vectors and their
-self-pairings.
+pairing and the one elimination per singular vector; rational functions
+(`QFrac`) enter only in the triangular normalization of the singular vectors
+and their self-pairings.
 
 The highest weight vector w_lam is the single key (1..c_1, .., 1..c_r).  The
-singular vector of weight lam + eps_{k_j} in V(lam) (x) V is the one kernel
-direction of the raising operators on the span of Y_word (w_lam (x) v_k),
-k <= k_j, over 2^{d-1} words in the d = k_j - k letters k .. k_j - 1 (a basis
-of that weight space of U^-, not all d! orderings).
+singular vector of weight lam + eps_{k_j} in V(lam) (x) V is the one vector,
+up to scale, that the raising operators kill in the span of
+Y_word (w_lam (x) v_k), k <= k_j, over 2^{d-1} words in the d = k_j - k
+letters k .. k_j - 1 (a basis of that weight space of U^-, not all d!
+orderings).  It is read off one fraction-free echelon form of the rows
+[X_1 s | .. | X_{N-1} s | s] over the spanning vectors s, and the
+dimension of that singular space is counted there, not assumed.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from itertools import product
 
 from .errors import EngineError
 from .fock import FockVector, apply_F
-from .linalg import ff_echelon, kernel_basis
+from .linalg import ff_echelon
 from .partitions import (Partition, Box, addable_row_indices, color, content,
                          n_left)
 from .ring import LaurentQ, QFrac, val_cyclotomic
@@ -80,10 +83,6 @@ class TensorVector(SparseVector):
     def word(cls, w, rank) -> "TensorVector":
         """The basis key w (a word, or a tuple of letters and wedges)."""
         return cls(sum(map(len, _factors(w))), rank, {tuple(w): LaurentQ.one()})
-
-    @classmethod
-    def zero(cls, n, rank) -> "TensorVector":
-        return cls(n, rank)
 
     def weight(self):
         """Letter-count weight, or None for a mixed-weight element."""
@@ -197,23 +196,6 @@ def tensor_form(x: TensorVector, y: TensorVector) -> LaurentQ | QFrac:
     return total
 
 
-def _kernel_of_raising(vectors, rank):
-    """Kernel coefficients c with sum c_t vectors[t] annihilated by all X_i.
-
-    `vectors` are TensorVectors with LaurentQ coordinates over the ambient
-    word basis; returns the integral kernel basis of `kernel_basis`.
-    """
-    rows = {}
-    ncols = len(vectors)
-    for idx, vec in enumerate(vectors):
-        for i in range(1, rank):
-            img = tensor_act("X", i, vec)
-            for w, c in img.terms.items():
-                rows.setdefault((i, w), [LaurentQ.zero()] * ncols)[idx] = c
-    matrix = [rows[k] for k in sorted(rows)]
-    return kernel_basis(matrix, ncols, LaurentQ.one())[0]
-
-
 def highest_weight_vector(lam: Partition, rank: int) -> TensorVector:
     """Canonical singular vector of the given partition weight: the single
     key (1..c_1, .., 1..c_r), c_j the column heights from left to right, with
@@ -300,12 +282,13 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
     weight, by lowering words applied to w_lam (x) v_k: in weight
     lam + eps_{k_j} the `_spanning_words(k, k_j)` for k <= k_j, whose span is
     that of all orderings of the letters k .. k_j - 1.  The singular direction
-    in each relevant weight space is unique.  The triangular normalization is
-    obtained through orthogonality to the lower summands: with u any nonzero
-    singular vector, the normalized one is ((u, top)/(u, u)) u where
-    top = w_lam (x) v_k, and the reported norm divides out (w_lam, w_lam).
-    Both are invariant under rescaling u, so u is taken integral (the
-    fraction-free kernel vector) and QFrac enters only in the two ratios.
+    in each relevant weight space is unique (the solve counts it).  The
+    triangular normalization is obtained through orthogonality to the lower
+    summands: with u any nonzero singular vector, the normalized one is
+    ((u, top)/(u, u)) u where top = w_lam (x) v_k, and the reported norm
+    divides out (w_lam, w_lam).  Both are invariant under rescaling u, so u
+    is taken integral (an echelon row of `_singular_vectors_in_span`) and
+    QFrac enters only in the two ratios.
     Every vector here is keyed by column wedges of the heights of lam and the
     added letter; the form's per-column constants cancel in both ratios, so
     they, and the normalized vector once expanded, are those of
@@ -322,15 +305,11 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
             gen = TensorVector(n1, rank,
                                {w + (k,): c for w, c in w_lam.terms.items()})
             spanning += _lowered(gen, _spanning_words(k, k_j))
-        basis_vecs = _echelon_vectors(spanning, rank)
-        kern = _kernel_of_raising(basis_vecs, rank)
-        if len(kern) != 1:
-            raise EngineError(
-                f"singular space dimension {len(kern)} != 1 for {lam}, row {k_j}")
-        u = TensorVector(n1, rank)
-        for c, vec in zip(kern[0], basis_vecs):
-            if not c.is_zero:
-                u = u + vec.scale(c)
+        singular = _singular_vectors_in_span(spanning, rank)
+        if len(singular) != 1:
+            raise EngineError(f"singular space dimension {len(singular)} != 1 "
+                              f"for {lam}, row {k_j}")
+        (u,) = singular
         top = TensorVector(n1, rank,
                            {w + (k_j,): c for w, c in w_lam.terms.items()})
         g = tensor_form(u, top)
@@ -342,22 +321,36 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
     return tuple(out)
 
 
-def _echelon_vectors(spanning, rank):
-    """Reduce spanning TensorVectors to an independent list via fraction-free
-    elimination on their word coordinates, which must be integral."""
-    words = sorted({w for v in spanning for w in v.terms})
-    col = {w: j for j, w in enumerate(words)}
+def _singular_vectors_in_span(spanning, rank):
+    """A basis of the vectors in the span of `spanning` (TensorVectors with
+    LaurentQ coordinates) that every X_i kills, by one fraction-free
+    elimination.
+
+    Each spanning vector s is the row [X_1 s | .. | X_{N-1} s | s]: its
+    raising images under the keys (0, i, w), then its coordinates under
+    (1, w), in sorted key order.  An echelon row whose pivot lies past the
+    raising block has a zero raising part, and these rows span exactly the
+    singular vectors of the span; their coordinate parts are returned, free
+    of the content that `ff_echelon` strips from every row it updates.
+    """
     rows = []
-    for v in spanning:
-        row = [LaurentQ.zero()] * len(words)
-        for w, c in v.terms.items():
+    for s in spanning:
+        row = {}
+        for w, c in s.terms.items():
             if not isinstance(c, LaurentQ):
                 raise EngineError("spanning vector with non-integral coefficient")
-            row[col[w]] = c
+            row[1, w] = c
+        for i in range(1, rank):
+            for w, c in tensor_act("X", i, s).terms.items():
+                row[0, i, w] = c
         rows.append(row)
-    ech, _ = ff_echelon(rows)
-    n1 = spanning[0].n
-    return [TensorVector(n1, rank, dict(zip(words, row))) for row in ech]
+    keys = sorted({k for row in rows for k in row})
+    zero = LaurentQ.zero()
+    ech, piv = ff_echelon([[row.get(k, zero) for k in keys] for row in rows])
+    first = next((j for j, k in enumerate(keys) if k[0] == 1), len(keys))
+    return [TensorVector(spanning[0].n, rank,
+                         {k[1]: c for k, c in zip(keys[first:], row[first:])})
+            for row, p in zip(ech, piv) if p >= first]
 
 
 def verify_fock_match(lam: Partition, ell: int, rank: int | None = None,

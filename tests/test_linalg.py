@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 
 from fockweyl.linalg import (_strip_content, ff_echelon, field_det,
-                             field_echelon, field_kernel, kernel_basis,
-                             symmetric_pivots)
+                             field_echelon, field_kernel, symmetric_pivots)
 from fockweyl.ring import LaurentQ, QFrac
 
 
@@ -27,25 +26,6 @@ def Q(rows):
     return [[QFrac(e) for e in row] for row in M(rows)]
 
 
-def assert_integral_kernel(rows, ncols):
-    """kernel_basis gives primitive LaurentQ vectors which, divided by their
-    free coordinate, are field_kernel's vectors; returns (basis, rank)."""
-    basis, rank = kernel_basis(rows, ncols, LaurentQ.one())
-    frows = [[QFrac(e) for e in row] for row in rows]
-    free = [c for c in range(ncols) if c not in ff_echelon(rows)[1]]
-    assert len(free) == len(basis)
-    for x, fx, f in zip(basis, field_kernel(frows, ncols, QFrac.one()), free):
-        assert all(type(c) is LaurentQ for c in x)
-        assert _strip_content(x) == x
-        assert [QFrac(c, x[f]) for c in x] == fx
-        for row in rows:
-            s = LaurentQ.zero()
-            for e, c in zip(row, x):
-                s = s + e * c
-            assert s.is_zero
-    return basis, rank
-
-
 def cofactor_det(m):
     if len(m) == 1:
         return m[0][0]
@@ -63,43 +43,17 @@ class TestFractionFree:
         assert len(ff_echelon(m)[1]) == 2
 
     def test_kernel_vector(self):
-        m = M([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        basis, rank = assert_integral_kernel(m, 3)
-        assert rank == 2 and len(basis) == 1
-        # x_3 = 1 gives x_2 = -1, x_1 = -1: already integral and primitive
-        assert basis[0] == M([[-1, -1, 1]])[0]
+        m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        assert len(ff_echelon(M(m))[1]) == 2
+        # x_3 = 1 gives x_2 = -1, x_1 = -1
+        assert field_kernel(Q(m), 3, QFrac.one()) == Q([[-1, -1, 1]])
 
     def test_polynomial_entries(self):
         q = L({1: 1})
         m = [[q, L({2: 1})], [LaurentQ.one(), q]]  # second row = first / q
-        basis, rank = assert_integral_kernel(m, 2)
-        assert rank == 1 and len(basis) == 1
-
-    def test_denominators_are_cleared(self):
-        # over the field the kernel is (q^2 / (1 + q), 1)
-        q = L({1: 1})
-        m = [[-(LaurentQ.one() + q), L({2: 1})]]
-        basis, rank = assert_integral_kernel(m, 2)
-        # scaled by the pivot -(1 + q), then the free coordinate normalized
-        assert rank == 1 and basis == [[L({2: 1}), LaurentQ.one() + q]]
-
-    def test_builds_no_qfrac(self, monkeypatch):
-        built = []
-        init = QFrac.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(QFrac, "__init__", counting_init)
-        rng = random.Random(8)
-        for _ in range(20):
-            nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
-            rows = [[L({rng.randint(-1, 1): rng.randint(-2, 2),
-                        rng.randint(-1, 1): rng.randint(-2, 2)})
-                     for _ in range(ncols)] for _ in range(nrows)]
-            kernel_basis(rows, ncols, LaurentQ.one())
-        assert built == []
+        assert len(ff_echelon(m)[1]) == 1
+        frows = [[QFrac(e) for e in row] for row in m]
+        assert field_kernel(frows, 2, QFrac.one()) == [[QFrac(-q), QFrac.one()]]
 
     def test_empty_matrix(self):
         ech, piv = ff_echelon([])
@@ -108,9 +62,6 @@ class TestFractionFree:
     def test_no_rows_give_identity_kernel(self):
         identity = [[LaurentQ.one() if c == r else LaurentQ.zero()
                      for c in range(3)] for r in range(3)]
-        basis, rank = kernel_basis([], 3, LaurentQ.one())
-        assert (basis, rank) == (identity, 0)
-        assert all(type(e) is LaurentQ for row in basis for e in row)
         assert field_kernel([], 3, QFrac.one()) == \
             [[QFrac(e) for e in row] for row in identity]
 
@@ -222,15 +173,21 @@ class TestFieldOps:
             assert len(ff_echelon(rows)[1]) == field_rank(frows)
 
     def test_kernels_agree(self):
+        # one kernel vector per free column: killed by every row, 1 at its
+        # free column and 0 at the others
         rng = random.Random(5)
         for _ in range(20):
             nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
             rows = [[L({rng.randint(-1, 1): rng.randint(-1, 1)})
                      for _ in range(ncols)] for _ in range(nrows)]
             frows = [[QFrac(e) for e in row] for row in rows]
-            basis, rank = assert_integral_kernel(rows, ncols)
-            assert rank == field_rank(frows) == ncols - len(basis)
-            for x in field_kernel(frows, ncols, QFrac.one()):
+            piv = field_echelon(frows)[1]
+            free = [c for c in range(ncols) if c not in piv]
+            basis = field_kernel(frows, ncols, QFrac.one())
+            assert len(ff_echelon(rows)[1]) == len(piv) == ncols - len(basis)
+            for f, x in zip(free, basis):
+                assert [x[c] for c in free] == \
+                    [QFrac.one() if c == f else QFrac.zero() for c in free]
                 for row in frows:
                     s = QFrac.zero()
                     for e, c in zip(row, x):

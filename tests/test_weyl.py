@@ -6,15 +6,15 @@ import pytest
 
 from fockweyl import weyl
 from fockweyl.errors import EngineError
-from fockweyl.linalg import _strip_content, ff_echelon
+from fockweyl.linalg import _strip_content, ff_echelon, field_kernel
 from fockweyl.partitions import (Partition, all_partitions, addable_row_indices,
                                  partitions_of)
 from fockweyl.ring import LaurentQ, QFrac, poly_gcd, q_int, q_power
 from fockweyl.weights import words_with_counts
-from fockweyl.weyl import (TensorVector, _echelon_vectors,
-                           _kernel_of_raising, _lowered, _spanning_words,
-                           highest_weight_vector, mu_singular_vectors,
-                           tensor_act, tensor_form, verify_fock_match)
+from fockweyl.weyl import (TensorVector, _lowered, _singular_vectors_in_span,
+                           _spanning_words, highest_weight_vector,
+                           mu_singular_vectors, tensor_act, tensor_form,
+                           verify_fock_match)
 
 
 def word(*letters, rank=2):
@@ -274,8 +274,8 @@ class TestIntegralCoefficients:
             gen = TensorVector(4, rank,
                                {w + (k,): c for w, c in w_lam.terms.items()})
             spanning += _lowered(gen, _spanning_words(k, 3))
-        (kern,) = _kernel_of_raising(_echelon_vectors(spanning, rank), rank)
-        assert all(type(c) is LaurentQ for c in kern)
+        (u,) = _singular_vectors_in_span(spanning, rank)
+        assert all(type(c) is LaurentQ for c in u.terms.values())
         assert built == []
 
     def test_qfrac_input_stays_qfrac(self):
@@ -287,9 +287,9 @@ class TestIntegralCoefficients:
     def test_echelon_rejects_denominator(self):
         good = word(1, 2)
         bad = word(2, 1).scale(QFrac(LaurentQ.one(), q_int(2)))
-        assert len(_echelon_vectors([good, word(2, 1)], 2)) == 2
+        assert len(_singular_vectors_in_span([good, word(2, 1)], 2)) == 1
         with pytest.raises(EngineError):
-            _echelon_vectors([good, bad], 2)
+            _singular_vectors_in_span([good, bad], 2)
 
 
 class TestCoassociativity:
@@ -499,9 +499,9 @@ class TestHighestWeightVector:
 
 
 # Reference for the closed-form highest weight vector: the dense raising
-# kernel over the whole lam weight space, its first basis vector supported on
-# the column reading word, scaled to 1 there over QFrac and cleared to
-# integral coordinates.
+# kernel over the whole lam weight space, solved over QFrac, its first basis
+# vector supported on the column reading word, scaled to 1 there and cleared
+# to integral coordinates.
 def clear_vector(coords):
     """Scale a QFrac vector to integral Laurent coordinates with unit content."""
     den = LaurentQ.one()
@@ -525,12 +525,20 @@ def column_word(lam):
 
 
 def raising_kernel(lam, rank):
-    """(words of weight lam, kernel basis of all X_i on their span)."""
+    """(words of weight lam, kernel basis of all X_i on their span, each
+    vector cleared to integral coordinates)."""
     counts = tuple(lam.part(r) for r in range(1, rank + 1))
     words = words_with_counts(counts)
-    basis = _kernel_of_raising([TensorVector.word(w, rank) for w in words],
-                               rank)
-    return words, basis
+    rows = {}
+    for j, w in enumerate(words):
+        for i in range(1, rank):
+            img = tensor_act("X", i, TensorVector.word(w, rank))
+            for w2, c in img.terms.items():
+                row = rows.setdefault((i, w2), [QFrac.zero()] * len(words))
+                row[j] = QFrac(c)
+    basis = field_kernel([rows[k] for k in sorted(rows)], len(words),
+                         QFrac.one())
+    return words, [clear_vector(x) for x in basis]
 
 
 def dense_highest_weight_vector(lam, rank):
@@ -621,6 +629,12 @@ class TestClosedFormAgainstDenseKernel:
             assert expand(a.vector) == b.vector
 
 
+def coordinate_rows(vectors):
+    """The vectors' coordinates over the sorted union of their keys."""
+    keys = sorted({w for v in vectors for w in v.terms})
+    return [[v.coeff(w) for w in keys] for v in vectors]
+
+
 class TestSpanningWords:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("d", range(1, 7))
@@ -661,9 +675,9 @@ class TestSpanningWords:
                 fewer += _lowered(gen, _spanning_words(k, k_j))
                 every += _lowered(gen, words_with_counts(
                     [0] * (k - 1) + [1] * (k_j - k)))
-            r = len(_echelon_vectors(fewer, rank))
-            assert r == len(_echelon_vectors(every, rank))
-            assert r == len(_echelon_vectors(fewer + every, rank))
+            r = len(ff_echelon(coordinate_rows(fewer))[1])
+            assert r == len(ff_echelon(coordinate_rows(every))[1])
+            assert r == len(ff_echelon(coordinate_rows(fewer + every))[1])
 
     def test_all_orderings_collapse_onto_the_words(self):
         # words with the same orientations give the same vector
@@ -724,6 +738,49 @@ class TestSingularVectors:
             for i in range(1, rank):
                 assert tensor_act("X", i, sv.vector).is_zero
                 assert flat_tensor_act("X", i, v).is_zero
+
+
+class TestSingularSpan:
+    def test_counts_the_singular_space(self):
+        # V(2, 1) occurs twice in V^{(x)3}: two singular vectors of its weight
+        rank = 3
+        words = [TensorVector.word(w, rank)
+                 for w in words_with_counts((2, 1, 0))]
+        assert len(_singular_vectors_in_span(words, rank)) == 2
+        assert _singular_vectors_in_span([word(1, 2)], 2) == []
+
+    def test_dimension_guard_too_many(self, monkeypatch):
+        # span every word of the weight: the whole V^{(x)3} weight space
+        real = weyl._lowered
+
+        def padded(gen, words):
+            out = real(gen, words)
+            return out + [TensorVector.word(w, gen.rank)
+                          for w in words_with_counts(out[0].weight())]
+
+        monkeypatch.setattr(weyl, "_lowered", padded)
+        with pytest.raises(EngineError, match="singular space dimension 2 != 1"):
+            mu_singular_vectors.__wrapped__(Partition((2,)), 2)
+
+    def test_dimension_guard_none(self, monkeypatch):
+        monkeypatch.setattr(weyl, "_spanning_words", lambda k, k_j: [])
+        with pytest.raises(EngineError, match="singular space dimension 0 != 1"):
+            mu_singular_vectors.__wrapped__(Partition((1,)), 2)
+
+    def test_degenerate_pairing_guard(self, monkeypatch):
+        monkeypatch.setattr(weyl, "tensor_form", lambda x, y: LaurentQ.zero())
+        with pytest.raises(EngineError, match="degenerate singular pairing"):
+            mu_singular_vectors.__wrapped__(Partition((1,)), 2)
+
+    @pytest.mark.parametrize("lam", list(all_partitions(5)), ids=str)
+    def test_integral_is_primitive_and_singular(self, lam):
+        rank = len(lam) + 1
+        for sv in mu_singular_vectors(lam, rank):
+            coords = list(sv.integral.terms.values())
+            assert all(type(c) is LaurentQ for c in coords)
+            assert _strip_content(coords) == coords
+            for i in range(1, rank):
+                assert tensor_act("X", i, sv.integral).is_zero
 
 
 class TestEndToEnd:
