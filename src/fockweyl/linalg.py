@@ -2,13 +2,15 @@
 
 Fraction-free elimination over a polynomial domain (`ff_echelon`; entries need
 +, -, *, is_zero, exact_div, gcd and a complexity key) for the tensor-space
-solve, which reads its singular vectors straight off the echelon rows, and one
-forward Gaussian elimination over a field (`field_echelon`; entries need
-+, -, *, /, is_zero and a complexity key) from which determinants, ranks and
-kernels (`field_kernel`, by back-substitution) are read.  A symmetric matrix
-whose form is anisotropic, such as a Gram matrix, takes one diagonal-pivot
-elimination instead (`symmetric_pivots`): its chosen indices are the word
-basis and the product of its pivots is the determinant on them.
+solve, which reads its singular vectors straight off the echelon rows.  A
+symmetric matrix whose form is anisotropic, such as a Gram matrix, takes one
+diagonal-pivot elimination over a field (`symmetric_pivots`): its chosen
+indices are a basis, the product of its pivots is the determinant on them,
+and its last pivot is the Schur complement of the last chosen index.  The
+Verma module side needs nothing else.  A plain forward Gaussian elimination
+over a field (`field_echelon`; entries need +, -, *, /, is_zero and a
+complexity key) remains behind `field_det`, the determinant of a general
+square matrix.
 """
 
 from __future__ import annotations
@@ -150,28 +152,6 @@ def symmetric_pivots(matrix):
                 if not row[j].is_zero:
                     si[j] = si[j] - f * row[j]
     return chosen, pivots
-
-
-def field_kernel(rows, ncols, field_one):
-    """Right kernel over a field: one vector per free column, in increasing
-    order, with that coordinate 1 and the other free coordinates 0."""
-    ech, piv, _ = field_echelon(rows)
-    zero = field_one - field_one
-    pivset = set(piv)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        x = {f: field_one}
-        for r in range(len(piv) - 1, -1, -1):
-            s = zero
-            for c, val in x.items():
-                if not val.is_zero and not ech[r][c].is_zero:
-                    s = s + ech[r][c] * val
-            if not s.is_zero:
-                x[piv[r]] = -s / ech[r][piv[r]]
-        basis.append([x.get(c, zero) for c in range(ncols)])
-    return basis
 
 
 def field_det(matrix):

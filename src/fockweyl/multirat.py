@@ -777,11 +777,10 @@ class UnitParts:
                 f"z_exps={self.z_exps}, scalar={self.scalar})")
 
 
-def unit_ratio(a: MultiRat, b: MultiRat, strict: bool = False):
+def unit_ratio(a: MultiRat, b: MultiRat):
     """Decompose a/b when it is a unit of Q(q)[z_1^{+-1},...,z_N^{+-1}].
 
-    Returns UnitParts, or None when a/b is not a unit.  In strict mode the
-    residual Q(q) scalar must be exactly +-q^m (else None).
+    Returns UnitParts, or None when a/b is not a unit.
 
     a/b = P/Q with P = a.num * b.den and Q = b.num * a.den, and it is a unit
     c z^m (c in Q(q)) iff the z-blocks of P are those of Q moved by z^m, each
@@ -807,10 +806,7 @@ def unit_ratio(a: MultiRat, b: MultiRat, strict: bool = False):
     m = u.num.low_degree() - u.den.low_degree()
     sign = 1 if (u.num.trailing_coeff() > 0) == (u.den.trailing_coeff() > 0) else -1
     scalar = u / QFrac(LaurentQ.term(m, sign))
-    parts = UnitParts(sign, m, z_exps, scalar)
-    if strict and not parts.is_signed_q_power:
-        return None
-    return parts
+    return UnitParts(sign, m, z_exps, scalar)
 
 
 def _z_blocks(p: MultiPoly):

@@ -1,8 +1,8 @@
 """Universal Verma modules over Q(q, z_1..z_N): lowering words, the
 contravariant (Shapovalov) pairing, Gram matrices and their closed form
 determinant, Kostant's partition function, and the Jantzen numbers (both the
-closed product form and an independent engine that solves for singular
-vectors in (Verma) x (standard module)).
+closed product form and an independent engine that finds the singular vector
+of (Verma) x (standard module)).
 
 Lowering words are tuples (i_1, ..., i_m) meaning Y_{i_1} Y_{i_2} ... applied
 to the shifted highest weight vector.  All linear algebra happens through the
@@ -14,19 +14,20 @@ fraction or a gcd.  `gram_matrix` keeps these scaled entries and runs one
 symmetric diagonal-pivot elimination on them, in word order: its chosen words
 are the basis, its zero rows prove the rank, and its pivots give the
 determinant, whose power of q - q^{-1} is divided out only at the end.  The
-engine takes its basis and every pairing from the Gram matrix of each tensor
-slot, and builds its constraint rows from a closed formula for the coproduct
-action, so it needs no tensor type of its own.
+engine is one more such elimination, of the raising images (a closed formula
+for the coproduct action) and the top vector, paired through the slot Grams:
+it needs no tensor type, and its answer is the last pivot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 
 from .errors import EngineError
 # field_det is unused here: fwlbench/selftest.py asserts verma.field_det is linalg.field_det
-from .linalg import field_det, field_kernel, symmetric_pivots
+from .linalg import field_det, symmetric_pivots
 from .multirat import (MultiPoly, MultiRat, _div_laurent, eval_at_weight,
                        over_q_diff, sigma_shift, unit_ratio)
 from .partitions import (Partition, Box, addable_boxes, content, is_addable,
@@ -326,19 +327,19 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     The eps_k weight space of (universal Verma) x (standard module) is the sum
     over slots j <= k of (words of multidegree eps_j - eps_k) x v_j.  The form
     is the `gram_matrix` of slot j times q^{1-j}, with distinct slots
-    orthogonal, so the independent words of each slot give a basis on which
-    it is nondegenerate.  A vector is singular iff it is orthogonal to
-    omega(X_i) y for every y spanning the raised weight spaces; that solution
-    space must be one line.  Its normalised self-pairing
-    (u, v_+ x v_k)^2 / (u, u) is returned.
+    orthogonal, so the independent words of each slot give a basis of size n
+    on which it is nondegenerate.  A vector is singular iff it is orthogonal
+    to the span U of omega(X_i) y, y running over the raised weight spaces;
+    that solution space must be one line.  The normalised self-pairing
+    (u, v_+ x v_k)^2 / (u, u) of a singular u is returned.
 
-    The constraint rows use the scaled slot Grams S_j: scaling the column of
-    each slot-j basis vector by (q - q^{-1})^{k-j}, the height of its words,
-    makes every row integral.  The answer is read off the kernel vector s in
-    these coordinates, u_j = (q - q^{-1})^{k-j} s_j.  The top v_+ x v_k is the
-    last basis vector, alone in slot k with scaled Gram 1, so
-    (u, top) = q^{1-k} s_top and
-    (u, u) = sum_j q^{1-j} (q - q^{-1})^{k-j} s_j^T S_j s_j.
+    With top = v_+ x v_k, p = top - proj_U(top) spans the singular line and
+    (p, top) = (p, p), so the answer is (p, p): the Schur complement at top
+    of the Gram matrix of the spanning vectors of U followed by top, that is,
+    the last pivot of one `symmetric_pivots` call.  Its entries are the form
+    times (q - q^{-1})^{k-1}, which makes them integral: slot j contributes
+    q^{1-j} (q - q^{-1})^{j-1} S_j, S_j its scaled Gram.  The pivots also
+    prove the rank, dim U = (chosen count) - [top chosen].
     """
     if not 1 <= k <= rank:
         raise ValueError(f"k={k} out of range for rank {rank}")
@@ -347,60 +348,59 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     grams = {j: gram_matrix(zero_w, Weight.eps(j, rank) - eps_k, rank)
              for j in range(1, k + 1)}
     pos = {j: {w: t for t, w in enumerate(gm.words)} for j, gm in grams.items()}
-    basis = [(j, gm.words[t]) for j, gm in grams.items() for t in gm.independent]
-    n = len(basis)
 
-    def scaled_form(b, y):
-        """(q - q^{-1})^{k-slot} times the form of basis vector b with
-        y = {(slot, word): exponent of a monomial coefficient}."""
-        jb, wb = basis[b]
-        row = grams[jb].scaled[pos[jb][wb]]
-        s = MultiPoly.zero(rank)
-        for (j, w), e in y.items():
-            if j == jb:
-                s = s + row[pos[j][w]].shifted(e)
-        return s
-
-    # with a the weight of w,
+    # Each vector is a list of terms (slot, word position, exponent vector of
+    # the monomial coefficient).  With a the weight of w,
     #   omega(X_i) (w x v_j) = z_i z_{i+1}^{-1} q^{a_i+[j=i]-a_{i+1}-[j=i+1]}
-    #                          (Y_i w x v_j) + [j=i] q (w x v_{i+1});
-    # each coefficient below also carries the slot factor q^{1-slot}
-    rows = []
-    for i in range(1, rank):
-        for j in range(1, k + 1):
+    #                          (Y_i w x v_j) + [j=i] q (w x v_{i+1}).
+    # The order (i, then j, decreasing; words in reverse) is not cosmetic:
+    # the elimination runs in it, and it keeps the intermediate entries small
+    # (in ascending order k = rank = 4 takes about 20 times longer).
+    vectors = []
+    for i in range(rank - 1, 0, -1):
+        for j in range(k, 0, -1):
             nu = Weight.eps(j, rank) - eps_k - alpha(i, rank)
-            for w in ywords(nu, rank):
+            for w in reversed(ywords(nu, rank)):
                 a = _word_weight(w, zero_w, rank).coords
                 qe = a[i - 1] + (j == i) - a[i] - (j == i + 1)
-                y = {(j, (i,) + w): _zq(rank, i, i + 1, qe + 1 - j)}
+                y = [(j, pos[j][(i,) + w], _zq(rank, i, i + 1, qe))]
                 if j == i:
-                    y[(i + 1, w)] = (0,) * rank + (1 - i,)
-                rows.append([MultiRat(scaled_form(b, y), coprime=True)
-                             for b in range(n)])
+                    y.append((i + 1, pos[i + 1][w], (0,) * rank + (1,)))
+                vectors.append(y)
+    vectors.append([(k, 0, (0,) * (rank + 1))])  # the top v_+ x v_k
 
-    sols = field_kernel(rows, n, MultiRat.one(rank))
-    if len(sols) != 1:
-        raise EngineError(
-            f"singular solution space has dimension {len(sols)}, "
-            f"expected 1 (k={k}, rank={rank})")
-    sol = sols[0]
-    if sol[-1].is_zero:
-        raise EngineError(f"no singular vector pairs with the top term (k={k})")
     qd = MultiPoly.q(rank) - MultiPoly.q(rank, -1)
-    uu = MultiRat.zero(rank)
-    coords = iter(sol)
-    for j, gm in grams.items():
-        s = [(a, c) for a, c in zip(gm.independent, coords) if not c.is_zero]
-        ss = MultiRat.zero(rank)
-        for a, sa in s:
-            va = MultiRat.zero(rank)  # (S_j s_j)_a
-            for b, sb in s:
-                if not gm.scaled[a][b].is_zero:
-                    va = va + sb * MultiRat(gm.scaled[a][b], coprime=True)
-            ss = ss + sa * va
-        slot = (qd ** (k - j)).shifted((0,) * rank + (1 - j,))
-        uu = uu + ss * MultiRat(slot, coprime=True)
-    return MultiRat.q(rank, 2 - 2 * k) * sol[-1] * sol[-1] / uu
+    slot = {j: (qd ** (j - 1)).shifted((0,) * rank + (1 - j,)) for j in grams}
+
+    def pair(y, x):
+        total = MultiPoly.zero(rank)
+        for j, a, e in y:
+            for i, b, f in x:
+                if i == j and not grams[j].scaled[a][b].is_zero:
+                    total = total + slot[j] * grams[j].scaled[a][b].shifted(
+                        tuple(map(add, e, f)))
+        return total
+
+    m = len(vectors)
+    gram = [[None] * m for _ in range(m)]
+    for r in range(m):
+        for c in range(r, m):
+            gram[r][c] = gram[c][r] = MultiRat(pair(vectors[r], vectors[c]),
+                                               coprime=True)
+    try:
+        chosen, pivots = symmetric_pivots(gram)
+    except ValueError as exc:
+        raise EngineError(f"{exc} (k={k}, rank={rank})") from None
+    has_top = chosen[-1:] == [m - 1]
+    dim = sum(len(gm.independent) for gm in grams.values()) \
+        - (len(chosen) - has_top)
+    if dim != 1:
+        raise EngineError(
+            f"singular solution space has dimension {dim}, "
+            f"expected 1 (k={k}, rank={rank})")
+    if not has_top:
+        raise EngineError(f"no singular vector pairs with the top term (k={k})")
+    return pivots[-1] / MultiRat(qd ** (k - 1), coprime=True)
 
 
 def hook_ratio(lam: Partition, k: int) -> QFrac:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from fockweyl.linalg import (_strip_content, ff_echelon, field_det,
-                             field_echelon, field_kernel, symmetric_pivots)
+                             field_echelon, symmetric_pivots)
 from fockweyl.ring import LaurentQ, QFrac
 
 
@@ -44,26 +44,24 @@ class TestFractionFree:
 
     def test_kernel_vector(self):
         m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        assert len(ff_echelon(M(m))[1]) == 2
-        # x_3 = 1 gives x_2 = -1, x_1 = -1
-        assert field_kernel(Q(m), 3, QFrac.one()) == Q([[-1, -1, 1]])
+        ech, piv = ff_echelon(M(m))
+        assert piv == [0, 1]
+        # the kernel (-1, -1, 1) of m is the kernel of its echelon rows
+        x = M([[-1, -1, 1]])[0]
+        for row in ech:
+            assert (row[0] * x[0] + row[1] * x[1] + row[2] * x[2]).is_zero
 
     def test_polynomial_entries(self):
         q = L({1: 1})
         m = [[q, L({2: 1})], [LaurentQ.one(), q]]  # second row = first / q
-        assert len(ff_echelon(m)[1]) == 1
-        frows = [[QFrac(e) for e in row] for row in m]
-        assert field_kernel(frows, 2, QFrac.one()) == [[QFrac(-q), QFrac.one()]]
+        ech, piv = ff_echelon(m)
+        assert piv == [0]
+        # (-q, 1) spans the kernel
+        assert (ech[0][1] - ech[0][0] * q).is_zero
 
     def test_empty_matrix(self):
         ech, piv = ff_echelon([])
         assert ech == [] and piv == []
-
-    def test_no_rows_give_identity_kernel(self):
-        identity = [[LaurentQ.one() if c == r else LaurentQ.zero()
-                     for c in range(3)] for r in range(3)]
-        assert field_kernel([], 3, QFrac.one()) == \
-            [[QFrac(e) for e in row] for row in identity]
 
 
 def dense_ff_echelon(rows):
@@ -151,15 +149,6 @@ class TestFieldOps:
         assert piv == [0, 1, 2] and sign == -1
         assert all(ech[r][c].is_zero for r in range(3) for c in range(r))
 
-    def test_kernel_matches_rank(self):
-        m = [[QFrac(L({1: 1})), QFrac.one()], [QFrac.one(), QFrac(L({-1: 1}))]]
-        basis = field_kernel(m, 2, QFrac.one())
-        assert len(basis) == 1
-        x = basis[0]
-        for row in m:
-            s = row[0] * x[0] + row[1] * x[1]
-            assert s.is_zero
-
     def test_random_consistency(self):
         rng = random.Random(12)
         for _ in range(20):
@@ -173,26 +162,14 @@ class TestFieldOps:
             assert len(ff_echelon(rows)[1]) == field_rank(frows)
 
     def test_kernels_agree(self):
-        # one kernel vector per free column: killed by every row, 1 at its
-        # free column and 0 at the others
+        # both eliminations choose the same pivot columns
         rng = random.Random(5)
         for _ in range(20):
             nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
             rows = [[L({rng.randint(-1, 1): rng.randint(-1, 1)})
                      for _ in range(ncols)] for _ in range(nrows)]
             frows = [[QFrac(e) for e in row] for row in rows]
-            piv = field_echelon(frows)[1]
-            free = [c for c in range(ncols) if c not in piv]
-            basis = field_kernel(frows, ncols, QFrac.one())
-            assert len(ff_echelon(rows)[1]) == len(piv) == ncols - len(basis)
-            for f, x in zip(free, basis):
-                assert [x[c] for c in free] == \
-                    [QFrac.one() if c == f else QFrac.zero() for c in free]
-                for row in frows:
-                    s = QFrac.zero()
-                    for e, c in zip(row, x):
-                        s = s + e * c
-                    assert s.is_zero
+            assert ff_echelon(rows)[1] == field_echelon(frows)[1]
 
 
 @st.composite

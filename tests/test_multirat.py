@@ -302,7 +302,7 @@ class TestQBracketBinom:
         assert val == gauss
 
 
-def unit_ratio_by_division(a, b, strict=False):
+def unit_ratio_by_division(a, b):
     """Reference unit_ratio: reduce a / b to its canonical fraction (one
     multivariate gcd) and read the unit off its single z-blocks."""
     if b.is_zero:
@@ -321,10 +321,7 @@ def unit_ratio_by_division(a, b, strict=False):
     u = QFrac(pn, pd)
     m = u.num.low_degree() - u.den.low_degree()
     sign = 1 if (u.num.trailing_coeff() > 0) == (u.den.trailing_coeff() > 0) else -1
-    parts = UnitParts(sign, m, z_exps, u / QFrac(LaurentQ.term(m, sign)))
-    if strict and not parts.is_signed_q_power:
-        return None
-    return parts
+    return UnitParts(sign, m, z_exps, u / QFrac(LaurentQ.term(m, sign)))
 
 
 def as_multirat(x: QFrac, rank, z_exps=None):
@@ -341,12 +338,11 @@ class TestUnitRatioAgainstDivision:
 
     @staticmethod
     def check(a, b):
-        for strict in (True, False):
-            want = unit_ratio_by_division(a, b, strict)
-            got = unit_ratio(a, b, strict)
-            assert (got is None) == (want is None)
-            assert str(got) == str(want)
-        return got  # the non-strict result
+        want = unit_ratio_by_division(a, b)
+        got = unit_ratio(a, b)
+        assert (got is None) == (want is None)
+        assert str(got) == str(want)
+        return got
 
     def test_non_units(self):
         f = z(1) - z(2)
@@ -368,8 +364,7 @@ class TestUnitRatioAgainstDivision:
     def test_strict(self):
         f = z(1) - z(2)
         assert self.check(q(p=4) * f, f).is_plus_q_power
-        assert unit_ratio(f * q_int(2), f, strict=True) is None
-        self.check(f * q_int(2), f)
+        assert not self.check(f * q_int(2), f).is_signed_q_power
 
     def test_zero_a(self):
         assert self.check(MultiRat.zero(2), z(1) - z(2)) is None
@@ -405,12 +400,12 @@ class TestUnitRatio:
 
     def test_strict_mode(self):
         f = z(1) - z(2)
-        parts = unit_ratio(-q(p=-1) * f, f, strict=True)
+        parts = unit_ratio(-q(p=-1) * f, f)
         assert parts is not None
         assert (parts.sign, parts.q_exp, parts.z_exps) == (-1, -1, (0, 0))
         assert parts.is_signed_q_power and not parts.is_plus_q_power
-        # strict mode rejects non-power scalars
-        assert unit_ratio(f * QFrac(q_int(2)).num, f, strict=True) is None
+        # a scalar that is not a power of q is not a signed q-power
+        assert not unit_ratio(f * QFrac(q_int(2)).num, f).is_signed_q_power
 
     def test_general_scalar_reported(self):
         f = z(1) - z(2)

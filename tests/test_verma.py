@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -437,35 +438,51 @@ class TestJantzenEngine:
         4: "24d1c1d9cbc4fdfb6083414e78fb654a3897ddf9c29aeb6de3e9c064fb7d9d2c",
     }
 
-    @pytest.mark.parametrize("rank,k", [(r, k) for r in (2, 3, 4)
-                                        for k in range(1, r + 1)])
+    @pytest.mark.parametrize("rank,k", [(r, k) for r in (2, 3, 4, 5)
+                                        for k in range(1, min(r, 4) + 1)])
     def test_exact_value(self, rank, k):
         text = repr(jantzen_engine(k, rank))
         if k == 4:
             text = hashlib.sha256(text.encode()).hexdigest()
         assert text == self.EXPECTED_REPR[k]
 
+    @staticmethod
+    def patch_engine_pivots(monkeypatch, change):
+        """Make the engine's `symmetric_pivots` call return change(chosen,
+        pivots); the calls from `gram_matrix` pass through unchanged."""
+        real = verma.symmetric_pivots
+
+        def patched(matrix):
+            result = real(matrix)
+            if sys._getframe(1).f_code is jantzen_engine.__code__:
+                return change(*result)
+            return result
+
+        monkeypatch.setattr(verma, "symmetric_pivots", patched)
+
     def test_extra_kernel_vector_raises(self, monkeypatch):
-        real = verma.field_kernel
-
-        def padded(rows, ncols, one):
-            sols = real(rows, ncols, one)
-            return sols + [sols[0]]
-
-        monkeypatch.setattr(verma, "field_kernel", padded)
+        # one spanning row fewer leaves a singular space of dimension 2
+        self.patch_engine_pivots(
+            monkeypatch, lambda chosen, pivots: (chosen[1:], pivots[1:]))
         with pytest.raises(EngineError, match="dimension 2"):
             jantzen_engine(3, 3)
 
     def test_kernel_without_top_raises(self, monkeypatch):
-        real = verma.field_kernel
-
-        def topless(rows, ncols, one):
-            return [sol[:-1] + [one - one] for sol in real(rows, ncols, one)]
-
-        monkeypatch.setattr(verma, "field_kernel", topless)
+        self.patch_engine_pivots(
+            monkeypatch, lambda chosen, pivots: (chosen[:-1], pivots[:-1]))
         with pytest.raises(EngineError,
                            match="no singular vector pairs with the top term"):
             jantzen_engine(3, 3)
+
+    def test_isotropic_elimination_raises(self, monkeypatch):
+        def isotropic(chosen, pivots):
+            raise ValueError("zero pivot with a nonzero row at index 0: "
+                             "the form is isotropic")
+
+        self.patch_engine_pivots(monkeypatch, isotropic)
+        with pytest.raises(EngineError,
+                           match=r"isotropic \(k=3, rank=4\)"):
+            jantzen_engine(3, 4)
 
 
 class TestHookRatio:

@@ -6,7 +6,7 @@ import pytest
 
 from fockweyl import weyl
 from fockweyl.errors import EngineError
-from fockweyl.linalg import _strip_content, ff_echelon, field_kernel
+from fockweyl.linalg import _strip_content, ff_echelon, field_echelon
 from fockweyl.partitions import (Partition, all_partitions, addable_row_indices,
                                  partitions_of)
 from fockweyl.ring import LaurentQ, QFrac, poly_gcd, q_int, q_power
@@ -524,6 +524,25 @@ def column_word(lam):
                  for r in range(1, len(lam) + 1) if lam.part(r) >= c)
 
 
+def field_kernel(rows, ncols):
+    """Right kernel over QFrac by back-substitution on the `field_echelon`
+    rows: one vector per free column, with that coordinate 1 and the other
+    free coordinates 0."""
+    ech, piv, _ = field_echelon(rows)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(piv)):
+        x = [QFrac.zero()] * ncols
+        x[f] = QFrac.one()
+        for row, p in zip(reversed(ech), reversed(piv)):
+            s = QFrac.zero()
+            for c in range(p + 1, ncols):
+                if not row[c].is_zero and not x[c].is_zero:
+                    s = s + row[c] * x[c]
+            x[p] = -s / row[p]
+        basis.append(x)
+    return basis
+
+
 def raising_kernel(lam, rank):
     """(words of weight lam, kernel basis of all X_i on their span, each
     vector cleared to integral coordinates)."""
@@ -536,8 +555,7 @@ def raising_kernel(lam, rank):
             for w2, c in img.terms.items():
                 row = rows.setdefault((i, w2), [QFrac.zero()] * len(words))
                 row[j] = QFrac(c)
-    basis = field_kernel([rows[k] for k in sorted(rows)], len(words),
-                         QFrac.one())
+    basis = field_kernel([rows[k] for k in sorted(rows)], len(words))
     return words, [clear_vector(x) for x in basis]
 
 
