@@ -11,12 +11,12 @@ path, `pair_words`, and it is integral: every raising step divides by the
 same q - q^{-1}, so two words of height m pair to P / (q - q^{-1})^m with P a
 Laurent polynomial in Z[q^{+-1}, z^{+-1}], and P is computed without a
 fraction or a gcd.  `gram_matrix` keeps these scaled entries and runs one
-symmetric diagonal-pivot elimination on them, in word order: its chosen words
-are the basis, its zero rows prove the rank, and its pivots give the
-determinant, whose power of q - q^{-1} is divided out only at the end.  The
-engine is one more such elimination, of the raising images (a closed formula
-for the coproduct action) and the top vector, paired through the slot Grams:
-it needs no tensor type, and its answer is the last pivot.
+symmetric diagonal-pivot elimination on the block of the good words (a
+basis of U^-): its nonzero pivots prove the rank and give the determinant,
+whose power of q - q^{-1} is divided out only at the end.  The engine is one
+more such elimination, of the raising images (a closed formula for the
+coproduct action) and the top vector, paired through the slot Grams: it
+needs no tensor type, and its answer is the last pivot.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .partitions import (Partition, Box, addable_boxes, content, is_addable,
                          n_left, removable_boxes)
 from .ring import QFrac, q_int, val_cyclotomic
 from .sparse import SparseVector
-from .weights import Weight, alpha, positive_roots, words_with_counts
+from .weights import Weight, alpha, good_words, positive_roots, words_with_counts
 
 YWord = tuple  # sequence of indices in 1..N-1
 
@@ -207,10 +207,9 @@ def kostant_p(gamma: Weight) -> int:
 
 @dataclass
 class GramMatrix:
-    """Pairings of all lowering words of one multidegree nu, the maximal
-    independent sublist (the lexicographically first column basis) with the
-    pivots of its symmetric elimination, and, on first use, the determinant
-    on it.
+    """Pairings of all lowering words of one multidegree nu, the positions of
+    the good words (a basis) with the pivots of their symmetric elimination,
+    and, on first use, the determinant on them.
 
     The pairings are integral up to one power: entry (a, b) of the form is
     scaled[a][b] / (q - q^{-1})^m, with scaled[a][b] in Z[q^{+-1}, z^{+-1}]
@@ -252,37 +251,35 @@ class GramMatrix:
 def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
     """Pair all lowering words of multidegree nu over the mu-shifted module.
 
-    The words are paired integrally (`pair_words`), and the scaled matrix is
-    eliminated once, symmetrically, in word order (`symmetric_pivots`).  A
-    word is independent of the earlier ones iff its diagonal pivot is
-    nonzero: for dominant lambda large against nu the form is anisotropic over
-    Q(q) (M(lambda) = L(lambda) in this weight, and Kashiwara's polarization
-    is the identity mod q on the crystal basis), and independence of words
-    does not depend on z since M(lambda) is free over U^-.  So the chosen
-    words are the lexicographically first column basis, and a zero pivot
-    with a nonzero row, which would contradict this, is an engine error.  The
-    basis size must equal the weight multiplicity kostant_p(-nu) (anything
-    else is an engine bug).
+    The words are paired integrally (`pair_words`), and the block of the P
+    good words, a basis of U^- in this weight (`weights.good_words`), is
+    eliminated once, symmetrically, in word order (`symmetric_pivots`).  As
+    M(lambda) is free over U^-, and for dominant lambda large against nu the
+    form is anisotropic over Q(q) (M(lambda) = L(lambda) in this weight, and
+    Kashiwara's polarization is the identity mod q on the crystal basis), P
+    must be the multiplicity kostant_p(-nu) and all P pivots nonzero;
+    anything else is an engine error.
     """
+    if mu.rank != rank or nu.rank != rank:
+        raise ValueError(f"weights {mu} and {nu} do not have rank {rank}")
     words = ywords(nu, rank)
     n = len(words)
     scaled = [[None] * n for _ in range(n)]
-    entries = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            p = pair_words(words[i], words[j], mu, rank)
-            scaled[i][j] = scaled[j][i] = p
-            entries[i][j] = entries[j][i] = MultiRat(p, coprime=True)
+            scaled[i][j] = scaled[j][i] = pair_words(words[i], words[j], mu, rank)
+    good = [words.index(w) for w in good_words(nu.alpha_coords())] if n else []
+    if len(good) != kostant_p(-nu):
+        raise EngineError(f"good word count {len(good)} != multiplicity "
+                          f"{kostant_p(-nu)} for nu={nu}, rank={rank}")
     try:
-        chosen, pivots = symmetric_pivots(entries)
+        chosen, pivots = symmetric_pivots(
+            [[MultiRat(scaled[a][b], coprime=True) for b in good] for a in good])
     except ValueError as exc:
         raise EngineError(f"{exc} (nu={nu}, rank={rank})") from None
-    expected = kostant_p(-nu)
-    if len(chosen) != expected:
-        raise EngineError(
-            f"independent word count {len(chosen)} != multiplicity {expected} "
-            f"for nu={nu}, rank={rank}")
-    return GramMatrix(mu, rank, nu, words, scaled, chosen, pivots)
+    if len(chosen) != len(good):
+        raise EngineError(f"zero pivot on the good words (nu={nu}, rank={rank})")
+    return GramMatrix(mu, rank, nu, words, scaled, good, pivots)
 
 
 def _jantzen_factor(j: int, k: int, rank: int, m: int = 1) -> MultiPoly:
@@ -353,14 +350,15 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     # the monomial coefficient).  With a the weight of w,
     #   omega(X_i) (w x v_j) = z_i z_{i+1}^{-1} q^{a_i+[j=i]-a_{i+1}-[j=i+1]}
     #                          (Y_i w x v_j) + [j=i] q (w x v_{i+1}).
-    # The order (i, then j, decreasing; words in reverse) is not cosmetic:
-    # the elimination runs in it, and it keeps the intermediate entries small
-    # (in ascending order k = rank = 4 takes about 20 times longer).
+    # The order (i, then j, decreasing; good words ascending) is not
+    # cosmetic: the elimination runs in it, and it keeps the intermediate
+    # entries small (k = rank = 4 takes 20 times longer with i and j
+    # ascending, and k = rank = 5 twice as long with the words descending).
     vectors = []
     for i in range(rank - 1, 0, -1):
         for j in range(k, 0, -1):
             nu = Weight.eps(j, rank) - eps_k - alpha(i, rank)
-            for w in reversed(ywords(nu, rank)):
+            for w in good_words(nu.alpha_coords()):
                 a = _word_weight(w, zero_w, rank).coords
                 qe = a[i - 1] + (j == i) - a[i] - (j == i + 1)
                 y = [(j, pos[j][(i,) + w], _zq(rank, i, i + 1, qe))]

@@ -112,3 +112,28 @@ def words_with_counts(counts) -> list[tuple[int, ...]]:
             rest[i] -= 1
             out.extend((i + 1,) + w for w in words_with_counts(rest))
     return out
+
+
+def good_words(counts) -> list[tuple[int, ...]]:
+    """The good words with counts[i] copies of the letter i + 1, sorted; []
+    outside Q+.  On the reversed alphabet N-1 < .. < 1 the good Lyndon words
+    of sl_N are the intervals (b, b-1, .., a), and a good word concatenates
+    them in non-increasing order (b ascending, then the longer first): one per
+    Kostant partition, a basis of U^- there (Lalonde-Ram 1995, Leclerc 2004)."""
+    if any(c < 0 for c in counts):
+        return []
+
+    def grow(left, spans, least):
+        # each multiset once: intervals by increasing (a, b), a the least letter
+        if not any(left):
+            yield tuple(c for b, a in sorted(spans)
+                        for c in range(b, a - 1, -1))
+            return
+        a = next(i for i, c in enumerate(left, 1) if c)
+        for b in range(a, a + (left[a - 1:] + [0]).index(0)):
+            if (a, b) >= least:
+                yield from grow(
+                    left[:a - 1] + [c - 1 for c in left[a - 1:b]] + left[b:],
+                    spans + [(b, a)], (a, b))
+
+    return sorted(grow(list(counts), [], (0, 0)))

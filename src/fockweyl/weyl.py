@@ -38,18 +38,17 @@ and their self-pairings.
 The highest weight vector w_lam is the single key (1..c_1, .., 1..c_r).  The
 singular vector of weight lam + eps_{k_j} in V(lam) (x) V is the one vector,
 up to scale, that the raising operators kill in the span of
-Y_word (w_lam (x) v_k), k <= k_j, over 2^{d-1} words in the d = k_j - k
-letters k .. k_j - 1 (a basis of that weight space of U^-, not all d!
-orderings).  It is read off one fraction-free echelon form of the rows
-[X_1 s | .. | X_{N-1} s | s] over the spanning vectors s, and the
-dimension of that singular space is counted there, not assumed.
+Y_word (w_lam (x) v_k), k <= k_j, over the good words in the letters
+k .. k_j - 1, each once (`weights.good_words`, a basis of that weight space
+of U^-, not all orderings).  It is read off one fraction-free echelon form
+of the rows [X_1 s | .. | X_{N-1} s | s] over the spanning vectors s, and
+the dimension of that singular space is counted there, not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 from .errors import EngineError
 from .fock import FockVector, apply_F
@@ -59,6 +58,7 @@ from .partitions import (Partition, Box, addable_row_indices, color, content,
 from .ring import LaurentQ, QFrac, val_cyclotomic
 from .sparse import SparseVector
 from .verma import jantzen_evaluate_closed, hook_ratio
+from .weights import good_words
 
 
 class TensorVector(SparseVector):
@@ -216,27 +216,6 @@ def highest_weight_vector(lam: Partition, rank: int) -> TensorVector:
     return TensorVector(lam.size, rank, {key: LaurentQ.one()})
 
 
-def _spanning_words(k: int, k_j: int) -> list[tuple[int, ...]]:
-    """One word in the letters k .. k_j - 1, each once, per orientation of
-    the adjacent pairs: the letters cut into consecutive increasing runs, the
-    runs concatenated last-first.  Only Y_a Y_b = Y_b Y_a for |a - b| >= 2
-    relates such words in U^-, so these 2^{d-1} words (d = k_j - k >= 1) are a
-    basis of its weight space -(alpha_k + .. + alpha_{k_j - 1}), whose
-    dimension is the Kostant partition function 2^{d-1}."""
-    if k == k_j:
-        return [()]
-    words = []
-    for cuts in product((False, True), repeat=k_j - k - 1):
-        runs = [[k]]
-        for letter, cut in zip(range(k + 1, k_j), cuts):
-            if cut:
-                runs.append([letter])
-            else:
-                runs[-1].append(letter)
-        words.append(tuple(letter for run in reversed(runs) for letter in run))
-    return words
-
-
 def _lowered(gen: TensorVector, words) -> list[TensorVector]:
     """Y_{a_1} .. Y_{a_d} gen for each word (a_1 .. a_d), in the order of the
     reversed words.  In that order each word shares its longest common suffix
@@ -280,11 +259,11 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
 
     The submodule generated by the highest weight vector is spanned, weight by
     weight, by lowering words applied to w_lam (x) v_k: in weight
-    lam + eps_{k_j} the `_spanning_words(k, k_j)` for k <= k_j, whose span is
-    that of all orderings of the letters k .. k_j - 1.  The singular direction
-    in each relevant weight space is unique (the solve counts it).  The
-    triangular normalization is obtained through orthogonality to the lower
-    summands: with u any nonzero singular vector, the normalized one is
+    lam + eps_{k_j} the good words in the letters k .. k_j - 1 for k <= k_j,
+    whose span is that of all orderings of those letters.  The singular
+    direction in each relevant weight space is unique (the solve counts it).
+    The triangular normalization is obtained through orthogonality to the
+    lower summands: with u any nonzero singular vector, the normalized one is
     ((u, top)/(u, u)) u where top = w_lam (x) v_k, and the reported norm
     divides out (w_lam, w_lam).  Both are invariant under rescaling u, so u
     is taken integral (an echelon row of `_singular_vectors_in_span`) and
@@ -304,7 +283,7 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
         for k in range(1, k_j + 1):
             gen = TensorVector(n1, rank,
                                {w + (k,): c for w, c in w_lam.terms.items()})
-            spanning += _lowered(gen, _spanning_words(k, k_j))
+            spanning += _lowered(gen, good_words([0] * (k - 1) + [1] * (k_j - k)))
         singular = _singular_vectors_in_span(spanning, rank)
         if len(singular) != 1:
             raise EngineError(f"singular space dimension {len(singular)} != 1 "

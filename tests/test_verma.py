@@ -8,7 +8,7 @@ import pytest
 
 from fockweyl import verify, verma
 from fockweyl.errors import EngineError
-from fockweyl.linalg import field_det
+from fockweyl.linalg import field_det, symmetric_pivots
 from fockweyl import multirat
 from fockweyl.multirat import (MultiPoly, MultiRat, eval_at_weight, over_q_diff,
                                sigma_shift, unit_ratio)
@@ -19,8 +19,8 @@ from fockweyl.verma import (VermaElement, act_y, det_product_identity,
                             jantzen_engine, jantzen_evaluate_closed,
                             jantzen_valuation, kostant_p, pair_words,
                             shapovalov_det_closed, shapovalov_pair, ywords)
-from fockweyl.weights import (Weight, alpha, from_alpha_coords, positive_roots,
-                              words_with_counts)
+from fockweyl.weights import (Weight, alpha, from_alpha_coords, good_words,
+                              positive_roots, words_with_counts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,6 +344,41 @@ class TestGramMatrix:
                 assert gm.independent == chosen
                 assert repr(gm.det) == repr(det)
 
+    @pytest.mark.parametrize("rank,height", [(3, 5), (4, 4), (5, 3)])
+    def test_good_words_are_the_full_elimination_basis(self, rank, height):
+        for ac in itertools.product(range(height + 1), repeat=rank - 1):
+            if not 0 < sum(ac) <= height:
+                continue
+            gm = gram_matrix(Weight.zero(rank), from_alpha_coords(ac, rank),
+                             rank)
+            chosen, pivots = symmetric_pivots(
+                [[MultiRat(p, coprime=True) for p in row] for row in gm.scaled])
+            assert chosen == gm.independent
+            assert pivots == gm.pivots
+
+    def test_rank_mismatch_raises(self):
+        with pytest.raises(ValueError, match="rank 2"):
+            gram_matrix(Weight.zero(2), Weight((1, -1, 0)), 2)
+        with pytest.raises(ValueError, match="rank 3"):
+            gram_matrix(Weight.zero(3), alpha(1, 2), 3)
+
+    def test_good_word_count_guard(self, monkeypatch):
+        monkeypatch.setattr(verma, "good_words", lambda counts: [(1, 2)])
+        with pytest.raises(EngineError, match="good word count 1 != "
+                                              "multiplicity 2"):
+            gram_matrix(Weight.zero(3), alpha(1, 3) + alpha(2, 3), 3)
+
+    def test_zero_pivot_guard(self, monkeypatch):
+        real = verma.symmetric_pivots
+
+        def dropped(matrix):
+            chosen, pivots = real(matrix)
+            return chosen[1:], pivots[1:]
+
+        monkeypatch.setattr(verma, "symmetric_pivots", dropped)
+        with pytest.raises(EngineError, match="zero pivot on the good words"):
+            gram_matrix(Weight.zero(3), alpha(1, 3) + alpha(2, 3), 3)
+
     def test_pivots_are_minor_ratios(self):
         nu = 2 * alpha(1, 3) + alpha(2, 3)
         gm = gram_matrix(Weight.zero(3), nu, 3)
@@ -563,3 +598,39 @@ class TestYWords:
         letters = [i + 1 for i, c in enumerate(counts) for _ in range(c)]
         assert words_with_counts(counts) == sorted(
             set(itertools.permutations(letters)))
+
+
+def interval_runs(word):
+    """The word cut into its maximal runs b, b - 1, .., a."""
+    runs = []
+    for letter in word:
+        if runs and runs[-1][-1] == letter + 1:
+            runs[-1].append(letter)
+        else:
+            runs.append([letter])
+    return runs
+
+
+class TestGoodWords:
+    @pytest.mark.parametrize("ac", [
+        ac for rank in range(2, 7)
+        for ac in itertools.product(range(6), repeat=rank - 1) if sum(ac) <= 5],
+        ids=str)
+    def test_basis_of_intervals(self, ac):
+        words = good_words(ac)
+        assert len(words) == kostant_p(-from_alpha_coords(ac, len(ac) + 1))
+        assert words == sorted(set(words))
+        for w in words:
+            assert [w.count(i + 1) for i in range(len(ac))] == list(ac)
+            keys = [[-a for a in run] for run in interval_runs(w)]
+            assert keys == sorted(keys, reverse=True)
+
+    def test_examples(self):
+        assert good_words((0, 0)) == [()]
+        assert good_words((1, 1)) == [(1, 2), (2, 1)]
+        assert good_words((2, 1)) == [(1, 1, 2), (1, 2, 1)]
+        assert good_words((1, 1, 1)) == [(1, 2, 3), (1, 3, 2), (2, 1, 3),
+                                          (3, 2, 1)]
+
+    def test_outside_q_plus(self):
+        assert good_words((1, -1)) == []

@@ -10,11 +10,10 @@ from fockweyl.linalg import _strip_content, ff_echelon, field_echelon
 from fockweyl.partitions import (Partition, all_partitions, addable_row_indices,
                                  partitions_of)
 from fockweyl.ring import LaurentQ, QFrac, poly_gcd, q_int, q_power
-from fockweyl.weights import words_with_counts
+from fockweyl.weights import good_words, words_with_counts
 from fockweyl.weyl import (TensorVector, _lowered, _singular_vectors_in_span,
-                           _spanning_words, highest_weight_vector,
-                           mu_singular_vectors, tensor_act, tensor_form,
-                           verify_fock_match)
+                           highest_weight_vector, mu_singular_vectors,
+                           tensor_act, tensor_form, verify_fock_match)
 
 
 def word(*letters, rank=2):
@@ -273,7 +272,7 @@ class TestIntegralCoefficients:
         for k in (1, 2, 3):
             gen = TensorVector(4, rank,
                                {w + (k,): c for w, c in w_lam.terms.items()})
-            spanning += _lowered(gen, _spanning_words(k, 3))
+            spanning += _lowered(gen, interval_words(k, 3))
         (u,) = _singular_vectors_in_span(spanning, rank)
         assert all(type(c) is LaurentQ for c in u.terms.values())
         assert built == []
@@ -573,6 +572,12 @@ def column_heights(lam):
             for c in range(1, (lam[0] if lam else 0) + 1)]
 
 
+def interval_words(k, k_j):
+    """The good words in the letters k .. k_j - 1, each once, as
+    `mu_singular_vectors` spans with them."""
+    return good_words([0] * (k - 1) + [1] * (k_j - k))
+
+
 def orientation(word):
     """For each adjacent pair (a, a + 1) of letters, whether a comes first."""
     pos = {a: i for i, a in enumerate(word)}
@@ -657,20 +662,20 @@ class TestSpanningWords:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("d", range(1, 7))
     def test_one_word_per_orientation(self, k, d):
-        words = _spanning_words(k, k + d)
+        words = interval_words(k, k + d)
         assert len(words) == len(set(words)) == 2 ** (d - 1)
         for w in words:
             assert sorted(w) == list(range(k, k + d))
         assert len({orientation(w) for w in words}) == 2 ** (d - 1)
 
     def test_empty_word(self):
-        assert _spanning_words(3, 3) == [()]
+        assert interval_words(3, 3) == [()]
 
     def test_lowered_matches_letter_by_letter(self):
         rank = 5
         gen = highest_weight_vector(Partition((2, 1)), rank)
         gen = TensorVector(4, rank, {w + (1,): c for w, c in gen.terms.items()})
-        words = _spanning_words(1, 5)
+        words = interval_words(1, 5)
         expected = {}
         for word in words:
             v = gen
@@ -690,7 +695,7 @@ class TestSpanningWords:
             for k in range(1, k_j + 1):
                 gen = TensorVector(lam.size + 1, rank,
                                    {w + (k,): c for w, c in w_lam.terms.items()})
-                fewer += _lowered(gen, _spanning_words(k, k_j))
+                fewer += _lowered(gen, interval_words(k, k_j))
                 every += _lowered(gen, words_with_counts(
                     [0] * (k - 1) + [1] * (k_j - k)))
             r = len(ff_echelon(coordinate_rows(fewer))[1])
@@ -781,7 +786,7 @@ class TestSingularSpan:
             mu_singular_vectors.__wrapped__(Partition((2,)), 2)
 
     def test_dimension_guard_none(self, monkeypatch):
-        monkeypatch.setattr(weyl, "_spanning_words", lambda k, k_j: [])
+        monkeypatch.setattr(weyl, "good_words", lambda counts: [])
         with pytest.raises(EngineError, match="singular space dimension 0 != 1"):
             mu_singular_vectors.__wrapped__(Partition((1,)), 2)
 
