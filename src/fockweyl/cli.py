@@ -204,6 +204,9 @@ def _cmd_verify(args) -> int:
         reads += ("--max-size",)
     for flag in given:
         if flag not in reads:
+            if args.family == "theorem51" and flag == "--max-size":
+                raise SystemExit2("--max-size applies to theorem51 only "
+                                  "together with --rank")
             readers = [f for f, flags in FAMILY_FLAGS.items() if flag in flags]
             if len(readers) == 1:
                 raise SystemExit2(f"{flag} applies to {readers[0]} only")

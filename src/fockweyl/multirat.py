@@ -21,7 +21,7 @@ from math import gcd
 from operator import add, sub
 
 from .errors import PoleError
-from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly, poly_gcd
+from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly, _prem
 from .weights import Weight
 
 
@@ -130,13 +130,6 @@ class MultiPoly(_Poly):
         e = max(self.terms)
         return e, self.terms[e]
 
-    def complexity(self):
-        """Pivot-selection key: term count then total degree spread."""
-        if not self.terms:
-            return (0, 0)
-        tot = max(sum(map(abs, e)) for e in self.terms)
-        return (len(self.terms), tot)
-
     def max_deg(self, var):
         return max(e[var] for e in self.terms)
 
@@ -223,37 +216,6 @@ def _content(coeffs) -> MultiPoly:
     return g
 
 
-def _prem_strict(a, b):
-    """Strict pseudo remainder: lc(b)^(deg a - deg b + 1) * a mod b."""
-    da, db = max(a), max(b)
-    lb = b[db]
-    r = dict(a)
-    n = da - db + 1
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        n -= 1
-        nr = {}
-        for e, v in r.items():
-            if e == dr:
-                continue
-            nr[e] = v * lb
-        for e, v in b.items():
-            if e == db:
-                continue
-            e2 = e + dr - db
-            s = nr.get(e2, MultiPoly.zero(lb.rank)) - v * lr
-            if s.is_zero:
-                nr.pop(e2, None)
-            else:
-                nr[e2] = s
-        r = nr
-    if r and n > 0:
-        scale = lb ** n
-        r = {e: v * scale for e, v in r.items()}
-    return r
-
-
 def _subresultant_last(a, b):
     """Last nonzero remainder of the subresultant PRS (deg a >= deg b).
 
@@ -265,9 +227,12 @@ def _subresultant_last(a, b):
     h = one
     while True:
         delta = max(a) - max(b)
-        r = _prem_strict(a, b)
+        r, n = _prem(a, b)
         if not r:
             return b
+        if n:
+            scale = b[max(b)] ** n
+            r = {e: v * scale for e, v in r.items()}
         denom = g * (h ** delta)
         if denom != one:
             r = {e: _divexact(v, denom) for e, v in r.items()}
@@ -297,10 +262,10 @@ def poly_gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     gcd of the images is exact, then a lifted candidate whose primitive part
     divides both inputs is their gcd (proof in `_heugcd`), so the trial
     division is the certificate.  The subresultant pseudo-remainder sequence
-    runs only when the heuristic gives up after its six evaluation points;
-    a gcd in one variable goes to the univariate `ring.poly_gcd`.  All
-    intermediate arithmetic stays over Z.  Raises ValueError on a negative
-    exponent (strip monomials first).
+    runs only when the heuristic gives up after its six evaluation points.
+    Input in one variable takes the same route.  All intermediate arithmetic
+    stays over Z.  Raises ValueError on a negative exponent (strip monomials
+    first).
     """
     for p in (f, g):
         if not p.is_zero and min(p.min_exps()) < 0:
@@ -321,14 +286,10 @@ def poly_gcd_multi(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.one(f.rank)
     if f.terms == g.terms:
         return f
-    df, dg = _degrees(f), _degrees(g)
-    active = [v for v, (a, b) in enumerate(zip(df, dg)) if a or b]
-    if len(active) == 1:
-        return _gcd_univar_q(f, g, active[0])
     h = _heugcd(f, g)
     if h is not None:
         return h
-    return _gcd_subresultant(f, g, active)
+    return _gcd_subresultant(f, g)
 
 
 def _certified_coprime(cf: MultiPoly, cg: MultiPoly, tries: int = 3) -> bool:
@@ -362,14 +323,14 @@ def _certified_coprime(cf: MultiPoly, cg: MultiPoly, tries: int = 3) -> bool:
     return False
 
 
-def _gcd_subresultant(f: MultiPoly, g: MultiPoly, active) -> MultiPoly:
-    """The gcd by a subresultant remainder sequence in the active variable of
-    smallest degree.  The inputs must share no monomial factor (the result
-    drops one in the main variable); `poly_gcd_multi` splits it off first."""
+def _gcd_subresultant(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """The gcd of two nonconstant polynomials by a subresultant remainder
+    sequence in the variable of smallest degree.  The inputs must share no
+    monomial factor (the result drops one in the main variable);
+    `poly_gcd_multi` splits it off first."""
     nv = f.rank + 1
     # main variable of smallest degree keeps the remainder sequence short
-    df, dg = _degrees(f), _degrees(g)
-    var = min(active, key=lambda v: max(df[v], dg[v]))
+    var = _main_var(f, g)
     uf = _as_univar(f, var)
     ug = _as_univar(g, var)
     pf, cf = _primitive_univar(uf)
@@ -465,8 +426,7 @@ def _heugcd(f: MultiPoly, g: MultiPoly, depth: int = 0):
         f = f._like({e: v // cf for e, v in f.terms.items()})
     if cg != 1:
         g = g._like({e: v // cg for e, v in g.terms.items()})
-    df, dg = _degrees(f), _degrees(g)
-    var = min((max(a, b), v) for v, (a, b) in enumerate(zip(df, dg)) if a or b)[1]
+    var = _main_var(f, g)
     xi = 2 * max(_max_norm(f), _max_norm(g)) + 29
     for _ in range(6):
         he = _heugcd(_eval_var(f, var, xi), _eval_var(g, var, xi), depth + 1)
@@ -480,9 +440,12 @@ def _heugcd(f: MultiPoly, g: MultiPoly, depth: int = 0):
     return None
 
 
-def _degrees(p: MultiPoly):
-    """The largest exponent of each variable, in one pass over the terms."""
-    return tuple(map(max, zip(*p.terms)))
+def _main_var(f: MultiPoly, g: MultiPoly) -> int:
+    """The variable of f or g of smallest nonzero degree (lowest index on a
+    tie); the largest exponents are read in one pass over each operand."""
+    df, dg = map(max, zip(*f.terms)), map(max, zip(*g.terms))
+    return min((max(a, b), v)
+               for v, (a, b) in enumerate(zip(df, dg)) if a or b)[1]
 
 
 def _is_constant(p: MultiPoly) -> bool:
@@ -507,15 +470,6 @@ def _div_laurent(p: MultiPoly, g: MultiPoly) -> MultiPoly:
     return _divexact(p0, g).shifted(m)
 
 
-def _gcd_univar_q(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
-    a = LaurentQ({e[var]: v for e, v in f.terms.items()})
-    b = LaurentQ({e[var]: v for e, v in g.terms.items()})
-    d = poly_gcd(a, b)
-    nv = f.rank + 1
-    return f._like({tuple(k if i == var else 0 for i in range(nv)): v
-                    for k, v in d.terms.items()})
-
-
 class MultiRat(_Frac):
     """Element of the fraction field Q(q, z_1, ..., z_N) in canonical form."""
 
@@ -538,12 +492,10 @@ class MultiRat(_Frac):
         if not coprime:
             g = poly_gcd_multi(n0, d0)
             if not _is_one(g):
+                # n0 and d0 keep minimal exponent 0 in every variable:
+                # minimal exponents add under multiplication
                 n0 = _divexact(n0, g)
                 d0 = _divexact(d0, g)
-                n0, m2 = _strip_monomial(n0)
-                d0, m3 = _strip_monomial(d0)
-                mn = tuple(map(add, mn, m2))
-                md = tuple(map(add, md, m3))
         dc = d0.int_primitive()
         scale = Fraction(dc.lead()[1]) / Fraction(d0.lead()[1])
         if scale != 1:

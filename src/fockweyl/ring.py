@@ -32,6 +32,18 @@ def _coef(x):
     raise TypeError(f"bad coefficient {x!r}")
 
 
+def _power(x, n):
+    """x**n for n >= 0 by square-and-multiply, for a `_Poly` or a `_Frac`."""
+    out = x._wrap(1)
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 class _Poly:
     """Sparse Laurent polynomial over Q: `terms` maps an exponent to a nonzero
     int or Fraction.  Instances are immutable by convention.
@@ -98,15 +110,7 @@ class _Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial; use a fraction")
-        out = self._like({self._origin(): 1})
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n)
 
     def __eq__(self, other):
         other = self._wrap(other)
@@ -335,15 +339,24 @@ def _int_prim(r: dict) -> dict:
     return {e: v // g for e, v in r.items()} if g > 1 else r
 
 
-def _int_prem(a: dict, b: dict) -> dict:
-    """Pseudo remainder over Z: reduce a by b, scaling by b's leading coefficient."""
+def _prem(a: dict, b: dict):
+    """Pseudo-remainder of ordinary polynomial dicts over an integral domain
+    (int or `MultiPoly` coefficients): a reduced by b, scaling by b's leading
+    coefficient lb at each step.
+
+    Returns (r, n).  When deg a >= deg b, lb^n r is the strict
+    pseudo-remainder lb^(deg a - deg b + 1) a mod b: n counts the steps
+    skipped where a reduction dropped the degree by more than one.
+    """
     db = max(b)
     lb = b[db]
     r = dict(a)
+    n = max(a) - db + 1
     while r:
         dr = max(r)
         if dr < db:
             break
+        n -= 1
         lr = r.pop(dr)
         nr = {e: v * lb for e, v in r.items()}
         for e, v in b.items():
@@ -351,12 +364,12 @@ def _int_prem(a: dict, b: dict) -> dict:
                 continue
             e2 = e + dr - db
             s = nr.get(e2, 0) - lr * v
-            if s:
+            if s != 0:
                 nr[e2] = s
             else:
                 nr.pop(e2, None)
         r = nr
-    return r
+    return r, n
 
 
 def poly_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
@@ -375,7 +388,7 @@ def poly_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     if max(ra) < max(rb):
         ra, rb = rb, ra
     while rb:
-        rem = _int_prim(_int_prem(ra, rb))
+        rem = _int_prim(_prem(ra, rb)[0])
         ra, rb = rb, rem
     return a._like(ra).int_primitive()
 
@@ -471,17 +484,7 @@ class _Frac:
         return self._wrap(other) / self
 
     def __pow__(self, n):
-        if n < 0:
-            return (self ** -n).inverse()
-        out = self._wrap(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n) if n >= 0 else _power(self, -n).inverse()
 
     def inverse(self):
         return self._wrap(1) / self

@@ -9,8 +9,8 @@ from fockweyl.errors import PoleError
 from fockweyl.multirat import (MultiPoly, MultiRat, UnitParts, _divexact,
                                eval_at_weight, poly_gcd_multi, q_bracket_binom,
                                sigma_shift, unit_ratio)
-from fockweyl.ring import LaurentQ, QFrac, _coef, q_int
-from fockweyl.verify import TOLERANCES
+from fockweyl.ring import LaurentQ, QFrac, _coef, _prem, poly_gcd, q_int
+from fockweyl.verify import TOLERANCES, RunConfig, enumerate_cases, run_case
 from fockweyl.weights import Weight
 
 from conftest import multipolys, multirats, nonzero_laurents, weights
@@ -70,12 +70,7 @@ class TestMultiPolyGcd:
                 continue
             f0 = _strip_monomial(common * f)[0].int_primitive()
             g0 = _strip_monomial(common * g)[0].int_primitive()
-            nv = rank + 1
-            active = [v for v in range(nv)
-                      if f0.max_deg(v) > 0 or g0.max_deg(v) > 0]
-            if len(active) < 2:
-                continue
-            sub = _gcd_subresultant(f0, g0, active)
+            sub = _gcd_subresultant(f0, g0)
             heu = _heugcd(f0, g0)
             if heu is not None:
                 # the raw heuristic may undershoot; it must still divide
@@ -95,6 +90,160 @@ class TestMultiPolyGcd:
         for args in ((f, g), (g, f), (MultiPoly.zero(rank), f)):
             with pytest.raises(ValueError, match="ordinary polynomials"):
                 poly_gcd_multi(*args)
+
+
+def gcd_univar_q(f, g, var):
+    """The bridge `poly_gcd_multi` once took for input in the one variable
+    `var`: the univariate `ring.poly_gcd`, which drops monomial factors."""
+    a = LaurentQ({e[var]: v for e, v in f.terms.items()})
+    b = LaurentQ({e[var]: v for e, v in g.terms.items()})
+    d = poly_gcd(a, b)
+    nv = f.rank + 1
+    return f._like({tuple(k if i == var else 0 for i in range(nv)): v
+                    for k, v in d.terms.items()})
+
+
+class TestOneVariableInput:
+    """Input in q alone or in one z_i alone takes the same route as any
+    other input, and both the heuristic and the subresultant fallback agree
+    with the univariate gcd."""
+
+    RANK = 3
+
+    def pairs(self, seed, var, count=40):
+        """f, g in the variable `var` only, sharing a planted factor."""
+        rng = random.Random(seed)
+
+        def rnd(terms):
+            while True:
+                p = MultiPoly(self.RANK, {
+                    tuple(rng.randint(0, 4) if i == var else 0
+                          for i in range(self.RANK + 1)): rng.randint(-9, 9)
+                    for _ in range(terms)})
+                if not p.is_zero:
+                    return p
+
+        for _ in range(count):
+            h = rnd(rng.randint(1, 3))
+            yield rnd(rng.randint(1, 4)) * h, rnd(rng.randint(1, 4)) * h
+
+    @pytest.mark.parametrize("var", range(RANK + 1))
+    def test_matches_univariate_bridge(self, var):
+        from fockweyl.multirat import _gcd_subresultant
+        fallback = 0
+        for f, g in self.pairs(90 + var, var):
+            common = tuple(map(min, f.min_exps(), g.min_exps()))
+            ref = gcd_univar_q(f, g, var).shifted(common)
+            assert poly_gcd_multi(f, g) == ref
+            strip = tuple(-m for m in common)
+            f0 = f.shifted(strip).int_primitive()
+            g0 = g.shifted(strip).int_primitive()
+            if len(f0.terms) > 1 and len(g0.terms) > 1:
+                assert _gcd_subresultant(f0, g0).shifted(common) == ref
+                fallback += 1
+        assert fallback > 0
+
+
+def prem_strict(a, b):
+    """The strict pseudo-remainder over `MultiPoly` coefficients that
+    `_subresultant_last` once used: lc(b)^(deg a - deg b + 1) * a mod b."""
+    da, db = max(a), max(b)
+    lb = b[db]
+    r = dict(a)
+    n = da - db + 1
+    while r and max(r) >= db:
+        dr = max(r)
+        lr = r[dr]
+        n -= 1
+        nr = {}
+        for e, v in r.items():
+            if e == dr:
+                continue
+            nr[e] = v * lb
+        for e, v in b.items():
+            if e == db:
+                continue
+            e2 = e + dr - db
+            s = nr.get(e2, MultiPoly.zero(lb.rank)) - v * lr
+            if s.is_zero:
+                nr.pop(e2, None)
+            else:
+                nr[e2] = s
+        r = nr
+    if r and n > 0:
+        scale = lb ** n
+        r = {e: v * scale for e, v in r.items()}
+    return r
+
+
+class TestPseudoRemainder:
+    """`ring._prem` with its missing power lb^n put back is the strict
+    pseudo-remainder, over int and `MultiPoly` coefficients."""
+
+    @staticmethod
+    def pairs(rng, coef, count=80):
+        """Sparse a, b with deg a >= deg b, so that reductions skip degrees."""
+        for _ in range(count):
+            db = rng.randint(0, 3)
+            da = db + rng.randint(0, 4)
+            b = {e: coef() for e in rng.sample(range(db), rng.randint(0, db))}
+            a = {e: coef() for e in rng.sample(range(da), rng.randint(0, da))}
+            b[db] = coef()
+            a[da] = coef()
+            yield a, b
+
+    def check(self, pairs, lift):
+        skipped = 0
+        for a, b in pairs:
+            r, n = _prem(a, b)
+            lb = b[max(b)]
+            strict = prem_strict({e: lift(v) for e, v in a.items()},
+                                 {e: lift(v) for e, v in b.items()})
+            assert {e: lift(v * lb ** n) for e, v in r.items()} == strict
+            skipped += n > 0
+        assert skipped > 0
+
+    def test_int_coefficients(self):
+        rng = random.Random(61)
+        self.check(self.pairs(rng, lambda: rng.choice((-3, -2, -1, 1, 2, 3))),
+                   lambda v: MultiPoly.const(1, v))
+
+    def test_multipoly_coefficients(self):
+        rng = random.Random(62)
+
+        def coef():
+            while True:
+                p = MultiPoly(1, {(rng.randint(0, 1), rng.randint(0, 1)):
+                                  rng.randint(-2, 2) for _ in range(2)})
+                if not p.is_zero:
+                    return p
+
+        self.check(self.pairs(rng, coef), lambda v: v)
+
+
+class TestSubresultantFallbackEndToEnd:
+    """With `_heugcd` refusing every input, every gcd runs the subresultant
+    fallback, and the verification records must not change.  No benchmark
+    workload reaches the fallback, so this is its end-to-end check."""
+
+    SPECS = (enumerate_cases("theorem51", RunConfig(n_rank=3, max_size=5))
+             + enumerate_cases("lemma62", RunConfig())
+             + [("lemma63", 4, k) for k in range(1, 5)])
+
+    def test_records_unchanged(self, monkeypatch):
+        import fockweyl.multirat as mr
+        want = [run_case(spec).to_json() for spec in self.SPECS]
+        subresultant = mr._gcd_subresultant
+        calls = []
+
+        def counted(f, g):
+            calls.append(1)
+            return subresultant(f, g)
+
+        monkeypatch.setattr(mr, "_heugcd", lambda *args: None)
+        monkeypatch.setattr(mr, "_gcd_subresultant", counted)
+        assert [run_case(spec).to_json() for spec in self.SPECS] == want
+        assert calls
 
 
 class TestExactHeuristic:
@@ -130,9 +279,7 @@ class TestExactHeuristic:
         strip = tuple(-m for m in common)
         f0 = f.shifted(strip).int_primitive()
         g0 = g.shifted(strip).int_primitive()
-        active = [v for v in range(f.rank + 1)
-                  if f0.max_deg(v) > 0 or g0.max_deg(v) > 0]
-        return _gcd_subresultant(f0, g0, active).shifted(common)
+        return _gcd_subresultant(f0, g0).shifted(common)
 
     def test_integer_content_factor_kept(self):
         # z1 + 1 evaluates to an integer; the gcd must not drop it
@@ -223,6 +370,8 @@ class TestMultiRatField:
     def test_canonical_idempotent(self, a):
         again = MultiRat(a.num, a.den)
         assert again == a
+        # the denominator has minimal exponent 0 in every variable
+        assert not any(a.den.min_exps())
 
     @given(multirats())
     def test_inverse(self, a):
