@@ -16,7 +16,7 @@ from .partitions import Box, Partition, all_partitions, is_addable, n_left
 from .reports import CaseResult, Report
 from .verma import (det_product_identity, gram_matrix, hook_ratio,
                     jantzen_closed, jantzen_engine, jantzen_evaluate_closed,
-                    jantzen_valuation, shapovalov_det_closed)
+                    jantzen_valuation, pair_words, shapovalov_det_closed)
 from .weights import Weight, from_alpha_coords
 from .weyl import verify_fock_match
 
@@ -154,14 +154,15 @@ def _case_theorem51(spec, tolerance):
 def _case_prop52(spec, tolerance):
     _, rank, nu_coords, k = spec
     nu = Weight(nu_coords)
-    mu = Weight.eps(k, rank)
-    g0 = gram_matrix(Weight.zero(rank), nu, rank)
+    mu, zero = Weight.eps(k, rank), Weight.zero(rank)
+    g0 = gram_matrix(zero, nu, rank)
     gk = gram_matrix(mu, nu, rank)
     same_words = g0.words == gk.words and g0.independent == gk.independent
-    # the entries are scaled / (q - q^{-1})^m, and sigma fixes q
+    # all words, not only the good ones: entries are pairings over
+    # (q - q^{-1})^m, sigma fixes q, and the pairing is symmetric
     entry_ok = all(
-        gk.scaled[a][b] == g0.scaled[a][b].sigma(mu)
-        for a in range(len(g0.words)) for b in range(len(g0.words)))
+        pair_words(a, b, mu, rank) == pair_words(a, b, zero, rank).sigma(mu)
+        for t, a in enumerate(g0.words) for b in g0.words[t:])
     det_ok = gk.det == sigma_shift(g0.det, mu)
     ok = same_words and entry_ok and det_ok
     return CaseResult(

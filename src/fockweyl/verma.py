@@ -10,13 +10,13 @@ pairing, so dependent words never need to be rewritten.  There is one pairing
 path, `pair_words`, and it is integral: every raising step divides by the
 same q - q^{-1}, so two words of height m pair to P / (q - q^{-1})^m with P a
 Laurent polynomial in Z[q^{+-1}, z^{+-1}], and P is computed without a
-fraction or a gcd.  `gram_matrix` keeps these scaled entries and runs one
-symmetric diagonal-pivot elimination on the block of the good words (a
-basis of U^-): its nonzero pivots prove the rank and give the determinant,
-whose power of q - q^{-1} is divided out only at the end.  The engine is one
-more such elimination, of the raising images (a closed formula for the
-coproduct action) and the top vector, paired through the slot Grams: it
-needs no tensor type, and its answer is the last pivot.
+fraction or a gcd.  `gram_matrix` pairs only the good words (a basis of
+U^-) and runs one symmetric diagonal-pivot elimination on them: its nonzero
+pivots prove the rank and give the determinant, whose power of q - q^{-1}
+is divided out only at the end.  The engine is one more such elimination,
+of the raising images (a closed formula for the coproduct action) and the
+top vector, paired word by word through `pair_words`: it needs no tensor
+type, and its answer is the last pivot.
 """
 
 from __future__ import annotations
@@ -207,20 +207,18 @@ def kostant_p(gamma: Weight) -> int:
 
 @dataclass
 class GramMatrix:
-    """Pairings of all lowering words of one multidegree nu, the positions of
-    the good words (a basis) with the pivots of their symmetric elimination,
-    and, on first use, the determinant on them.
+    """All lowering words of one multidegree nu, the positions of the good
+    words (a basis) with the pivots of their symmetric elimination, and, on
+    first use, the determinant on them.  Only the good words are paired.
 
-    The pairings are integral up to one power: entry (a, b) of the form is
-    scaled[a][b] / (q - q^{-1})^m, with scaled[a][b] in Z[q^{+-1}, z^{+-1}]
-    and m the height of nu.
+    Entry (a, b) of the form is P / (q - q^{-1})^m, with m the height of nu
+    and P = `pair_words`(a, b) in Z[q^{+-1}, z^{+-1}].
     """
 
     shift: Weight
     rank: int
     nu: Weight
     words: list
-    scaled: list
     independent: list
     pivots: list
 
@@ -230,8 +228,8 @@ class GramMatrix:
 
     @cached_property
     def det(self) -> MultiRat:
-        """The determinant of the scaled principal block on the independent
-        words, divided by (q - q^{-1})^{m r}, r the block size.
+        """The determinant of the integral pairings on the independent words,
+        divided by (q - q^{-1})^{m r}, r the block size.
 
         Pivot k is D_k / D_{k-1}, with D_k the integral principal minor on the
         first k independent words, so D_k = num_k * (D_{k-1} / den_k) and each
@@ -248,11 +246,27 @@ class GramMatrix:
         return over_q_diff(d, self.height * len(self.pivots))
 
 
-def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
-    """Pair all lowering words of multidegree nu over the mu-shifted module.
+def _gram_pivots(items, pair, where):
+    """`symmetric_pivots` on the matrix of the symmetric `pair` over `items`;
+    an isotropic form is an engine error at `where`."""
+    n = len(items)
+    matrix = [[None] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            matrix[r][c] = matrix[c][r] = MultiRat(pair(items[r], items[c]),
+                                                   coprime=True)
+    try:
+        return symmetric_pivots(matrix)
+    except ValueError as exc:
+        raise EngineError(f"{exc} ({where})") from None
 
-    The words are paired integrally (`pair_words`), and the block of the P
-    good words, a basis of U^- in this weight (`weights.good_words`), is
+
+def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
+    """The Gram matrix of the lowering words of multidegree nu over the
+    mu-shifted module, on its basis of good words.
+
+    Only the P good words, a basis of U^- in this weight
+    (`weights.good_words`), are paired (`pair_words`), and their block is
     eliminated once, symmetrically, in word order (`symmetric_pivots`).  As
     M(lambda) is free over U^-, and for dominant lambda large against nu the
     form is anisotropic over Q(q) (M(lambda) = L(lambda) in this weight, and
@@ -263,23 +277,16 @@ def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
     if mu.rank != rank or nu.rank != rank:
         raise ValueError(f"weights {mu} and {nu} do not have rank {rank}")
     words = ywords(nu, rank)
-    n = len(words)
-    scaled = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            scaled[i][j] = scaled[j][i] = pair_words(words[i], words[j], mu, rank)
-    good = [words.index(w) for w in good_words(nu.alpha_coords())] if n else []
+    good = good_words(nu.alpha_coords()) if words else []
     if len(good) != kostant_p(-nu):
         raise EngineError(f"good word count {len(good)} != multiplicity "
                           f"{kostant_p(-nu)} for nu={nu}, rank={rank}")
-    try:
-        chosen, pivots = symmetric_pivots(
-            [[MultiRat(scaled[a][b], coprime=True) for b in good] for a in good])
-    except ValueError as exc:
-        raise EngineError(f"{exc} (nu={nu}, rank={rank})") from None
+    chosen, pivots = _gram_pivots(
+        good, lambda a, b: pair_words(a, b, mu, rank), f"nu={nu}, rank={rank}")
     if len(chosen) != len(good):
         raise EngineError(f"zero pivot on the good words (nu={nu}, rank={rank})")
-    return GramMatrix(mu, rank, nu, words, scaled, good, pivots)
+    return GramMatrix(mu, rank, nu, words, [words.index(w) for w in good],
+                      pivots)
 
 
 def _jantzen_factor(j: int, k: int, rank: int, m: int = 1) -> MultiPoly:
@@ -335,8 +342,8 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     of the Gram matrix of the spanning vectors of U followed by top, that is,
     the last pivot of one `symmetric_pivots` call.  Its entries are the form
     times (q - q^{-1})^{k-1}, which makes them integral: slot j contributes
-    q^{1-j} (q - q^{-1})^{j-1} S_j, S_j its scaled Gram.  The pivots also
-    prove the rank, dim U = (chosen count) - [top chosen].
+    q^{1-j} (q - q^{-1})^{j-1} times `pair_words` on its words.  The pivots
+    also prove the rank, dim U = (chosen count) - [top chosen].
     """
     if not 1 <= k <= rank:
         raise ValueError(f"k={k} out of range for rank {rank}")
@@ -344,10 +351,9 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     eps_k = Weight.eps(k, rank)
     grams = {j: gram_matrix(zero_w, Weight.eps(j, rank) - eps_k, rank)
              for j in range(1, k + 1)}
-    pos = {j: {w: t for t, w in enumerate(gm.words)} for j, gm in grams.items()}
 
-    # Each vector is a list of terms (slot, word position, exponent vector of
-    # the monomial coefficient).  With a the weight of w,
+    # Each vector is a list of terms (slot, word, exponent vector of the
+    # monomial coefficient).  With a the weight of w,
     #   omega(X_i) (w x v_j) = z_i z_{i+1}^{-1} q^{a_i+[j=i]-a_{i+1}-[j=i+1]}
     #                          (Y_i w x v_j) + [j=i] q (w x v_{i+1}).
     # The order (i, then j, decreasing; good words ascending) is not
@@ -361,11 +367,11 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
             for w in good_words(nu.alpha_coords()):
                 a = _word_weight(w, zero_w, rank).coords
                 qe = a[i - 1] + (j == i) - a[i] - (j == i + 1)
-                y = [(j, pos[j][(i,) + w], _zq(rank, i, i + 1, qe))]
+                y = [(j, (i,) + w, _zq(rank, i, i + 1, qe))]
                 if j == i:
-                    y.append((i + 1, pos[i + 1][w], (0,) * rank + (1,)))
+                    y.append((i + 1, w, (0,) * rank + (1,)))
                 vectors.append(y)
-    vectors.append([(k, 0, (0,) * (rank + 1))])  # the top v_+ x v_k
+    vectors.append([(k, (), (0,) * (rank + 1))])  # the top v_+ x v_k
 
     qd = MultiPoly.q(rank) - MultiPoly.q(rank, -1)
     slot = {j: (qd ** (j - 1)).shifted((0,) * rank + (1 - j,)) for j in grams}
@@ -374,22 +380,12 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
         total = MultiPoly.zero(rank)
         for j, a, e in y:
             for i, b, f in x:
-                if i == j and not grams[j].scaled[a][b].is_zero:
-                    total = total + slot[j] * grams[j].scaled[a][b].shifted(
-                        tuple(map(add, e, f)))
+                if i == j and not (p := pair_words(a, b, zero_w, rank)).is_zero:
+                    total = total + slot[j] * p.shifted(tuple(map(add, e, f)))
         return total
 
-    m = len(vectors)
-    gram = [[None] * m for _ in range(m)]
-    for r in range(m):
-        for c in range(r, m):
-            gram[r][c] = gram[c][r] = MultiRat(pair(vectors[r], vectors[c]),
-                                               coprime=True)
-    try:
-        chosen, pivots = symmetric_pivots(gram)
-    except ValueError as exc:
-        raise EngineError(f"{exc} (k={k}, rank={rank})") from None
-    has_top = chosen[-1:] == [m - 1]
+    chosen, pivots = _gram_pivots(vectors, pair, f"k={k}, rank={rank}")
+    has_top = chosen[-1:] == [len(vectors) - 1]
     dim = sum(len(gm.independent) for gm in grams.values()) \
         - (len(chosen) - has_top)
     if dim != 1:

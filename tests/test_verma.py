@@ -183,6 +183,20 @@ class TestIntegralPairing:
                     scale = MultiRat(q_diff(rank) ** len(wb), coprime=True)
                     assert MultiRat(p, coprime=True) == ref * scale
 
+    @pytest.mark.parametrize("rank,height", [(3, 4), (4, 3)])
+    def test_symmetric(self, rank, height):
+        shifts = (Weight.zero(rank), Weight.eps(1, rank),
+                  Weight((2, 1) + (0,) * (rank - 2)))
+        for ac in itertools.product(range(height + 1), repeat=rank - 1):
+            if not 0 < sum(ac) <= height:
+                continue
+            words = words_with_counts(ac)
+            for mu in shifts:
+                for t, wa in enumerate(words):
+                    for wb in words[t + 1:]:
+                        assert pair_words(wa, wb, mu, rank) \
+                            == pair_words(wb, wa, mu, rank)
+
     def test_builds_no_multirat_and_no_gcd(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the integral pairing left the ring")
@@ -302,21 +316,30 @@ class TestGramMatrix:
         assert gk.det == sigma_shift(g0.det, mu)
 
     def test_prop52_detects_a_wrong_shifted_entry(self, monkeypatch):
-        real = verify.gram_matrix
+        # (2, 1, 1) is outside the good block that gram_matrix pairs, so only
+        # prop52's own all-word check can see the wrong entries
+        assert (2, 1, 1) not in good_words((2, 1))
+        real = verify.pair_words
 
-        def perturbed(mu, nu, rank):
-            gm = real(mu, nu, rank)
-            if mu != Weight.zero(rank):
-                gm.scaled[0][-1] = gm.scaled[0][-1] + MultiPoly.one(rank)
-            return gm
+        def perturbed(wa, wb, shift, rank):
+            p = real(wa, wb, shift, rank)
+            if shift != Weight.zero(rank) and (2, 1, 1) in (wa, wb):
+                p = p + MultiPoly.one(rank)
+            return p
 
-        spec = ("prop52", 3, tuple((alpha(1, 3) + alpha(2, 3)).coords), 1)
+        spec = ("prop52", 3, (2, -1, -1), 1)
         assert verify.run_case(spec).passed
-        monkeypatch.setattr(verify, "gram_matrix", perturbed)
+        monkeypatch.setattr(verify, "pair_words", perturbed)
         case = verify.run_case(spec)
         assert not case.passed
         assert case.detail == {"matched_words": True, "entries_exact": False,
                                "det_exact": True}
+
+    @staticmethod
+    def full_pairings(gm):
+        """The integral pairings of all of gm's words, from `pair_words`."""
+        return [[pair_words(a, b, gm.shift, gm.rank) for b in gm.words]
+                for a in gm.words]
 
     @staticmethod
     def greedy_basis(entries, rank):
@@ -337,9 +360,8 @@ class TestGramMatrix:
                 continue
             for mu in (Weight.zero(rank), Weight.eps(1, rank)):
                 gm = gram_matrix(mu, from_alpha_coords(ac, rank), rank)
-                n = len(gm.words)
-                entries = [[over_q_diff(gm.scaled[a][b], gm.height)
-                            for b in range(n)] for a in range(n)]
+                entries = [[over_q_diff(p, gm.height) for p in row]
+                           for row in self.full_pairings(gm)]
                 chosen, det = self.greedy_basis(entries, rank)
                 assert gm.independent == chosen
                 assert repr(gm.det) == repr(det)
@@ -352,9 +374,28 @@ class TestGramMatrix:
             gm = gram_matrix(Weight.zero(rank), from_alpha_coords(ac, rank),
                              rank)
             chosen, pivots = symmetric_pivots(
-                [[MultiRat(p, coprime=True) for p in row] for row in gm.scaled])
+                [[MultiRat(p, coprime=True) for p in row]
+                 for row in self.full_pairings(gm)])
             assert chosen == gm.independent
             assert pivots == gm.pivots
+
+    def test_pairs_only_good_words(self, monkeypatch):
+        real, calls = verma.pair_words, []
+
+        def recorded(wa, wb, shift, rank):
+            calls.append((wa, wb))
+            return real(wa, wb, shift, rank)
+
+        monkeypatch.setattr(verma, "pair_words", recorded)
+        rank = 4
+        for ac in itertools.product(range(5), repeat=rank - 1):
+            if not 0 < sum(ac) <= 4:
+                continue
+            calls.clear()
+            gram_matrix(Weight.zero(rank), from_alpha_coords(ac, rank), rank)
+            good = good_words(ac)
+            assert all(a in good and b in good for a, b in calls)
+            assert len(calls) == len(good) * (len(good) + 1) // 2
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError, match="rank 2"):
@@ -382,10 +423,11 @@ class TestGramMatrix:
     def test_pivots_are_minor_ratios(self):
         nu = 2 * alpha(1, 3) + alpha(2, 3)
         gm = gram_matrix(Weight.zero(3), nu, 3)
+        full = self.full_pairings(gm)
         minors = [MultiRat.one(3)]
         for t in range(1, len(gm.independent) + 1):
             block = gm.independent[:t]
-            minors.append(field_det([[MultiRat(gm.scaled[r][c]) for c in block]
+            minors.append(field_det([[MultiRat(full[r][c]) for c in block]
                                      for r in block]))
         assert gm.pivots == [minors[t + 1] / minors[t]
                              for t in range(len(gm.pivots))]
@@ -484,12 +526,14 @@ class TestJantzenEngine:
     @staticmethod
     def patch_engine_pivots(monkeypatch, change):
         """Make the engine's `symmetric_pivots` call return change(chosen,
-        pivots); the calls from `gram_matrix` pass through unchanged."""
+        pivots); the calls from `gram_matrix` pass through unchanged.  Both
+        eliminate through `_gram_pivots`, so the caller to test is one frame
+        further up."""
         real = verma.symmetric_pivots
 
         def patched(matrix):
             result = real(matrix)
-            if sys._getframe(1).f_code is jantzen_engine.__code__:
+            if sys._getframe(2).f_code is jantzen_engine.__code__:
                 return change(*result)
             return result
 
