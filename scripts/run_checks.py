@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from fockweyl.fock import _ket_action
+from fockweyl.fock import _columns
 from fockweyl.ring import cyclotomic
 from fockweyl.verify import TOLERANCES, RunConfig, run_all
 from fockweyl.verma import _kostant_cached
@@ -19,7 +19,7 @@ from fockweyl.weights import positive_roots
 from fockweyl.weyl import mu_singular_vectors
 
 CACHED = (cyclotomic, positive_roots, _kostant_cached, mu_singular_vectors,
-          _ket_action)
+          _columns)
 
 
 def clear_caches():

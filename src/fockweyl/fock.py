@@ -2,20 +2,28 @@
 matrix entries, the diagonal operator completing them to a quantum affine
 sl_ell action, and an exhaustive relation checker.
 
-Each generator's column at a basis ket, a tuple of (partition, v-exponent),
-is computed once per (operator, color, partition, ell) and kept in a cache
-bounded at 4,096 entries (`_ket_action`); applying E_i, F_i or K_i to a
-vector shifts each term's coefficient along its ket's column.
+The generators' columns at a basis ket |lam> are one table per (lam, ell),
+`_columns`: for every color i, the columns of E_i and F_i, tuples of
+(partition, v-exponent), and the K_i exponent d_i = #addable_i - #removable_i.
+A table is built in one pass over lam's addable and removable boxes and kept
+in a cache bounded at 512 tables; applying E_i, F_i or K_i to a vector
+shifts each term's coefficient along its ket's column.
+
+Every nonzero matrix entry is a single power of v, so `check_relations`
+composes each side of a relation as an integer combination of kets v^e |mu>,
+a dict from (mu, e) to int, and builds a `FockVector` only to render a
+counterexample.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from .ring import LaurentQ, q_int
 from .sparse import SparseVector
 from .partitions import (Partition, addable_boxes, removable_boxes, n_left,
-                         n_right, all_partitions)
+                         n_right, all_partitions, color)
 
 
 class FockVector(SparseVector):
@@ -79,31 +87,47 @@ class FockVector(SparseVector):
         return f"FockVector({self.render()})"
 
 
-@lru_cache(maxsize=4096)
-def _ket_action(op: str, i: int, lam: Partition, ell: int):
-    """Column of E_i, F_i or K_i (op "E", "F" or "K") at the ket |lam>.
+class _Columns(NamedTuple):
+    """The generators' columns at one ket |lam>, indexed by color i."""
 
-    A tuple of (mu, e): the generator sends |lam> to the sum of v^e |mu>.
-    Each column is computed once per (op, i, lam, ell) and kept in a cache
-    bounded at 4,096 entries.
+    E: tuple  # E[i]: the column of E_i, a tuple of (mu, e) for v^e |mu>
+    F: tuple  # F[i]: the column of F_i, likewise
+    d: tuple  # d[i] = #addable_i - #removable_i: K_i |lam> = v^d[i] |lam>
+
+
+@lru_cache(maxsize=512)
+def _columns(lam: Partition, ell: int) -> _Columns:
+    """Columns of E_i and F_i and the K_i exponent at |lam>, for every color.
+
+    Built in one pass over lam's addable and removable boxes; kept in a cache
+    bounded at 512 (lam, ell) tables.
     """
-    if op == "F":
-        return tuple((lam.add_box(b), n_left(lam, b, ell))
-                     for b in addable_boxes(lam, ell, i))
-    if op == "E":
-        out = []
-        for b in removable_boxes(lam, ell, i):
-            mu = lam.remove_box(b)
-            out.append((mu, -n_right(mu, b, ell)))
-        return tuple(out)
-    d = len(addable_boxes(lam, ell, i)) - len(removable_boxes(lam, ell, i))
-    return ((lam, d),)
+    E = [[] for _ in range(ell)]
+    F = [[] for _ in range(ell)]
+    d = [0] * ell
+    for b in addable_boxes(lam, ell):
+        i = color(b, ell)
+        F[i].append((lam.add_box(b), n_left(lam, b, ell)))
+        d[i] += 1
+    for b in removable_boxes(lam, ell):
+        i = color(b, ell)
+        mu = lam.remove_box(b)
+        E[i].append((mu, -n_right(mu, b, ell)))
+        d[i] -= 1
+    return _Columns(tuple(map(tuple, E)), tuple(map(tuple, F)), tuple(d))
 
 
 def _apply(op: str, i: int, x: FockVector, ell: int, sign: int = 1) -> FockVector:
+    """E_i, F_i or K_i (op "E", "F" or "K") on x: each term's coefficient is
+    shifted along its ket's column, read from the (lam, ell) table."""
     out = FockVector()
     for lam, c in x.terms.items():
-        for mu, e in _ket_action(op, i, lam, ell):
+        cols = _columns(lam, ell)
+        if op == "K":
+            col = ((lam, cols.d[i % ell]),)
+        else:
+            col = getattr(cols, op)[i % ell]
+        for mu, e in col:
             out.add_term(mu, c.shift(sign * e))
     return out
 
@@ -111,8 +135,8 @@ def _apply(op: str, i: int, x: FockVector, ell: int, sign: int = 1) -> FockVecto
 def apply_F(i: int, x: FockVector, ell: int) -> FockVector:
     """Add one i-colored box to each term, with exponent n_left.
 
-    Each ket's column is computed once per (op, i, lam, ell) by
-    `_ket_action`, whose cache holds at most 4,096 columns.
+    Each ket's columns are computed once per (lam, ell) by `_columns`, whose
+    cache holds at most 512 tables.
     """
     return _apply("F", i, x, ell)
 
@@ -121,9 +145,8 @@ def apply_E(i: int, x: FockVector, ell: int) -> FockVector:
     """Remove one i-colored box from each term, with exponent -n_right.
 
     The statistic is computed on the smaller partition, with the removed
-    box as reference.  Each ket's column is computed once per
-    (op, i, lam, ell) by `_ket_action`, whose cache holds at most 4,096
-    columns.
+    box as reference.  Each ket's columns are computed once per (lam, ell)
+    by `_columns`, whose cache holds at most 512 tables.
     """
     return _apply("E", i, x, ell)
 
@@ -131,10 +154,44 @@ def apply_E(i: int, x: FockVector, ell: int) -> FockVector:
 def apply_K(i: int, x: FockVector, ell: int, inverse: bool = False) -> FockVector:
     """Diagonal operator with eigenvalue v^(#addable - #removable) per color.
 
-    Each ket's column is computed once per (op, i, lam, ell) by
-    `_ket_action`, whose cache holds at most 4,096 columns.
+    Each ket's exponents are computed once per (lam, ell) by `_columns`,
+    whose cache holds at most 512 tables.
     """
     return _apply("K", i, x, ell, -1 if inverse else 1)
+
+
+def _word(lam: Partition, ell: int, *ops) -> dict:
+    """|lam> under a word in the E_i and F_i: ops are (op, i) pairs, op "E"
+    or "F", applied right to left.  The image is an integer combination of
+    kets v^e |mu>, a dict from (mu, e) to its coefficient; every column entry
+    is +v^e, so coefficients only grow and none cancels."""
+    x = {(lam, 0): 1}
+    for op, i in reversed(ops):
+        y = {}
+        for (mu, e), c in x.items():
+            for nu, f in getattr(_columns(mu, ell), op)[i]:
+                key = (nu, e + f)
+                y[key] = y.get(key, 0) + c
+        x = y
+    return x
+
+
+def _combine(parts) -> dict:
+    """The sum of c v^s x over (c, s, x) in parts, x integer combinations."""
+    out = {}
+    for c, s, x in parts:
+        for (mu, e), a in x.items():
+            key = (mu, e + s)
+            out[key] = out.get(key, 0) + c * a
+    return {key: a for key, a in out.items() if a}
+
+
+def _render(x: dict) -> str:
+    """An integer combination of kets, rendered as its `FockVector`."""
+    out = FockVector()
+    for (mu, e), c in x.items():
+        out.add_term(mu, LaurentQ.term(e, c, "v"))
+    return out.render()
 
 
 def affine_cartan(i: int, j: int, ell: int) -> int:
@@ -157,10 +214,18 @@ def check_relations(ell: int, max_size: int):
     conjugations, commuting pairs at cyclic distance >= 2, and the cubic
     Serre relations for ell >= 3.  Returns a list of result dicts, one per
     (relation, i, j), each with a pass flag and the first counterexample.
+
+    Every nonzero matrix entry is a single power of v, so each side of a
+    relation is an integer combination of kets v^e |mu>, composed from the
+    `_columns` tables; a `FockVector` is built only to render a
+    counterexample.  The columns of E_j and F_j list distinct mu, so
+    K_i op_j = v^(+-a_ij) op_j K_i holds at |lam> exactly when
+    d_i(mu) - d_i(lam) = +-a_ij for every mu in the column.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
     lams = list(all_partitions(max_size))
+    two = q_int(2, "v").terms
     results = []
 
     def run(kind, i, j, check):
@@ -176,16 +241,14 @@ def check_relations(ell: int, max_size: int):
     for i in range(ell):
         for j in range(ell):
             def comm(lam, i=i, j=j):
-                ket = FockVector.ket(lam)
-                lhs = apply_E(i, apply_F(j, ket, ell), ell) \
-                    - apply_F(j, apply_E(i, ket, ell), ell)
+                lhs = _combine(((1, 0, _word(lam, ell, ("E", i), ("F", j))),
+                                (-1, 0, _word(lam, ell, ("F", j), ("E", i)))))
+                rhs = {}
                 if i == j:
-                    ((_, d),) = _ket_action("K", i, lam, ell)
-                    rhs = ket.scale(q_int(d, "v"))
-                else:
-                    rhs = FockVector.zero()
+                    d = _columns(lam, ell).d[i]
+                    rhs = {(lam, s): c for s, c in q_int(d, "v").terms.items()}
                 if lhs != rhs:
-                    return f"[E_{i},F_{j}] mismatch: {lhs.render()} vs {rhs.render()}"
+                    return f"[E_{i},F_{j}] mismatch: {_render(lhs)} vs {_render(rhs)}"
                 return None
             run("commutator", i, j, comm)
 
@@ -194,13 +257,11 @@ def check_relations(ell: int, max_size: int):
             a = affine_cartan(i, j, ell)
 
             def kconj(lam, i=i, j=j, a=a):
-                ket = FockVector.ket(lam)
-                for op, s in ((apply_E, 1), (apply_F, -1)):
-                    lhs = apply_K(i, op(j, ket, ell), ell)
-                    rhs = op(j, apply_K(i, ket, ell), ell).scale(
-                        LaurentQ.term(s * a, 1, "v"))
-                    if lhs != rhs:
-                        return f"K_{i} conjugation of op_{j} fails"
+                cols = _columns(lam, ell)
+                for col, s in ((cols.E[j], 1), (cols.F[j], -1)):
+                    for mu, _ in col:
+                        if _columns(mu, ell).d[i] - cols.d[i] != s * a:
+                            return f"K_{i} conjugation of op_{j} fails"
                 return None
             run("k-conjugation", i, j, kconj)
 
@@ -209,25 +270,21 @@ def check_relations(ell: int, max_size: int):
             dist = min((i - j) % ell, (j - i) % ell)
             if dist >= 2:
                 def far(lam, i=i, j=j):
-                    ket = FockVector.ket(lam)
-                    for op in (apply_E, apply_F):
-                        lhs = op(i, op(j, ket, ell), ell)
-                        rhs = op(j, op(i, ket, ell), ell)
-                        if lhs != rhs:
+                    for op in "EF":
+                        if (_word(lam, ell, (op, i), (op, j))
+                                != _word(lam, ell, (op, j), (op, i))):
                             return f"distant generators {i},{j} fail to commute"
                     return None
                 run("commuting-pair", i, j, far)
             elif dist == 1 and ell >= 3:
                 def serre(lam, i=i, j=j):
-                    ket = FockVector.ket(lam)
-                    two = q_int(2, "v")
-                    for op in (apply_E, apply_F):
-                        def a(k, x):
-                            return op(k, x, ell)
-                        lhs = a(i, a(i, a(j, ket))) \
-                            - a(i, a(j, a(i, ket))).scale(two) \
-                            + a(j, a(i, a(i, ket)))
-                        if not lhs.is_zero:
+                    for op in "EF":
+                        middle = _word(lam, ell, (op, i), (op, j), (op, i))
+                        lhs = _combine(
+                            [(1, 0, _word(lam, ell, (op, i), (op, i), (op, j))),
+                             (1, 0, _word(lam, ell, (op, j), (op, i), (op, i)))]
+                            + [(-c, s, middle) for s, c in two.items()])
+                        if lhs:
                             return f"cubic Serre relation fails for {i},{j}"
                     return None
                 run("serre", i, j, serre)

@@ -25,14 +25,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
 
-from .errors import EngineError
+from .errors import EngineError, PoleError
 # field_det is unused here: fwlbench/selftest.py asserts verma.field_det is linalg.field_det
 from .linalg import field_det, symmetric_pivots
-from .multirat import (MultiPoly, MultiRat, _div_laurent, eval_at_weight,
+from .multirat import (MultiPoly, MultiRat, _div_laurent,
                        over_q_diff, sigma_shift, unit_ratio)
 from .partitions import (Partition, Box, addable_boxes, content, is_addable,
                          n_left, removable_boxes)
-from .ring import QFrac, q_int, val_cyclotomic
+from .ring import LaurentQ, QFrac, q_int, val_cyclotomic
 from .sparse import SparseVector
 from .weights import Weight, alpha, good_words, positive_roots, words_with_counts
 
@@ -312,16 +312,25 @@ def shapovalov_det_closed(eta: Weight, rank: int) -> MultiRat:
     return MultiRat(out, coprime=True)
 
 
-def jantzen_closed(k: int, rank: int) -> MultiRat:
-    """Closed product form of the k-th Jantzen number (valid up to +-q^m)."""
+def _jantzen_closed_factors(k: int, rank: int) -> list:
+    """The binomial factors of the closed k-th Jantzen number: a list of
+    (numerator factor, denominator factor), one pair per j < k."""
     if not 1 <= k <= rank:
         raise ValueError(f"k={k} out of range for rank {rank}")
-    num = MultiPoly.one(rank)
-    den = MultiPoly.one(rank)
+    out = []
     for j in range(1, k):
         f = _jantzen_factor(j, k, rank)
+        out.append((f, f.sigma(Weight.eps(j, rank))))
+    return out
+
+
+def jantzen_closed(k: int, rank: int) -> MultiRat:
+    """Closed product form of the k-th Jantzen number (valid up to +-q^m)."""
+    num = MultiPoly.one(rank)
+    den = MultiPoly.one(rank)
+    for f, g in _jantzen_closed_factors(k, rank):
         num = num * f
-        den = den * f.sigma(Weight.eps(j, rank))
+        den = den * g
     return MultiRat(num, den, coprime=True)
 
 
@@ -375,12 +384,18 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
 
     qd = MultiPoly.q(rank) - MultiPoly.q(rank, -1)
     slot = {j: (qd ** (j - 1)).shifted((0,) * rank + (1 - j,)) for j in grams}
+    paired = {}  # pair_words is symmetric: one call per unordered word pair
 
     def pair(y, x):
         total = MultiPoly.zero(rank)
         for j, a, e in y:
             for i, b, f in x:
-                if i == j and not (p := pair_words(a, b, zero_w, rank)).is_zero:
+                if i != j:
+                    continue
+                key = (a, b) if a <= b else (b, a)
+                if (p := paired.get(key)) is None:
+                    p = paired[key] = pair_words(a, b, zero_w, rank)
+                if not p.is_zero:
                     total = total + slot[j] * p.shifted(tuple(map(add, e, f)))
         return total
 
@@ -421,14 +436,25 @@ def hook_ratio(lam: Partition, k: int) -> QFrac:
 
 
 def jantzen_evaluate_closed(lam: Partition, k: int, rank: int | None = None) -> QFrac:
-    """Evaluate the closed Jantzen product at a partition (z_i -> q^{lam_i})."""
+    """Evaluate the closed Jantzen product at a partition (z_i -> q^{lam_i}).
+
+    Factor by factor: the images of the binomial factors are multiplied in
+    Q[q^{+-1}], with no `MultiRat` expanded.  Raises PoleError when a
+    denominator factor vanishes.
+    """
     lam = Partition(lam)
     if rank is None:
         rank = max(len(lam) + 1, k)
     if rank < len(lam) or rank < k:
         raise ValueError("rank too small")
-    coords = tuple(lam.part(r) for r in range(1, rank + 1))
-    return eval_at_weight(jantzen_closed(k, rank), Weight(coords))
+    at = Weight(tuple(lam.part(r) for r in range(1, rank + 1)))
+    num = den = LaurentQ.one()
+    for f, g in _jantzen_closed_factors(k, rank):
+        num = num * f.eval_z(at)
+        den = den * g.eval_z(at)
+    if den.is_zero:
+        raise PoleError(f"evaluation pole at {at}")
+    return QFrac(num, den)
 
 
 def jantzen_valuation(lam: Partition, k: int, ell: int):

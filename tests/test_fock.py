@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from fockweyl.fock import (FockVector, _ket_action, apply_E, apply_F, apply_K,
-                           check_relations)
+from fockweyl import fock
+from fockweyl.fock import (FockVector, _columns, affine_cartan, apply_E,
+                           apply_F, apply_K, check_relations)
 from fockweyl.partitions import (Partition, addable_boxes, all_partitions,
                                  n_left, n_right, removable_boxes)
 from fockweyl.ring import LaurentQ, q_int
@@ -173,8 +174,8 @@ def old_apply_K(i, x, ell, inverse=False):
 
 
 class TestCachedColumns:
-    """apply_* read cached columns; they must agree with the per-term
-    product loops they replaced, cold and warm."""
+    """apply_* read the cached (lam, ell) tables; they must agree with the
+    per-term product loops they replaced, cold and warm."""
 
     PAIRS = (
         (apply_E, old_apply_E),
@@ -193,7 +194,7 @@ class TestCachedColumns:
                 assert got.to_json() == want.to_json()
 
     def test_every_ket(self):
-        _ket_action.cache_clear()
+        _columns.cache_clear()
         for _ in range(2):
             for ell in (2, 3, 4):
                 for lam in all_partitions(6):
@@ -211,6 +212,143 @@ class TestCachedColumns:
 
     def test_cache_bounded(self):
         check_relations(4, 6)
-        info = _ket_action.cache_info()
-        assert info.maxsize == 4096
-        assert info.currsize <= 4096
+        info = _columns.cache_info()
+        assert info.maxsize == 512
+        assert info.currsize <= 512
+
+
+def reference_check_relations(ell, max_size):
+    """The relation checker as it was before the integer columns: every
+    relation side is a `FockVector` composed through apply_E/F/K."""
+    lams = list(all_partitions(max_size))
+    results = []
+
+    def run(kind, i, j, check):
+        bad = None
+        for lam in lams:
+            err = check(lam)
+            if err is not None:
+                bad = {"partition": list(lam), "detail": err}
+                break
+        results.append({"relation": kind, "i": i, "j": j,
+                        "passed": bad is None, "counterexample": bad})
+
+    for i in range(ell):
+        for j in range(ell):
+            def comm(lam, i=i, j=j):
+                ket = FockVector.ket(lam)
+                lhs = apply_E(i, apply_F(j, ket, ell), ell) \
+                    - apply_F(j, apply_E(i, ket, ell), ell)
+                if i == j:
+                    d = fock._columns(lam, ell).d[i]
+                    rhs = ket.scale(q_int(d, "v"))
+                else:
+                    rhs = FockVector.zero()
+                if lhs != rhs:
+                    return f"[E_{i},F_{j}] mismatch: {lhs.render()} vs {rhs.render()}"
+                return None
+            run("commutator", i, j, comm)
+
+    for i in range(ell):
+        for j in range(ell):
+            a = affine_cartan(i, j, ell)
+
+            def kconj(lam, i=i, j=j, a=a):
+                ket = FockVector.ket(lam)
+                for op, s in ((apply_E, 1), (apply_F, -1)):
+                    lhs = apply_K(i, op(j, ket, ell), ell)
+                    rhs = op(j, apply_K(i, ket, ell), ell).scale(
+                        LaurentQ.term(s * a, 1, "v"))
+                    if lhs != rhs:
+                        return f"K_{i} conjugation of op_{j} fails"
+                return None
+            run("k-conjugation", i, j, kconj)
+
+    for i in range(ell):
+        for j in range(ell):
+            dist = min((i - j) % ell, (j - i) % ell)
+            if dist >= 2:
+                def far(lam, i=i, j=j):
+                    ket = FockVector.ket(lam)
+                    for op in (apply_E, apply_F):
+                        lhs = op(i, op(j, ket, ell), ell)
+                        rhs = op(j, op(i, ket, ell), ell)
+                        if lhs != rhs:
+                            return f"distant generators {i},{j} fail to commute"
+                    return None
+                run("commuting-pair", i, j, far)
+            elif dist == 1 and ell >= 3:
+                def serre(lam, i=i, j=j):
+                    ket = FockVector.ket(lam)
+                    two = q_int(2, "v")
+                    for op in (apply_E, apply_F):
+                        def a(k, x):
+                            return op(k, x, ell)
+                        lhs = a(i, a(i, a(j, ket))) \
+                            - a(i, a(j, a(i, ket))).scale(two) \
+                            + a(j, a(i, a(i, ket)))
+                        if not lhs.is_zero:
+                            return f"cubic Serre relation fails for {i},{j}"
+                    return None
+                run("serre", i, j, serre)
+
+    return results
+
+
+def shift_F_exponent(cols, i):
+    """The first entry of F_i's column, one power of v off."""
+    (mu, e), *rest = cols.F[i]
+    return cols._replace(F=cols.F[:i] + (((mu, e + 1), *rest),) + cols.F[i + 1:])
+
+
+def drop_E_entry(cols, i):
+    """E_i's column without its first mu."""
+    return cols._replace(E=cols.E[:i] + (cols.E[i][1:],) + cols.E[i + 1:])
+
+
+def shift_K_exponent(cols, i):
+    """d_i one too large."""
+    return cols._replace(d=cols.d[:i] + (cols.d[i] + 1,) + cols.d[i + 1:])
+
+
+class TestFailureReports:
+    """With one table entry wrong at one partition, the integer checker must
+    report exactly what the FockVector checker reports on the same fault:
+    every pass flag, counterexample partition and detail text."""
+
+    # (change, partition, color): F_0 at (2, 1) adds the box (2, 2) and E_1
+    # at (2, 1, 1) removes the box (1, 2), of content 0 and 1 for every ell
+    FAULTS = {
+        "shifted F exponent": (shift_F_exponent, (2, 1), 0),
+        "dropped E entry": (drop_E_entry, (2, 1, 1), 1),
+        "shifted K exponent": (shift_K_exponent, (3, 1), 1),
+    }
+
+    def faulty(self, monkeypatch, fault, ell):
+        change, lam, i = self.FAULTS[fault]
+        lam = Partition(lam)
+        original = fock._columns
+
+        def columns(mu, ell_):
+            cols = original(mu, ell_)
+            return change(cols, i) if (mu, ell_) == (lam, ell) else cols
+        monkeypatch.setattr(fock, "_columns", columns)
+
+    @pytest.mark.parametrize("ell", [2, 3, 4, 5])
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_matches_reference(self, monkeypatch, fault, ell):
+        self.faulty(monkeypatch, fault, ell)
+        got = check_relations(ell, 5)
+        want = reference_check_relations(ell, 5)
+        assert got == want
+        assert not all(r["passed"] for r in got)
+
+    def test_every_kind_fails_somewhere(self, monkeypatch):
+        failing = set()
+        for fault in self.FAULTS:
+            with monkeypatch.context() as m:
+                self.faulty(m, fault, 4)
+                failing |= {r["relation"] for r in check_relations(4, 5)
+                            if not r["passed"]}
+        assert failing == {"commutator", "k-conjugation", "commuting-pair",
+                           "serre"}

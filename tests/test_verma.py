@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from fockweyl import verify, verma
-from fockweyl.errors import EngineError
+from fockweyl.errors import EngineError, PoleError
 from fockweyl.linalg import field_det, symmetric_pivots
 from fockweyl import multirat
 from fockweyl.multirat import (MultiPoly, MultiRat, eval_at_weight, over_q_diff,
@@ -495,6 +495,32 @@ class TestJantzenClosed:
         assert eval_at_weight(s2, Weight((1, 0))) == QFrac(q_int(1), q_int(2))
         assert eval_at_weight(s2, Weight((2, 0))) == QFrac(q_int(2), q_int(3))
 
+    def test_factor_evaluation_matches_product(self):
+        """Evaluating factor by factor gives the QFrac that evaluating the
+        expanded product gives, on every (lam, k) of prop64 at |lam| <= 6."""
+        from fockweyl.partitions import all_partitions
+        cases = 0
+        for lam in all_partitions(6):
+            for k in range(1, len(lam) + 2):
+                rank = max(len(lam) + 1, k)
+                at = Weight(tuple(lam.part(r) for r in range(1, rank + 1)))
+                got = jantzen_evaluate_closed(lam, k, rank)
+                want = eval_at_weight(jantzen_closed(k, rank), at)
+                assert got == want
+                assert repr(got) == repr(want)
+                cases += 1
+        assert cases == 107
+
+    def test_factor_evaluation_pole(self, monkeypatch):
+        # no partition is a pole; a denominator factor that vanishes must
+        # raise as eval_at_weight does
+        rank = 2
+        vanishing = MultiPoly.z(1, rank) - MultiPoly.z(2, rank)
+        monkeypatch.setattr(verma, "_jantzen_closed_factors", lambda k, rank: [
+            (MultiPoly.one(rank), vanishing)])
+        with pytest.raises(PoleError, match=r"evaluation pole at"):
+            jantzen_evaluate_closed(Partition(()), 2)
+
 
 class TestJantzenEngine:
     def test_first_is_one(self):
@@ -552,6 +578,26 @@ class TestJantzenEngine:
         with pytest.raises(EngineError,
                            match="no singular vector pairs with the top term"):
             jantzen_engine(3, 3)
+
+    @pytest.mark.parametrize("k,own", [(3, 5), (4, 20), (5, 98)])
+    def test_pairs_each_word_pair_once(self, monkeypatch, k, own):
+        """The engine pairs each unordered word pair once per call, beside
+        the calls of its slot Gram matrices."""
+        real, calls = verma.pair_words, []
+
+        def recorded(wa, wb, shift, rank):
+            calls.append((wa, wb))
+            return real(wa, wb, shift, rank)
+
+        monkeypatch.setattr(verma, "pair_words", recorded)
+        for j in range(1, k + 1):
+            gram_matrix(Weight.zero(k), Weight.eps(j, k) - Weight.eps(k, k), k)
+        slot_calls = len(calls)
+        calls.clear()
+        jantzen_engine(k, k)
+        mine = calls[slot_calls:]  # the slot Grams are built first
+        assert len(mine) == own
+        assert len({tuple(sorted(c)) for c in mine}) == own
 
     def test_isotropic_elimination_raises(self, monkeypatch):
         def isotropic(chosen, pivots):
