@@ -2,16 +2,17 @@
 and their field of fractions.
 
 `MultiPoly` and `MultiRat` sit on the same bases as the univariate tower
-(`ring._Poly` and `ring._Frac`) and add what depends on exponent vectors and
-on the canonical form.  Exponent vectors have length rank+1 with the q
-exponent last, matching the fixed variable order z_1 > ... > z_N > q used for
-canonical forms.  A fraction is stored with an ordinary (all exponents >= 0)
-denominator that has minimal exponent 0 in every variable, integer
-coefficients with content 1 and lexicographic leading coefficient positive;
-the numerator absorbs the net Laurent monomial and the scalar.  This pins one
-representative per fraction, so equality is structural.  Gcds run an exact
-heuristic evaluation gcd whose trial divisions prove its answer; a
-subresultant remainder sequence is the fallback when it gives up.
+(`ring._Poly` and `ring._Frac`, exact division included) and add what
+depends on exponent vectors and on the canonical form.  Exponent vectors
+have length rank+1 with the q exponent last, matching the fixed variable
+order z_1 > ... > z_N > q used for canonical forms.  A fraction is stored
+with an ordinary (all exponents >= 0) denominator that has minimal exponent 0
+in every variable, integer coefficients with content 1 and lexicographic
+leading coefficient positive; the numerator absorbs the net Laurent monomial
+and the scalar.  This pins one representative per fraction, so equality is
+structural.  Gcds run an exact heuristic evaluation gcd whose trial divisions
+prove its answer; a subresultant remainder sequence is the fallback when it
+gives up.
 """
 
 from __future__ import annotations
@@ -88,6 +89,15 @@ class MultiPoly(_Poly):
         out.rank = self.rank
         out.terms = terms
         return out
+
+    @staticmethod
+    def _exp_add(a, b):
+        return tuple(map(add, a, b))
+
+    @staticmethod
+    def _exp_sub(a, b):
+        d = tuple(map(sub, a, b))
+        return None if min(d) < 0 else d
 
     def _monomial_text(self, e):
         names = [f"z{i + 1}" if k == 1 else f"z{i + 1}^{k}"
@@ -173,28 +183,10 @@ def _divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero:
         return MultiPoly.zero(f.rank)
-    ge, gc = g.lead()
-    out = {}
-    rem = dict(f.terms)
-    while rem:
-        fe = max(rem)
-        de = tuple(map(sub, fe, ge))
-        if any(d < 0 for d in de):
-            raise ArithmeticError("inexact multivariate division")
-        c = rem[fe]
-        if type(c) is int and type(gc) is int and c % gc == 0:
-            t = c // gc
-        else:
-            t = _coef(Fraction(c) / Fraction(gc))
-        out[de] = t
-        for e, v in g.terms.items():
-            e2 = tuple(map(add, e, de))
-            s = rem.get(e2, 0) - t * v
-            if s:
-                rem[e2] = _coef(s)
-            else:
-                rem.pop(e2, None)
-    return f._like(out)
+    quo = f._quotient(g)
+    if quo is None:
+        raise ArithmeticError("inexact multivariate division")
+    return quo
 
 
 def _as_univar(f: MultiPoly, var: int):
@@ -388,13 +380,6 @@ def _from_digits(h: MultiPoly, var: int, xi: int) -> MultiPoly:
     return h._like(out)
 
 
-def _try_divides(a: MultiPoly, b: MultiPoly):
-    try:
-        return _divexact(a, b)
-    except ArithmeticError:
-        return None
-
-
 def _heugcd(f: MultiPoly, g: MultiPoly, depth: int = 0):
     """The exact gcd in Z[vars] of two nonzero integer polynomials, by
     integer evaluation (GCDHEU); None when six evaluation points fail.
@@ -434,7 +419,7 @@ def _heugcd(f: MultiPoly, g: MultiPoly, depth: int = 0):
             h = _from_digits(he, var, xi).int_primitive()
             if _is_one(h):
                 return MultiPoly.const(f.rank, c)
-            if _try_divides(f, h) is not None and _try_divides(g, h) is not None:
+            if f._quotient(h) is not None and g._quotient(h) is not None:
                 return h if c == 1 else h._scaled(c)
         xi = xi * 73794 // 27011 + 37
     return None
@@ -757,7 +742,7 @@ def unit_ratio(a: MultiRat, b: MultiRat):
     u = QFrac(p0, q0)
     m = u.num.low_degree() - u.den.low_degree()
     sign = 1 if (u.num.trailing_coeff() > 0) == (u.den.trailing_coeff() > 0) else -1
-    scalar = u / QFrac(LaurentQ.term(m, sign))
+    scalar = u.shift(-m) if sign == 1 else -u.shift(-m)
     return UnitParts(sign, m, z_exps, scalar)
 
 

@@ -3,13 +3,14 @@
 Everything is exact (int / fractions.Fraction coefficients); there is no
 floating point anywhere in the package.  Two bases carry what both levels of
 the scalar tower share: `_Poly`, a sparse Laurent polynomial over Q (the
-ring operations, equality, hashing and the printer), and `_Frac`, a fraction
-of two `_Poly`s in a canonical form (negation, subtraction, powers, equality,
-hashing and the printer).  `LaurentQ` and `QFrac` here, and `MultiPoly` and
-`MultiRat` in `fockweyl.multirat`, supply only what depends on their
-exponents and canonical form.  Laurent polynomials carry a variable tag ('q'
-for quantum-group scalars, 'v' for Fock-space scalars) so the two
-deformation parameters cannot be mixed by accident.
+ring operations, exact division, equality, hashing and the printer), and
+`_Frac`, a fraction of two `_Poly`s in a canonical form (negation,
+subtraction, powers, equality, hashing and the printer).  `LaurentQ` and
+`QFrac` here, and `MultiPoly` and `MultiRat` in `fockweyl.multirat`, supply
+only what depends on their exponents and canonical form.  Laurent
+polynomials carry a variable tag ('q' for quantum-group scalars, 'v' for
+Fock-space scalars) so the two deformation parameters cannot be mixed by
+accident.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 
 def _coef(x):
@@ -51,7 +53,8 @@ class _Poly:
     A subclass fixes the exponents (int or tuple) and supplies `_space()`
     (what two operands must share), `_origin()` (the exponent of the constant
     monomial), `_like(terms)` (a polynomial in the same space holding already
-    normalized terms), `_monomial_text(exp)` and `__mul__`.
+    normalized terms), `_exp_sub(a, b)` (a - b, or None when that is not an
+    ordinary exponent), `_exp_add(a, b)`, `_monomial_text(exp)` and `__mul__`.
     """
 
     __slots__ = ("terms",)
@@ -123,6 +126,38 @@ class _Poly:
         if self.terms.keys() <= {self._origin()}:
             return hash(self.terms.get(self._origin(), 0))
         return hash((self._space(), frozenset(self.terms.items())))
+
+    def _quotient(self, g):
+        """self / g for ordinary polynomials (g nonzero) when it is exact,
+        else None: long division by leading terms, the largest exponent
+        (lexicographic for tuples) first.  A quotient coefficient is an int
+        when the leading coefficients are ints and divide evenly, and a
+        Fraction otherwise."""
+        esub, eadd = self._exp_sub, self._exp_add
+        gt = g.terms
+        ge = max(gt)
+        gc = gt[ge]
+        rem = dict(self.terms)
+        out = {}
+        while rem:
+            re = max(rem)
+            de = esub(re, ge)
+            if de is None:
+                return None
+            c = rem[re]
+            if type(c) is int and type(gc) is int and c % gc == 0:
+                t = c // gc
+            else:
+                t = _coef(Fraction(c) / Fraction(gc))
+            out[de] = t
+            for e, v in gt.items():
+                e = eadd(e, de)
+                s = rem.get(e, 0) - t * v
+                if s:
+                    rem[e] = _coef(s)
+                else:
+                    rem.pop(e, None)
+        return self._like(out)
 
     def int_primitive(self):
         """The associate with integer coefficients, content 1 and a positive
@@ -207,6 +242,12 @@ class LaurentQ(_Poly):
         out.terms = terms
         return out
 
+    _exp_add = staticmethod(add)
+
+    @staticmethod
+    def _exp_sub(a, b):
+        return a - b if a >= b else None
+
     def _monomial_text(self, e):
         if e == 0:
             return ""
@@ -233,6 +274,8 @@ class LaurentQ(_Poly):
 
     def shift(self, k):
         """Multiply by var**k."""
+        if not k:
+            return self
         return self._like({e + k: v for e, v in self.terms.items()})
 
     def degree(self):
@@ -281,11 +324,8 @@ class LaurentQ(_Poly):
             return LaurentQ.zero(self.var)
         sa = self.low_degree()
         sb = other.low_degree()
-        quo, rem = _poly_divmod({e - sa: v for e, v in self.terms.items()},
-                                {e - sb: v for e, v in other.terms.items()})
-        if rem:
-            return None
-        return self._like({e + sa - sb: _coef(v) for e, v in quo.items()})
+        quo = self.shift(-sa)._quotient(other.shift(-sb))
+        return quo if quo is None else quo.shift(sa - sb)
 
     def exact_div(self, other):
         q = self.try_exact_div(other)
@@ -304,34 +344,6 @@ class LaurentQ(_Poly):
     def from_json(cls, data):
         return cls({int(e): Fraction(v) for e, v in data["coeffs"].items()},
                    var=data["var"])
-
-
-def _poly_divmod(a, b):
-    """Division with remainder of ordinary polynomial dicts (b nonzero).
-    A quotient coefficient is an int when the leading coefficients are ints
-    and divide evenly, and a Fraction otherwise."""
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    quo = {}
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        lr = r[dr]
-        if type(lr) is int and type(lb) is int and lr % lb == 0:
-            t = lr // lb
-        else:
-            t = _coef(Fraction(lr) / Fraction(lb))
-        quo[dr - db] = t
-        for e, v in b.items():
-            e2 = e + dr - db
-            s = r.get(e2, 0) - t * v
-            if s:
-                r[e2] = _coef(s)
-            else:
-                r.pop(e2, None)
-    return quo, r
 
 
 def _int_prim(r: dict) -> dict:

@@ -424,15 +424,14 @@ def hook_ratio(lam: Partition, k: int) -> QFrac:
     if not is_addable(lam, new_box):
         return QFrac.zero()
     c0 = content(new_box)
-    num = QFrac.one()
-    den = QFrac.one()
+    num = den = LaurentQ.one()
     for b in removable_boxes(lam, 2):
         if b.row < k:
-            num = num * QFrac(q_int(content(b) - c0))
+            num = num * q_int(content(b) - c0)
     for b in addable_boxes(lam, 2):
         if b.row < k:
-            den = den * QFrac(q_int(content(b) - c0))
-    return num / den
+            den = den * q_int(content(b) - c0)
+    return QFrac(num, den)
 
 
 def jantzen_evaluate_closed(lam: Partition, k: int, rank: int | None = None) -> QFrac:
@@ -460,6 +459,8 @@ def jantzen_evaluate_closed(lam: Partition, k: int, rank: int | None = None) -> 
 def jantzen_valuation(lam: Partition, k: int, ell: int):
     """Cyclotomic valuation of the evaluated Jantzen number; None when the
     evaluation is zero.  Cross-checks the box statistic before returning."""
+    if ell < 2:
+        raise ValueError("ell must be >= 2")
     lam = Partition(lam)
     hr = hook_ratio(lam, k)
     if hr.is_zero:

@@ -515,6 +515,25 @@ class TestUnitRatioAgainstDivision:
         assert self.check(q(p=4) * f, f).is_plus_q_power
         assert not self.check(f * q_int(2), f).is_signed_q_power
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("m", [-3, 2])
+    @pytest.mark.parametrize("c", [
+        QFrac(LaurentQ({0: 2, 1: 1}), LaurentQ({0: 3, 2: 1})),
+        QFrac(LaurentQ({0: 1, 1: Fraction(1, 2)}), LaurentQ({0: 5, 1: 2}))],
+        ids=["int", "fraction"])
+    def test_scalar_is_the_division_by_the_unit(self, sign, m, c):
+        # the scalar is u / (sign q^m), taken by a shift with no gcd
+        f = z(1) * q() - z(2)
+        unit = LaurentQ.term(m, sign)
+        u = c * unit
+        parts = self.check(f * as_multirat(u, 2, (1, 0)), f)
+        assert (parts.sign, parts.q_exp) == (sign, m)
+        want = u / QFrac(unit)
+        for got_p, want_p in ((parts.scalar.num, want.num),
+                              (parts.scalar.den, want.den)):
+            assert {e: (type(v), v) for e, v in got_p.terms.items()} \
+                == {e: (type(v), v) for e, v in want_p.terms.items()}
+
     def test_zero_a(self):
         assert self.check(MultiRat.zero(2), z(1) - z(2)) is None
 

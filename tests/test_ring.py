@@ -5,7 +5,8 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from fockweyl import ring
-from fockweyl.ring import (LaurentQ, QFrac, _coef, _poly_divmod, cyclotomic,
+from fockweyl.multirat import MultiPoly, _divexact
+from fockweyl.ring import (LaurentQ, QFrac, _coef, cyclotomic,
                            factor_q_integers, poly_gcd, q_int,
                            render_q_integers, val_cyclotomic)
 
@@ -244,7 +245,22 @@ def typed(d):
     return {e: (type(v), v) for e, v in d.items()}
 
 
+def quotient(a, b):
+    """`_quotient` on ordinary polynomial dicts, as typed terms (None when
+    inexact)."""
+    quo = LaurentQ(a)._quotient(LaurentQ(b))
+    return None if quo is None else typed(quo.terms)
+
+
+def expected_quotient(a, b):
+    quo, rem = fraction_divmod(a, b)
+    return None if rem else typed(quo)
+
+
 class TestPolyDivmod:
+    """`_Poly._quotient`, the one long division, against a division that
+    builds every quotient coefficient as a Fraction."""
+
     @given(int_polys, int_polys.filter(bool), int_polys)
     def test_integer_dicts(self, c, b, r):
         # a = b c + r: the quotient is exact (and integral) when r is empty
@@ -253,15 +269,21 @@ class TestPolyDivmod:
             for e2, v2 in c.items():
                 prod[e1 + e2] = prod.get(e1 + e2, 0) + v1 * v2
         a = {e: v for e, v in prod.items() if v}
-        got = _poly_divmod(a, b)
-        assert tuple(map(typed, got)) == tuple(map(typed, fraction_divmod(a, b)))
+        assert quotient(a, b) == expected_quotient(a, b)
+        # try_exact_div divides in the Laurent ring, which is the ordinary
+        # division once both lowest exponents are 0
+        if a:
+            la = LaurentQ(a).shift(-min(a))
+            lb = LaurentQ(b).shift(-min(b))
+            got = la.try_exact_div(lb)
+            assert (got if got is None else typed(got.terms)) \
+                == expected_quotient(la.terms, lb.terms)
 
     @given(rat_polys, rat_polys.filter(bool))
     def test_rational_dicts(self, a, b):
         a = {e: _coef(v) for e, v in a.items()}
         b = {e: _coef(v) for e, v in b.items()}
-        got = _poly_divmod(a, b)
-        assert tuple(map(typed, got)) == tuple(map(typed, fraction_divmod(a, b)))
+        assert quotient(a, b) == expected_quotient(a, b)
 
     def test_exact_integer_quotient_has_no_fraction(self, monkeypatch):
         def no_fraction(*args):
@@ -270,10 +292,80 @@ class TestPolyDivmod:
         # (2q^3 + 2q^2 - 3q - 3) / (2q + 2) = q^2 - 3/2 is not integral,
         # (2q^3 + 2q^2 - 3q - 3) / (q + 1) = 2q^2 - 3 is
         a = {0: -3, 1: -3, 2: 2, 3: 2}
-        assert _poly_divmod(a, {0: 2, 1: 2}) == ({0: Fraction(-3, 2), 2: 1}, {})
+        assert quotient(a, {0: 2, 1: 2}) == typed({0: Fraction(-3, 2), 2: 1})
+        z1, q1 = MultiPoly.z(1, 1), MultiPoly.q(1)
+        f, g = z1 * z1 * 2 - q1 * 3, z1 + q1
         monkeypatch.setattr(ring, "Fraction", no_fraction)
-        assert _poly_divmod(a, {0: 1, 1: 1}) == ({0: -3, 2: 2}, {})
-        assert _poly_divmod({0: 5, 2: 3}, {1: 1}) == ({1: 3}, {0: 5})
+        assert quotient(a, {0: 1, 1: 1}) == typed({0: -3, 2: 2})
+        assert quotient({0: 5, 2: 3}, {1: 1}) is None
+        assert typed(L(a).shift(-2).try_exact_div(L({4: 1, 5: 1})).terms) \
+            == typed({-6: -3, -4: 2})
+        assert typed(_divexact(f * g, g).terms) == typed(f.terms)
+
+
+int_coeffs = st.integers(-9, 9).filter(bool)
+rat_coeffs = st.one_of(int_coeffs,
+                       st.fractions(-4, 4, max_denominator=3).filter(bool))
+
+
+def laurent_polys(coeffs, min_terms=0):
+    return st.dictionaries(st.integers(-4, 4), coeffs, min_size=min_terms,
+                           max_size=4).map(LaurentQ)
+
+
+def ordinary_multipolys(coeffs, min_terms=0):
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    return st.dictionaries(exps, coeffs, min_size=min_terms,
+                           max_size=4).map(lambda d: MultiPoly(2, d))
+
+
+def total_degree(p):
+    return max(sum(e) for e in p.terms)
+
+
+class TestExactDivision:
+    """(f g) / g == f for both polynomial types, with f's coefficient types;
+    a nonzero remainder gives None (`try_exact_div`, `_quotient`) or
+    ArithmeticError (`exact_div`, `_divexact`)."""
+
+    @pytest.mark.parametrize("coeffs", [int_coeffs, rat_coeffs],
+                             ids=["int", "fraction"])
+    @given(data=st.data())
+    def test_laurent(self, coeffs, data):
+        f = data.draw(laurent_polys(coeffs))
+        g = data.draw(laurent_polys(coeffs, min_terms=1))
+        # the quotient's coefficients are f's, int or Fraction alike
+        assert typed((f * g).try_exact_div(g).terms) == typed(f.terms)
+        assert (f * g).exact_div(g) == f
+        span = g.degree() - g.low_degree()
+        if span:
+            # a nonzero multiple of g spans at least span exponents, so g
+            # does not divide r, nor f g + r
+            r = LaurentQ(data.draw(st.dictionaries(
+                st.integers(0, span - 1), coeffs, min_size=1, max_size=4)))
+            assert (f * g + r).try_exact_div(g) is None
+            with pytest.raises(ArithmeticError):
+                (f * g + r).exact_div(g)
+
+    @pytest.mark.parametrize("coeffs", [int_coeffs, rat_coeffs],
+                             ids=["int", "fraction"])
+    @given(data=st.data())
+    def test_multipoly(self, coeffs, data):
+        f = data.draw(ordinary_multipolys(coeffs))
+        g = data.draw(ordinary_multipolys(coeffs, min_terms=1))
+        assert typed((f * g)._quotient(g).terms) == typed(f.terms)
+        assert typed(_divexact(f * g, g).terms) == typed(f.terms)
+        deg = total_degree(g)
+        if deg:
+            # ordinary polynomials: a nonzero multiple of g has total degree
+            # at least deg g
+            exps = st.tuples(*[st.integers(0, deg - 1)] * 3).filter(
+                lambda e: sum(e) < deg)
+            r = MultiPoly(2, data.draw(st.dictionaries(
+                exps, coeffs, min_size=1, max_size=4)))
+            assert (f * g + r)._quotient(g) is None
+            with pytest.raises(ArithmeticError):
+                _divexact(f * g + r, g)
 
 
 def fraction_path(num, den):

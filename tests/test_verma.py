@@ -610,7 +610,38 @@ class TestJantzenEngine:
             jantzen_engine(3, 4)
 
 
+def per_factor_hook_ratio(lam, k):
+    """`hook_ratio` as a product of one `QFrac` per q-integer factor."""
+    from fockweyl.partitions import (Box, addable_boxes, content, is_addable,
+                                     removable_boxes)
+    new_box = Box(k, lam.part(k) + 1)
+    if not is_addable(lam, new_box):
+        return QFrac.zero()
+    c0 = content(new_box)
+    num = QFrac.one()
+    den = QFrac.one()
+    for b in removable_boxes(lam, 2):
+        if b.row < k:
+            num = num * QFrac(q_int(content(b) - c0))
+    for b in addable_boxes(lam, 2):
+        if b.row < k:
+            den = den * QFrac(q_int(content(b) - c0))
+    return num / den
+
+
+def typed_terms(p):
+    return {e: (type(v), v) for e, v in p.terms.items()}
+
+
 class TestHookRatio:
+    def test_matches_per_factor_product(self):
+        from fockweyl.partitions import all_partitions
+        for lam in all_partitions(8):
+            for k in range(1, len(lam) + 3):
+                got, want = hook_ratio(lam, k), per_factor_hook_ratio(lam, k)
+                assert typed_terms(got.num) == typed_terms(want.num)
+                assert typed_terms(got.den) == typed_terms(want.den)
+
     def test_figure_partition(self):
         lam = Partition((10, 10, 8, 8, 8, 6, 6, 6, 6, 1, 1))
         expected = QFrac(q_int(2) * q_int(7), q_int(5) * q_int(9))
@@ -638,6 +669,13 @@ class TestHookRatio:
 
 
 class TestJantzenValuation:
+    @pytest.mark.parametrize("ell", [1, 0, -3])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_rejects_small_ell_on_every_row(self, k, ell):
+        # row 2 of (1,) is addable, row 5 is not
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            jantzen_valuation(Partition((1,)), k, ell)
+
     def test_examples(self):
         assert jantzen_valuation(Partition((1,)), 2, 2) == -1
         assert jantzen_valuation(Partition((1,)), 1, 2) == 0
