@@ -5,8 +5,8 @@ sl_ell action, and an exhaustive relation checker.
 The generators' columns at a basis ket |lam> are one table per (lam, ell),
 `_columns`: for every color i, the columns of E_i and F_i, tuples of
 (partition, v-exponent), and the K_i exponent d_i = #addable_i - #removable_i.
-A table is built in one pass over lam's addable and removable boxes and kept
-in a cache bounded at 512 tables; applying E_i, F_i or K_i to a vector
+A table is built in two walks along lam's addable and removable boxes and
+kept in a cache bounded at 512 tables; applying E_i, F_i or K_i to a vector
 shifts each term's coefficient along its ket's column.
 
 Every nonzero matrix entry is a single power of v, so `check_relations`
@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .ring import LaurentQ, q_int
 from .sparse import SparseVector
-from .partitions import (Partition, addable_boxes, removable_boxes, n_left,
-                         n_right, all_partitions, color)
+from .partitions import (Partition, addable_boxes, removable_boxes,
+                         all_partitions, color)
 
 
 class FockVector(SparseVector):
@@ -99,22 +99,38 @@ class _Columns(NamedTuple):
 def _columns(lam: Partition, ell: int) -> _Columns:
     """Columns of E_i and F_i and the K_i exponent at |lam>, for every color.
 
-    Built in one pass over lam's addable and removable boxes; kept in a cache
-    bounded at 512 (lam, ell) tables.
+    lam's boundary, by decreasing content, alternates addable and removable
+    boxes, from an addable box to an addable box.  One walk forward keeps,
+    per color, addable minus removable boxes of larger content: -n_left at an
+    addable box.  One walk back keeps the same count over smaller content:
+    at a removable box b it is -n_right(mu, b), mu = lam - b, read off lam,
+    since mu and lam differ only at b and at the boxes next to it, whose
+    colors i +- 1 are not b's color i.  Kept in a cache bounded at 512
+    (lam, ell) tables.
     """
+    add, rem = addable_boxes(lam, ell), removable_boxes(lam, ell)
+    walk = add + rem
+    walk[::2], walk[1::2] = add, rem
+    colors = [color(b, ell) for b in walk]
     E = [[] for _ in range(ell)]
     F = [[] for _ in range(ell)]
     d = [0] * ell
-    for b in addable_boxes(lam, ell):
-        i = color(b, ell)
-        F[i].append((lam.add_box(b), n_left(lam, b, ell)))
-        d[i] += 1
-    for b in removable_boxes(lam, ell):
-        i = color(b, ell)
-        mu = lam.remove_box(b)
-        E[i].append((mu, -n_right(mu, b, ell)))
-        d[i] -= 1
-    return _Columns(tuple(map(tuple, E)), tuple(map(tuple, F)), tuple(d))
+    for j, (b, i) in enumerate(zip(walk, colors)):
+        if j % 2:
+            d[i] -= 1
+        else:
+            F[i].append((lam.add_box(b), -d[i]))
+            d[i] += 1
+    below = [0] * ell
+    for j in range(len(walk) - 1, -1, -1):
+        b, i = walk[j], colors[j]
+        if j % 2:
+            E[i].append((lam.remove_box(b), below[i]))
+            below[i] -= 1
+        else:
+            below[i] += 1
+    return _Columns(tuple(tuple(reversed(col)) for col in E),
+                    tuple(map(tuple, F)), tuple(d))
 
 
 def _apply(op: str, i: int, x: FockVector, ell: int, sign: int = 1) -> FockVector:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 
@@ -11,21 +10,21 @@ SCHEMA = "fwl-report/1"
 GENERATOR = f"fockweyl {__version__}"
 
 
-@dataclass
 class CaseResult:
-    case_id: str
-    passed: bool
-    detail: dict = field(default_factory=dict)
+    def __init__(self, case_id: str, passed: bool, detail: dict | None = None):
+        self.case_id = case_id
+        self.passed = passed
+        self.detail = {} if detail is None else detail
 
     def to_json(self):
         return {"case": self.case_id, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
 class Report:
-    family: str
-    config: dict
-    cases: list
+    def __init__(self, family: str, config: dict, cases: list):
+        self.family = family
+        self.config = config
+        self.cases = cases
 
     @property
     def passed(self) -> int:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 
 from .errors import EngineError
 from .fock import check_relations
@@ -27,27 +26,33 @@ FAMILIES = ("fock-relations", "theorem51", "prop52", "lemma62", "lemma63",
 TOLERANCES = ("strict", "signed", "unit")
 
 
-@dataclass
 class RunConfig:
     """Validated bounds and modes for the verification families."""
 
-    ell: int = 2
-    n_rank: int | None = None          # theorem51 only; None: ranks 2 and 3
-    max_size: int = 4
-    tolerance: str = "signed"          # strict (+q^m) | signed (+-q^m) | unit
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.ell < 2:
+    def __init__(self, ell: int = 2, n_rank: int | None = None,
+                 max_size: int = 4, tolerance: str = "signed", jobs: int = 1):
+        # n_rank: theorem51 only, None for ranks 2 and 3; tolerance: one of
+        # TOLERANCES
+        if ell < 2:
             raise ValueError("ell must be >= 2")
-        if self.n_rank is not None and self.n_rank < 2:
+        if n_rank is not None and n_rank < 2:
             raise ValueError("rank must be >= 2")
-        if self.max_size < 0:
+        if max_size < 0:
             raise ValueError("max_size must be >= 0")
-        if self.tolerance not in TOLERANCES:
-            raise ValueError(f"unknown tolerance mode {self.tolerance!r}")
-        if self.jobs < 1:
+        if tolerance not in TOLERANCES:
+            raise ValueError(f"unknown tolerance mode {tolerance!r}")
+        if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        self.ell = ell
+        self.n_rank = n_rank
+        self.max_size = max_size
+        self.tolerance = tolerance
+        self.jobs = jobs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def echo(self, family: str) -> dict:
         cfg = {"family": family, "ell": self.ell, "max_size": self.max_size,

@@ -21,7 +21,6 @@ type, and its answer is the last pivot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
 
@@ -205,7 +204,6 @@ def kostant_p(gamma: Weight) -> int:
     return _kostant_cached(gamma.coords)
 
 
-@dataclass
 class GramMatrix:
     """All lowering words of one multidegree nu, the positions of the good
     words (a basis) with the pivots of their symmetric elimination, and, on
@@ -215,12 +213,14 @@ class GramMatrix:
     and P = `pair_words`(a, b) in Z[q^{+-1}, z^{+-1}].
     """
 
-    shift: Weight
-    rank: int
-    nu: Weight
-    words: list
-    independent: list
-    pivots: list
+    def __init__(self, shift: Weight, rank: int, nu: Weight, words: list,
+                 independent: list, pivots: list):
+        self.shift = shift
+        self.rank = rank
+        self.nu = nu
+        self.words = words
+        self.independent = independent
+        self.pivots = pivots
 
     @property
     def height(self) -> int:

@@ -2,18 +2,41 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
 class Weight:
-    """Integral weight (c_1, ..., c_N) in the orthonormal epsilon basis."""
+    """Integral weight (c_1, ..., c_N) in the orthonormal epsilon basis.
 
-    coords: tuple[int, ...]
+    Immutable, and hashed as `hash((coords,))`, which is the same in every
+    run, so the order of a set or dict of weights, and of any report built
+    from one, does not move.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __reduce__(self):
+        return Weight, (self.coords,)
+
+    def __repr__(self):
+        return f"Weight(coords={self.coords!r})"
 
     @classmethod
     def zero(cls, n: int) -> "Weight":

@@ -47,7 +47,6 @@ the dimension of that singular space is counted there, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import EngineError
@@ -234,7 +233,6 @@ def _lowered(gen: TensorVector, words) -> list[TensorVector]:
     return out
 
 
-@dataclass
 class SingularVector:
     """One addable row: its canonical singular vector and normalized self-pairing.
 
@@ -242,17 +240,19 @@ class SingularVector:
     (u, top)/(u, u); the triangular normalization `vector` = ratio * u is
     built on first use, since the Fock comparison reads only `norm`."""
 
-    row: int
-    integral: TensorVector
-    ratio: QFrac
-    norm: QFrac
+    def __init__(self, row: int, integral: TensorVector, ratio: QFrac,
+                 norm: QFrac):
+        self.row = row
+        self.integral = integral
+        self.ratio = ratio
+        self.norm = norm
 
     @cached_property
     def vector(self) -> TensorVector:
         return self.integral.scale(self.ratio)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]:
     """Singular vectors of (Weyl module) x (standard module), one per addable
     row, normalized triangularly, with their self-pairings.
@@ -272,6 +272,8 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
     added letter; the form's per-column constants cancel in both ratios, so
     they, and the normalized vector once expanded, are those of
     V^{(x)(n+1)}.
+    The results for the last 32 (lam, rank) are kept: `verify all` asks for
+    each partition at two ell, and the rank does not depend on ell.
     """
     lam = Partition(lam)
     w_lam = highest_weight_vector(lam, rank)

@@ -7,7 +7,7 @@ from fockweyl import fock
 from fockweyl.fock import (FockVector, _columns, affine_cartan, apply_E,
                            apply_F, apply_K, check_relations)
 from fockweyl.partitions import (Partition, addable_boxes, all_partitions,
-                                 n_left, n_right, removable_boxes)
+                                 color, n_left, n_right, removable_boxes)
 from fockweyl.ring import LaurentQ, q_int
 
 
@@ -173,6 +173,23 @@ def old_apply_K(i, x, ell, inverse=False):
     return out
 
 
+def per_box_columns(lam, ell):
+    """The (lam, ell) table with n_left and n_right computed box by box."""
+    E = [[] for _ in range(ell)]
+    F = [[] for _ in range(ell)]
+    d = [0] * ell
+    for b in addable_boxes(lam, ell):
+        i = color(b, ell)
+        F[i].append((lam.add_box(b), n_left(lam, b, ell)))
+        d[i] += 1
+    for b in removable_boxes(lam, ell):
+        i = color(b, ell)
+        mu = lam.remove_box(b)
+        E[i].append((mu, -n_right(mu, b, ell)))
+        d[i] -= 1
+    return tuple(map(tuple, E)), tuple(map(tuple, F)), tuple(d)
+
+
 class TestCachedColumns:
     """apply_* read the cached (lam, ell) tables; they must agree with the
     per-term product loops they replaced, cold and warm."""
@@ -192,6 +209,15 @@ class TestCachedColumns:
                 got = new(i, x, ell)
                 assert got == want
                 assert got.to_json() == want.to_json()
+
+    def test_tables_match_per_box_statistics(self):
+        # same entries in the same order, and the same partition type
+        for ell in range(2, 7):
+            for lam in all_partitions(9):
+                got = _columns.__wrapped__(lam, ell)
+                assert tuple(got) == per_box_columns(lam, ell)
+                assert all(type(mu) is Partition
+                           for col in got.E + got.F for mu, _ in col)
 
     def test_every_ket(self):
         _columns.cache_clear()

@@ -10,6 +10,7 @@ from fockweyl.linalg import _strip_content, ff_echelon, field_echelon
 from fockweyl.partitions import (Partition, all_partitions, addable_row_indices,
                                  partitions_of)
 from fockweyl.ring import LaurentQ, QFrac, poly_gcd, q_int, q_power
+from fockweyl.verify import RunConfig, run_family
 from fockweyl.weights import good_words, words_with_counts
 from fockweyl.weyl import (TensorVector, _lowered, _singular_vectors_in_span,
                            highest_weight_vector, mu_singular_vectors,
@@ -761,6 +762,16 @@ class TestSingularVectors:
             for i in range(1, rank):
                 assert tensor_act("X", i, sv.vector).is_zero
                 assert flat_tensor_act("X", i, v).is_zero
+
+    def test_cache_bounded_and_reused_across_ell(self):
+        # theorem61 at ell = 3 re-solves the 12 partitions of size <= 4 that
+        # ell = 2 just solved; the bounded cache still holds all of them
+        mu_singular_vectors.cache_clear()
+        for ell in (2, 3):
+            assert run_family("theorem61", RunConfig(ell=ell, max_size=4)).failed == 0
+        info = mu_singular_vectors.cache_info()
+        assert info.maxsize == 32
+        assert (info.hits, info.misses) == (12, 12)
 
 
 class TestSingularSpan:
