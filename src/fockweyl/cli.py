@@ -36,22 +36,15 @@ class SystemExit2(Exception):
     """Usage error carrying its message (mapped to exit code 2)."""
 
 
-# The verify flags that set a RunConfig field, and the ones each family
-# reads; --jobs and --format apply to every family.  theorem51 also reads
-# --max-size, but only together with --rank.
+# The verify flags that set a RunConfig field.  verify.FAMILIES names the
+# fields each family reads; `all` reads tolerance only, and --jobs and
+# --format apply to every family.
 CONFIG_FLAGS = {"--ell": "ell", "--max-size": "max_size", "--rank": "n_rank",
                 "--tolerance": "tolerance"}
-FAMILY_FLAGS = {
-    "fock-relations": ("--ell", "--max-size"),
-    "theorem51": ("--rank",),
-    "prop52": (),
-    "lemma62": ("--tolerance",),
-    "lemma63": ("--tolerance",),
-    "prop64": ("--max-size", "--tolerance"),
-    "prop65": ("--ell", "--max-size"),
-    "theorem61": ("--ell", "--max-size", "--tolerance"),
-    "all": ("--tolerance",),
-}
+
+
+def _reads(family: str) -> tuple:
+    return ("tolerance",) if family == "all" else FAMILIES[family][1]
 
 
 def build_parser():
@@ -199,18 +192,17 @@ def _cmd_jantzen(args) -> int:
 def _cmd_verify(args) -> int:
     given = {flag: getattr(args, field) for flag, field in CONFIG_FLAGS.items()
              if getattr(args, field) is not None}
-    reads = FAMILY_FLAGS[args.family]
-    if args.family == "theorem51" and "--rank" in given:
-        reads += ("--max-size",)
     for flag in given:
-        if flag not in reads:
-            if args.family == "theorem51" and flag == "--max-size":
-                raise SystemExit2("--max-size applies to theorem51 only "
-                                  "together with --rank")
-            readers = [f for f, flags in FAMILY_FLAGS.items() if flag in flags]
+        field = CONFIG_FLAGS[flag]
+        if field not in _reads(args.family):
+            readers = [f for f in [*FAMILIES, "all"] if field in _reads(f)]
             if len(readers) == 1:
                 raise SystemExit2(f"{flag} applies to {readers[0]} only")
             raise SystemExit2(f"{flag} does not apply to {args.family}")
+        if flag == "--max-size" and args.family == "theorem51" \
+                and "--rank" not in given:
+            raise SystemExit2("--max-size applies to theorem51 only "
+                              "together with --rank")
     try:
         config = RunConfig(jobs=args.jobs, **{CONFIG_FLAGS[flag]: value
                                               for flag, value in given.items()})

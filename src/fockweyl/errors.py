@@ -6,4 +6,5 @@ class PoleError(ValueError):
 
 
 class EngineError(RuntimeError):
-    """An internal consistency check failed (signals a bug, not bad input)."""
+    """An internal consistency check failed (signals a bug, not bad input), or
+    the worker processes a run asked for could not be started."""

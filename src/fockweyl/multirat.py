@@ -694,20 +694,11 @@ class UnitParts:
         self.z_exps = z_exps
         self.scalar = scalar
 
-    @property
-    def is_signed_q_power(self):
-        return self.scalar == QFrac.one()
-
-    @property
-    def is_plus_q_power(self):
-        return self.is_signed_q_power and self.sign == 1
-
     def is_q_power(self, tolerance: str = "signed") -> bool:
         """Whether this unit is a z-monomial times q^m ("strict"), times
-        +-q^m ("signed") or any unit ("unit"), as in `QFrac.is_q_power`."""
-        if tolerance == "unit":
-            return True
-        return self.is_signed_q_power and (tolerance == "signed" or self.sign == 1)
+        +-q^m ("signed") or any unit ("unit"): `QFrac.is_q_power` of its
+        Q(q) part sign * scalar, which has q-degree 0."""
+        return (self.scalar if self.sign == 1 else -self.scalar).is_q_power(tolerance)
 
     def __repr__(self):
         return (f"UnitParts(sign={self.sign}, q_exp={self.q_exp}, "

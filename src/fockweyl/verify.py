@@ -19,9 +19,6 @@ from .verma import (det_product_identity, gram_matrix, hook_ratio,
 from .weights import Weight, from_alpha_coords
 from .weyl import verify_fock_match
 
-FAMILIES = ("fock-relations", "theorem51", "prop52", "lemma62", "lemma63",
-            "prop64", "prop65", "theorem61")
-
 # How far a ratio may be from 1: q^m, +-q^m, or any unit.
 TOLERANCES = ("strict", "signed", "unit")
 
@@ -125,7 +122,7 @@ def enumerate_cases(family: str, config: RunConfig) -> list[tuple]:
 def run_case(spec: tuple, tolerance: str = "signed") -> CaseResult:
     family = spec[0]
     try:
-        return _RUNNERS[family](spec, tolerance)
+        return FAMILIES[family][0](spec, tolerance)
     except EngineError as exc:
         return CaseResult(case_id="/".join(str(s) for s in spec), passed=False,
                           detail={"engine_error": str(exc)})
@@ -180,12 +177,12 @@ def _case_prop52(spec, tolerance):
 def _case_lemma62(spec, tolerance):
     _, rank, k = spec
     eta = Weight.eps(k, rank)
-    res = det_product_identity(eta, rank)
+    parts, ks_used = det_product_identity(eta, rank)
     return CaseResult(
         case_id=f"lemma62/rank={rank}/eta=eps{k}",
-        passed=_ratio_ok(res["parts"], tolerance),
-        detail={"strict_plus_power": res["strict_plus_power"],
-                "ks_used": res["ks_used"]})
+        passed=_ratio_ok(parts, tolerance),
+        detail={"strict_plus_power": _ratio_ok(parts, "strict"),
+                "ks_used": ks_used})
 
 
 def _case_lemma63(spec, tolerance):
@@ -196,7 +193,7 @@ def _case_lemma63(spec, tolerance):
     return CaseResult(
         case_id=f"lemma63/rank={rank}/k={k}",
         passed=_ratio_ok(parts, tolerance),
-        detail={"strict_plus_power": bool(parts and parts.is_plus_q_power),
+        detail={"strict_plus_power": _ratio_ok(parts, "strict"),
                 "ratio": str(parts) if parts else "not a unit"})
 
 
@@ -244,15 +241,18 @@ def _case_theorem61(spec, tolerance):
         detail={"boxes": res["boxes"]})
 
 
-_RUNNERS = {
-    "fock-relations": _case_fock_relations,
-    "theorem51": _case_theorem51,
-    "prop52": _case_prop52,
-    "lemma62": _case_lemma62,
-    "lemma63": _case_lemma63,
-    "prop64": _case_prop64,
-    "prop65": _case_prop65,
-    "theorem61": _case_theorem61,
+# Every family in report order: its runner and the RunConfig fields it reads
+# (jobs applies to every family).  theorem51 reads max_size only together
+# with n_rank.
+FAMILIES = {
+    "fock-relations": (_case_fock_relations, ("ell", "max_size")),
+    "theorem51": (_case_theorem51, ("n_rank", "max_size")),
+    "prop52": (_case_prop52, ()),
+    "lemma62": (_case_lemma62, ("tolerance",)),
+    "lemma63": (_case_lemma63, ("tolerance",)),
+    "prop64": (_case_prop64, ("max_size", "tolerance")),
+    "prop65": (_case_prop65, ("ell", "max_size")),
+    "theorem61": (_case_theorem61, ("ell", "max_size", "tolerance")),
 }
 
 
@@ -265,13 +265,14 @@ def run_family(family: str, config: RunConfig) -> Report:
     specs = enumerate_cases(family, config)
     workers = min(config.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         try:
-            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 cases = list(pool.map(_pool_worker,
                                       [(s, config.tolerance) for s in specs]))
-        except OSError:
-            cases = [run_case(s, config.tolerance) for s in specs]
+        except OSError as exc:
+            raise EngineError(
+                f"cannot start {workers} worker processes: {exc}") from exc
     else:
         cases = [run_case(s, config.tolerance) for s in specs]
     return Report(family=family, config=config.echo(family), cases=cases)

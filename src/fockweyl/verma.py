@@ -38,13 +38,6 @@ from .weights import Weight, alpha, good_words, positive_roots, words_with_count
 YWord = tuple  # sequence of indices in 1..N-1
 
 
-def word_multidegree(word: YWord, rank: int) -> Weight:
-    w = Weight.zero(rank)
-    for i in word:
-        w = w + alpha(i, rank)
-    return w
-
-
 class VermaElement(SparseVector):
     """K-linear combination of lowering words applied to v_{mu+}."""
 
@@ -76,10 +69,6 @@ class VermaElement(SparseVector):
             return "VermaElement(0)"
         bits = [f"({c}) Y{list(w)}" for w, c in sorted(self.terms.items())]
         return "VermaElement(" + " + ".join(bits) + ")"
-
-
-def _word_weight(word: YWord, shift: Weight, rank: int) -> Weight:
-    return shift - word_multidegree(word, rank)
 
 
 def act_y(i: int, e: VermaElement) -> VermaElement:
@@ -373,9 +362,9 @@ def jantzen_engine(k: int, rank: int) -> MultiRat:
     for i in range(rank - 1, 0, -1):
         for j in range(k, 0, -1):
             nu = Weight.eps(j, rank) - eps_k - alpha(i, rank)
+            # every good word w of multidegree nu has weight a = -nu
+            qe = nu.coords[i] - nu.coords[i - 1] + (j == i) - (j == i + 1)
             for w in good_words(nu.alpha_coords()):
-                a = _word_weight(w, zero_w, rank).coords
-                qe = a[i - 1] + (j == i) - a[i] - (j == i + 1)
                 y = [(j, (i,) + w, _zq(rank, i, i + 1, qe))]
                 if j == i:
                     y.append((i + 1, w, (0,) * rank + (1,)))
@@ -475,11 +464,11 @@ def jantzen_valuation(lam: Partition, k: int, ell: int):
 
 
 def det_product_identity(eta: Weight, rank: int):
-    """Check the product identity tying Jantzen numbers to determinant ratios.
-
-    Both sides are computed from the engine on matched word bases; they must
-    agree up to +-q^m.  Returns a result dict; "parts" is the UnitParts of
-    their ratio (None when it is not a unit).
+    """Both sides of the product identity tying Jantzen numbers to
+    determinant ratios, computed from the engine on matched word bases: they
+    must agree up to +-q^m.  Returns (parts, ks_used): parts is the UnitParts
+    of their ratio (None when it is not a unit), ks_used the k whose Kostant
+    number is nonzero.
     """
     lhs = MultiRat.one(rank)
     rhs = MultiRat.one(rank)
@@ -495,15 +484,4 @@ def det_product_identity(eta: Weight, rank: int):
         gm = gram_matrix(Weight.zero(rank), -w, rank)
         det = gm.det
         rhs = rhs * det / sigma_shift(det, Weight.eps(k, rank))
-    parts = unit_ratio(lhs, rhs)
-    passed = parts is not None and parts.is_signed_q_power
-    return {
-        "eta": list(eta.coords),
-        "rank": rank,
-        "ks_used": used,
-        "is_unit": parts is not None,
-        "passed": passed,
-        "strict_plus_power": bool(parts is not None and parts.is_plus_q_power),
-        "ratio": str(parts) if parts is not None else "not a unit",
-        "parts": parts,
-    }
+    return unit_ratio(lhs, rhs), used

@@ -5,7 +5,7 @@ import pytest
 from fockweyl import cli
 from fockweyl.errors import EngineError
 from fockweyl.reports import CaseResult, Report, render_json
-from fockweyl.verify import RunConfig
+from fockweyl.verify import FAMILIES, RunConfig, enumerate_cases, run_case
 
 
 def run(capsys, *argv):
@@ -175,7 +175,8 @@ class TestVerify:
             return CaseResult(case_id="lemma63/forced", passed=False,
                               detail={"injected": True})
 
-        monkeypatch.setitem(ver._RUNNERS, "lemma63", bad_case)
+        monkeypatch.setitem(ver.FAMILIES, "lemma63",
+                            (bad_case, ver.FAMILIES["lemma63"][1]))
         code, out, _ = run(capsys, "verify", "lemma63")
         assert code == 1
         assert "FAIL" in out
@@ -207,28 +208,84 @@ class TestVerify:
         assert [c["case"] for c in data["cases"]] == [
             "theorem51/rank=2/nu=1,-1", "theorem51/rank=2/nu=2,-2"]
 
-    @pytest.mark.parametrize("family, flag, value", [
-        ("lemma63", "--max-size", "0"),
-        ("lemma62", "--ell", "3"),
-        ("prop52", "--tolerance", "strict"),
-        ("prop52", "--max-size", "2"),
-        ("fock-relations", "--tolerance", "unit"),
-        ("theorem51", "--max-size", "3"),
-        ("theorem51", "--tolerance", "strict"),
-        ("prop64", "--ell", "3"),
-        ("prop65", "--tolerance", "strict"),
-        ("all", "--ell", "3"),
-        ("all", "--max-size", "2"),
-    ])
+    # Every (family, flag) pair whose flag the family does not read, with its
+    # error (exit code 2); test_read_flags_reach_config covers the other
+    # pairs.  theorem51 reads --max-size, but only together with --rank.
+    UNREAD = {
+        ("fock-relations", "--rank", "3"): "--rank applies to theorem51 only",
+        ("fock-relations", "--tolerance", "unit"):
+            "--tolerance does not apply to fock-relations",
+        ("theorem51", "--ell", "3"): "--ell does not apply to theorem51",
+        ("theorem51", "--max-size", "3"):
+            "--max-size applies to theorem51 only together with --rank",
+        ("theorem51", "--tolerance", "strict"):
+            "--tolerance does not apply to theorem51",
+        ("prop52", "--ell", "3"): "--ell does not apply to prop52",
+        ("prop52", "--max-size", "2"): "--max-size does not apply to prop52",
+        ("prop52", "--rank", "3"): "--rank applies to theorem51 only",
+        ("prop52", "--tolerance", "strict"):
+            "--tolerance does not apply to prop52",
+        ("lemma62", "--ell", "3"): "--ell does not apply to lemma62",
+        ("lemma62", "--max-size", "2"): "--max-size does not apply to lemma62",
+        ("lemma62", "--rank", "3"): "--rank applies to theorem51 only",
+        ("lemma63", "--ell", "3"): "--ell does not apply to lemma63",
+        ("lemma63", "--max-size", "0"): "--max-size does not apply to lemma63",
+        ("lemma63", "--rank", "3"): "--rank applies to theorem51 only",
+        ("prop64", "--ell", "3"): "--ell does not apply to prop64",
+        ("prop64", "--rank", "3"): "--rank applies to theorem51 only",
+        ("prop65", "--rank", "3"): "--rank applies to theorem51 only",
+        ("prop65", "--tolerance", "strict"):
+            "--tolerance does not apply to prop65",
+        ("theorem61", "--rank", "3"): "--rank applies to theorem51 only",
+        ("all", "--ell", "3"): "--ell does not apply to all",
+        ("all", "--max-size", "2"): "--max-size does not apply to all",
+        ("all", "--rank", "3"): "--rank applies to theorem51 only",
+    }
+
+    @pytest.mark.parametrize("family, flag, value", list(UNREAD))
     def test_unread_flag_rejected(self, capsys, family, flag, value):
         code, out, err = run(capsys, "verify", family, flag, value)
         assert (code, out) == (2, "")
-        if (family, flag) == ("theorem51", "--max-size"):
-            # theorem51 reads --max-size, but only together with --rank
-            assert err == ("error: --max-size applies to theorem51 only "
-                           "together with --rank\n")
-        else:
-            assert err == f"error: {flag} does not apply to {family}\n"
+        assert err == f"error: {self.UNREAD[family, flag, value]}\n"
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_undeclared_fields_not_read(self, family):
+        # a RunConfig field outside the family's FAMILIES entry changes
+        # neither its cases nor, for tolerance, their records
+        declared = FAMILIES[family][1]
+        base = RunConfig()
+        specs = enumerate_cases(family, base)
+        changes = {"ell": 3, "max_size": 2, "n_rank": 3,
+                   "tolerance": "strict"}
+        for field, value in changes.items():
+            if field not in declared:
+                assert enumerate_cases(family, RunConfig(**{field: value})) \
+                    == specs, field
+        if "tolerance" not in declared:
+            records = [run_case(s).to_json() for s in specs]
+            for tolerance in ("strict", "unit"):
+                assert [run_case(s, tolerance).to_json()
+                        for s in specs] == records, tolerance
+
+    @pytest.mark.parametrize("argv", [
+        ["prop65", "--ell", "2", "--max-size", "2", "--jobs", "2"],
+        ["all", "--jobs", "2"],
+    ])
+    def test_jobs_refused_without_pool(self, capsys, monkeypatch, argv):
+        # no serial rerun and no report when the pool cannot start, even
+        # after earlier families of `all` have run
+        import concurrent.futures
+        from fockweyl import verify as ver
+
+        def no_pool(max_workers):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(ver.os, "cpu_count", lambda: 4)
+        code, out, err = run(capsys, "verify", *argv, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == ("error: cannot start 2 worker processes: "
+                       "[Errno 11] Resource temporarily unavailable\n")
 
     @pytest.mark.parametrize("argv, fields", [
         (["fock-relations", "--ell", "3", "--max-size", "2"],

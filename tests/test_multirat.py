@@ -512,8 +512,8 @@ class TestUnitRatioAgainstDivision:
 
     def test_strict(self):
         f = z(1) - z(2)
-        assert self.check(q(p=4) * f, f).is_plus_q_power
-        assert not self.check(f * q_int(2), f).is_signed_q_power
+        assert self.check(q(p=4) * f, f).is_q_power("strict")
+        assert not self.check(f * q_int(2), f).is_q_power("signed")
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("m", [-3, 2])
@@ -560,7 +560,7 @@ class TestUnitRatio:
         assert parts is not None
         assert (parts.sign, parts.q_exp, parts.z_exps) == (1, 3, (1, 0))
         assert parts.scalar == QFrac.one()
-        assert parts.is_plus_q_power
+        assert parts.is_q_power("strict")
 
     def test_not_a_unit(self):
         f = z(1) + q()
@@ -571,14 +571,14 @@ class TestUnitRatio:
         parts = unit_ratio(-q(p=-1) * f, f)
         assert parts is not None
         assert (parts.sign, parts.q_exp, parts.z_exps) == (-1, -1, (0, 0))
-        assert parts.is_signed_q_power and not parts.is_plus_q_power
+        assert parts.is_q_power("signed") and not parts.is_q_power("strict")
         # a scalar that is not a power of q is not a signed q-power
-        assert not unit_ratio(f * QFrac(q_int(2)).num, f).is_signed_q_power
+        assert not unit_ratio(f * QFrac(q_int(2)).num, f).is_q_power("signed")
 
     def test_general_scalar_reported(self):
         f = z(1) - z(2)
         parts = unit_ratio(f * q_int(2), f)
-        assert parts is not None and not parts.is_signed_q_power
+        assert parts is not None and not parts.is_q_power("signed")
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):

@@ -529,7 +529,7 @@ class TestJantzenEngine:
     @pytest.mark.parametrize("rank,k", [(2, 2), (3, 2), (3, 3)])
     def test_matches_closed_form(self, rank, k):
         parts = unit_ratio(jantzen_engine(k, rank), jantzen_closed(k, rank))
-        assert parts is not None and parts.is_signed_q_power
+        assert parts is not None and parts.is_q_power("signed")
 
     # canonical reprs, the same at every rank >= k; k=4 by sha256
     EXPECTED_REPR = {
@@ -696,17 +696,18 @@ class TestJantzenValuation:
 
 class TestDetProductIdentity:
     def test_rank_two(self):
-        res = det_product_identity(Weight.eps(2, 2), 2)
-        assert res["passed"]
+        parts, _ = det_product_identity(Weight.eps(2, 2), 2)
+        assert parts is not None and parts.is_q_power("signed")
 
     def test_trivial_eta(self):
         # eta - eps_k never lands in the negative root cone
-        res = det_product_identity(Weight((3, 0)), 2)
-        assert res["passed"] and res["ks_used"] == []
+        parts, ks_used = det_product_identity(Weight((3, 0)), 2)
+        assert parts is not None and parts.is_q_power("signed")
+        assert ks_used == []
 
     def test_rank_three(self):
-        res = det_product_identity(Weight.eps(3, 3), 3)
-        assert res["passed"]
+        parts, _ = det_product_identity(Weight.eps(3, 3), 3)
+        assert parts is not None and parts.is_q_power("signed")
 
 
 class TestYWords:
