@@ -5,6 +5,11 @@ Equivalent to `fockweyl verify all` but prints a compact timing table; useful
 when experimenting with larger bounds than the defaults.  The package's
 caches are cleared before each family, so no family is timed on results
 cached by an earlier one.
+
+Under `--jobs N` every case runs in one pool of worker processes, started
+before the first report: each time printed is then how long the loop waited
+for that report, not the family's cost, and the cache clearing reaches only
+this process, not the workers.
 """
 
 import argparse

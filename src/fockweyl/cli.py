@@ -44,7 +44,7 @@ CONFIG_FLAGS = {"--ell": "ell", "--max-size": "max_size", "--rank": "n_rank",
 
 
 def _reads(family: str) -> tuple:
-    return ("tolerance",) if family == "all" else FAMILIES[family][1]
+    return ("tolerance",) if family == "all" else FAMILIES[family].reads
 
 
 def build_parser():
@@ -212,10 +212,8 @@ def _cmd_verify(args) -> int:
         reports = list(run_all(config))
     else:
         reports = [run_family(args.family, config)]
-    out = []
-    for rep in reports:
-        out.append(render_json(rep) if args.format == "json" else render_text(rep))
-    sys.stdout.write("".join(out))
+    render = render_json if args.format == "json" else render_text
+    sys.stdout.write("".join(map(render, reports)))
     failed = sum(rep.failed for rep in reports)
     return 1 if failed else 0
 

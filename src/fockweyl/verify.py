@@ -1,12 +1,14 @@
 """Batch verification families behind the CLI: each family enumerates picklable
-case specs, runs them (optionally across a process pool), and collects a
-deterministic report.
+case specs, runs them (optionally across one process pool per command), and
+collects a deterministic report.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .errors import EngineError
 from .fock import check_relations
@@ -64,97 +66,47 @@ def _ratio_ok(parts, tolerance: str) -> bool:
     return parts is not None and parts.is_q_power(tolerance)
 
 
-def _root_lattice_points(rank: int, max_height: int):
-    """Nonzero nu in Q+ of height <= max_height, deterministic order."""
-    n_alphas = rank - 1
-    out = []
-    for total in range(1, max_height + 1):
-        for combo in itertools.product(range(total + 1), repeat=n_alphas):
-            if sum(combo) == total:
-                out.append(from_alpha_coords(combo, rank))
-    return out
+def _root_lattice_points(rank: int, max_height: int) -> list[tuple]:
+    """Coordinates of each nonzero nu in Q+ of height <= max_height."""
+    return [from_alpha_coords(combo, rank).coords
+            for total in range(1, max_height + 1)
+            for combo in itertools.product(range(total + 1), repeat=rank - 1)
+            if sum(combo) == total]
 
 
-def enumerate_cases(family: str, config: RunConfig) -> list[tuple]:
-    if family == "fock-relations":
-        return [("fock-relations", config.ell, config.max_size)]
-    if family == "theorem51":
-        if config.n_rank is not None:
-            ranks = [(config.n_rank, config.max_size)]
-        else:
-            ranks = [(2, 4), (3, 3)]
-        return [("theorem51", rank, tuple(nu.coords))
-                for rank, h in ranks for nu in _root_lattice_points(rank, h)]
-    if family == "prop52":
-        out = []
-        for rank in (2, 3):
-            for nu in _root_lattice_points(rank, 3):
-                for k in (1, 2):
-                    out.append(("prop52", rank, tuple(nu.coords), k))
-        return out
-    if family == "lemma62":
-        out = []
-        for rank in (2, 3):
-            for k in range(1, rank + 1):
-                out.append(("lemma62", rank, k))
-        return out
-    if family == "lemma63":
-        return [("lemma63", rank, k)
-                for rank in (2, 3) for k in range(1, rank + 1)]
-    if family == "prop64":
-        out = []
-        for lam in all_partitions(config.max_size):
-            for k in range(1, len(lam) + 2):
-                out.append(("prop64", tuple(lam), k))
-        return out
-    if family == "prop65":
-        out = []
-        for lam in all_partitions(config.max_size):
-            for k in range(1, len(lam) + 2):
-                out.append(("prop65", tuple(lam), k, config.ell))
-        return out
-    if family == "theorem61":
-        return [("theorem61", tuple(lam), config.ell)
-                for lam in all_partitions(config.max_size)]
-    raise ValueError(f"unknown verify family {family!r}")
+def _theorem51_cases(config: RunConfig) -> list[tuple]:
+    ranks = ([(config.n_rank, config.max_size)] if config.n_rank is not None
+             else [(2, 4), (3, 3)])
+    return [(rank, nu) for rank, h in ranks
+            for nu in _root_lattice_points(rank, h)]
 
 
-def run_case(spec: tuple, tolerance: str = "signed") -> CaseResult:
-    family = spec[0]
-    try:
-        return FAMILIES[family][0](spec, tolerance)
-    except EngineError as exc:
-        return CaseResult(case_id="/".join(str(s) for s in spec), passed=False,
-                          detail={"engine_error": str(exc)})
+def _rank_k_cases(config: RunConfig) -> list[tuple]:
+    return [(rank, k) for rank in (2, 3) for k in range(1, rank + 1)]
 
 
-def _case_fock_relations(spec, tolerance):
-    _, ell, max_size = spec
+def _lam_k_cases(config: RunConfig) -> list[tuple]:
+    """(lam, k) for each partition of size <= max_size and k <= len(lam) + 1."""
+    return [(tuple(lam), k) for lam in all_partitions(config.max_size)
+            for k in range(1, len(lam) + 2)]
+
+
+def _fock_relations(ell, max_size, tolerance):
     results = check_relations(ell, max_size)
     bad = [r for r in results if not r["passed"]]
-    return CaseResult(
-        case_id=f"fock-relations/ell={ell}/max_size={max_size}",
-        passed=not bad,
-        detail={"relations_checked": len(results),
-                "failures": bad[:3]})
+    return not bad, {"relations_checked": len(results), "failures": bad[:3]}
 
 
-def _case_theorem51(spec, tolerance):
-    _, rank, nu_coords = spec
+def _theorem51(rank, nu_coords, tolerance):
     nu = Weight(nu_coords)
     gm = gram_matrix(Weight.zero(rank), nu, rank)
-    closed = shapovalov_det_closed(-nu, rank)
-    parts = unit_ratio(gm.det, closed)
-    ok = parts is not None  # any unit of Q(q)[z^{+-1}] is allowed here
-    return CaseResult(
-        case_id=f"theorem51/rank={rank}/nu={','.join(map(str, nu_coords))}",
-        passed=ok,
-        detail={"words": len(gm.words), "basis": len(gm.independent),
-                "unit": str(parts) if parts else "not a unit"})
+    parts = unit_ratio(gm.det, shapovalov_det_closed(-nu, rank))
+    return parts is not None, {  # any unit of Q(q)[z^{+-1}] is allowed here
+        "words": len(gm.words), "basis": len(gm.independent),
+        "unit": str(parts) if parts else "not a unit"}
 
 
-def _case_prop52(spec, tolerance):
-    _, rank, nu_coords, k = spec
+def _prop52(rank, nu_coords, k, tolerance):
     nu = Weight(nu_coords)
     mu, zero = Weight.eps(k, rank), Weight.zero(rank)
     g0 = gram_matrix(zero, nu, rank)
@@ -166,132 +118,158 @@ def _case_prop52(spec, tolerance):
         pair_words(a, b, mu, rank) == pair_words(a, b, zero, rank).sigma(mu)
         for t, a in enumerate(g0.words) for b in g0.words[t:])
     det_ok = gk.det == sigma_shift(g0.det, mu)
-    ok = same_words and entry_ok and det_ok
-    return CaseResult(
-        case_id=f"prop52/rank={rank}/nu={','.join(map(str, nu_coords))}/k={k}",
-        passed=ok,
-        detail={"matched_words": same_words, "entries_exact": entry_ok,
-                "det_exact": det_ok})
+    return same_words and entry_ok and det_ok, {
+        "matched_words": same_words, "entries_exact": entry_ok,
+        "det_exact": det_ok}
 
 
-def _case_lemma62(spec, tolerance):
-    _, rank, k = spec
-    eta = Weight.eps(k, rank)
-    parts, ks_used = det_product_identity(eta, rank)
-    return CaseResult(
-        case_id=f"lemma62/rank={rank}/eta=eps{k}",
-        passed=_ratio_ok(parts, tolerance),
-        detail={"strict_plus_power": _ratio_ok(parts, "strict"),
-                "ks_used": ks_used})
+def _lemma62(rank, k, tolerance):
+    parts, ks_used = det_product_identity(Weight.eps(k, rank), rank)
+    return _ratio_ok(parts, tolerance), {
+        "strict_plus_power": _ratio_ok(parts, "strict"), "ks_used": ks_used}
 
 
-def _case_lemma63(spec, tolerance):
-    _, rank, k = spec
-    engine = jantzen_engine(k, rank)
-    closed = jantzen_closed(k, rank)
-    parts = unit_ratio(engine, closed)
-    return CaseResult(
-        case_id=f"lemma63/rank={rank}/k={k}",
-        passed=_ratio_ok(parts, tolerance),
-        detail={"strict_plus_power": _ratio_ok(parts, "strict"),
-                "ratio": str(parts) if parts else "not a unit"})
+def _lemma63(rank, k, tolerance):
+    parts = unit_ratio(jantzen_engine(k, rank), jantzen_closed(k, rank))
+    return _ratio_ok(parts, tolerance), {
+        "strict_plus_power": _ratio_ok(parts, "strict"),
+        "ratio": str(parts) if parts else "not a unit"}
 
 
-def _case_prop64(spec, tolerance):
-    _, lam_t, k = spec
+def _prop64(lam_t, k, tolerance):
     lam = Partition(lam_t)
-    rank = max(len(lam) + 1, k)
     hook = hook_ratio(lam, k)
-    closed = jantzen_evaluate_closed(lam, k, rank)
+    closed = jantzen_evaluate_closed(lam, k, max(len(lam) + 1, k))
     if hook.is_zero or closed.is_zero:
-        ok = hook.is_zero and closed.is_zero
-        detail = {"zero_case": True}
-    else:
-        ratio = closed / hook
-        ok = ratio.is_q_power(tolerance)
-        detail = {"zero_case": False, "ratio": ratio.to_text()}
-    return CaseResult(
-        case_id=f"prop64/lam={','.join(map(str, lam_t)) or '0'}/k={k}",
-        passed=ok, detail=detail)
+        return hook.is_zero and closed.is_zero, {"zero_case": True}
+    ratio = closed / hook
+    return ratio.is_q_power(tolerance), {"zero_case": False,
+                                         "ratio": ratio.to_text()}
 
 
-def _case_prop65(spec, tolerance):
-    _, lam_t, k, ell = spec
+def _prop65(lam_t, k, ell, tolerance):
     lam = Partition(lam_t)
     b = Box(k, lam.part(k) + 1)
     if not is_addable(lam, b):
-        ok = hook_ratio(lam, k).is_zero
-        detail = {"zero_case": True}
-    else:
-        val = jantzen_valuation(lam, k, ell)  # raises on internal mismatch
-        ok = val == n_left(lam, b, ell)
-        detail = {"valuation": val}
-    return CaseResult(
-        case_id=f"prop65/lam={','.join(map(str, lam_t)) or '0'}/k={k}/ell={ell}",
-        passed=ok, detail=detail)
+        return hook_ratio(lam, k).is_zero, {"zero_case": True}
+    val = jantzen_valuation(lam, k, ell)  # raises on internal mismatch
+    return val == n_left(lam, b, ell), {"valuation": val}
 
 
-def _case_theorem61(spec, tolerance):
-    _, lam_t, ell = spec
-    lam = Partition(lam_t)
-    res = verify_fock_match(lam, ell, tolerance=tolerance)
-    return CaseResult(
-        case_id=f"theorem61/lam={','.join(map(str, lam_t)) or '0'}/ell={ell}",
-        passed=res["passed"],
-        detail={"boxes": res["boxes"]})
+def _theorem61(lam_t, ell, tolerance):
+    res = verify_fock_match(Partition(lam_t), ell, tolerance=tolerance)
+    return res["passed"], {"boxes": res["boxes"]}
 
 
-# Every family in report order: its runner and the RunConfig fields it reads
-# (jobs applies to every family).  theorem51 reads max_size only together
-# with n_rank.
+class Family(NamedTuple):
+    """One verification family.  `case_id` formats the spec fields after the
+    family name, `cases(config)` lists those fields, `run(*fields,
+    tolerance=...)` returns (passed, detail), and `reads` names the RunConfig
+    fields the family reads (jobs applies to every family)."""
+    case_id: str
+    cases: Callable[[RunConfig], list[tuple]]
+    run: Callable[..., tuple[bool, dict]]
+    reads: tuple[str, ...]
+
+
+# Every family in report order (theorem51 reads max_size only with n_rank).
 FAMILIES = {
-    "fock-relations": (_case_fock_relations, ("ell", "max_size")),
-    "theorem51": (_case_theorem51, ("n_rank", "max_size")),
-    "prop52": (_case_prop52, ()),
-    "lemma62": (_case_lemma62, ("tolerance",)),
-    "lemma63": (_case_lemma63, ("tolerance",)),
-    "prop64": (_case_prop64, ("max_size", "tolerance")),
-    "prop65": (_case_prop65, ("ell", "max_size")),
-    "theorem61": (_case_theorem61, ("ell", "max_size", "tolerance")),
+    "fock-relations": Family("fock-relations/ell={}/max_size={}",
+                             lambda config: [(config.ell, config.max_size)],
+                             _fock_relations, ("ell", "max_size")),
+    "theorem51": Family("theorem51/rank={}/nu={}", _theorem51_cases,
+                        _theorem51, ("n_rank", "max_size")),
+    "prop52": Family("prop52/rank={}/nu={}/k={}",
+                     lambda config: [(rank, nu, k) for rank in (2, 3)
+                                     for nu in _root_lattice_points(rank, 3)
+                                     for k in (1, 2)],
+                     _prop52, ()),
+    "lemma62": Family("lemma62/rank={}/eta=eps{}", _rank_k_cases, _lemma62,
+                      ("tolerance",)),
+    "lemma63": Family("lemma63/rank={}/k={}", _rank_k_cases, _lemma63,
+                      ("tolerance",)),
+    "prop64": Family("prop64/lam={}/k={}", _lam_k_cases, _prop64,
+                     ("max_size", "tolerance")),
+    "prop65": Family("prop65/lam={}/k={}/ell={}",
+                     lambda config: [(*lam_k, config.ell)
+                                     for lam_k in _lam_k_cases(config)],
+                     _prop65, ("ell", "max_size")),
+    "theorem61": Family("theorem61/lam={}/ell={}",
+                        lambda config: [(tuple(lam), config.ell)
+                                        for lam in all_partitions(config.max_size)],
+                        _theorem61, ("ell", "max_size", "tolerance")),
 }
 
 
-def _pool_worker(args):
-    spec, tolerance = args
+def enumerate_cases(family: str, config: RunConfig) -> list[tuple]:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown verify family {family!r}")
+    return [(family, *fields) for fields in FAMILIES[family].cases(config)]
+
+
+def _id_field(field) -> str:
+    """A spec field in a case id: a tuple comma-joined, `0` when empty."""
+    return (",".join(map(str, field)) or "0") if isinstance(field, tuple) \
+        else field
+
+
+def run_case(spec: tuple, tolerance: str = "signed") -> CaseResult:
+    row, fields = FAMILIES[spec[0]], spec[1:]
+    try:
+        passed, detail = row.run(*fields, tolerance=tolerance)
+    except EngineError as exc:
+        passed, detail = False, {"engine_error": str(exc)}
+    return CaseResult(case_id=row.case_id.format(*map(_id_field, fields)),
+                      passed=passed, detail=detail)
+
+
+def _run_task(task):
+    spec, tolerance = task
     return run_case(spec, tolerance)
 
 
+def _run_plan(plan: list, jobs: int):
+    """Yield the Report of each (family, RunConfig) pair of the plan, in
+    order, each once its cases have run.  With more than one worker every
+    case of the plan runs in one process pool, started before any case."""
+    steps = [(family, config, enumerate_cases(family, config))
+             for family, config in plan]
+    tasks = [(spec, config.tolerance) for _, config, specs in steps
+             for spec in specs]
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+
+    def reports(results):  # an iterator over the plan's case results
+        for family, config, specs in steps:
+            yield Report(family=family, config=config.echo(family),
+                         cases=list(itertools.islice(results, len(specs))))
+
+    if workers <= 1:
+        yield from reports(map(_run_task, tasks))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from reports(iter(pool.map(_run_task, tasks)))
+    except OSError as exc:
+        raise EngineError(
+            f"cannot start {workers} worker processes: {exc}") from exc
+
+
 def run_family(family: str, config: RunConfig) -> Report:
-    specs = enumerate_cases(family, config)
-    workers = min(config.jobs, len(specs), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                cases = list(pool.map(_pool_worker,
-                                      [(s, config.tolerance) for s in specs]))
-        except OSError as exc:
-            raise EngineError(
-                f"cannot start {workers} worker processes: {exc}") from exc
-    else:
-        cases = [run_case(s, config.tolerance) for s in specs]
-    return Report(family=family, config=config.echo(family), cases=cases)
+    [report] = _run_plan([(family, config)], config.jobs)
+    return report
 
 
 def run_all(config: RunConfig):
-    """The full acceptance sweep at the documented bounds (yields reports)."""
+    """The full acceptance sweep at the documented bounds: a lazy iterator
+    of reports."""
     def derived(ell, max_size):
-        return RunConfig(ell=ell, max_size=max_size, tolerance=config.tolerance,
-                         jobs=config.jobs)
+        return RunConfig(ell=ell, max_size=max_size, tolerance=config.tolerance)
 
-    for ell in (2, 3, 4):
-        yield run_family("fock-relations", derived(ell, 6))
-    yield run_family("theorem51", config)
-    yield run_family("prop52", config)
-    yield run_family("lemma62", config)
-    yield run_family("lemma63", config)
-    yield run_family("prop64", derived(config.ell, 6))
-    for ell in (2, 3, 4):
-        yield run_family("prop65", derived(ell, 6))
-    for ell in (2, 3):
-        yield run_family("theorem61", derived(ell, 4))
+    plan = [("fock-relations", derived(ell, 6)) for ell in (2, 3, 4)]
+    plan += [(family, config)
+             for family in ("theorem51", "prop52", "lemma62", "lemma63")]
+    plan.append(("prop64", derived(config.ell, 6)))
+    plan += [("prop65", derived(ell, 6)) for ell in (2, 3, 4)]
+    plan += [("theorem61", derived(ell, 4)) for ell in (2, 3)]
+    return _run_plan(plan, config.jobs)

@@ -116,7 +116,10 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_jobs_capped_by_cases_and_cpus(self, monkeypatch):
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """An in-process stand-in for the process pool, on 4 CPUs: the list
+        gets the max_workers of each pool started."""
         import concurrent.futures
         from fockweyl import verify as ver
 
@@ -137,6 +140,11 @@ class TestVerify:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(ver.os, "cpu_count", lambda: 4)
+        return started
+
+    def test_jobs_capped_by_cases_and_cpus(self, monkeypatch, started):
+        from fockweyl import verify as ver
+
         cfg = ver.RunConfig(ell=2, max_size=2, jobs=5000)
         ncases = len(ver.enumerate_cases("prop65", cfg))
         assert 1 < ncases
@@ -153,6 +161,36 @@ class TestVerify:
         monkeypatch.setattr(ver.os, "cpu_count", lambda: 4)
         ver.run_family("prop65", ver.RunConfig(ell=2, max_size=0, jobs=5000))
         assert started == [min(4, ncases)]
+
+    def test_one_pool_per_command(self, started):
+        # every case of `verify all` runs in one pool, and its reports are
+        # the serial ones
+        from fockweyl import verify as ver
+
+        pooled = list(ver.run_all(ver.RunConfig(jobs=2)))
+        assert started == [2]
+        serial = list(ver.run_all(ver.RunConfig()))
+        assert started == [2]
+        assert [render_json(r) for r in pooled] \
+            == [render_json(r) for r in serial]
+
+    def test_run_all_is_lazy(self, monkeypatch):
+        # scripts/run_checks.py times each report as it arrives, so no case
+        # may run before its report is asked for
+        from fockweyl import verify as ver
+
+        ran = []
+        real = ver.run_case
+
+        def counted(spec, tolerance="signed"):
+            ran.append(spec)
+            return real(spec, tolerance)
+
+        monkeypatch.setattr(ver, "run_case", counted)
+        reports = ver.run_all(ver.RunConfig())
+        assert ran == []
+        first = next(reports)
+        assert ran == [("fock-relations", 2, 6)] and first.passed == 1
 
     def test_generator_from_version(self):
         import fockweyl
@@ -171,12 +209,11 @@ class TestVerify:
         # corrupt one runner so the harness itself is exercised
         from fockweyl import verify as ver
 
-        def bad_case(spec, tolerance):
-            return CaseResult(case_id="lemma63/forced", passed=False,
-                              detail={"injected": True})
+        def bad_case(*fields, tolerance):
+            return False, {"injected": True}
 
         monkeypatch.setitem(ver.FAMILIES, "lemma63",
-                            (bad_case, ver.FAMILIES["lemma63"][1]))
+                            ver.FAMILIES["lemma63"]._replace(run=bad_case))
         code, out, _ = run(capsys, "verify", "lemma63")
         assert code == 1
         assert "FAIL" in out
@@ -250,9 +287,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("family", list(FAMILIES))
     def test_undeclared_fields_not_read(self, family):
-        # a RunConfig field outside the family's FAMILIES entry changes
+        # a RunConfig field outside the family's FAMILIES reads changes
         # neither its cases nor, for tolerance, their records
-        declared = FAMILIES[family][1]
+        declared = FAMILIES[family].reads
         base = RunConfig()
         specs = enumerate_cases(family, base)
         changes = {"ell": 3, "max_size": 2, "n_rank": 3,
@@ -272,8 +309,8 @@ class TestVerify:
         ["all", "--jobs", "2"],
     ])
     def test_jobs_refused_without_pool(self, capsys, monkeypatch, argv):
-        # no serial rerun and no report when the pool cannot start, even
-        # after earlier families of `all` have run
+        # no serial rerun and no report when the pool cannot start; `all`
+        # starts its one pool before any family runs
         import concurrent.futures
         from fockweyl import verify as ver
 

@@ -1,0 +1,111 @@
+"""The verify family table: case lists and case ids."""
+
+import itertools
+
+import pytest
+
+from fockweyl import verify
+from fockweyl.errors import EngineError
+from fockweyl.partitions import all_partitions
+from fockweyl.verify import FAMILIES, RunConfig, enumerate_cases, run_case
+from fockweyl.weights import from_alpha_coords
+
+
+def root_lattice_points(rank, max_height):
+    out = []
+    for total in range(1, max_height + 1):
+        for combo in itertools.product(range(total + 1), repeat=rank - 1):
+            if sum(combo) == total:
+                out.append(from_alpha_coords(combo, rank))
+    return out
+
+
+def reference_cases(family, config):
+    """The per-family enumeration that the family table replaced."""
+    if family == "fock-relations":
+        return [("fock-relations", config.ell, config.max_size)]
+    if family == "theorem51":
+        if config.n_rank is not None:
+            ranks = [(config.n_rank, config.max_size)]
+        else:
+            ranks = [(2, 4), (3, 3)]
+        return [("theorem51", rank, tuple(nu.coords))
+                for rank, h in ranks for nu in root_lattice_points(rank, h)]
+    if family == "prop52":
+        out = []
+        for rank in (2, 3):
+            for nu in root_lattice_points(rank, 3):
+                for k in (1, 2):
+                    out.append(("prop52", rank, tuple(nu.coords), k))
+        return out
+    if family == "lemma62":
+        out = []
+        for rank in (2, 3):
+            for k in range(1, rank + 1):
+                out.append(("lemma62", rank, k))
+        return out
+    if family == "lemma63":
+        return [("lemma63", rank, k)
+                for rank in (2, 3) for k in range(1, rank + 1)]
+    if family == "prop64":
+        out = []
+        for lam in all_partitions(config.max_size):
+            for k in range(1, len(lam) + 2):
+                out.append(("prop64", tuple(lam), k))
+        return out
+    if family == "prop65":
+        out = []
+        for lam in all_partitions(config.max_size):
+            for k in range(1, len(lam) + 2):
+                out.append(("prop65", tuple(lam), k, config.ell))
+        return out
+    if family == "theorem61":
+        return [("theorem61", tuple(lam), config.ell)
+                for lam in all_partitions(config.max_size)]
+    raise ValueError(f"unknown verify family {family!r}")
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_cases_match_reference(family):
+    for ell, max_size, n_rank in itertools.product(
+            (2, 3, 4), range(6), (None, 2, 3, 4)):
+        config = RunConfig(ell=ell, max_size=max_size, n_rank=n_rank)
+        assert enumerate_cases(family, config) \
+            == reference_cases(family, config), (ell, max_size, n_rank)
+
+
+def test_unknown_family():
+    with pytest.raises(ValueError, match="unknown verify family 'nope'"):
+        enumerate_cases("nope", RunConfig())
+
+
+# One case per family: what its runner calls, and the id the case passes
+# under (a tuple field comma-joined, `0` when empty).
+ENGINE_ERRORS = [
+    (("fock-relations", 2, 4), "check_relations",
+     "fock-relations/ell=2/max_size=4"),
+    (("theorem51", 3, (1, 0, -1)), "gram_matrix",
+     "theorem51/rank=3/nu=1,0,-1"),
+    (("prop52", 2, (1, -1), 1), "gram_matrix", "prop52/rank=2/nu=1,-1/k=1"),
+    (("lemma62", 2, 1), "det_product_identity", "lemma62/rank=2/eta=eps1"),
+    (("lemma63", 2, 1), "jantzen_engine", "lemma63/rank=2/k=1"),
+    (("prop64", (), 1), "hook_ratio", "prop64/lam=0/k=1"),
+    (("prop65", (), 1, 2), "jantzen_valuation", "prop65/lam=0/k=1/ell=2"),
+    (("theorem61", (), 2), "verify_fock_match", "theorem61/lam=0/ell=2"),
+]
+
+
+@pytest.mark.parametrize("spec, callee, case_id", ENGINE_ERRORS,
+                         ids=[spec[0] for spec, _, _ in ENGINE_ERRORS])
+def test_engine_error_keeps_case_id(monkeypatch, spec, callee, case_id):
+    assert spec in enumerate_cases(spec[0], RunConfig())
+    case = run_case(spec)
+    assert (case.case_id, case.passed) == (case_id, True)
+
+    def broken(*args, **kwargs):
+        raise EngineError("injected")
+
+    monkeypatch.setattr(verify, callee, broken)
+    case = run_case(spec)
+    assert (case.case_id, case.passed) == (case_id, False)
+    assert case.detail == {"engine_error": "injected"}
