@@ -6,13 +6,13 @@ The generators' columns at a basis ket |lam> are one table per (lam, ell),
 `_columns`: for every color i, the columns of E_i and F_i, tuples of
 (partition, v-exponent), and the K_i exponent d_i = #addable_i - #removable_i.
 A table is built in two walks along lam's addable and removable boxes and
-kept in a cache bounded at 512 tables; applying E_i, F_i or K_i to a vector
-shifts each term's coefficient along its ket's column.
+kept in a cache bounded at 512 tables.
 
-Every nonzero matrix entry is a single power of v, so `check_relations`
-composes each side of a relation as an integer combination of kets v^e |mu>,
-a dict from (mu, e) to int, and builds a `FockVector` only to render a
-counterexample.
+Every nonzero matrix entry is a single power of v, so one column step,
+`_step`, acts on combinations of kets v^e |mu>, dicts from (mu, e) to a
+coefficient.  It serves apply_E/F/K, which expand and rebuild a `FockVector`,
+and the relation words of `check_relations`, which builds a `FockVector`
+only to render a counterexample.
 """
 
 from __future__ import annotations
@@ -133,27 +133,39 @@ def _columns(lam: Partition, ell: int) -> _Columns:
                     tuple(map(tuple, F)), tuple(d))
 
 
-def _apply(op: str, i: int, x: FockVector, ell: int, sign: int = 1) -> FockVector:
-    """E_i, F_i or K_i (op "E", "F" or "K") on x: each term's coefficient is
-    shifted along its ket's column, read from the (lam, ell) table."""
-    out = FockVector()
-    for lam, c in x.terms.items():
+def _step(x: dict, ell: int, op: str, i: int, sign: int = 1) -> dict:
+    """E_i, F_i or K_i^sign (op "E", "F" or "K") on a combination of kets
+    v^e |lam>, a dict from (lam, e) to its coefficient: each term moves
+    along its ket's column, read from the (lam, ell) table."""
+    i %= ell
+    y = {}
+    for (lam, e), c in x.items():
         cols = _columns(lam, ell)
-        if op == "K":
-            col = ((lam, cols.d[i % ell]),)
-        else:
-            col = getattr(cols, op)[i % ell]
-        for mu, e in col:
-            out.add_term(mu, c.shift(sign * e))
+        col = ((lam, sign * cols.d[i]),) if op == "K" else getattr(cols, op)[i]
+        for mu, f in col:
+            key = (mu, e + f)
+            y[key] = y.get(key, 0) + c
+    return y
+
+
+def _vector(x: dict) -> FockVector:
+    """A combination of kets v^e |mu>, as its `FockVector`."""
+    out = FockVector()
+    for (mu, e), c in x.items():
+        out.add_term(mu, LaurentQ.term(e, c, "v"))
     return out
 
 
-def apply_F(i: int, x: FockVector, ell: int) -> FockVector:
-    """Add one i-colored box to each term, with exponent n_left.
+def _apply(op: str, i: int, x: FockVector, ell: int, sign: int = 1) -> FockVector:
+    """One `_step` on x, its terms expanded into kets v^e |lam>.  Each ket's
+    columns are computed once per (lam, ell) by `_columns`, whose cache holds
+    at most 512 tables."""
+    return _vector(_step({(lam, e): a for lam, c in x.terms.items()
+                          for e, a in c.terms.items()}, ell, op, i, sign))
 
-    Each ket's columns are computed once per (lam, ell) by `_columns`, whose
-    cache holds at most 512 tables.
-    """
+
+def apply_F(i: int, x: FockVector, ell: int) -> FockVector:
+    """Add one i-colored box to each term, with exponent n_left."""
     return _apply("F", i, x, ell)
 
 
@@ -161,34 +173,23 @@ def apply_E(i: int, x: FockVector, ell: int) -> FockVector:
     """Remove one i-colored box from each term, with exponent -n_right.
 
     The statistic is computed on the smaller partition, with the removed
-    box as reference.  Each ket's columns are computed once per (lam, ell)
-    by `_columns`, whose cache holds at most 512 tables.
+    box as reference.
     """
     return _apply("E", i, x, ell)
 
 
 def apply_K(i: int, x: FockVector, ell: int, inverse: bool = False) -> FockVector:
-    """Diagonal operator with eigenvalue v^(#addable - #removable) per color.
-
-    Each ket's exponents are computed once per (lam, ell) by `_columns`,
-    whose cache holds at most 512 tables.
-    """
+    """Diagonal operator with eigenvalue v^(#addable - #removable) per color."""
     return _apply("K", i, x, ell, -1 if inverse else 1)
 
 
 def _word(lam: Partition, ell: int, *ops) -> dict:
     """|lam> under a word in the E_i and F_i: ops are (op, i) pairs, op "E"
-    or "F", applied right to left.  The image is an integer combination of
-    kets v^e |mu>, a dict from (mu, e) to its coefficient; every column entry
-    is +v^e, so coefficients only grow and none cancels."""
+    or "F", applied right to left, one `_step` each until the image is 0.
+    Every column entry is +v^e, so coefficients only grow and none cancels."""
     x = {(lam, 0): 1}
     for op, i in reversed(ops):
-        y = {}
-        for (mu, e), c in x.items():
-            for nu, f in getattr(_columns(mu, ell), op)[i]:
-                key = (nu, e + f)
-                y[key] = y.get(key, 0) + c
-        x = y
+        x = x and _step(x, ell, op, i)
     return x
 
 
@@ -202,14 +203,6 @@ def _combine(parts) -> dict:
     return {key: a for key, a in out.items() if a}
 
 
-def _render(x: dict) -> str:
-    """An integer combination of kets, rendered as its `FockVector`."""
-    out = FockVector()
-    for (mu, e), c in x.items():
-        out.add_term(mu, LaurentQ.term(e, c, "v"))
-    return out.render()
-
-
 def affine_cartan(i: int, j: int, ell: int) -> int:
     """Cartan pairing of the cyclic type-A diagram (equals -2 off-diagonal at ell=2)."""
     if i % ell == j % ell:
@@ -220,6 +213,48 @@ def affine_cartan(i: int, j: int, ell: int) -> int:
     if (j - i) % ell == 1:
         a -= 1
     return a
+
+
+def _commutator(lam: Partition, ell: int, i: int, j: int):
+    lhs = _combine(((1, 0, _word(lam, ell, ("E", i), ("F", j))),
+                    (-1, 0, _word(lam, ell, ("F", j), ("E", i)))))
+    rhs = {}
+    if i == j:
+        d = _columns(lam, ell).d[i]
+        rhs = {(lam, s): c for s, c in q_int(d, "v").terms.items()}
+    if lhs != rhs:
+        return (f"[E_{i},F_{j}] mismatch: "
+                f"{_vector(lhs).render()} vs {_vector(rhs).render()}")
+    return None
+
+
+def _k_conjugation(lam: Partition, ell: int, i: int, j: int):
+    a = affine_cartan(i, j, ell)
+    cols = _columns(lam, ell)
+    for col, s in ((cols.E[j], 1), (cols.F[j], -1)):
+        for mu, _ in col:
+            if _columns(mu, ell).d[i] - cols.d[i] != s * a:
+                return f"K_{i} conjugation of op_{j} fails"
+    return None
+
+
+def _commuting_pair(lam: Partition, ell: int, i: int, j: int):
+    for op in "EF":
+        if _word(lam, ell, (op, i), (op, j)) != _word(lam, ell, (op, j), (op, i)):
+            return f"distant generators {i},{j} fail to commute"
+    return None
+
+
+def _serre(lam: Partition, ell: int, i: int, j: int):
+    # op_i^2 op_j - [2] op_i op_j op_i + op_j op_i^2, with [2] = v + v^-1
+    for op in "EF":
+        middle = _word(lam, ell, (op, i), (op, j), (op, i))
+        lhs = _combine(((1, 0, _word(lam, ell, (op, i), (op, i), (op, j))),
+                        (1, 0, _word(lam, ell, (op, j), (op, i), (op, i))),
+                        (-1, 1, middle), (-1, -1, middle)))
+        if lhs:
+            return f"cubic Serre relation fails for {i},{j}"
+    return None
 
 
 def check_relations(ell: int, max_size: int):
@@ -237,72 +272,30 @@ def check_relations(ell: int, max_size: int):
     counterexample.  The columns of E_j and F_j list distinct mu, so
     K_i op_j = v^(+-a_ij) op_j K_i holds at |lam> exactly when
     d_i(mu) - d_i(lam) = +-a_ij for every mu in the column.
+
+    The partitions are walked once, and at each lam every relation that has
+    not yet failed is checked, so the tables read at one lam (its own and
+    those a few boxes away) are read together and the working set of the
+    512-table cache stays local at any max_size.
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    lams = list(all_partitions(max_size))
-    two = q_int(2, "v").terms
-    results = []
-
-    def run(kind, i, j, check):
-        bad = None
-        for lam in lams:
-            err = check(lam)
-            if err is not None:
-                bad = {"partition": list(lam), "detail": err}
-                break
-        results.append({"relation": kind, "i": i, "j": j,
-                        "passed": bad is None, "counterexample": bad})
-
-    for i in range(ell):
-        for j in range(ell):
-            def comm(lam, i=i, j=j):
-                lhs = _combine(((1, 0, _word(lam, ell, ("E", i), ("F", j))),
-                                (-1, 0, _word(lam, ell, ("F", j), ("E", i)))))
-                rhs = {}
-                if i == j:
-                    d = _columns(lam, ell).d[i]
-                    rhs = {(lam, s): c for s, c in q_int(d, "v").terms.items()}
-                if lhs != rhs:
-                    return f"[E_{i},F_{j}] mismatch: {_render(lhs)} vs {_render(rhs)}"
-                return None
-            run("commutator", i, j, comm)
-
-    for i in range(ell):
-        for j in range(ell):
-            a = affine_cartan(i, j, ell)
-
-            def kconj(lam, i=i, j=j, a=a):
-                cols = _columns(lam, ell)
-                for col, s in ((cols.E[j], 1), (cols.F[j], -1)):
-                    for mu, _ in col:
-                        if _columns(mu, ell).d[i] - cols.d[i] != s * a:
-                            return f"K_{i} conjugation of op_{j} fails"
-                return None
-            run("k-conjugation", i, j, kconj)
-
-    for i in range(ell):
-        for j in range(ell):
-            dist = min((i - j) % ell, (j - i) % ell)
-            if dist >= 2:
-                def far(lam, i=i, j=j):
-                    for op in "EF":
-                        if (_word(lam, ell, (op, i), (op, j))
-                                != _word(lam, ell, (op, j), (op, i))):
-                            return f"distant generators {i},{j} fail to commute"
-                    return None
-                run("commuting-pair", i, j, far)
-            elif dist == 1 and ell >= 3:
-                def serre(lam, i=i, j=j):
-                    for op in "EF":
-                        middle = _word(lam, ell, (op, i), (op, j), (op, i))
-                        lhs = _combine(
-                            [(1, 0, _word(lam, ell, (op, i), (op, i), (op, j))),
-                             (1, 0, _word(lam, ell, (op, j), (op, i), (op, i)))]
-                            + [(-c, s, middle) for s, c in two.items()])
-                        if lhs:
-                            return f"cubic Serre relation fails for {i},{j}"
-                    return None
-                run("serre", i, j, serre)
-
-    return results
+    pairs = [(i, j) for i in range(ell) for j in range(ell)]
+    relations = [("commutator", _commutator, i, j) for i, j in pairs]
+    relations += [("k-conjugation", _k_conjugation, i, j) for i, j in pairs]
+    for i, j in pairs:
+        dist = min((i - j) % ell, (j - i) % ell)
+        if dist >= 2:
+            relations.append(("commuting-pair", _commuting_pair, i, j))
+        elif dist == 1 and ell >= 3:
+            relations.append(("serre", _serre, i, j))
+    bad = [None] * len(relations)
+    for lam in all_partitions(max_size):
+        for k, (_, check, i, j) in enumerate(relations):
+            if bad[k] is None:
+                err = check(lam, ell, i, j)
+                if err is not None:
+                    bad[k] = {"partition": list(lam), "detail": err}
+    return [{"relation": kind, "i": i, "j": j, "passed": b is None,
+             "counterexample": b}
+            for (kind, _, i, j), b in zip(relations, bad)]

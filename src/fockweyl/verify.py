@@ -231,7 +231,8 @@ def _run_task(task):
 def _run_plan(plan: list, jobs: int):
     """Yield the Report of each (family, RunConfig) pair of the plan, in
     order, each once its cases have run.  With more than one worker every
-    case of the plan runs in one process pool, started before any case."""
+    case of the plan runs in one process pool, started before any case; chunks
+    of 1/16 of a worker's share (at least 1) save small cases round trips."""
     steps = [(family, config, enumerate_cases(family, config))
              for family, config in plan]
     tasks = [(spec, config.tolerance) for _, config, specs in steps
@@ -249,7 +250,8 @@ def _run_plan(plan: list, jobs: int):
     from concurrent.futures import ProcessPoolExecutor
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from reports(iter(pool.map(_run_task, tasks)))
+            chunk = max(1, len(tasks) // (16 * workers))
+            yield from reports(iter(pool.map(_run_task, tasks, chunksize=chunk)))
     except OSError as exc:
         raise EngineError(
             f"cannot start {workers} worker processes: {exc}") from exc

@@ -153,25 +153,17 @@ def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
         raise ValueError(f"{gen} index {i} out of range for rank {rank}")
     if gen not in ("X", "Y"):
         raise ValueError(f"unknown generator {gen!r}")
+    # X_i: q to the K_i weight of the factors after the one acted on, walked
+    # from the right; Y_i: q to minus that weight of those before, from the left
+    old, new, sign, step = (i + 1, i, 1, -1) if gen == "X" else (i, i + 1, -1, 1)
     out = TensorVector(x.n, rank)
     for w, c in x.terms.items():
-        if gen == "X":
-            # q to the K_i weight of the factors after the one acted on
-            e = 0
-            for t in range(len(w) - 1, -1, -1):
-                f = w[t]
-                nf = _swap(f, i + 1, i)
-                if nf is not None:
-                    out.add_term(w[:t] + (nf,) + w[t + 1:], c.shift(e))
-                e += _k_weight(f, i)
-        else:
-            # q to minus the K_i weight of the factors before it
-            e = 0
-            for t, f in enumerate(w):
-                nf = _swap(f, i, i + 1)
-                if nf is not None:
-                    out.add_term(w[:t] + (nf,) + w[t + 1:], c.shift(e))
-                e -= _k_weight(f, i)
+        e = 0
+        for t in range(len(w))[::step]:
+            nf = _swap(w[t], old, new)
+            if nf is not None:
+                out.add_term(w[:t] + (nf,) + w[t + 1:], c.shift(e))
+            e += sign * _k_weight(w[t], i)
     return out
 
 

@@ -101,6 +101,40 @@ class TestPartitionStats:
         assert data["size"] == 3
         assert {"box": [2, 2], "content": 0, "color": 0} in data["addable"]
 
+    def test_text(self, capsys):
+        code, out, _ = run(capsys, "partition", "stats", "--partition", "2,1",
+                           "--ell", "3")
+        assert code == 0
+        assert out == ("partition 2,1  size 3\n"
+                       "addable: (1,3) c=2 col=2, (2,2) c=0 col=0, "
+                       "(3,1) c=-2 col=1\n"
+                       "removable: (1,2) c=1 col=1, (2,1) c=-1 col=2\n")
+
+
+class TestPointwiseUsageErrors:
+    """Each pointwise command refuses a bad argument with exit 2 and one
+    line on stderr, and prints nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fock", "apply", "--op", "F", "--i", "0", "--ell", "1",
+          "--partition", "1"], "ell must be >= 2"),
+        (["partition", "stats", "--partition", "1", "--ell", "1"],
+         "ell must be >= 2"),
+        (["shapovalov", "det", "--eta=1,x", "--rank", "2"],
+         "bad eta '1,x': invalid literal for int() with base 10: 'x'"),
+        (["shapovalov", "det", "--eta=1,0,0", "--rank", "2"],
+         "eta has more coordinates than the rank"),
+        (["jantzen", "closed", "--k", "3", "--rank", "2"],
+         "k=3 out of range for rank 2"),
+        (["jantzen", "ev", "--partition", "1", "--k", "0"], "k must be >= 1"),
+        (["jantzen", "val", "--partition", "1", "--k", "1", "--ell", "1"],
+         "ell must be >= 2"),
+        (["jantzen", "val", "--partition", "1", "--k", "0"], "k must be >= 1"),
+    ])
+    def test_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestVerify:
     def test_small_family_passes(self, capsys):
@@ -117,7 +151,12 @@ class TestVerify:
         assert out1 == out2
 
     @pytest.fixture
-    def started(self, monkeypatch):
+    def chunksizes(self):
+        """The chunksize of each map call on the stand-in pool of `started`."""
+        return []
+
+    @pytest.fixture
+    def started(self, monkeypatch, chunksizes):
         """An in-process stand-in for the process pool, on 4 CPUs: the list
         gets the max_workers of each pool started."""
         import concurrent.futures
@@ -135,7 +174,8 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
+                chunksizes.append(chunksize)
                 return [fn(x) for x in items]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
@@ -173,6 +213,22 @@ class TestVerify:
         assert started == [2]
         assert [render_json(r) for r in pooled] \
             == [render_json(r) for r in serial]
+
+    def test_chunks_from_cases_and_workers(self, started, chunksizes):
+        # `verify all` sends its many small cases in chunks, 1/16 of each
+        # worker's share
+        from fockweyl import verify as ver
+
+        reports = list(ver.run_all(ver.RunConfig(jobs=2)))
+        ncases = sum(len(r.cases) for r in reports)
+        assert started == [2]
+        assert chunksizes == [ncases // 32] and chunksizes[0] > 1
+        # fewer cases than 16 per worker: one case at a time
+        cfg = ver.RunConfig(ell=2, max_size=2, jobs=5000)
+        ncases = len(ver.enumerate_cases("prop65", cfg))
+        assert 1 < ncases < 16 * min(4, ncases)
+        ver.run_family("prop65", cfg)
+        assert chunksizes[1:] == [1]
 
     def test_run_all_is_lazy(self, monkeypatch):
         # scripts/run_checks.py times each report as it arrives, so no case

@@ -242,6 +242,13 @@ class TestCachedColumns:
         assert info.maxsize == 512
         assert info.currsize <= 512
 
+    def test_no_cache_cliff(self):
+        # the relations at ell = 3 up to size 14 read 915 tables, more than
+        # the cache holds; walking the partitions once builds about 1,500
+        _columns.cache_clear()
+        check_relations(3, 14)
+        assert _columns.cache_info().misses <= 2000
+
 
 def reference_check_relations(ell, max_size):
     """The relation checker as it was before the integer columns: every

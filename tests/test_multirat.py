@@ -320,6 +320,36 @@ class TestExactHeuristic:
         for f, g in self.pairs(42, count=100):
             assert poly_gcd_multi(f, g) == self.reference(f, g)
 
+    def test_gives_up_to_subresultant(self, monkeypatch):
+        # every lift times a factor of neither input: every trial division
+        # fails, `_heugcd` gives up after its six points at every level, and
+        # the subresultant gives the gcd
+        import fockweyl.multirat as mr
+        rank = 2
+        z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+        qq = MultiPoly.q(rank)
+        f = (z1 + 1) * (z1 + z2 + qq * qq)
+        g = (z1 + 1) * (z2 * z2 + qq + 1)
+        assert poly_gcd_multi(f, g) == z1 + 1
+        stray = z1 + z2 + qq + 7
+        lift, subresultant = mr._from_digits, mr._gcd_subresultant
+        lifts, fallbacks = [], []
+
+        def stray_lift(h, var, xi):
+            lifts.append(var)
+            return lift(h, var, xi) * stray
+
+        def counted(a, b):
+            fallbacks.append((a, b))
+            return subresultant(a, b)
+
+        monkeypatch.setattr(mr, "_from_digits", stray_lift)
+        monkeypatch.setattr(mr, "_gcd_subresultant", counted)
+        assert mr._heugcd(f, g) is None
+        assert len(lifts) >= 6
+        assert poly_gcd_multi(f, g) == z1 + 1
+        assert fallbacks == [(f, g)]
+
     def test_unit_operand(self):
         rank = 2
         f = MultiPoly.z(1, rank) * 3 + MultiPoly.q(rank)

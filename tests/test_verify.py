@@ -1,4 +1,5 @@
-"""The verify family table: case lists and case ids."""
+"""The verify family table: case lists and case ids, and the records of
+faults that no passing sweep reaches."""
 
 import itertools
 
@@ -6,7 +7,7 @@ import pytest
 
 from fockweyl import verify
 from fockweyl.errors import EngineError
-from fockweyl.partitions import all_partitions
+from fockweyl.partitions import Partition, all_partitions
 from fockweyl.verify import FAMILIES, RunConfig, enumerate_cases, run_case
 from fockweyl.weights import from_alpha_coords
 
@@ -109,3 +110,67 @@ def test_engine_error_keeps_case_id(monkeypatch, spec, callee, case_id):
     case = run_case(spec)
     assert (case.case_id, case.passed) == (case_id, False)
     assert case.detail == {"engine_error": "injected"}
+
+
+# Failure branches that no passing sweep reaches, each forced by one fault.
+
+def test_theorem61_records_unexpected_box(monkeypatch):
+    # F_0 at |1> (ell = 2) with an extra ket |3>, which no addable row of
+    # (1) gives: the record lists it as unexpected and the case fails
+    from fockweyl import fock
+    lam, extra = Partition((1,)), Partition((3,))
+    real = fock._columns
+
+    def columns(mu, ell):
+        cols = real(mu, ell)
+        if (mu, ell) != (lam, 2):
+            return cols
+        return cols._replace(F=((*cols.F[0], (extra, 0)),) + cols.F[1:])
+
+    spec = ("theorem61", (1,), 2)
+    assert run_case(spec).passed
+    monkeypatch.setattr(fock, "_columns", columns)
+    case = run_case(spec)
+    assert (case.case_id, case.passed) == ("theorem61/lam=1/ell=2", False)
+    *rows, last = case.detail["boxes"]
+    assert last == {"unexpected": [3], "color": 0, "pass": False}
+    assert len(rows) == 2 and all(row["pass"] for row in rows)
+
+
+def test_theorem61_zero_hook_ratio_fails(monkeypatch):
+    # a zero hook ratio against a nonzero oracle norm is no +-q^m match
+    from fockweyl import weyl
+    from fockweyl.ring import QFrac
+
+    spec = ("theorem61", (1,), 2)
+    monkeypatch.setattr(weyl, "hook_ratio", lambda lam, k: QFrac.zero())
+    case = run_case(spec)
+    assert (case.case_id, case.passed) == ("theorem61/lam=1/ell=2", False)
+    rows = case.detail["boxes"]
+    assert [row["matches_hook_ratio"] for row in rows] == [False, False]
+    assert all(row["matches_closed_form"] for row in rows)
+
+
+def test_power_match_zero():
+    from fockweyl.ring import QFrac
+    from fockweyl.weyl import _power_match
+
+    zero, one = QFrac.zero(), QFrac.one()
+    assert _power_match(zero, zero)
+    assert not _power_match(zero, one)
+    assert not _power_match(one, zero)
+
+
+def test_prop65_valuation_mismatch_is_engine_error(monkeypatch):
+    # a box statistic one off makes jantzen_valuation's cross-check raise,
+    # and the record keeps the id the case passes under
+    from fockweyl import verma
+
+    spec = ("prop65", (1,), 1, 2)
+    assert run_case(spec).passed
+    real = verma.n_left
+    monkeypatch.setattr(verma, "n_left", lambda lam, b, ell: real(lam, b, ell) + 1)
+    case = run_case(spec)
+    assert (case.case_id, case.passed) == ("prop65/lam=1/k=1/ell=2", False)
+    assert case.detail == {"engine_error": "valuation 0 != box statistic 1 "
+                                           "for lam=[1], k=1, ell=2"}
