@@ -215,7 +215,7 @@ def affine_cartan(i: int, j: int, ell: int) -> int:
     return a
 
 
-def _commutator(lam: Partition, ell: int, i: int, j: int):
+def _commutator(lam: Partition, ell: int, i: int, j: int, a: int):
     lhs = _combine(((1, 0, _word(lam, ell, ("E", i), ("F", j))),
                     (-1, 0, _word(lam, ell, ("F", j), ("E", i)))))
     rhs = {}
@@ -228,8 +228,7 @@ def _commutator(lam: Partition, ell: int, i: int, j: int):
     return None
 
 
-def _k_conjugation(lam: Partition, ell: int, i: int, j: int):
-    a = affine_cartan(i, j, ell)
+def _k_conjugation(lam: Partition, ell: int, i: int, j: int, a: int):
     cols = _columns(lam, ell)
     for col, s in ((cols.E[j], 1), (cols.F[j], -1)):
         for mu, _ in col:
@@ -238,14 +237,14 @@ def _k_conjugation(lam: Partition, ell: int, i: int, j: int):
     return None
 
 
-def _commuting_pair(lam: Partition, ell: int, i: int, j: int):
+def _commuting_pair(lam: Partition, ell: int, i: int, j: int, a: int):
     for op in "EF":
         if _word(lam, ell, (op, i), (op, j)) != _word(lam, ell, (op, j), (op, i)):
             return f"distant generators {i},{j} fail to commute"
     return None
 
 
-def _serre(lam: Partition, ell: int, i: int, j: int):
+def _serre(lam: Partition, ell: int, i: int, j: int, a: int):
     # op_i^2 op_j - [2] op_i op_j op_i + op_j op_i^2, with [2] = v + v^-1
     for op in "EF":
         middle = _word(lam, ell, (op, i), (op, j), (op, i))
@@ -262,9 +261,11 @@ def check_relations(ell: int, max_size: int):
     basis vectors up to the given size.
 
     Checks the E/F commutator against the diagonal operator, the K
-    conjugations, commuting pairs at cyclic distance >= 2, and the cubic
-    Serre relations for ell >= 3.  Returns a list of result dicts, one per
-    (relation, i, j), each with a pass flag and the first counterexample.
+    conjugations, commuting pairs where a_ij = 0 (cyclic distance >= 2), and
+    the cubic Serre relations where a_ij = -1 (neighbours when ell >= 3).
+    Each check reads a_ij, computed once per (i, j).  Returns a list of
+    result dicts, one per (relation, i, j), each with a pass flag and the
+    first counterexample.
 
     Every nonzero matrix entry is a single power of v, so each side of a
     relation is an integer combination of kets v^e |mu>, composed from the
@@ -280,22 +281,22 @@ def check_relations(ell: int, max_size: int):
     """
     if ell < 2:
         raise ValueError("ell must be >= 2")
-    pairs = [(i, j) for i in range(ell) for j in range(ell)]
-    relations = [("commutator", _commutator, i, j) for i, j in pairs]
-    relations += [("k-conjugation", _k_conjugation, i, j) for i, j in pairs]
-    for i, j in pairs:
-        dist = min((i - j) % ell, (j - i) % ell)
-        if dist >= 2:
-            relations.append(("commuting-pair", _commuting_pair, i, j))
-        elif dist == 1 and ell >= 3:
-            relations.append(("serre", _serre, i, j))
+    pairs = [(i, j, affine_cartan(i, j, ell))
+             for i in range(ell) for j in range(ell)]
+    relations = [("commutator", _commutator, *p) for p in pairs]
+    relations += [("k-conjugation", _k_conjugation, *p) for p in pairs]
+    for i, j, a in pairs:
+        if a == 0:
+            relations.append(("commuting-pair", _commuting_pair, i, j, a))
+        elif a == -1:
+            relations.append(("serre", _serre, i, j, a))
     bad = [None] * len(relations)
     for lam in all_partitions(max_size):
-        for k, (_, check, i, j) in enumerate(relations):
+        for k, (_, check, i, j, a) in enumerate(relations):
             if bad[k] is None:
-                err = check(lam, ell, i, j)
+                err = check(lam, ell, i, j, a)
                 if err is not None:
                     bad[k] = {"partition": list(lam), "detail": err}
     return [{"relation": kind, "i": i, "j": j, "passed": b is None,
              "counterexample": b}
-            for (kind, _, i, j), b in zip(relations, bad)]
+            for (kind, _, i, j, _), b in zip(relations, bad)]

@@ -11,8 +11,8 @@ in every variable, integer coefficients with content 1 and lexicographic
 leading coefficient positive; the numerator absorbs the net Laurent monomial
 and the scalar.  This pins one representative per fraction, so equality is
 structural.  Gcds run an exact heuristic evaluation gcd whose trial divisions
-prove its answer; a subresultant remainder sequence is the fallback when it
-gives up.
+prove its answer; when it gives up, the fallback is `ring._subresultant_last`,
+the subresultant sequence that is also the univariate `ring.poly_gcd`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import gcd
 from operator import add, sub
 
 from .errors import PoleError
-from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly, _prem
+from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly, _subresultant_last
 from .weights import Weight
 
 
@@ -208,34 +208,6 @@ def _content(coeffs) -> MultiPoly:
     return g
 
 
-def _subresultant_last(a, b):
-    """Last nonzero remainder of the subresultant PRS (deg a >= deg b).
-
-    The subresultant divisors keep coefficient growth polynomial; divisions
-    are exact over the coefficient ring.
-    """
-    one = MultiPoly.one(next(iter(a.values())).rank)
-    g = one
-    h = one
-    while True:
-        delta = max(a) - max(b)
-        r, n = _prem(a, b)
-        if not r:
-            return b
-        if n:
-            scale = b[max(b)] ** n
-            r = {e: v * scale for e, v in r.items()}
-        denom = g * (h ** delta)
-        if denom != one:
-            r = {e: _divexact(v, denom) for e, v in r.items()}
-        a, b = b, r
-        g = a[max(a)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _divexact(g ** delta, h ** (delta - 1))
-
-
 def _primitive_univar(u):
     cont = _content(u.values())
     if _is_one(cont):
@@ -328,11 +300,7 @@ def _gcd_subresultant(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     pf, cf = _primitive_univar(uf)
     pg, cg = _primitive_univar(ug)
     cont = poly_gcd_multi(cf, cg)
-    a, b = pf, pg
-    if max(a) < max(b):
-        a, b = b, a
-    last = _subresultant_last(a, b)
-    last, _ = _primitive_univar(last)
+    last, _ = _primitive_univar(_subresultant_last(pf, pg))
     prim = MultiPoly.zero(f.rank)
     for k, p in last.items():
         e = [0] * nv

@@ -7,10 +7,12 @@ ring operations, exact division, equality, hashing and the printer), and
 `_Frac`, a fraction of two `_Poly`s in a canonical form (negation,
 subtraction, powers, equality, hashing and the printer).  `LaurentQ` and
 `QFrac` here, and `MultiPoly` and `MultiRat` in `fockweyl.multirat`, supply
-only what depends on their exponents and canonical form.  Laurent
-polynomials carry a variable tag ('q' for quantum-group scalars, 'v' for
-Fock-space scalars) so the two deformation parameters cannot be mixed by
-accident.
+only what depends on their exponents and canonical form.  One subresultant
+remainder sequence, `_subresultant_last` over int or `MultiPoly`
+coefficients, is the univariate `poly_gcd` here and the fallback of the
+multivariate gcd in `fockweyl.multirat`.  Laurent polynomials carry a
+variable tag ('q' for quantum-group scalars, 'v' for Fock-space scalars) so
+the two deformation parameters cannot be mixed by accident.
 """
 
 from __future__ import annotations
@@ -346,11 +348,6 @@ class LaurentQ(_Poly):
                    var=data["var"])
 
 
-def _int_prim(r: dict) -> dict:
-    g = gcd(*r.values())
-    return {e: v // g for e, v in r.items()} if g > 1 else r
-
-
 def _prem(a: dict, b: dict):
     """Pseudo-remainder of ordinary polynomial dicts over an integral domain
     (int or `MultiPoly` coefficients): a reduced by b, scaling by b's leading
@@ -384,25 +381,54 @@ def _prem(a: dict, b: dict):
     return r, n
 
 
+def _exquo(v, d):
+    """v / d for ints or ordinary `_Poly`s that d divides exactly."""
+    quo = v // d if type(v) is int else v._quotient(d)
+    if quo is None:
+        raise ArithmeticError("inexact division in a subresultant sequence")
+    return quo
+
+
+def _subresultant_last(a: dict, b: dict):
+    """Last nonzero remainder of the subresultant sequence (Brown and Traub,
+    J. ACM 18, 1971) of nonzero ordinary polynomial dicts with int or
+    `MultiPoly` coefficients: gcd(a, b) times a nonzero coefficient.  Each
+    pseudo-remainder is divided exactly by g h^delta, so coefficients grow
+    polynomially with no content gcd per step."""
+    if max(a) < max(b):
+        a, b = b, a
+    g = h = b[max(b)] ** 0
+    while True:
+        delta = max(a) - max(b)
+        r, n = _prem(a, b)
+        if not r:
+            return b
+        if n:
+            scale = b[max(b)] ** n
+            r = {e: v * scale for e, v in r.items()}
+        denom = g * h ** delta
+        if denom != 1:
+            r = {e: _exquo(v, denom) for e, v in r.items()}
+        a, b = b, r
+        g = a[max(a)]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _exquo(g ** delta, h ** (delta - 1))
+
+
 def poly_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     """GCD of two Laurent polynomials, normalized integer-primitive with
-    positive leading coefficient and minimal exponent 0.
-
-    Runs a primitive pseudo-remainder sequence over Z to avoid the coefficient
-    blowup of naive Euclid over Q.
-    """
+    positive leading coefficient and minimal exponent 0: the primitive part
+    of the last subresultant of the inputs, shifted to minimal exponent 0 and
+    made primitive, the remainder sequence `multirat`'s gcd falls back to."""
     a._check(b)
     if a.is_zero or b.is_zero:
         p = b if a.is_zero else a
         return p if p.is_zero else p.shift(-p.low_degree()).int_primitive()
     ra = a.shift(-a.low_degree()).int_primitive().terms
     rb = b.shift(-b.low_degree()).int_primitive().terms
-    if max(ra) < max(rb):
-        ra, rb = rb, ra
-    while rb:
-        rem = _int_prim(_prem(ra, rb)[0])
-        ra, rb = rb, rem
-    return a._like(ra).int_primitive()
+    return a._like(_subresultant_last(ra, rb)).int_primitive()
 
 
 def q_int(n: int, var: str = "q") -> LaurentQ:

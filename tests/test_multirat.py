@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import hypothesis.strategies as st
@@ -9,11 +10,14 @@ from fockweyl.errors import PoleError
 from fockweyl.multirat import (MultiPoly, MultiRat, UnitParts, _divexact,
                                eval_at_weight, poly_gcd_multi, q_bracket_binom,
                                sigma_shift, unit_ratio)
-from fockweyl.ring import LaurentQ, QFrac, _coef, _prem, poly_gcd, q_int
+import fockweyl.ring as ring
+from fockweyl.ring import (LaurentQ, QFrac, _coef, _prem, _subresultant_last,
+                           poly_gcd, q_int)
 from fockweyl.verify import TOLERANCES, RunConfig, enumerate_cases, run_case
 from fockweyl.weights import Weight
 
-from conftest import multipolys, multirats, nonzero_laurents, weights
+from conftest import (laurents, multipolys, multirats, nonzero_laurents,
+                      weights)
 
 
 def z(i, rank=2, p=1):
@@ -219,6 +223,101 @@ class TestPseudoRemainder:
                     return p
 
         self.check(self.pairs(rng, coef), lambda v: v)
+
+
+def primitive_prs_gcd(a, b):
+    """`ring.poly_gcd` as it was before it ran the subresultant sequence: a
+    primitive pseudo-remainder sequence over Z, each remainder divided by
+    its integer content."""
+    a._check(b)
+    if a.is_zero or b.is_zero:
+        p = b if a.is_zero else a
+        return p if p.is_zero else p.shift(-p.low_degree()).int_primitive()
+    ra = a.shift(-a.low_degree()).int_primitive().terms
+    rb = b.shift(-b.low_degree()).int_primitive().terms
+    if max(ra) < max(rb):
+        ra, rb = rb, ra
+    while rb:
+        r = _prem(ra, rb)[0]
+        g = gcd(*r.values())
+        ra, rb = rb, {e: v // g for e, v in r.items()} if g > 1 else r
+    return a._like(ra).int_primitive()
+
+
+@st.composite
+def planted_pairs(draw):
+    """f h and g h in one tagged variable, f or g possibly zero, each factor
+    a product of q-integers and a polynomial in the variable or in its
+    square: their exponents step by 2, and so do the remainders' degrees."""
+    var = draw(st.sampled_from("qv"))
+    step = draw(st.sampled_from((1, 2)))
+
+    def factor(polys):
+        p = draw(polys)
+        p = p._like({step * e: v for e, v in p.terms.items()})
+        for n in draw(st.lists(st.integers(2, 7), max_size=3)):
+            p = p * q_int(n, var)
+        return p
+
+    h = factor(nonzero_laurents(var))
+    return factor(laurents(var)) * h, factor(laurents(var)) * h
+
+
+def q_integer_pairs(seed, count=60):
+    """Seeded f h, g h in q, each factor a product of q-integers and a
+    polynomial in q^2 with leading coefficient other than +-1."""
+    rng = random.Random(seed)
+
+    def rnd():
+        p = LaurentQ({2 * rng.randint(-2, 2): rng.choice((-3, -2, 1, 2, 5))
+                      for _ in range(rng.randint(1, 3))})
+        p = p + LaurentQ.term(max(p.terms) + 2, rng.choice((-2, 3)))
+        for _ in range(rng.randint(0, 2)):
+            p = p * q_int(rng.randint(2, 8))
+        return p
+
+    for _ in range(count):
+        h = rnd()
+        yield rnd() * h, rnd() * h
+
+
+class TestSharedRemainderSequence:
+    """`ring.poly_gcd`, now the subresultant sequence `_subresultant_last`
+    shared with the multivariate fallback, against the primitive sequence it
+    replaced, and the sequence over int coefficients against the same
+    sequence over constant `MultiPoly` coefficients."""
+
+    @given(planted_pairs())
+    def test_matches_primitive_sequence(self, pair):
+        a, b = pair
+        ours = poly_gcd(a, b)
+        assert ours.terms == primitive_prs_gcd(a, b).terms
+        assert ours.var == a.var
+        assert all(type(v) is int for v in ours.terms.values())
+
+    def test_degree_gaps_of_two(self, monkeypatch):
+        drops = []
+        prem = ring._prem
+
+        def recorded(a, b):
+            drops.append(max(a) - max(b))
+            return prem(a, b)
+
+        monkeypatch.setattr(ring, "_prem", recorded)
+        for a, b in q_integer_pairs(26):
+            assert poly_gcd(a, b) == primitive_prs_gcd(a, b)
+        assert 2 in drops
+
+    def test_int_matches_constant_multipoly(self):
+        def lift(x):
+            return {e: MultiPoly.const(1, v) for e, v in x.items()}
+
+        # the pairs of test_degree_gaps_of_two
+        for a, b in q_integer_pairs(26):
+            ra = a.shift(-a.low_degree()).terms
+            rb = b.shift(-b.low_degree()).terms
+            assert lift(_subresultant_last(ra, rb)) == \
+                _subresultant_last(lift(ra), lift(rb))
 
 
 class TestSubresultantFallbackEndToEnd:
@@ -634,8 +733,8 @@ except ImportError:  # the differential tests need sympy
 
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 class TestAgainstSympy:
-    """poly_gcd_multi and the MultiRat and QFrac canonical forms against
-    sympy on seeded random ordinary polynomials f, g, h."""
+    """poly_gcd_multi, ring.poly_gcd and the MultiRat and QFrac canonical
+    forms against sympy on seeded random polynomials f, g, h."""
 
     RANK = 2
 
@@ -668,6 +767,52 @@ class TestAgainstSympy:
             # over Q the gcd is fixed up to a unit; compare primitive parts
             ref = sympy.Poly(sympy.gcd(a, b), *syms).primitive()[1]
             assert sympy.Poly(ours, *syms) in (ref, -ref)
+
+    def test_univariate_gcd_matches_up_to_sign(self):
+        """`ring.poly_gcd` on seeded f h, g h with int and Fraction
+        coefficients, negative exponents and both variable tags."""
+        rng = random.Random(12)
+
+        def rnd(var, fractions):
+            while True:
+                p = LaurentQ({rng.randint(-3, 4): Fraction(
+                    rng.randint(-5, 5), rng.randint(1, 3) if fractions else 1)
+                    for _ in range(rng.randint(1, 4))}, var)
+                if not p.is_zero:
+                    return p
+
+        def to_sympy(p, x):
+            low = p.low_degree()
+            return sum(sympy.Rational(v.numerator, v.denominator) * x ** (e - low)
+                       for e, v in p.terms.items())
+
+        for k in range(40):
+            var, fractions = "qv"[k % 2], k % 4 >= 2
+            x = sympy.Symbol(var)
+            f, g, h = (rnd(var, fractions) for _ in range(3))
+            ours = poly_gcd(f * h, g * h)
+            assert ours.var == var and ours.low_degree() == 0
+            ref = sympy.Poly(sympy.gcd(to_sympy(f * h, x), to_sympy(g * h, x)), x)
+            ref = ref.clear_denoms(convert=True)[1].primitive()[1].as_expr()
+            assert sympy.expand(to_sympy(ours, x) - ref) == 0 \
+                or sympy.expand(to_sympy(ours, x) + ref) == 0
+
+    def test_subresultant_sequence_matches(self):
+        """`ring._subresultant_last` over int coefficients is, up to sign,
+        the last nonzero subresultant, on seeded pairs in x^2 whose
+        remainders step down by 2 or more degrees."""
+        rng = random.Random(13)
+        x = sympy.Symbol("x")
+        for _ in range(60):
+            a, b = ({e: rng.randint(-5, 5) for e in range(0, deg, 2)}
+                    | {deg: rng.choice((-3, 2, 5))}
+                    for deg in (rng.choice((4, 6, 8)), rng.choice((2, 4))))
+            a, b = ({e: v for e, v in p.items() if v} for p in (a, b))
+            ours = sum(v * x ** e for e, v in _subresultant_last(a, b).items())
+            ref = [p for p in sympy.subresultants(
+                *(sum(v * x ** e for e, v in p.items()) for p in (a, b)), x)
+                if p != 0][-1]
+            assert sympy.expand(ours - ref) == 0 or sympy.expand(ours + ref) == 0
 
     def test_multirat_matches_cancel(self):
         for f, g, h in self.triples(8):
