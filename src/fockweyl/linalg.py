@@ -1,86 +1,76 @@
 """Exact linear algebra helpers.
 
-Fraction-free elimination over a polynomial domain (`ff_echelon`; entries need
-+, -, *, is_zero, exact_div, gcd and a complexity key) for the tensor-space
-solve, which reads its singular vectors straight off the echelon rows.  A
-symmetric matrix whose form is anisotropic, such as a Gram matrix, takes one
-diagonal-pivot elimination over a field (`symmetric_pivots`): its chosen
-indices are a basis, the product of its pivots is the determinant on them,
-and its last pivot is the Schur complement of the last chosen index.  The
-Verma module side needs nothing else.  A plain forward Gaussian elimination
-over a field (`field_echelon`; entries need +, -, *, /, is_zero and a
-complexity key) remains behind `field_det`, the determinant of a general
-square matrix.
+The two live eliminations take sparse rows: a row is a dict from a column
+key to a nonzero entry, a column with no entry in a row is zero there, and
+the input rows are never modified.  `ff_echelon` is a fraction-free
+elimination over a polynomial domain (entries need +, -, *, is_zero,
+exact_div, gcd and a complexity key; the keys need only sort) for the
+tensor-space solve, which reads its singular vectors straight off the
+echelon rows.  `symmetric_pivots` is one diagonal-pivot elimination over a
+field of a symmetric matrix whose form is anisotropic, such as a Gram
+matrix, given by its upper triangle: its chosen indices are a basis, the
+product of its pivots is the determinant on them, and its last pivot is the
+Schur complement of the last chosen index.
+
+`field_echelon` (dense forward Gaussian elimination over a field) and
+`field_det` (the determinant of a dense square matrix) have no caller in the
+package; they stay only because the benchmark's hooks resolve them by name.
 """
 
 from __future__ import annotations
 
 
 def ff_echelon(rows):
-    """Fraction-free row echelon form with per-row content stripping.
+    """Fraction-free row echelon form of sparse rows with per-row content
+    stripping.
 
-    `rows` is a list of dense lists of domain elements; it is not modified.
-    Each elimination step cross-multiplies (no division) and then divides the
-    row by the gcd of its entries, which keeps growth comparable to Bareiss.
-    Row scaling is unconstrained, so use this for rank / kernel work only.
-    Products with a zero factor are skipped, which matters on sparse rows.
-    Returns (echelon_rows, pivot_cols).
+    Columns are taken in key order.  The pivot of a column is the entry of
+    least complexity at or below the current row (the first such row on a
+    tie), swapped into place.  Each row below with an entry in that column
+    becomes pivot * row - entry * pivot row (no division), divided by the
+    gcd of its entries, which keeps growth comparable to Bareiss.  Row
+    scaling is unconstrained, so use this for rank / kernel work only.
+    An echelon row has no entry left of its pivot key.
+    Returns (echelon_rows, pivot_keys).
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    piv_cols = []
-    r0 = 0
-    for col in range(ncols):
-        pivot = None
-        best = None
-        for r in range(r0, len(m)):
-            e = m[r][col]
-            if not e.is_zero:
-                key = e.complexity()
-                if best is None or key < best:
-                    best = key
-                    pivot = r
-        if pivot is None:
+    m = list(rows)
+    piv = []
+    for col in sorted({c for row in m for c in row}):
+        r0 = len(piv)
+        having = [r for r in range(r0, len(m)) if col in m[r]]
+        if not having:
             continue
+        pivot = min(having, key=lambda r: m[r][col].complexity())
         m[r0], m[pivot] = m[pivot], m[r0]
         prow = m[r0]
         p = prow[col]
         for r in range(r0 + 1, len(m)):
-            a = m[r][col]
-            if a.is_zero:
+            row = m[r]
+            a = row.get(col)
+            if a is None:
                 continue
-            m[r] = _strip_content([_cross(p, x, a, y)
-                                   for x, y in zip(m[r], prow)])
-        piv_cols.append(col)
-        r0 += 1
-        if r0 == len(m):
+            new = {c: -(a * y) for c, y in prow.items() if c not in row}
+            for c, x in row.items():
+                e = p * x if (y := prow.get(c)) is None else p * x - a * y
+                if not e.is_zero:
+                    new[c] = e
+            m[r] = _strip_content(new)
+        piv.append(col)
+        if len(piv) == len(m):
             break
-    return m[:r0], piv_cols
-
-
-def _cross(p, x, a, y):
-    """p * x - a * y, without multiplying by a zero x or y."""
-    if y.is_zero:
-        return x if x.is_zero else p * x
-    if x.is_zero:
-        return -(a * y)
-    return p * x - a * y
+    return m[:len(piv)], piv
 
 
 def _strip_content(row):
-    """Divide a row of domain elements by the gcd of its nonzero entries."""
+    """Divide a sparse row by the gcd of its entries."""
     g = None
-    for e in row:
-        if e.is_zero:
-            continue
+    for e in row.values():
         g = e if g is None else g.gcd(e)
         if g.is_unit:
-            break
-    if g is None or g.is_unit:
+            return row
+    if g is None:
         return row
-    return [e if e.is_zero else e.exact_div(g) for e in row]
+    return {c: e.exact_div(g) for c, e in row.items()}
 
 
 def field_echelon(rows):
@@ -116,41 +106,42 @@ def field_echelon(rows):
     return m[:len(piv)], piv, sign
 
 
-def symmetric_pivots(matrix):
-    """Diagonal-pivot elimination of a symmetric matrix over a field.
+def symmetric_pivots(rows):
+    """Diagonal-pivot elimination of a symmetric matrix over a field, given
+    by its upper triangle: `rows[i]` maps each j >= i to a nonzero s_ij.
 
     Step k eliminates index k against the Schur complement left by the
-    earlier steps, updating only the upper triangle:
-    s_ij -= (s_ki / s_kk) s_kj for k < i <= j.  A nonzero s_kk chooses k with
-    pivot s_kk.  A zero s_kk requires the rest of its row to be zero, which
-    by symmetry makes the whole Schur row zero, so the rank is proven and not
-    assumed; otherwise the form is isotropic there and ValueError is raised.
-    When it is not raised, the chosen indices are the lexicographically first
-    column basis, and the product of the first t pivots is the principal
-    minor on the first t chosen indices.  `matrix` is not modified.
+    earlier steps: s_ij -= (s_ki / s_kk) s_kj for k < i <= j.  A nonzero
+    s_kk chooses k with pivot s_kk.  A zero s_kk requires the rest of its
+    row to be zero, which by symmetry makes the whole Schur row zero, so the
+    rank is proven and not assumed; otherwise the form is isotropic there and
+    ValueError is raised.  When it is not raised, the chosen indices are the
+    lexicographically first column basis, and the product of the first t
+    pivots is the principal minor on the first t chosen indices.
     Returns (chosen, pivots).
     """
-    n = len(matrix)
-    s = [list(row) for row in matrix]
+    s = [dict(row) for row in rows]
     chosen, pivots = [], []
-    for k in range(n):
-        row = s[k]
-        p = row[k]
-        if p.is_zero:
-            if any(not row[j].is_zero for j in range(k + 1, n)):
+    for k, row in enumerate(s):
+        p = row.pop(k, None)
+        if p is None:
+            if row:
                 raise ValueError(f"zero pivot with a nonzero row at index {k}: "
                                  f"the form is isotropic")
             continue
         chosen.append(k)
         pivots.append(p)
-        for i in range(k + 1, n):
-            if row[i].is_zero:
-                continue
-            f = row[i] / p
+        items = sorted(row.items())
+        for t, (i, a) in enumerate(items):
+            f = a / p
             si = s[i]
-            for j in range(i, n):
-                if not row[j].is_zero:
-                    si[j] = si[j] - f * row[j]
+            for j, b in items[t:]:
+                e = si.get(j)
+                e = -(f * b) if e is None else e - f * b
+                if e.is_zero:
+                    si.pop(j, None)
+                else:
+                    si[j] = e
     return chosen, pivots
 
 

@@ -236,16 +236,14 @@ class GramMatrix:
 
 
 def _gram_pivots(items, pair, where):
-    """`symmetric_pivots` on the matrix of the symmetric `pair` over `items`;
-    an isotropic form is an engine error at `where`."""
-    n = len(items)
-    matrix = [[None] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(r, n):
-            matrix[r][c] = matrix[c][r] = MultiRat(pair(items[r], items[c]),
-                                                   coprime=True)
+    """`symmetric_pivots` on the upper triangle of the symmetric `pair` over
+    `items`, as sparse rows of its nonzero entries; an isotropic form is an
+    engine error at `where`."""
+    rows = [{c: MultiRat(e, coprime=True) for c in range(r, len(items))
+             if not (e := pair(a, items[c])).is_zero}
+            for r, a in enumerate(items)]
     try:
-        return symmetric_pivots(matrix)
+        return symmetric_pivots(rows)
     except ValueError as exc:
         raise EngineError(f"{exc} ({where})") from None
 

@@ -299,12 +299,13 @@ def _singular_vectors_in_span(spanning, rank):
     LaurentQ coordinates) that every X_i kills, by one fraction-free
     elimination.
 
-    Each spanning vector s is the row [X_1 s | .. | X_{N-1} s | s]: its
-    raising images under the keys (0, i, w), then its coordinates under
-    (1, w), in sorted key order.  An echelon row whose pivot lies past the
-    raising block has a zero raising part, and these rows span exactly the
-    singular vectors of the span; their coordinate parts are returned, free
-    of the content that `ff_echelon` strips from every row it updates.
+    Each spanning vector s is one sparse row [X_1 s | .. | X_{N-1} s | s]:
+    its raising images under the keys (0, i, w), then its coordinates under
+    (1, w).  `ff_echelon` takes the keys in sorted order, so an echelon row
+    whose pivot key starts with 1 has a zero raising part, and these rows
+    span exactly the singular vectors of the span; their coordinates are
+    returned, free of the content that `ff_echelon` strips from every row it
+    updates.
     """
     rows = []
     for s in spanning:
@@ -317,13 +318,10 @@ def _singular_vectors_in_span(spanning, rank):
             for w, c in tensor_act("X", i, s).terms.items():
                 row[0, i, w] = c
         rows.append(row)
-    keys = sorted({k for row in rows for k in row})
-    zero = LaurentQ.zero()
-    ech, piv = ff_echelon([[row.get(k, zero) for k in keys] for row in rows])
-    first = next((j for j, k in enumerate(keys) if k[0] == 1), len(keys))
+    ech, piv = ff_echelon(rows)
     return [TensorVector(spanning[0].n, rank,
-                         {k[1]: c for k, c in zip(keys[first:], row[first:])})
-            for row, p in zip(ech, piv) if p >= first]
+                         {k[1]: c for k, c in sorted(row.items())})
+            for row, p in zip(ech, piv) if p[0] == 1]
 
 
 def verify_fock_match(lam: Partition, ell: int, rank: int | None = None,

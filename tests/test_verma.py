@@ -373,9 +373,11 @@ class TestGramMatrix:
                 continue
             gm = gram_matrix(Weight.zero(rank), from_alpha_coords(ac, rank),
                              rank)
+            # the upper triangle as sparse rows of its nonzero entries
             chosen, pivots = symmetric_pivots(
-                [[MultiRat(p, coprime=True) for p in row]
-                 for row in self.full_pairings(gm)])
+                [{c: MultiRat(p, coprime=True) for c, p in enumerate(row)
+                  if c >= r and not p.is_zero}
+                 for r, row in enumerate(self.full_pairings(gm))])
             assert chosen == gm.independent
             assert pivots == gm.pivots
 
@@ -455,6 +457,74 @@ class TestGramMatrix:
         monkeypatch.setattr(verma, "pair_words", hyperbolic)
         with pytest.raises(EngineError, match="isotropic"):
             gram_matrix(Weight.zero(3), alpha(1, 3) + alpha(2, 3), 3)
+
+
+# Evaluation witness: an exact verdict is an identity of rational functions,
+# so it can be checked at a random point mod a prime with integers alone.
+P61 = 2 ** 61 - 1
+
+
+def eval_mod_p(poly, point):
+    """A Laurent polynomial in z_1..z_N, q at `point` (the same order) mod
+    P61, term by term."""
+    total = 0
+    for exps, c in poly.terms.items():
+        t = c.numerator * pow(c.denominator, -1, P61)
+        for x, e in zip(point, exps):
+            t = t * pow(x, e, P61) % P61
+        total += t
+    return total % P61
+
+
+def det_mod_p(m):
+    """Determinant mod P61 by Gaussian elimination in index order, or None
+    when a pivot vanishes."""
+    m = [row[:] for row in m]
+    det = 1
+    for k, row in enumerate(m):
+        if row[k] == 0:
+            return None
+        det = det * row[k] % P61
+        inv = pow(row[k], -1, P61)
+        for below in m[k + 1:]:
+            f = below[k] * inv % P61
+            for j in range(k, len(row)):
+                below[j] = (below[j] - f * row[j]) % P61
+    return det
+
+
+class TestEvaluationWitness:
+    @staticmethod
+    def witness(gm, point):
+        """det of the good-word pairings / (q - q^{-1})^{mP} mod P61, with m
+        the height and P the number of good words; None at a point where a
+        pivot or q - q^{-1} vanishes."""
+        good = [gm.words[i] for i in gm.independent]
+        d = det_mod_p([[eval_mod_p(pair_words(a, b, gm.shift, gm.rank), point)
+                        for b in good] for a in good])
+        q = point[-1]
+        qd = (q - pow(q, -1, P61)) % P61
+        if d is None or qd == 0:
+            return None
+        return d * pow(qd, -gm.height * len(good), P61) % P61
+
+    def test_gram_determinants(self):
+        # the theorem51 cases of the benchmark's verma workload
+        cases = [case for rank, h in ((3, 4), (4, 3))
+                 for case in verify.FAMILIES["theorem51"].cases(
+                     verify.RunConfig(n_rank=rank, max_size=h))]
+        assert len(cases) == 33
+        rng = random.Random(P61)
+        for rank, nu in cases:
+            gm = gram_matrix(Weight.zero(rank), Weight(nu), rank)
+            while True:
+                point = [rng.randrange(1, P61) for _ in range(rank + 1)]
+                expected = self.witness(gm, point)
+                den = eval_mod_p(gm.det.den, point)
+                if expected is not None and den:
+                    break
+            value = eval_mod_p(gm.det.num, point) * pow(den, -1, P61) % P61
+            assert value == expected, (rank, nu)
 
 
 class TestClosedDeterminant:

@@ -509,13 +509,16 @@ def clear_vector(coords):
         if not c.is_zero:
             g = poly_gcd(den, c.den)
             den = den * c.den.exact_div(g)
-    nums = []
-    for c in coords:
-        if c.is_zero:
-            nums.append(LaurentQ.zero())
-        else:
-            nums.append(c.num * den.exact_div(c.den))
-    return _strip_content(nums)
+    nums = {j: c.num * den.exact_div(c.den)
+            for j, c in enumerate(coords) if not c.is_zero}
+    nums = _strip_content(nums)
+    return [nums.get(j, LaurentQ.zero()) for j in range(len(coords))]
+
+
+def sparse(rows):
+    """Dense rows as the sparse rows `ff_echelon` takes: column index to
+    nonzero entry."""
+    return [{c: e for c, e in enumerate(row) if not e.is_zero} for row in rows]
 
 
 def column_word(lam):
@@ -612,7 +615,7 @@ class TestClosedFormAgainstDenseKernel:
         v = expand(highest_weight_vector(lam, rank))
         row = [v.terms.get(w, LaurentQ.zero()) for w in words]
         assert set(v.terms) <= set(words)
-        assert len(ff_echelon(basis + [row])[0]) == len(basis)
+        assert len(ff_echelon(sparse(basis + [row]))[0]) == len(basis)
         # the support is as large as the reference vector's
         assert len(v.terms) == len(dense_highest_weight_vector(lam, rank).terms)
 
@@ -654,9 +657,8 @@ class TestClosedFormAgainstDenseKernel:
 
 
 def coordinate_rows(vectors):
-    """The vectors' coordinates over the sorted union of their keys."""
-    keys = sorted({w for v in vectors for w in v.terms})
-    return [[v.coeff(w) for w in keys] for v in vectors]
+    """The vectors' coordinates as sparse rows keyed by word."""
+    return [dict(v.terms) for v in vectors]
 
 
 class TestSpanningWords:
@@ -810,8 +812,8 @@ class TestSingularSpan:
     def test_integral_is_primitive_and_singular(self, lam):
         rank = len(lam) + 1
         for sv in mu_singular_vectors(lam, rank):
-            coords = list(sv.integral.terms.values())
-            assert all(type(c) is LaurentQ for c in coords)
+            coords = dict(enumerate(sv.integral.terms.values()))
+            assert all(type(c) is LaurentQ for c in coords.values())
             assert _strip_content(coords) == coords
             for i in range(1, rank):
                 assert tensor_act("X", i, sv.integral).is_zero
