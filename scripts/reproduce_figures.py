@@ -23,8 +23,8 @@ def jantzen_evaluation(lam, k):
     value = hook_ratio(lam, k)
     rendered = render_q_integers(value) or value.to_text()
     print(f"evaluated Jantzen number for {','.join(map(str, lam))}, row {k}:")
-    above = [b for b in removable_boxes(lam, 2) if b.row < k]
-    below = [b for b in addable_boxes(lam, 2) if b.row < k]
+    above = [b for b in removable_boxes(lam) if b.row < k]
+    below = [b for b in addable_boxes(lam) if b.row < k]
     new_box = Box(k, lam.part(k) + 1)
     print(f"  removable above: {[(b.row, b.col) for b in above]}")
     print(f"  addable above:   {[(b.row, b.col) for b in below]}")

@@ -129,10 +129,10 @@ def _cmd_partition_stats(args) -> int:
         "size": lam.size,
         "addable": [{"box": [b.row, b.col], "content": content(b),
                      "color": color(b, args.ell)}
-                    for b in addable_boxes(lam, args.ell)],
+                    for b in addable_boxes(lam)],
         "removable": [{"box": [b.row, b.col], "content": content(b),
                        "color": color(b, args.ell)}
-                      for b in removable_boxes(lam, args.ell)],
+                      for b in removable_boxes(lam)],
     }
     if args.format == "json":
         import json

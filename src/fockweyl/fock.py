@@ -5,8 +5,9 @@ sl_ell action, and an exhaustive relation checker.
 The generators' columns at a basis ket |lam> are one table per (lam, ell),
 `_columns`: for every color i, the columns of E_i and F_i, tuples of
 (partition, v-exponent), and the K_i exponent d_i = #addable_i - #removable_i.
-A table is built in two walks along lam's addable and removable boxes and
-kept in a cache bounded at 512 tables.
+A table is built in two walks along `partitions.corners(lam)`, lam's
+addable and removable boxes, which alternate by decreasing content, and kept
+in a cache bounded at 512 tables.
 
 Every nonzero matrix entry is a single power of v, so one column step,
 `_step`, acts on combinations of kets v^e |mu>, dicts from (mu, e) to a
@@ -22,8 +23,7 @@ from typing import NamedTuple
 
 from .ring import LaurentQ, q_int
 from .sparse import SparseVector
-from .partitions import (Partition, addable_boxes, removable_boxes,
-                         all_partitions, color)
+from .partitions import Partition, all_partitions, color, corners
 
 
 class FockVector(SparseVector):
@@ -60,20 +60,14 @@ class FockVector(SparseVector):
         chunks = []
         for lam, c in self.sorted_terms():
             ket = "|" + (",".join(str(p) for p in lam) if lam else "0") + ">"
-            mono = c.as_monomial()
-            if mono is not None:
-                e, v = mono
-                head = ""
-                if e:
-                    head = ("v" if e == 1 else f"v^{e}") + "*"
-                if v == 1:
-                    chunks.append(head + ket)
-                elif v == -1:
-                    chunks.append("-" + head + ket)
-                else:
-                    chunks.append(f"{v}*" + head + ket)
+            head = c.to_text()
+            if c.as_monomial() is None:
+                head = f"({head})*"
+            elif head in ("1", "-1"):
+                head = head[:-1]
             else:
-                chunks.append(f"({c.to_text()})*" + ket)
+                head += "*"
+            chunks.append(head + ket)
         out = chunks[0]
         for ch in chunks[1:]:
             out += " - " + ch[1:] if ch.startswith("-") else " + " + ch
@@ -99,7 +93,7 @@ class _Columns(NamedTuple):
 def _columns(lam: Partition, ell: int) -> _Columns:
     """Columns of E_i and F_i and the K_i exponent at |lam>, for every color.
 
-    lam's boundary, by decreasing content, alternates addable and removable
+    lam's `corners`, by decreasing content, alternate addable and removable
     boxes, from an addable box to an addable box.  One walk forward keeps,
     per color, addable minus removable boxes of larger content: -n_left at an
     addable box.  One walk back keeps the same count over smaller content:
@@ -108,9 +102,7 @@ def _columns(lam: Partition, ell: int) -> _Columns:
     colors i +- 1 are not b's color i.  Kept in a cache bounded at 512
     (lam, ell) tables.
     """
-    add, rem = addable_boxes(lam, ell), removable_boxes(lam, ell)
-    walk = add + rem
-    walk[::2], walk[1::2] = add, rem
+    walk = corners(lam)
     colors = [color(b, ell) for b in walk]
     E = [[] for _ in range(ell)]
     F = [[] for _ in range(ell)]

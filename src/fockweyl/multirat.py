@@ -292,7 +292,6 @@ def _gcd_subresultant(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     sequence in the variable of smallest degree.  The inputs must share no
     monomial factor (the result drops one in the main variable);
     `poly_gcd_multi` splits it off first."""
-    nv = f.rank + 1
     # main variable of smallest degree keeps the remainder sequence short
     var = _main_var(f, g)
     uf = _as_univar(f, var)
@@ -301,11 +300,9 @@ def _gcd_subresultant(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     pg, cg = _primitive_univar(ug)
     cont = poly_gcd_multi(cf, cg)
     last, _ = _primitive_univar(_subresultant_last(pf, pg))
-    prim = MultiPoly.zero(f.rank)
-    for k, p in last.items():
-        e = [0] * nv
-        e[var] = k
-        prim = prim + p.shifted(tuple(e))
+    # the inverse of _as_univar: the blocks have distinct powers k of var
+    prim = f._like({e[:var] + (k,) + e[var + 1:]: v
+                    for k, p in last.items() for e, v in p.terms.items()})
     prim, _ = _strip_monomial(prim)
     return (cont * prim).int_primitive()
 

@@ -3,6 +3,12 @@
 Convention (pinned): the content of the box in row r, column c is c - r, and
 "left of" means strictly greater content.  This orientation reproduces the
 color diagrams and hook-ratio factorizations used throughout the test suite.
+
+Along lam's rim, by decreasing content, the addable and removable boxes
+alternate, from an addable box to an addable box.  `corners` lists them in
+that order in one pass over the parts.  The box lists are its even and odd
+positions, n_left and n_right count one color along it, and the Fock columns
+(`fock._columns`) walk it.
 """
 
 from __future__ import annotations
@@ -96,54 +102,42 @@ def is_removable(lam: Partition, b: Box) -> bool:
     return lam.part(b.row) > lam.part(b.row + 1)
 
 
-def _wanted_color(ell: int, color_filter: int | None):
-    """The color a box must have to pass the filter, or None for any."""
-    if color_filter is None:
-        return None
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    return color_filter % ell
+def corners(lam: Partition) -> list:
+    """lam's addable and removable boxes by decreasing content: addable boxes
+    at the even positions, removable boxes at the odd ones.
 
-
-def addable_boxes(lam: Partition, ell: int, color_filter: int | None = None):
-    """Addable boxes, ordered by decreasing content, optionally one color only.
-
-    One pass over the parts, padded with a zero row: row r takes a box at
-    column part(r) + 1 when it is the first row or shorter than the row above.
+    One pass over the parts, padded with a zero row.  The first addable box
+    ends row 1; each row r longer than the row below gives its last box, then
+    the next addable box, at the end of row r + 1.
     """
-    want = _wanted_color(ell, color_filter)
     parts = lam + (0,)
-    out = []
-    for r, (above, p) in enumerate(zip((parts[0] + 1,) + parts, parts), 1):
-        if p < above and (want is None or (p + 1 - r) % ell == want):
-            out.append(Box(r, p + 1))
-    return out
-
-
-def removable_boxes(lam: Partition, ell: int, color_filter: int | None = None):
-    """Removable boxes, ordered by decreasing content, optionally one color only.
-
-    One pass over the parts, padded with a zero row: row r gives up its last
-    box when it is longer than the row below.
-    """
-    want = _wanted_color(ell, color_filter) if lam else None
-    parts = lam + (0,)
-    out = []
+    out = [Box(1, parts[0] + 1)]
     for r, (p, below) in enumerate(zip(parts, parts[1:]), 1):
-        if p > below and (want is None or (p - r) % ell == want):
-            out.append(Box(r, p))
+        if p > below:
+            out += Box(r, p), Box(r + 1, below + 1)
     return out
+
+
+def addable_boxes(lam: Partition) -> list:
+    """Addable boxes, ordered by decreasing content."""
+    return corners(lam)[::2]
+
+
+def removable_boxes(lam: Partition) -> list:
+    """Removable boxes, ordered by decreasing content."""
+    return corners(lam)[1::2]
 
 
 def _n_side(lam: Partition, new_box: Box, ell: int, side: int) -> int:
     """Removable-minus-addable count of the boxes of new_box's color whose
-    content is greater (side 1) or smaller (side -1) than new_box's."""
+    content is greater (side 1) or smaller (side -1) than new_box's, in one
+    pass over lam's corners."""
     if not is_addable(lam, new_box):
         raise ValueError(f"box {new_box} is not addable to {lam}")
     i = color(new_box, ell)
     c0 = content(new_box) * side
-    return (sum(content(b) * side > c0 for b in removable_boxes(lam, ell, i))
-            - sum(content(b) * side > c0 for b in addable_boxes(lam, ell, i)))
+    return sum(1 if j % 2 else -1 for j, b in enumerate(corners(lam))
+               if color(b, ell) == i and content(b) * side > c0)
 
 
 def n_left(lam: Partition, new_box: Box, ell: int) -> int:
@@ -161,11 +155,11 @@ def n_right(lam: Partition, new_box: Box, ell: int) -> int:
 
 
 def addable_row_indices(lam: Partition, n_rank: int) -> list[int]:
-    """Rows k <= n_rank where a box can be added; requires n_rank > #parts."""
+    """Rows k <= n_rank where a box can be added, the rows of lam's addable
+    corners; requires n_rank > #parts."""
     if n_rank <= len(lam):
         raise ValueError(f"rank {n_rank} too small for {lam}")
-    return [r for r in range(1, n_rank + 1)
-            if is_addable(lam, Box(r, lam.part(r) + 1))]
+    return [b.row for b in addable_boxes(lam)]
 
 
 def all_partitions(max_size: int):

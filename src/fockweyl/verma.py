@@ -412,10 +412,10 @@ def hook_ratio(lam: Partition, k: int) -> QFrac:
         return QFrac.zero()
     c0 = content(new_box)
     num = den = LaurentQ.one()
-    for b in removable_boxes(lam, 2):
+    for b in removable_boxes(lam):
         if b.row < k:
             num = num * q_int(content(b) - c0)
-    for b in addable_boxes(lam, 2):
+    for b in addable_boxes(lam):
         if b.row < k:
             den = den * q_int(content(b) - c0)
     return QFrac(num, den)

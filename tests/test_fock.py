@@ -135,6 +135,21 @@ class TestRendering:
         x = ket(1).scale(q_int(2, "v"))
         assert x.render() == "(v^-1 + v)*|1>"
 
+    def test_every_head_shape(self):
+        # a bare ket, "-", a monomial head (power of v, scaled, Fraction)
+        # and a parenthesised polynomial head, first and in the middle
+        x = FockVector()
+        for lam, c in [((), {0: 1}), ((1,), {0: -1}), ((2,), {1: 1}),
+                       ((1, 1), {-2: -3}), ((3,), {0: Fraction(1, 2)}),
+                       ((2, 1), {-1: 1, 1: 1}),
+                       ((1, 1, 1), {-1: -1, 2: Fraction(-5, 3)})]:
+            x.add_term(Partition(lam), LaurentQ(c, "v"))
+        assert x.render() == ("|0> - |1> - 3*v^-2*|1,1> + v*|2> "
+                              "+ (-v^-1 - 5/3*v^2)*|1,1,1> + (v^-1 + v)*|2,1> "
+                              "+ 1/2*|3>")
+        assert ket(1).scale(LaurentQ({0: -1}, "v")).render() == "-|1>"
+        assert ket(2).scale(LaurentQ({-1: -1}, "v")).render() == "-v^-1*|2>"
+
     def test_json(self):
         out = apply_F(1, ket(1), 2)
         data = out.to_json()
@@ -148,7 +163,9 @@ class TestRendering:
 def old_apply_F(i, x, ell):
     out = FockVector()
     for lam, c in x.terms.items():
-        for b in addable_boxes(lam, ell, i):
+        for b in addable_boxes(lam):
+            if color(b, ell) != i % ell:
+                continue
             mu = lam.add_box(b)
             out.add_term(mu, c * LaurentQ.term(n_left(lam, b, ell), 1, "v"))
     return out
@@ -157,7 +174,9 @@ def old_apply_F(i, x, ell):
 def old_apply_E(i, x, ell):
     out = FockVector()
     for lam, c in x.terms.items():
-        for b in removable_boxes(lam, ell, i):
+        for b in removable_boxes(lam):
+            if color(b, ell) != i % ell:
+                continue
             mu = lam.remove_box(b)
             out.add_term(mu, c * LaurentQ.term(-n_right(mu, b, ell), 1, "v"))
     return out
@@ -166,7 +185,8 @@ def old_apply_E(i, x, ell):
 def old_apply_K(i, x, ell, inverse=False):
     out = FockVector()
     for lam, c in x.terms.items():
-        d = len(addable_boxes(lam, ell, i)) - len(removable_boxes(lam, ell, i))
+        d = (sum(color(b, ell) == i % ell for b in addable_boxes(lam))
+             - sum(color(b, ell) == i % ell for b in removable_boxes(lam)))
         if inverse:
             d = -d
         out.add_term(lam, c * LaurentQ.term(d, 1, "v"))
@@ -178,11 +198,11 @@ def per_box_columns(lam, ell):
     E = [[] for _ in range(ell)]
     F = [[] for _ in range(ell)]
     d = [0] * ell
-    for b in addable_boxes(lam, ell):
+    for b in addable_boxes(lam):
         i = color(b, ell)
         F[i].append((lam.add_box(b), n_left(lam, b, ell)))
         d[i] += 1
-    for b in removable_boxes(lam, ell):
+    for b in removable_boxes(lam):
         i = color(b, ell)
         mu = lam.remove_box(b)
         E[i].append((mu, -n_right(mu, b, ell)))

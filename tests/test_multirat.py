@@ -84,6 +84,21 @@ class TestMultiPolyGcd:
             assert poly_gcd_multi(f0, g0) == sub
             checked += 1
 
+    def test_subresultant_inner_main_variable(self):
+        # z2 has the smallest degree, so the sequence runs in the inner
+        # variable at index 1 of (z1, z2, z3, q), and its powers must go back
+        # into that slot; z1 + q is content in z2
+        from fockweyl.multirat import _gcd_subresultant, _main_var
+        rank = 3
+        z1, z2, z3 = (MultiPoly.z(i, rank) for i in (1, 2, 3))
+        qq = MultiPoly.q(rank)
+        h = (z1 * z1 * z2 + qq ** 3 + z3 * z3) * (z1 + qq)
+        f = h * (z1 * z1 * z2 + z3 ** 3 + 2)
+        g = h * (z2 + qq * qq * z1 ** 3 + z3 * z3)
+        assert _main_var(f, g) == 1
+        assert _gcd_subresultant(f, g) == h
+        assert _gcd_subresultant(g, f) == h
+
     def test_laurent_input_rejected(self):
         rank = 2
         z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)

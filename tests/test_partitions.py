@@ -3,7 +3,8 @@ from hypothesis import given
 
 from fockweyl.partitions import (Box, Partition, addable_boxes,
                                  addable_row_indices, all_partitions, color,
-                                 content, n_left, n_right, removable_boxes)
+                                 content, corners, n_left, n_right,
+                                 removable_boxes)
 
 from conftest import partitions
 
@@ -62,35 +63,35 @@ class TestPartitionType:
 
     def test_add_remove_round_trip(self):
         for lam in all_partitions(8):
-            for b in addable_boxes(lam, 2):
+            for b in addable_boxes(lam):
                 assert lam.add_box(b).remove_box(b) == lam
 
 
 class TestAddableRemovable:
     def test_empty(self):
-        assert addable_boxes(Partition(()), 2) == [Box(1, 1)]
+        assert addable_boxes(Partition(())) == [Box(1, 1)]
         assert color(Box(1, 1), 2) == 0
 
     def test_single_box_color_filter(self):
         lam = Partition((1,))
-        assert addable_boxes(lam, 2, 1) == [Box(1, 2), Box(2, 1)]
-        assert [content(b) for b in addable_boxes(lam, 2, 1)] == [1, -1]
-        assert removable_boxes(lam, 2, 1) == []
+        addable = of_color(addable_boxes(lam), 2, 1)
+        assert addable == [Box(1, 2), Box(2, 1)]
+        assert [content(b) for b in addable] == [1, -1]
+        assert of_color(removable_boxes(lam), 2, 1) == []
 
     def test_ordering_decreasing_content(self):
         lam = Partition((4, 2, 2, 1))
-        for boxes in (addable_boxes(lam, 3), removable_boxes(lam, 3)):
+        for boxes in (addable_boxes(lam), removable_boxes(lam)):
             cs = [content(b) for b in boxes]
             assert cs == sorted(cs, reverse=True)
 
     @given(partitions())
     def test_counting_invariant(self, lam):
-        for ell in (2, 3, 4):
-            assert len(addable_boxes(lam, ell)) == len(removable_boxes(lam, ell)) + 1
+        assert len(addable_boxes(lam)) == len(removable_boxes(lam)) + 1
 
     @given(partitions())
     def test_distinct_contents(self, lam):
-        boxes = addable_boxes(lam, 2) + removable_boxes(lam, 2)
+        boxes = addable_boxes(lam) + removable_boxes(lam)
         cs = [content(b) for b in boxes]
         assert len(set(cs)) == len(cs)
 
@@ -113,10 +114,10 @@ class TestBoxStatistics:
         # everything visible exactly once: n_left + n_right = |R| - |A| + 1
         for lam in all_partitions(8):
             for ell in (2, 3):
-                for b in addable_boxes(lam, ell):
+                for b in addable_boxes(lam):
                     i = color(b, ell)
-                    total = (len(removable_boxes(lam, ell, i))
-                             - len(addable_boxes(lam, ell, i)) + 1)
+                    total = (len(of_color(removable_boxes(lam), ell, i))
+                             - len(of_color(addable_boxes(lam), ell, i)) + 1)
                     assert n_left(lam, b, ell) + n_right(lam, b, ell) == total
 
 
@@ -142,7 +143,7 @@ class TestAddableRows:
     def test_rows_match_addable_boxes(self):
         for lam in all_partitions(6):
             rows = addable_row_indices(lam, len(lam) + 1)
-            boxes = addable_boxes(lam, 2)
+            boxes = addable_boxes(lam)
             assert rows == sorted(b.row for b in boxes)
 
 
@@ -165,10 +166,15 @@ def brute_removable(lam, ell, color_filter=None):
     return _by_content(boxes, ell, color_filter)
 
 
+def of_color(boxes, ell, color_filter):
+    """The boxes of one color mod ell, in their order; all for None."""
+    if color_filter is None:
+        return boxes
+    return [b for b in boxes if (b.col - b.row) % ell == color_filter % ell]
+
+
 def _by_content(boxes, ell, color_filter):
-    if color_filter is not None:
-        boxes = [b for b in boxes if (b.col - b.row) % ell == color_filter % ell]
-    return sorted(boxes, key=lambda b: b.row - b.col)
+    return sorted(of_color(boxes, ell, color_filter), key=lambda b: b.row - b.col)
 
 
 def brute_n(lam, new_box, ell, side):
@@ -188,8 +194,10 @@ class TestOnePassScans:
         for lam in all_partitions(8):
             for ell in range(2, 6):
                 for f in (None, *range(ell), ell + 1, -1):
-                    assert addable_boxes(lam, ell, f) == brute_addable(lam, ell, f)
-                    assert removable_boxes(lam, ell, f) == brute_removable(lam, ell, f)
+                    assert (of_color(addable_boxes(lam), ell, f)
+                            == brute_addable(lam, ell, f))
+                    assert (of_color(removable_boxes(lam), ell, f)
+                            == brute_removable(lam, ell, f))
 
     def test_left_right_match_reference(self):
         for lam in all_partitions(8):
@@ -199,15 +207,40 @@ class TestOnePassScans:
                     assert n_right(lam, b, ell) == brute_n(lam, b, ell, -1)
 
     @pytest.mark.parametrize("ell", [1, 0, -3])
-    def test_filter_below_two_raises(self, ell):
+    def test_statistics_below_two_raise(self, ell):
+        # the box lists take no ell; the statistics read it through color
         for lam in (Partition(()), Partition((1,)), Partition((3, 1))):
-            with pytest.raises(ValueError, match="ell must be >= 2"):
-                addable_boxes(lam, ell, 0)
-        with pytest.raises(ValueError, match="ell must be >= 2"):
-            removable_boxes(Partition((3, 1)), ell, 0)
-        assert removable_boxes(Partition(()), ell, 0) == []
+            for b in addable_boxes(lam):
+                for stat in (n_left, n_right):
+                    with pytest.raises(ValueError, match="ell must be >= 2"):
+                        stat(lam, b, ell)
 
     def test_no_filter_ignores_ell(self):
         lam = Partition((3, 1))
-        assert addable_boxes(lam, 1) == [Box(1, 4), Box(2, 2), Box(3, 1)]
-        assert removable_boxes(lam, 1) == [Box(1, 3), Box(2, 1)]
+        assert addable_boxes(lam) == [Box(1, 4), Box(2, 2), Box(3, 1)]
+        assert removable_boxes(lam) == [Box(1, 3), Box(2, 1)]
+
+
+class TestCorners:
+    def test_empty(self):
+        assert corners(Partition(())) == [Box(1, 1)]
+
+    def test_staircase(self):
+        assert corners(Partition((2, 1))) == [
+            Box(1, 3), Box(1, 2), Box(2, 2), Box(2, 1), Box(3, 1)]
+
+    def test_alternation_and_reference(self):
+        # addable first and last, alternating, strictly decreasing content,
+        # and its even and odd positions are the reference box lists
+        for lam in all_partitions(8):
+            walk = corners(lam)
+            addable, removable = walk[::2], walk[1::2]
+            assert len(walk) % 2 == 1
+            assert all(lam.contains(b) for b in removable)
+            assert not any(lam.contains(b) for b in addable)
+            cs = [content(b) for b in walk]
+            assert all(a > b for a, b in zip(cs, cs[1:]))
+            assert addable == brute_addable(lam, 2)
+            assert removable == brute_removable(lam, 2)
+            assert addable_boxes(lam) == addable
+            assert removable_boxes(lam) == removable

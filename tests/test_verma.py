@@ -479,18 +479,52 @@ def eval_mod_p(poly, point):
 def det_mod_p(m):
     """Determinant mod P61 by Gaussian elimination in index order, or None
     when a pivot vanishes."""
-    m = [row[:] for row in m]
+    out = pivots_mod_p(m)
+    if out is None or len(out[0]) < len(m):
+        return None
     det = 1
+    for p in out[1]:
+        det = det * p % P61
+    return det
+
+
+def laurent_mod_p(poly, q):
+    """A Laurent polynomial in q alone at q mod P61."""
+    return sum(c.numerator * pow(c.denominator, -1, P61) * pow(q, e, P61)
+               for e, c in poly.terms.items()) % P61
+
+
+def unit_mod_p(parts, point):
+    """The `UnitParts` sign * q^q_exp * z^z_exps * scalar(q) at `point`
+    (z_1..z_N, q) mod P61."""
+    q = point[-1]
+    value = parts.sign * pow(q, parts.q_exp, P61)
+    for x, e in zip(point, parts.z_exps):
+        value = value * pow(x, e, P61)
+    scalar = laurent_mod_p(parts.scalar.num, q) \
+        * pow(laurent_mod_p(parts.scalar.den, q), -1, P61)
+    return value * scalar % P61
+
+
+def pivots_mod_p(m):
+    """Gaussian elimination mod P61 with diagonal pivots in index order, as
+    `symmetric_pivots` runs it on a symmetric matrix: (chosen, pivots), or
+    None at a zero pivot whose row is not zero."""
+    m = [row[:] for row in m]
+    chosen, pivots = [], []
     for k, row in enumerate(m):
         if row[k] == 0:
-            return None
-        det = det * row[k] % P61
+            if any(row[k + 1:]):
+                return None
+            continue
+        chosen.append(k)
+        pivots.append(row[k])
         inv = pow(row[k], -1, P61)
         for below in m[k + 1:]:
             f = below[k] * inv % P61
-            for j in range(k, len(row)):
+            for j in range(k + 1, len(row)):
                 below[j] = (below[j] - f * row[j]) % P61
-    return det
+    return chosen, pivots
 
 
 class TestEvaluationWitness:
@@ -508,15 +542,29 @@ class TestEvaluationWitness:
             return None
         return d * pow(qd, -gm.height * len(good), P61) % P61
 
-    def test_gram_determinants(self):
-        # the theorem51 cases of the benchmark's verma workload
-        cases = [case for rank, h in ((3, 4), (4, 3))
-                 for case in verify.FAMILIES["theorem51"].cases(
-                     verify.RunConfig(n_rank=rank, max_size=h))]
-        assert len(cases) == 33
-        rng = random.Random(P61)
+    @staticmethod
+    def closed_mod_p(nu, rank, point):
+        """`shapovalov_det_closed`(-nu) at `point` mod P61, factor by factor:
+        each `_jantzen_factor`(i, j, rank, m) to the power
+        kostant_p(-nu + m (eps_i - eps_j)), with no expanded product."""
+        value = 1
+        for i in range(1, rank + 1):
+            for j in range(i + 1, rank + 1):
+                step = Weight.eps(i, rank) - Weight.eps(j, rank)
+                m = 1
+                while (p := kostant_p(-nu + m * step)):
+                    f = eval_mod_p(verma._jantzen_factor(i, j, rank, m), point)
+                    value = value * pow(f, p, P61) % P61
+                    m += 1
+        return value
+
+    def check_cases(self, cases, rng):
+        """gm.det, and the closed form times the reported unit, against the
+        good-word determinant mod P61 at a random point."""
         for rank, nu in cases:
             gm = gram_matrix(Weight.zero(rank), Weight(nu), rank)
+            parts = unit_ratio(gm.det, shapovalov_det_closed(-Weight(nu), rank))
+            assert parts is not None, (rank, nu)
             while True:
                 point = [rng.randrange(1, P61) for _ in range(rank + 1)]
                 expected = self.witness(gm, point)
@@ -525,6 +573,84 @@ class TestEvaluationWitness:
                     break
             value = eval_mod_p(gm.det.num, point) * pow(den, -1, P61) % P61
             assert value == expected, (rank, nu)
+            closed = self.closed_mod_p(Weight(nu), rank, point)
+            assert closed * unit_mod_p(parts, point) % P61 == expected, (rank, nu)
+
+    def test_gram_determinants(self):
+        # the theorem51 cases of the benchmark's verma workload
+        cases = [case for rank, h in ((3, 4), (4, 3))
+                 for case in verify.FAMILIES["theorem51"].cases(
+                     verify.RunConfig(n_rank=rank, max_size=h))]
+        assert len(cases) == 33
+        self.check_cases(cases, random.Random(P61))
+
+    def test_gram_determinants_rank3_h6(self):
+        cases = verify.FAMILIES["theorem51"].cases(
+            verify.RunConfig(n_rank=3, max_size=6))
+        assert len(cases) == 27
+        self.check_cases(cases, random.Random(P61 + 1))
+
+    @staticmethod
+    def engine_pivots_mod_p(k, rank, point):
+        """`jantzen_engine`'s elimination mirrored mod P61: the same vectors
+        (slot j, word, monomial), paired through `pair_words` at `point` with
+        slot factors q^{1-j} (q - q^{-1})^{j-1}; the top is the last index.
+        Returns the top's index and `pivots_mod_p`'s answer."""
+        zero_w, eps_k = Weight.zero(rank), Weight.eps(k, rank)
+        z, q = point[:-1], point[-1]
+        vectors = []
+        for i in range(rank - 1, 0, -1):
+            for j in range(k, 0, -1):
+                nu = Weight.eps(j, rank) - eps_k - alpha(i, rank)
+                qe = nu.coords[i] - nu.coords[i - 1] + (j == i) - (j == i + 1)
+                mono = z[i - 1] * pow(z[i], -1, P61) * pow(q, qe, P61) % P61
+                for w in good_words(nu.alpha_coords()):
+                    y = [(j, (i,) + w, mono)]
+                    if j == i:
+                        y.append((i + 1, w, q))
+                    vectors.append(y)
+        vectors.append([(k, (), 1)])
+        qd = (q - pow(q, -1, P61)) % P61
+        slot = {j: pow(q, 1 - j, P61) * pow(qd, j - 1, P61) % P61
+                for j in range(1, k + 1)}
+        paired = {}
+
+        def pair(a, b):
+            key = (a, b) if a <= b else (b, a)
+            if key not in paired:
+                paired[key] = eval_mod_p(pair_words(a, b, zero_w, rank), point)
+            return paired[key]
+
+        m = [[sum(slot[j] * pair(a, b) * e * f for j, a, e in y
+                  for i, b, f in x if i == j) % P61 for x in vectors]
+             for y in vectors]
+        return len(vectors) - 1, pivots_mod_p(m)
+
+    # lemma63: ranks 3 and 4 at every k, rank 5 at k <= 4
+    @pytest.mark.parametrize("rank,k", [(r, k) for r in (3, 4, 5)
+                                        for k in range(1, min(r, 4) + 1)])
+    def test_jantzen_engine(self, rank, k):
+        """The engine's last pivot over (q - q^{-1})^{k-1} mod P61 against
+        the closed factors, evaluated one by one, times the reported unit."""
+        parts = unit_ratio(jantzen_engine(k, rank), jantzen_closed(k, rank))
+        assert parts is not None
+        rng = random.Random(P61 * rank + k)
+        while True:
+            point = [rng.randrange(1, P61) for _ in range(rank + 1)]
+            q = point[-1]
+            qd = (q - pow(q, -1, P61)) % P61
+            num = den = 1
+            for f, g in verma._jantzen_closed_factors(k, rank):
+                num = num * eval_mod_p(f, point) % P61
+                den = den * eval_mod_p(g, point) % P61
+            top, elim = self.engine_pivots_mod_p(k, rank, point)
+            if elim is not None and qd and den:
+                break
+        chosen, pivots = elim
+        assert chosen[-1] == top
+        value = pivots[-1] * pow(qd, 1 - k, P61) % P61
+        closed = num * pow(den, -1, P61) % P61
+        assert value == closed * unit_mod_p(parts, point) % P61, (rank, k)
 
 
 class TestClosedDeterminant:
@@ -690,10 +816,10 @@ def per_factor_hook_ratio(lam, k):
     c0 = content(new_box)
     num = QFrac.one()
     den = QFrac.one()
-    for b in removable_boxes(lam, 2):
+    for b in removable_boxes(lam):
         if b.row < k:
             num = num * QFrac(q_int(content(b) - c0))
-    for b in addable_boxes(lam, 2):
+    for b in addable_boxes(lam):
         if b.row < k:
             den = den * QFrac(q_int(content(b) - c0))
     return num / den
