@@ -23,5 +23,5 @@ from .verma import (VermaElement, GramMatrix, act_y, pair_words,
                     det_product_identity)
 from .weyl import (TensorVector, tensor_act, tensor_form,
                    highest_weight_vector, mu_singular_vectors,
-                   verify_fock_match, SingularVector)
+                   SingularVector)
 from .errors import PoleError, EngineError

@@ -312,6 +312,8 @@ def _max_norm(p: MultiPoly) -> int:
 
 
 def _eval_var(p: MultiPoly, var: int, xi: int) -> MultiPoly:
+    """p at var = xi.  Ordinary input only (xi ** e with e < 0 is a float);
+    `poly_gcd_multi` rejects negative exponents before `_heugcd` runs."""
     terms = {}
     for e, v in p.terms.items():
         e0 = e[:var] + (0,) + e[var + 1:]
@@ -345,7 +347,7 @@ def _from_digits(h: MultiPoly, var: int, xi: int) -> MultiPoly:
     return h._like(out)
 
 
-def _heugcd(f: MultiPoly, g: MultiPoly, depth: int = 0):
+def _heugcd(f: MultiPoly, g: MultiPoly):
     """The exact gcd in Z[vars] of two nonzero integer polynomials, by
     integer evaluation (GCDHEU); None when six evaluation points fail.
 
@@ -379,7 +381,7 @@ def _heugcd(f: MultiPoly, g: MultiPoly, depth: int = 0):
     var = _main_var(f, g)
     xi = 2 * max(_max_norm(f), _max_norm(g)) + 29
     for _ in range(6):
-        he = _heugcd(_eval_var(f, var, xi), _eval_var(g, var, xi), depth + 1)
+        he = _heugcd(_eval_var(f, var, xi), _eval_var(g, var, xi))
         if he is not None:
             h = _from_digits(he, var, xi).int_primitive()
             if _is_one(h):

@@ -1,6 +1,10 @@
 """Batch verification families behind the CLI: each family enumerates picklable
 case specs, runs them (optionally across one process pool per command), and
 collects a deterministic report.
+
+The modules compute and the runners here compare: theorem61's runner sets
+the oracle's norms (`weyl`) against the Fock columns (`fock._columns`) and
+the Verma evaluations (`verma`), so the oracle imports none of them.
 """
 
 from __future__ import annotations
@@ -10,16 +14,19 @@ import os
 from collections.abc import Callable
 from typing import NamedTuple
 
+from . import fock
 from .errors import EngineError
 from .fock import check_relations
 from .multirat import sigma_shift, unit_ratio
-from .partitions import Box, Partition, all_partitions, is_addable, n_left
+from .partitions import (Box, Partition, all_partitions, color, content,
+                         is_addable, n_left)
 from .reports import CaseResult, Report
+from .ring import QFrac, val_cyclotomic
 from .verma import (det_product_identity, gram_matrix, hook_ratio,
                     jantzen_closed, jantzen_engine, jantzen_evaluate_closed,
                     jantzen_valuation, pair_words, shapovalov_det_closed)
 from .weights import Weight, from_alpha_coords
-from .weyl import verify_fock_match
+from .weyl import mu_singular_vectors
 
 # How far a ratio may be from 1: q^m, +-q^m, or any unit.
 TOLERANCES = ("strict", "signed", "unit")
@@ -59,6 +66,13 @@ class RunConfig:
         if self.n_rank is not None and family == "theorem51":
             cfg["n_rank"] = self.n_rank
         return cfg
+
+
+def _power_match(a: QFrac, b: QFrac, tolerance: str = "signed") -> bool:
+    """a / b is +-q^m (under the tolerance); zero matches only zero."""
+    if a.is_zero or b.is_zero:
+        return a.is_zero and b.is_zero
+    return (a / b).is_q_power(tolerance)
 
 
 def _ratio_ok(parts, tolerance: str) -> bool:
@@ -139,10 +153,10 @@ def _lemma63(rank, k, tolerance):
 def _prop64(lam_t, k, tolerance):
     lam = Partition(lam_t)
     hook = hook_ratio(lam, k)
-    closed = jantzen_evaluate_closed(lam, k, max(len(lam) + 1, k))
+    closed = jantzen_evaluate_closed(lam, k)
     if hook.is_zero or closed.is_zero:
-        return hook.is_zero and closed.is_zero, {"zero_case": True}
-    ratio = closed / hook
+        return _power_match(closed, hook, tolerance), {"zero_case": True}
+    ratio = closed / hook  # the report shows it, so it is divided once, here
     return ratio.is_q_power(tolerance), {"zero_case": False,
                                          "ratio": ratio.to_text()}
 
@@ -157,8 +171,40 @@ def _prop65(lam_t, k, ell, tolerance):
 
 
 def _theorem61(lam_t, ell, tolerance):
-    res = verify_fock_match(Partition(lam_t), ell, tolerance=tolerance)
-    return res["passed"], {"boxes": res["boxes"]}
+    """Per addable row, the oracle norm's cyclotomic valuation against the
+    box statistic and mu's v-exponent in F's column of the box's color (mu
+    in no other color), and the norm against the closed form and the hook
+    ratio up to +-q^m.  Each ket of F's columns must be one of these mu."""
+    lam = Partition(lam_t)
+    F = fock._columns(lam, ell).F
+    boxes, seen = [], set()
+    for sv in mu_singular_vectors(lam, len(lam) + 1):
+        b = Box(sv.row, lam.part(sv.row) + 1)
+        col = color(b, ell)
+        mu = lam.add_box(b)
+        seen.add(mu)
+        val = val_cyclotomic(sv.norm, 2 * ell)
+        nl = n_left(lam, b, ell)
+        # mu's coefficient in F_col |lam> is the sum of v^e over these
+        exps = [e for nu, e in F[col] if nu == mu]
+        wrong_residue = any(nu == mu for i in range(ell) if i != col
+                            for nu, _ in F[i])
+        closed_ok = _power_match(sv.norm, jantzen_evaluate_closed(lam, sv.row),
+                                 tolerance)
+        hook_ok = _power_match(sv.norm, hook_ratio(lam, sv.row), tolerance)
+        ok = (exps == [val] and val == nl and not wrong_residue
+              and closed_ok and hook_ok)
+        boxes.append({
+            "row": b.row, "col": b.col, "content": content(b), "color": col,
+            "n_left": nl, "valuation": val,
+            "fock_exponent": exps[0] if len(set(exps)) == 1 else None,
+            "r": sv.norm.to_text(), "matches_closed_form": closed_ok,
+            "matches_hook_ratio": hook_ok, "pass": ok})
+    for i in range(ell):
+        for mu in sorted({nu for nu, _ in F[i]} - seen,
+                         key=lambda nu: (nu.size, nu)):
+            boxes.append({"unexpected": list(mu), "color": i, "pass": False})
+    return all(box["pass"] for box in boxes), {"boxes": boxes}
 
 
 class Family(NamedTuple):

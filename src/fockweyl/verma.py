@@ -151,7 +151,7 @@ def shapovalov_pair(a: VermaElement, b: VermaElement) -> MultiRat:
     return total
 
 
-def ywords(nu: Weight, rank: int) -> list[YWord]:
+def ywords(nu: Weight) -> list[YWord]:
     """All lowering words of the given multidegree, lexicographically."""
     ac = nu.alpha_coords()
     if ac is None or any(c < 0 for c in ac):
@@ -263,7 +263,7 @@ def gram_matrix(mu: Weight, nu: Weight, rank: int) -> GramMatrix:
     """
     if mu.rank != rank or nu.rank != rank:
         raise ValueError(f"weights {mu} and {nu} do not have rank {rank}")
-    words = ywords(nu, rank)
+    words = ywords(nu)
     good = good_words(nu.alpha_coords()) if words else []
     if len(good) != kostant_p(-nu):
         raise EngineError(f"good word count {len(good)} != multiplicity "

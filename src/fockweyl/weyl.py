@@ -1,8 +1,9 @@
-"""Finite-dimensional brute force: the quantum gl_N action on tensor products
-of column q-wedges and the standard module, canonical highest weight vectors,
-the singular vectors of (Weyl module) x (standard module) with their
-triangular normalization, and the end-to-end comparison against the
-Fock-space operators.
+"""The tensor-space oracle: the quantum gl_N action on tensor products of
+column q-wedges and the standard module, canonical highest weight vectors,
+and the singular vectors of (Weyl module) x (standard module) with their
+triangular normalization and norms.  `verify`'s theorem61 runner compares
+the norms with the Fock space and the Verma modules; this module imports
+neither.
 
 The ambient space is Lambda_q^{c_1} V (x) .. (x) Lambda_q^{c_r} V (x) V, with
 c_1 .. c_r the column heights of lam and V the added box; V(lam) already lies
@@ -50,13 +51,10 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .errors import EngineError
-from .fock import FockVector, apply_F
 from .linalg import ff_echelon
-from .partitions import (Partition, Box, addable_row_indices, color, content,
-                         n_left)
-from .ring import LaurentQ, QFrac, val_cyclotomic
+from .partitions import Partition, addable_row_indices
+from .ring import LaurentQ, QFrac
 from .sparse import SparseVector
-from .verma import jantzen_evaluate_closed, hook_ratio
 from .weights import good_words
 
 
@@ -230,7 +228,7 @@ class SingularVector:
 
     `integral` is the singular vector u with integral coordinates and `ratio` is
     (u, top)/(u, u); the triangular normalization `vector` = ratio * u is
-    built on first use, since the Fock comparison reads only `norm`."""
+    built on first use, since the theorem61 comparison reads only `norm`."""
 
     def __init__(self, row: int, integral: TensorVector, ratio: QFrac,
                  norm: QFrac):
@@ -323,66 +321,3 @@ def _singular_vectors_in_span(spanning, rank):
                          {k[1]: c for k, c in sorted(row.items())})
             for row, p in zip(ech, piv) if p[0] == 1]
 
-
-def verify_fock_match(lam: Partition, ell: int, rank: int | None = None,
-                      tolerance: str = "signed") -> dict:
-    """End-to-end check for one partition: oracle self-pairings versus the
-    Fock operator exponents and the closed evaluations.
-
-    For every addable row: the cyclotomic valuation of the oracle norm must
-    equal both the box statistic and the v-exponent produced by the
-    box-adding operator of the box's color; boxes must appear in exactly the
-    residue of their color; and the norm must match the closed-form and
-    hook-ratio evaluations up to +-q^m (or the requested tolerance).
-    """
-    lam = Partition(lam)
-    if rank is None:
-        rank = len(lam) + 1
-    singulars = mu_singular_vectors(lam, rank)
-    ket = FockVector.ket(lam)
-    images = {i: apply_F(i, ket, ell) for i in range(ell)}
-    boxes = []
-    passed = True
-    seen = set()
-    for sv in singulars:
-        b = Box(sv.row, lam.part(sv.row) + 1)
-        col = color(b, ell)
-        mu = lam.add_box(b)
-        seen.add(mu)
-        val = val_cyclotomic(sv.norm, 2 * ell)
-        nl = n_left(lam, b, ell)
-        fc = images[col].coeff(mu)
-        mono = fc.as_monomial()
-        exp_ok = mono is not None and mono[1] == 1 and mono[0] == val and val == nl
-        wrong_residue = any(not images[i].coeff(mu).is_zero
-                            for i in range(ell) if i != col)
-        closed = jantzen_evaluate_closed(lam, sv.row, rank)
-        hook = hook_ratio(lam, sv.row)
-        closed_ok = _power_match(sv.norm, closed, tolerance)
-        hook_ok = _power_match(sv.norm, hook, tolerance)
-        ok = exp_ok and not wrong_residue and closed_ok and hook_ok
-        passed = passed and ok
-        boxes.append({
-            "row": b.row, "col": b.col,
-            "content": content(b), "color": col,
-            "n_left": nl, "valuation": val,
-            "fock_exponent": mono[0] if mono else None,
-            "r": sv.norm.to_text(),
-            "matches_closed_form": closed_ok,
-            "matches_hook_ratio": hook_ok,
-            "pass": ok,
-        })
-    # every box produced by the Fock operators must come from an addable row
-    for i in range(ell):
-        for mu, _ in images[i].sorted_terms():
-            if mu not in seen:
-                passed = False
-                boxes.append({"unexpected": list(mu), "color": i, "pass": False})
-    return {"partition": list(lam), "ell": ell, "rank": rank,
-            "passed": passed, "boxes": boxes}
-
-
-def _power_match(a: QFrac, b: QFrac, tolerance: str = "signed") -> bool:
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero
-    return (a / b).is_q_power(tolerance)

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies and deterministic test settings."""
+"""Shared hypothesis strategies, deterministic test settings and the mod-p
+helpers of the evaluation witnesses."""
 
 import hypothesis.strategies as st
 from hypothesis import settings, HealthCheck
@@ -51,3 +52,71 @@ def partitions(max_size=8):
     return st.lists(st.integers(1, 5), max_size=4).map(
         lambda parts: Partition(sorted(parts, reverse=True))
     ).filter(lambda lam: lam.size <= max_size)
+
+
+# Evaluation witness: an exact verdict is an identity of rational functions,
+# so it can be checked at a random point mod a prime with integers alone.
+P61 = 2 ** 61 - 1
+
+
+def eval_mod_p(poly, point):
+    """A Laurent polynomial in z_1..z_N, q at `point` (the same order) mod
+    P61, term by term."""
+    total = 0
+    for exps, c in poly.terms.items():
+        t = c.numerator * pow(c.denominator, -1, P61)
+        for x, e in zip(point, exps):
+            t = t * pow(x, e, P61) % P61
+        total += t
+    return total % P61
+
+
+def det_mod_p(m):
+    """Determinant mod P61 by Gaussian elimination in index order, or None
+    when a pivot vanishes."""
+    out = pivots_mod_p(m)
+    if out is None or len(out[0]) < len(m):
+        return None
+    det = 1
+    for p in out[1]:
+        det = det * p % P61
+    return det
+
+
+def laurent_mod_p(poly, q):
+    """A Laurent polynomial in q alone at q mod P61."""
+    return sum(c.numerator * pow(c.denominator, -1, P61) * pow(q, e, P61)
+               for e, c in poly.terms.items()) % P61
+
+
+def unit_mod_p(parts, point):
+    """The `UnitParts` sign * q^q_exp * z^z_exps * scalar(q) at `point`
+    (z_1..z_N, q) mod P61."""
+    q = point[-1]
+    value = parts.sign * pow(q, parts.q_exp, P61)
+    for x, e in zip(point, parts.z_exps):
+        value = value * pow(x, e, P61)
+    scalar = laurent_mod_p(parts.scalar.num, q) \
+        * pow(laurent_mod_p(parts.scalar.den, q), -1, P61)
+    return value * scalar % P61
+
+
+def pivots_mod_p(m):
+    """Gaussian elimination mod P61 with diagonal pivots in index order, as
+    `symmetric_pivots` runs it on a symmetric matrix: (chosen, pivots), or
+    None at a zero pivot whose row is not zero."""
+    m = [row[:] for row in m]
+    chosen, pivots = [], []
+    for k, row in enumerate(m):
+        if row[k] == 0:
+            if any(row[k + 1:]):
+                return None
+            continue
+        chosen.append(k)
+        pivots.append(row[k])
+        inv = pow(row[k], -1, P61)
+        for below in m[k + 1:]:
+            f = below[k] * inv % P61
+            for j in range(k + 1, len(row)):
+                below[j] = (below[j] - f * row[j]) % P61
+    return chosen, pivots

@@ -1,15 +1,21 @@
-"""The verify family table: case lists and case ids, and the records of
-faults that no passing sweep reaches."""
+"""The verify family table: case lists and case ids, the theorem61 runner
+against the comparison it replaced, and the records of faults that no
+passing sweep reaches."""
 
 import itertools
 
 import pytest
 
-from fockweyl import verify
+from fockweyl import fock, verify
 from fockweyl.errors import EngineError
-from fockweyl.partitions import Partition, all_partitions
+from fockweyl.fock import FockVector, apply_F
+from fockweyl.partitions import (Box, Partition, all_partitions, color,
+                                 content, n_left, partitions_of)
+from fockweyl.ring import val_cyclotomic
 from fockweyl.verify import FAMILIES, RunConfig, enumerate_cases, run_case
+from fockweyl.verma import hook_ratio, jantzen_evaluate_closed
 from fockweyl.weights import from_alpha_coords
+from fockweyl.weyl import mu_singular_vectors
 
 
 def root_lattice_points(rank, max_height):
@@ -92,7 +98,7 @@ ENGINE_ERRORS = [
     (("lemma63", 2, 1), "jantzen_engine", "lemma63/rank=2/k=1"),
     (("prop64", (), 1), "hook_ratio", "prop64/lam=0/k=1"),
     (("prop65", (), 1, 2), "jantzen_valuation", "prop65/lam=0/k=1/ell=2"),
-    (("theorem61", (), 2), "verify_fock_match", "theorem61/lam=0/ell=2"),
+    (("theorem61", (), 2), "mu_singular_vectors", "theorem61/lam=0/ell=2"),
 ]
 
 
@@ -117,7 +123,6 @@ def test_engine_error_keeps_case_id(monkeypatch, spec, callee, case_id):
 def test_theorem61_records_unexpected_box(monkeypatch):
     # F_0 at |1> (ell = 2) with an extra ket |3>, which no addable row of
     # (1) gives: the record lists it as unexpected and the case fails
-    from fockweyl import fock
     lam, extra = Partition((1,)), Partition((3,))
     real = fock._columns
 
@@ -139,11 +144,10 @@ def test_theorem61_records_unexpected_box(monkeypatch):
 
 def test_theorem61_zero_hook_ratio_fails(monkeypatch):
     # a zero hook ratio against a nonzero oracle norm is no +-q^m match
-    from fockweyl import weyl
     from fockweyl.ring import QFrac
 
     spec = ("theorem61", (1,), 2)
-    monkeypatch.setattr(weyl, "hook_ratio", lambda lam, k: QFrac.zero())
+    monkeypatch.setattr(verify, "hook_ratio", lambda lam, k: QFrac.zero())
     case = run_case(spec)
     assert (case.case_id, case.passed) == ("theorem61/lam=1/ell=2", False)
     rows = case.detail["boxes"]
@@ -153,7 +157,7 @@ def test_theorem61_zero_hook_ratio_fails(monkeypatch):
 
 def test_power_match_zero():
     from fockweyl.ring import QFrac
-    from fockweyl.weyl import _power_match
+    from fockweyl.verify import _power_match
 
     zero, one = QFrac.zero(), QFrac.one()
     assert _power_match(zero, zero)
@@ -174,3 +178,129 @@ def test_prop65_valuation_mismatch_is_engine_error(monkeypatch):
     assert (case.case_id, case.passed) == ("prop65/lam=1/k=1/ell=2", False)
     assert case.detail == {"engine_error": "valuation 0 != box statistic 1 "
                                            "for lam=[1], k=1, ell=2"}
+
+
+class TestEndToEnd:
+    """Whole theorem61 cases: the oracle's norms against the Fock columns,
+    the box statistic and both closed evaluations."""
+
+    def test_single_box_exponents(self):
+        case = run_case(("theorem61", (1,), 2))
+        assert case.passed
+        assert [(b["row"], b["valuation"]) for b in case.detail["boxes"]] \
+            == [(1, 0), (2, -1)]
+
+    def test_empty(self):
+        case = run_case(("theorem61", (), 3))
+        assert case.passed
+        assert case.detail["boxes"][0]["r"] == "1"
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_size_up_to_three(self, ell):
+        for lam in all_partitions(3):
+            assert run_case(("theorem61", tuple(lam), ell)).passed
+
+    def test_size_eight(self):
+        # the scaling wall: size 8 needs 9-letter keys with up to 8! words
+        # each in V^{(x)9}, and a single key per column in the wedge basis
+        cases = [run_case(("theorem61", tuple(lam), 2))
+                 for lam in partitions_of(8)]
+        assert len(cases) == 22
+        for case in cases:
+            assert case.passed, case.case_id
+
+
+def reference_fock_match(lam, ell, tolerance="signed"):
+    """theorem61's comparison as it ran before its runner read the column
+    table: the images F_i |lam> as `FockVector`s, read by coefficient.
+    Returns (passed, boxes)."""
+    singulars = mu_singular_vectors(lam, len(lam) + 1)
+    ket = FockVector.ket(lam)
+    images = {i: apply_F(i, ket, ell) for i in range(ell)}
+
+    def power_match(a, b):
+        if a.is_zero or b.is_zero:
+            return a.is_zero and b.is_zero
+        return (a / b).is_q_power(tolerance)
+
+    boxes = []
+    passed = True
+    seen = set()
+    for sv in singulars:
+        b = Box(sv.row, lam.part(sv.row) + 1)
+        col = color(b, ell)
+        mu = lam.add_box(b)
+        seen.add(mu)
+        val = val_cyclotomic(sv.norm, 2 * ell)
+        nl = n_left(lam, b, ell)
+        mono = images[col].coeff(mu).as_monomial()
+        exp_ok = mono is not None and mono[1] == 1 and mono[0] == val and val == nl
+        wrong_residue = any(not images[i].coeff(mu).is_zero
+                            for i in range(ell) if i != col)
+        closed_ok = power_match(sv.norm, jantzen_evaluate_closed(lam, sv.row))
+        hook_ok = power_match(sv.norm, hook_ratio(lam, sv.row))
+        ok = exp_ok and not wrong_residue and closed_ok and hook_ok
+        passed = passed and ok
+        boxes.append({
+            "row": b.row, "col": b.col,
+            "content": content(b), "color": col,
+            "n_left": nl, "valuation": val,
+            "fock_exponent": mono[0] if mono else None,
+            "r": sv.norm.to_text(),
+            "matches_closed_form": closed_ok,
+            "matches_hook_ratio": hook_ok,
+            "pass": ok,
+        })
+    for i in range(ell):
+        for mu, _ in images[i].sorted_terms():
+            if mu not in seen:
+                passed = False
+                boxes.append({"unexpected": list(mu), "color": i, "pass": False})
+    return passed, boxes
+
+
+def extra_kets(cols, lam):
+    """Kets no addable row gives: two under color 0, out of size order, and
+    one under the last color."""
+    n = lam.size
+    extra = ((Partition((n + 3,)), 0), (Partition((n + 2,)), 1))
+    F = list(cols.F)
+    F[0] += extra
+    F[-1] += extra[1:]
+    return cols._replace(F=tuple(F))
+
+
+def listed_twice(cols, lam):
+    """Each color's first ket once more: under color 0 with the same
+    exponent, under the others with the exponent + 1."""
+    return cols._replace(F=tuple(
+        col + ((col[0][0], col[0][1] + (i > 0)),) if col else col
+        for i, col in enumerate(cols.F)))
+
+
+def second_color(cols, lam):
+    """Each color's first ket also under the next color."""
+    ell = len(cols.F)
+    return cols._replace(F=tuple(
+        col + cols.F[(i - 1) % ell][:1] for i, col in enumerate(cols.F)))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_theorem61_matches_reference(ell):
+    for lam in all_partitions(6):
+        case = run_case(("theorem61", tuple(lam), ell))
+        assert (case.passed, case.detail["boxes"]) \
+            == reference_fock_match(lam, ell), (lam, ell)
+
+
+@pytest.mark.parametrize("fault", [extra_kets, listed_twice, second_color])
+def test_theorem61_faults_match_reference(monkeypatch, fault):
+    real = fock._columns
+    monkeypatch.setattr(fock, "_columns",
+                        lambda lam, ell: fault(real(lam, ell), lam))
+    for lam in all_partitions(4):
+        for ell in (2, 3, 4):
+            case = run_case(("theorem61", tuple(lam), ell))
+            assert not case.passed, (lam, ell)
+            assert case.detail["boxes"] == reference_fock_match(lam, ell)[1], \
+                (lam, ell)

@@ -22,6 +22,9 @@ from fockweyl.verma import (VermaElement, act_y, det_product_identity,
 from fockweyl.weights import (Weight, alpha, from_alpha_coords, good_words,
                               positive_roots, words_with_counts)
 
+from conftest import (P61, det_mod_p, eval_mod_p, pivots_mod_p,
+                      unit_mod_p)
+
 
 @functools.lru_cache(maxsize=None)
 def cartan(rank, i, a=0):
@@ -204,12 +207,12 @@ class TestIntegralPairing:
         monkeypatch.setattr(multirat, "poly_gcd_multi", forbidden)
         monkeypatch.setattr(MultiRat, "__init__", forbidden)
         rank = 4
-        for wa in ywords(alpha(1, rank) * 2 + alpha(2, rank) + alpha(3, rank), rank):
+        for wa in ywords(alpha(1, rank) * 2 + alpha(2, rank) + alpha(3, rank)):
             assert not pair_words(wa, (1, 2, 3, 1), Weight.eps(1, rank), rank).is_zero
 
     def test_shapovalov_pair_is_bilinear(self):
         rank, mu = 3, Weight.eps(1, 3)
-        words = ywords(alpha(1, rank) + alpha(2, rank), rank)
+        words = ywords(alpha(1, rank) + alpha(2, rank))
         c1 = MultiRat.z(1, rank) + MultiRat.q(rank)
         c2 = MultiRat.q(rank, -2)
         a = VermaElement(mu, rank, {words[0]: c1, words[1]: c2})
@@ -459,74 +462,6 @@ class TestGramMatrix:
             gram_matrix(Weight.zero(3), alpha(1, 3) + alpha(2, 3), 3)
 
 
-# Evaluation witness: an exact verdict is an identity of rational functions,
-# so it can be checked at a random point mod a prime with integers alone.
-P61 = 2 ** 61 - 1
-
-
-def eval_mod_p(poly, point):
-    """A Laurent polynomial in z_1..z_N, q at `point` (the same order) mod
-    P61, term by term."""
-    total = 0
-    for exps, c in poly.terms.items():
-        t = c.numerator * pow(c.denominator, -1, P61)
-        for x, e in zip(point, exps):
-            t = t * pow(x, e, P61) % P61
-        total += t
-    return total % P61
-
-
-def det_mod_p(m):
-    """Determinant mod P61 by Gaussian elimination in index order, or None
-    when a pivot vanishes."""
-    out = pivots_mod_p(m)
-    if out is None or len(out[0]) < len(m):
-        return None
-    det = 1
-    for p in out[1]:
-        det = det * p % P61
-    return det
-
-
-def laurent_mod_p(poly, q):
-    """A Laurent polynomial in q alone at q mod P61."""
-    return sum(c.numerator * pow(c.denominator, -1, P61) * pow(q, e, P61)
-               for e, c in poly.terms.items()) % P61
-
-
-def unit_mod_p(parts, point):
-    """The `UnitParts` sign * q^q_exp * z^z_exps * scalar(q) at `point`
-    (z_1..z_N, q) mod P61."""
-    q = point[-1]
-    value = parts.sign * pow(q, parts.q_exp, P61)
-    for x, e in zip(point, parts.z_exps):
-        value = value * pow(x, e, P61)
-    scalar = laurent_mod_p(parts.scalar.num, q) \
-        * pow(laurent_mod_p(parts.scalar.den, q), -1, P61)
-    return value * scalar % P61
-
-
-def pivots_mod_p(m):
-    """Gaussian elimination mod P61 with diagonal pivots in index order, as
-    `symmetric_pivots` runs it on a symmetric matrix: (chosen, pivots), or
-    None at a zero pivot whose row is not zero."""
-    m = [row[:] for row in m]
-    chosen, pivots = [], []
-    for k, row in enumerate(m):
-        if row[k] == 0:
-            if any(row[k + 1:]):
-                return None
-            continue
-        chosen.append(k)
-        pivots.append(row[k])
-        inv = pow(row[k], -1, P61)
-        for below in m[k + 1:]:
-            f = below[k] * inv % P61
-            for j in range(k + 1, len(row)):
-                below[j] = (below[j] - f * row[j]) % P61
-    return chosen, pivots
-
-
 class TestEvaluationWitness:
     @staticmethod
     def witness(gm, point):
@@ -651,6 +586,74 @@ class TestEvaluationWitness:
         value = pivots[-1] * pow(qd, 1 - k, P61) % P61
         closed = num * pow(den, -1, P61) % P61
         assert value == closed * unit_mod_p(parts, point) % P61, (rank, k)
+
+
+    def test_prop52_shift(self):
+        """prop52 on its 24 cases: the witness at shift eps_k and (z, q) is
+        the shift-0 witness at (q^{mu_i} z_i, q), and so is gk.det at
+        (z, q)."""
+        cases = verify.FAMILIES["prop52"].cases(verify.RunConfig())
+        assert len(cases) == 24
+        rng = random.Random(P61 + 52)
+        for rank, nu, k in cases:
+            mu = Weight.eps(k, rank)
+            g0 = gram_matrix(Weight.zero(rank), Weight(nu), rank)
+            gk = gram_matrix(mu, Weight(nu), rank)
+            while True:
+                point = [rng.randrange(1, P61) for _ in range(rank + 1)]
+                q = point[-1]
+                moved = [x * pow(q, m, P61) % P61
+                         for x, m in zip(point, mu.coords)] + [q]
+                expected = self.witness(gk, point)
+                shifted = self.witness(g0, moved)
+                den = eval_mod_p(gk.det.den, point)
+                if expected is not None and shifted is not None and den:
+                    break
+            assert shifted == expected, (rank, nu, k)
+            value = eval_mod_p(gk.det.num, point) * pow(den, -1, P61) % P61
+            assert value == expected, (rank, nu, k)
+
+    def product_sides_mod_p(self, eta, used, point):
+        """Both sides of lemma62's identity at `point` mod P61; None at a
+        point where a pivot, a witness or q - q^{-1} vanishes."""
+        rank, q = eta.rank, point[-1]
+        qd = (q - pow(q, -1, P61)) % P61
+        lhs = rhs = 1
+        for kk in used:
+            w = eta - Weight.eps(kk, rank)
+            top, elim = self.engine_pivots_mod_p(kk, rank, point)
+            gm = gram_matrix(Weight.zero(rank), -w, rank)
+            moved = point[:]
+            moved[kk - 1] = point[kk - 1] * q % P61
+            det, shifted = self.witness(gm, point), self.witness(gm, moved)
+            if elim is None or not qd or det is None or not shifted:
+                return None
+            chosen, pivots = elim
+            assert chosen[-1] == top
+            s_k = pivots[-1] * pow(qd, 1 - kk, P61) % P61
+            lhs = lhs * pow(s_k, kostant_p(w), P61) % P61
+            rhs = rhs * det * pow(shifted, -1, P61) % P61
+        return lhs, rhs
+
+    # lemma62: eta = eps_k at ranks 2-4, every k
+    @pytest.mark.parametrize("rank,k", [(r, k) for r in (2, 3, 4)
+                                        for k in range(1, r + 1)])
+    def test_det_product_identity(self, rank, k):
+        """The product of S_k'^p, S_k' the engine mirror's last pivot over
+        (q - q^{-1})^{k'-1} and p = kostant_p(eps_k - eps_k'), against the
+        product of the witness ratios det(z) / det(q^{eps_k'} z), times the
+        reported unit."""
+        eta = Weight.eps(k, rank)
+        parts, used = det_product_identity(eta, rank)
+        assert parts is not None
+        rng = random.Random(P61 * rank + k + 62)
+        while True:
+            point = [rng.randrange(1, P61) for _ in range(rank + 1)]
+            sides = self.product_sides_mod_p(eta, used, point)
+            if sides is not None:
+                break
+        lhs, rhs = sides
+        assert lhs == rhs * unit_mod_p(parts, point) % P61, (rank, k)
 
 
 class TestClosedDeterminant:
@@ -908,14 +911,14 @@ class TestDetProductIdentity:
 
 class TestYWords:
     def test_empty_degree(self):
-        assert ywords(Weight.zero(3), 3) == [()]
+        assert ywords(Weight.zero(3)) == [()]
 
     def test_mixed(self):
         nu = alpha(1, 3) + alpha(2, 3)
-        assert ywords(nu, 3) == [(1, 2), (2, 1)]
+        assert ywords(nu) == [(1, 2), (2, 1)]
 
     def test_not_in_cone(self):
-        assert ywords(Weight.eps(1, 3) - Weight.eps(2, 3) * 2, 3) == []
+        assert ywords(Weight.eps(1, 3) - Weight.eps(2, 3) * 2) == []
 
     @pytest.mark.parametrize("counts", [(0,), (2, 1), (1, 0, 2), (2, 2, 1),
                                         (0, 1, 1, 1)])

@@ -1,20 +1,23 @@
+import ast
 import math
 import random
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
 from fockweyl import weyl
 from fockweyl.errors import EngineError
 from fockweyl.linalg import _strip_content, ff_echelon, field_echelon
-from fockweyl.partitions import (Partition, all_partitions, addable_row_indices,
-                                 partitions_of)
+from fockweyl.partitions import Partition, all_partitions, addable_row_indices
 from fockweyl.ring import LaurentQ, QFrac, poly_gcd, q_int, q_power
 from fockweyl.verify import RunConfig, run_family
 from fockweyl.weights import good_words, words_with_counts
 from fockweyl.weyl import (TensorVector, _lowered, _singular_vectors_in_span,
                            highest_weight_vector, mu_singular_vectors,
-                           tensor_act, tensor_form, verify_fock_match)
+                           tensor_act, tensor_form)
+
+from conftest import P61, laurent_mod_p
 
 
 def word(*letters, rank=2):
@@ -819,26 +822,98 @@ class TestSingularSpan:
                 assert tensor_act("X", i, sv.integral).is_zero
 
 
-class TestEndToEnd:
-    def test_single_box_exponents(self):
-        res = verify_fock_match(Partition((1,)), 2)
-        assert res["passed"]
-        assert [(b["row"], b["valuation"]) for b in res["boxes"]] == [(1, 0), (2, -1)]
+def test_oracle_imports_nothing_it_is_checked_against():
+    # theorem61 sets the oracle's norms against the Fock space and the Verma
+    # modules; the oracle itself must not import them, nor the comparison
+    tree = ast.parse(Path(weyl.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"fock", "verma", "verify"}, sorted(names)
 
-    def test_empty(self):
-        res = verify_fock_match(Partition(()), 3)
-        assert res["passed"]
-        assert res["boxes"][0]["r"] == "1"
 
-    @pytest.mark.parametrize("ell", [2, 3])
-    def test_size_up_to_three(self, ell):
-        for lam in all_partitions(3):
-            assert verify_fock_match(lam, ell)["passed"]
+def echelon_mod_p(rows):
+    """Row echelon form mod P61 of sparse rows (dicts from a sortable column
+    key to a nonzero residue), the columns taken in key order: a list of
+    (pivot key, row)."""
+    rows = [dict(row) for row in rows if row]
+    out = []
+    while rows:
+        piv = min(min(row) for row in rows)
+        top = next(row for row in rows if piv in row)
+        rows = [row for row in rows if row is not top]
+        inv = pow(top[piv], -1, P61)
+        for row in rows:
+            f = row.get(piv, 0) * inv % P61
+            if not f:
+                continue
+            for key, v in top.items():
+                x = (row.get(key, 0) - f * v) % P61
+                if x:
+                    row[key] = x
+                else:
+                    row.pop(key, None)
+        rows = [row for row in rows if row]
+        out.append((piv, top))
+    return out
 
-    def test_size_eight(self):
-        # the scaling wall: size 8 needs 9-letter keys with up to 8! words
-        # each in V^{(x)9}, and a single key per column in the wedge basis
-        results = [verify_fock_match(lam, 2) for lam in partitions_of(8)]
-        assert len(results) == 22
-        for res in results:
-            assert res["passed"], res["partition"]
+
+def form_exponent(key):
+    """The diagonal form (e, e) = q^{sum over factors S, s in S, of (1 - s)}."""
+    return sum(1 - s for f in key for s in ((f,) if type(f) is int else f))
+
+
+class TestOracleWitness:
+    """Each theorem61 norm against the oracle's singular vector rebuilt at a
+    random q mod P61: the same spanning rows, eliminated over the field, with
+    no `ff_echelon`, `QFrac` or gcd."""
+
+    @staticmethod
+    def norm_mod_p(lam, rank, k_j, q):
+        """(u, top)^2 / ((u, u)(w_lam, w_lam)) at q mod P61, u the one
+        echelon row of [X_1 s | .. | X_{N-1} s | s] at q whose pivot lies past
+        the raising block; None at a point where that count is not 1 or
+        (u, u) vanishes."""
+        (w_key,) = highest_weight_vector(lam, rank).terms
+        rows = []
+        for k in range(1, k_j + 1):
+            gen = TensorVector(lam.size + 1, rank, {w_key + (k,): LaurentQ.one()})
+            for s in _lowered(gen, good_words([0] * (k - 1) + [1] * (k_j - k))):
+                row = {(1, w): laurent_mod_p(c, q) for w, c in s.terms.items()}
+                for i in range(1, rank):
+                    row.update(((0, i, w), laurent_mod_p(c, q))
+                               for w, c in tensor_act("X", i, s).terms.items())
+                rows.append({key: v for key, v in row.items() if v})
+        singular = [row for piv, row in echelon_mod_p(rows) if piv[0] == 1]
+        if len(singular) != 1:
+            return None
+        u = {key[1]: v for key, v in singular[0].items()}
+        top = w_key + (k_j,)
+        ut = u.get(top, 0) * pow(q, form_exponent(top), P61)
+        uu = sum(v * v * pow(q, form_exponent(w), P61) for w, v in u.items())
+        ww = pow(q, form_exponent(w_key), P61)
+        if not uu % P61:
+            return None
+        return ut * ut * pow(uu * ww, -1, P61) % P61
+
+    def test_norms_up_to_size_seven(self):
+        rng = random.Random(P61 + 61)
+        boxes = 0
+        for lam in all_partitions(7):
+            rank = len(lam) + 1
+            for sv in mu_singular_vectors(lam, rank):
+                while True:
+                    q = rng.randrange(2, P61)
+                    den = laurent_mod_p(sv.norm.den, q)
+                    witness = self.norm_mod_p(lam, rank, sv.row, q)
+                    if den and witness is not None:
+                        break
+                norm = laurent_mod_p(sv.norm.num, q) * pow(den, -1, P61) % P61
+                assert witness == norm, (lam, sv.row)
+                boxes += 1
+        assert boxes == 120
