@@ -5,12 +5,12 @@ key to a nonzero entry, a column with no entry in a row is zero there, and
 the input rows are never modified.  `ff_echelon` is a fraction-free
 elimination over a polynomial domain (entries need +, -, *, is_zero,
 exact_div, gcd and a complexity key; the keys need only sort) for the
-tensor-space solve, which reads its singular vectors straight off the
-echelon rows.  `symmetric_pivots` is one diagonal-pivot elimination over a
-field of a symmetric matrix whose form is anisotropic, such as a Gram
-matrix, given by its upper triangle: its chosen indices are a basis, the
-product of its pivots is the determinant on them, and its last pivot is the
-Schur complement of the last chosen index.
+tensor-space slot solves, which read each slot's solution straight off the
+echelon row whose pivot is its marker key.  `symmetric_pivots` is one
+diagonal-pivot elimination over a field of a symmetric matrix whose form is
+anisotropic, such as a Gram matrix, given by its upper triangle: its chosen
+indices are a basis, the product of its pivots is the determinant on them,
+and its last pivot is the Schur complement of the last chosen index.
 
 `field_echelon` (dense forward Gaussian elimination over a field) and
 `field_det` (the determinant of a dense square matrix) have no caller in the

@@ -22,8 +22,8 @@ from .partitions import (Box, Partition, all_partitions, color, content,
                          is_addable, n_left)
 from .reports import CaseResult, Report
 from .ring import QFrac, val_cyclotomic
-from .verma import (det_product_identity, gram_matrix, hook_ratio,
-                    jantzen_closed, jantzen_engine, jantzen_evaluate_closed,
+from .verma import (_hook_parts, _jantzen_closed_parts, det_product_identity,
+                    gram_matrix, hook_ratio, jantzen_closed, jantzen_engine,
                     jantzen_valuation, pair_words, shapovalov_det_closed)
 from .weights import Weight, from_alpha_coords
 from .weyl import mu_singular_vectors
@@ -68,11 +68,23 @@ class RunConfig:
         return cfg
 
 
-def _power_match(a: QFrac, b: QFrac, tolerance: str = "signed") -> bool:
-    """a / b is +-q^m (under the tolerance); zero matches only zero."""
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero
-    return (a / b).is_q_power(tolerance)
+def _power_match(a, b, tolerance: str = "signed") -> bool:
+    """a / b is +-q^m (under the tolerance), for a and b given as (numerator,
+    denominator) pairs of LaurentQ, in lowest terms or not; zero matches only
+    zero.  Decided as a_num * b_den == +-q^m * b_num * a_den, with no gcd."""
+    (an, ad), (bn, bd) = a, b
+    if an.is_zero or bn.is_zero:
+        return an.is_zero and bn.is_zero
+    if tolerance == "unit":
+        return True
+    x, y = (an * bd).terms, (bn * ad).terms
+    if len(x) != len(y):
+        return False
+    low_x, low_y = min(x), min(y)
+    sign = 1 if x[low_x] == y[low_y] else -1
+    if x[low_x] != sign * y[low_y] or (sign == -1 and tolerance == "strict"):
+        return False
+    return all(x.get(e + low_x - low_y) == sign * c for e, c in y.items())
 
 
 def _ratio_ok(parts, tolerance: str) -> bool:
@@ -152,11 +164,11 @@ def _lemma63(rank, k, tolerance):
 
 def _prop64(lam_t, k, tolerance):
     lam = Partition(lam_t)
-    hook = hook_ratio(lam, k)
-    closed = jantzen_evaluate_closed(lam, k)
-    if hook.is_zero or closed.is_zero:
+    hn, hd = hook = _hook_parts(lam, k)
+    cn, cd = closed = _jantzen_closed_parts(lam, k)
+    if hn.is_zero or cn.is_zero:
         return _power_match(closed, hook, tolerance), {"zero_case": True}
-    ratio = closed / hook  # the report shows it, so it is divided once, here
+    ratio = QFrac(cn * hd, cd * hn)  # the report shows it: reduced once, here
     return ratio.is_q_power(tolerance), {"zero_case": False,
                                          "ratio": ratio.to_text()}
 
@@ -189,9 +201,10 @@ def _theorem61(lam_t, ell, tolerance):
         exps = [e for nu, e in F[col] if nu == mu]
         wrong_residue = any(nu == mu for i in range(ell) if i != col
                             for nu, _ in F[i])
-        closed_ok = _power_match(sv.norm, jantzen_evaluate_closed(lam, sv.row),
+        norm = (sv.norm.num, sv.norm.den)
+        closed_ok = _power_match(norm, _jantzen_closed_parts(lam, sv.row),
                                  tolerance)
-        hook_ok = _power_match(sv.norm, hook_ratio(lam, sv.row), tolerance)
+        hook_ok = _power_match(norm, _hook_parts(lam, sv.row), tolerance)
         ok = (exps == [val] and val == nl and not wrong_residue
               and closed_ok and hook_ok)
         boxes.append({

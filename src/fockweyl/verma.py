@@ -406,10 +406,15 @@ def hook_ratio(lam: Partition, k: int) -> QFrac:
     product of [content difference] over removable boxes above row k divided
     by the same product over addable boxes above row k.
     """
+    return QFrac(*_hook_parts(lam, k))
+
+
+def _hook_parts(lam, k):
+    """`hook_ratio` as an unreduced (numerator, denominator) pair."""
     lam = Partition(lam)
     new_box = Box(k, lam.part(k) + 1)
     if not is_addable(lam, new_box):
-        return QFrac.zero()
+        return LaurentQ.zero(), LaurentQ.one()
     c0 = content(new_box)
     num = den = LaurentQ.one()
     for b in removable_boxes(lam):
@@ -418,7 +423,7 @@ def hook_ratio(lam: Partition, k: int) -> QFrac:
     for b in addable_boxes(lam):
         if b.row < k:
             den = den * q_int(content(b) - c0)
-    return QFrac(num, den)
+    return num, den
 
 
 def jantzen_evaluate_closed(lam: Partition, k: int, rank: int | None = None) -> QFrac:
@@ -428,6 +433,12 @@ def jantzen_evaluate_closed(lam: Partition, k: int, rank: int | None = None) -> 
     Q[q^{+-1}], with no `MultiRat` expanded.  Raises PoleError when a
     denominator factor vanishes.
     """
+    return QFrac(*_jantzen_closed_parts(lam, k, rank))
+
+
+def _jantzen_closed_parts(lam, k, rank=None):
+    """`jantzen_evaluate_closed` as an unreduced (numerator, denominator)
+    pair; raises PoleError as it does."""
     lam = Partition(lam)
     if rank is None:
         rank = max(len(lam) + 1, k)
@@ -440,7 +451,7 @@ def jantzen_evaluate_closed(lam: Partition, k: int, rank: int | None = None) -> 
         den = den * g.eval_z(at)
     if den.is_zero:
         raise PoleError(f"evaluation pole at {at}")
-    return QFrac(num, den)
+    return num, den
 
 
 def jantzen_valuation(lam: Partition, k: int, ell: int):

@@ -32,23 +32,21 @@ and (u, u) and twice in (u, top)^2 and (u, u)(w_lam, w_lam): they cancel in the
 normalization (u, top)/(u, u) and in the reported norm.
 
 Coefficients are Laurent polynomials in q (`LaurentQ`) through every action,
-pairing and the one elimination per singular vector; rational functions
-(`QFrac`) enter only in the triangular normalization of the singular vectors
-and their self-pairings.
+pairing and elimination; rational functions (`QFrac`) enter only in the
+singular vectors' self-pairings.
 
 The highest weight vector w_lam is the single key (1..c_1, .., 1..c_r).  The
-singular vector of weight lam + eps_{k_j} in V(lam) (x) V is the one vector,
-up to scale, that the raising operators kill in the span of
-Y_word (w_lam (x) v_k), k <= k_j, over the good words in the letters
-k .. k_j - 1, each once (`weights.good_words`, a basis of that weight space
-of U^-, not all orderings).  It is read off one fraction-free echelon form
-of the rows [X_1 s | .. | X_{N-1} s | s] over the spanning vectors s, and
-the dimension of that singular space is counted there, not assumed.
+singular vector of weight lam + eps_k in V(lam) (x) V is the one vector, up
+to scale, that the raising operators kill there.  It is solved slot by slot,
+u = sum_{j <= k} a_j (x) v_j, each a_j in the span of Y_word w_lam over the
+good words in the letters j .. k - 1, each once (`weights.good_words`, a
+basis of that weight space of U^-, not all orderings), by one small
+fraction-free elimination per slot, which also proves the solution unique.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import EngineError
 from .linalg import ff_echelon
@@ -60,8 +58,7 @@ from .weights import good_words
 
 class TensorVector(SparseVector):
     """Exact linear combination of basis keys (tuples of letters and column
-    q-wedges) of degree n, with LaurentQ (or, once normalized, QFrac)
-    coefficients."""
+    q-wedges) of degree n, with LaurentQ (or QFrac) coefficients."""
 
     __slots__ = ("n", "rank")
 
@@ -81,13 +78,6 @@ class TensorVector(SparseVector):
         """The basis key w (a word, or a tuple of letters and wedges)."""
         return cls(sum(map(len, _factors(w))), rank, {tuple(w): LaurentQ.one()})
 
-    def weight(self):
-        """Letter-count weight, or None for a mixed-weight element."""
-        wts = {_key_weight(w, self.rank) for w in self.terms}
-        if len(wts) == 1:
-            return next(iter(wts))
-        return None
-
     def __repr__(self):
         if not self.terms:
             return "TensorVector(0)"
@@ -101,14 +91,6 @@ def _factors(key):
     """The key with every letter factor as a 1-tuple (as a sort key, it
     orders words as before)."""
     return tuple((f,) if type(f) is int else f for f in key)
-
-
-def _key_weight(w, rank):
-    counts = [0] * rank
-    for f in _factors(w):
-        for letter in f:
-            counts[letter - 1] += 1
-    return tuple(counts)
 
 
 def _k_weight(f, i):
@@ -224,44 +206,32 @@ def _lowered(gen: TensorVector, words) -> list[TensorVector]:
 
 
 class SingularVector:
-    """One addable row: its canonical singular vector and normalized self-pairing.
+    """One addable row: its singular vector u, with integral coordinates
+    (`integral`), and the normalized self-pairing (`norm`)."""
 
-    `integral` is the singular vector u with integral coordinates and `ratio` is
-    (u, top)/(u, u); the triangular normalization `vector` = ratio * u is
-    built on first use, since the theorem61 comparison reads only `norm`."""
-
-    def __init__(self, row: int, integral: TensorVector, ratio: QFrac,
-                 norm: QFrac):
+    def __init__(self, row: int, integral: TensorVector, norm: QFrac):
         self.row = row
         self.integral = integral
-        self.ratio = ratio
         self.norm = norm
-
-    @cached_property
-    def vector(self) -> TensorVector:
-        return self.integral.scale(self.ratio)
 
 
 @lru_cache(maxsize=32)
 def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]:
     """Singular vectors of (Weyl module) x (standard module), one per addable
-    row, normalized triangularly, with their self-pairings.
+    row, with their normalized self-pairings.
 
-    The submodule generated by the highest weight vector is spanned, weight by
-    weight, by lowering words applied to w_lam (x) v_k: in weight
-    lam + eps_{k_j} the good words in the letters k .. k_j - 1 for k <= k_j,
-    whose span is that of all orderings of those letters.  The singular
-    direction in each relevant weight space is unique (the solve counts it).
-    The triangular normalization is obtained through orthogonality to the
-    lower summands: with u any nonzero singular vector, the normalized one is
-    ((u, top)/(u, u)) u where top = w_lam (x) v_k, and the reported norm
-    divides out (w_lam, w_lam).  Both are invariant under rescaling u, so u
-    is taken integral (an echelon row of `_singular_vectors_in_span`) and
-    QFrac enters only in the two ratios.
+    The singular vector of weight lam + eps_k is u = sum_{j <= k} a_j (x) v_j
+    with a_j in V(lam) of weight lam + eps_k - eps_j and a_k = w_lam.  Since
+    Delta(X_i) = X_i (x) L_i L_{i+1}^{-1} + 1 (x) X_i, X_i u = 0 splits by
+    slot: X_i a_j = 0 for i != j, and q X_j a_j + a_{j+1} = 0.  So a_{k-1} ..
+    a_1 are solved in turn, each by `_slot_solve` in its own weight space of
+    V(lam), and the earlier slots are rescaled so that u stays integral.
+    The normalized vector is ((u, top)/(u, u)) u with top = w_lam (x) v_k,
+    and the reported norm (u, top)^2 / ((u, u)(w_lam, w_lam)) does not
+    depend on the scale of u, so QFrac enters only there.
     Every vector here is keyed by column wedges of the heights of lam and the
-    added letter; the form's per-column constants cancel in both ratios, so
-    they, and the normalized vector once expanded, are those of
-    V^{(x)(n+1)}.
+    added letter; the form's per-column constants cancel in the norm, so it
+    is that of V^{(x)(n+1)}.
     The results for the last 32 (lam, rank) are kept: `verify all` asks for
     each partition at two ell, and the rank does not depend on ell.
     """
@@ -270,54 +240,63 @@ def mu_singular_vectors(lam: Partition, rank: int) -> tuple[SingularVector, ...]
     ww = tensor_form(w_lam, w_lam)
     n1 = lam.size + 1
     out = []
-    for k_j in addable_row_indices(lam, rank):
-        spanning = []
-        for k in range(1, k_j + 1):
-            gen = TensorVector(n1, rank,
-                               {w + (k,): c for w, c in w_lam.terms.items()})
-            spanning += _lowered(gen, good_words([0] * (k - 1) + [1] * (k_j - k)))
-        singular = _singular_vectors_in_span(spanning, rank)
-        if len(singular) != 1:
-            raise EngineError(f"singular space dimension {len(singular)} != 1 "
-                              f"for {lam}, row {k_j}")
-        (u,) = singular
+    for k in addable_row_indices(lam, rank):
+        slots = {k: w_lam}
+        for j in range(k - 1, 0, -1):
+            a_j, scale = _slot_solve(w_lam, slots[j + 1], j, k, lam)
+            if scale != 1:
+                slots = {t: a.scale(scale) for t, a in slots.items()}
+            slots[j] = a_j
+        u = TensorVector(n1, rank, {w + (j,): c for j, a in slots.items()
+                                    for w, c in a.terms.items()})
         top = TensorVector(n1, rank,
-                           {w + (k_j,): c for w, c in w_lam.terms.items()})
+                           {w + (k,): c for w, c in w_lam.terms.items()})
         g = tensor_form(u, top)
         uu = tensor_form(u, u)
         if g.is_zero or uu.is_zero:
-            raise EngineError(f"degenerate singular pairing for {lam}, row {k_j}")
-        norm = QFrac(g * g, uu * ww)
-        out.append(SingularVector(k_j, u, QFrac(g, uu), norm))
+            raise EngineError(f"degenerate singular pairing for {lam}, row {k}")
+        out.append(SingularVector(k, u, QFrac(g * g, uu * ww)))
     return tuple(out)
 
 
-def _singular_vectors_in_span(spanning, rank):
-    """A basis of the vectors in the span of `spanning` (TensorVectors with
-    LaurentQ coordinates) that every X_i kills, by one fraction-free
-    elimination.
+_MARKER = (1,)
 
-    Each spanning vector s is one sparse row [X_1 s | .. | X_{N-1} s | s]:
-    its raising images under the keys (0, i, w), then its coordinates under
-    (1, w).  `ff_echelon` takes the keys in sorted order, so an echelon row
-    whose pivot key starts with 1 has a zero raising part, and these rows
-    span exactly the singular vectors of the span; their coordinates are
-    returned, free of the content that `ff_echelon` strips from every row it
-    updates.
+
+def _slot_solve(w_lam, nxt, j, k, lam):
+    """a_j in V(lam) with X_i a_j = 0 for i != j and q X_j a_j = -c a_{j+1},
+    as (a_j, c): one fraction-free elimination, with integral coordinates.
+
+    Each s in Y_word w_lam, over the good words in the letters j .. k - 1, is
+    one sparse row [X_i s for i != j | q X_j s | s], keyed (0, i, w), then
+    (2, w); one more row holds a_{j+1} = `nxt` in the X_j block and 1 under
+    the marker key (1,).  `ff_echelon` takes the keys in sorted order, so the
+    echelon rows whose pivot lies past the raising block have a zero raising
+    part: they span the solutions (c, a_j).  There must be exactly one, with
+    its pivot at the marker: a pivot in the coordinate block would be a
+    singular vector of V(lam) below lam.  Its marker entry is c and its
+    coordinates a_j, free of the content `ff_echelon` strips from every row
+    it updates.
     """
+    rank = w_lam.rank
     rows = []
-    for s in spanning:
-        row = {}
-        for w, c in s.terms.items():
-            if not isinstance(c, LaurentQ):
-                raise EngineError("spanning vector with non-integral coefficient")
-            row[1, w] = c
+    for s in _lowered(w_lam, good_words([0] * (j - 1) + [1] * (k - j))):
+        row = {(2, w): c for w, c in s.terms.items()}
         for i in range(1, rank):
             for w, c in tensor_act("X", i, s).terms.items():
-                row[0, i, w] = c
+                row[0, i, w] = c.shift(1) if i == j else c
         rows.append(row)
+    row = {(0, j, w): c for w, c in nxt.terms.items()}
+    row[_MARKER] = LaurentQ.one()
+    rows.append(row)
     ech, piv = ff_echelon(rows)
-    return [TensorVector(spanning[0].n, rank,
-                         {k[1]: c for k, c in sorted(row.items())})
-            for row, p in zip(ech, piv) if p[0] == 1]
-
+    solved = [(row, p) for row, p in zip(ech, piv) if p[0] > 0]
+    if len(solved) != 1:
+        raise EngineError(f"singular space dimension {len(solved)} != 1 "
+                          f"for {lam}, row {k}")
+    ((row, p),) = solved
+    if p != _MARKER:
+        raise EngineError(f"singular vector of V({lam}) below its highest "
+                          f"weight, solving slot {j} of row {k}")
+    return (TensorVector(w_lam.n, rank,
+                         {c[1]: e for c, e in row.items() if c != _MARKER}),
+            row[_MARKER])

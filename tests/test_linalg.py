@@ -165,9 +165,10 @@ class TestSparseUpdate:
             ref_ech, ref_piv = dense_ff_echelon(rows)
             assert piv == ref_piv
             assert ech == sparse(ref_ech)
-        # the oracle's rows, keyed by (0, i, w) and (1, w), over their keys
+        # the oracle's rows, keyed by (0, i, w), the marker (1,) and (2, w),
+        # over their keys
         recorded = oracle_rows(monkeypatch, 6)
-        assert len(recorded) == 75  # one solve per addable row
+        assert len(recorded) == 96  # one solve per slot j < k of each row k
         for rows in recorded:
             keys = sorted({k for row in rows for k in row})
             ref_ech, ref_piv = dense_ff_echelon(

@@ -3,6 +3,9 @@ against the comparison it replaced, and the records of faults that no
 passing sweep reaches."""
 
 import itertools
+import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +14,7 @@ from fockweyl.errors import EngineError
 from fockweyl.fock import FockVector, apply_F
 from fockweyl.partitions import (Box, Partition, all_partitions, color,
                                  content, n_left, partitions_of)
-from fockweyl.ring import val_cyclotomic
+from fockweyl.ring import LaurentQ, QFrac, val_cyclotomic
 from fockweyl.verify import FAMILIES, RunConfig, enumerate_cases, run_case
 from fockweyl.verma import hook_ratio, jantzen_evaluate_closed
 from fockweyl.weights import from_alpha_coords
@@ -96,7 +99,7 @@ ENGINE_ERRORS = [
     (("prop52", 2, (1, -1), 1), "gram_matrix", "prop52/rank=2/nu=1,-1/k=1"),
     (("lemma62", 2, 1), "det_product_identity", "lemma62/rank=2/eta=eps1"),
     (("lemma63", 2, 1), "jantzen_engine", "lemma63/rank=2/k=1"),
-    (("prop64", (), 1), "hook_ratio", "prop64/lam=0/k=1"),
+    (("prop64", (), 1), "_hook_parts", "prop64/lam=0/k=1"),
     (("prop65", (), 1, 2), "jantzen_valuation", "prop65/lam=0/k=1/ell=2"),
     (("theorem61", (), 2), "mu_singular_vectors", "theorem61/lam=0/ell=2"),
 ]
@@ -144,10 +147,9 @@ def test_theorem61_records_unexpected_box(monkeypatch):
 
 def test_theorem61_zero_hook_ratio_fails(monkeypatch):
     # a zero hook ratio against a nonzero oracle norm is no +-q^m match
-    from fockweyl.ring import QFrac
-
     spec = ("theorem61", (1,), 2)
-    monkeypatch.setattr(verify, "hook_ratio", lambda lam, k: QFrac.zero())
+    monkeypatch.setattr(verify, "_hook_parts",
+                        lambda lam, k: (LaurentQ.zero(), LaurentQ.one()))
     case = run_case(spec)
     assert (case.case_id, case.passed) == ("theorem61/lam=1/ell=2", False)
     rows = case.detail["boxes"]
@@ -156,13 +158,74 @@ def test_theorem61_zero_hook_ratio_fails(monkeypatch):
 
 
 def test_power_match_zero():
-    from fockweyl.ring import QFrac
     from fockweyl.verify import _power_match
 
-    zero, one = QFrac.zero(), QFrac.one()
+    zero, one = (LaurentQ.zero(), LaurentQ.one()), (LaurentQ.one(), LaurentQ.one())
     assert _power_match(zero, zero)
     assert not _power_match(zero, one)
     assert not _power_match(one, zero)
+
+
+def division_power_match(a, b, tolerance):
+    """The rule `_power_match` replaced: reduce a / b, then test it."""
+    a, b = QFrac(*a), QFrac(*b)
+    if a.is_zero or b.is_zero:
+        return a.is_zero and b.is_zero
+    return (a / b).is_q_power(tolerance)
+
+
+def random_laurent(rng, fractions):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        c = rng.choice([-2, -1, 1, 1, 2, 3])
+        if fractions and rng.random() < 0.3:
+            c = Fraction(c, rng.choice([2, 3]))
+        terms[rng.randint(-2, 2)] = c
+    return LaurentQ(terms)
+
+
+@pytest.mark.parametrize("tolerance", verify.TOLERANCES)
+def test_power_match_agrees_with_division(tolerance):
+    from fockweyl.verify import _power_match
+
+    rng = random.Random(61)
+    kinds = Counter()
+    for trial in range(600):
+        fractions = trial % 2 == 1
+        bn, bd = random_laurent(rng, fractions), random_laurent(rng, fractions)
+        if not bd.terms:
+            bd = LaurentQ.one()
+        unit = LaurentQ({rng.randint(-3, 3): rng.choice([1, -1])})
+        extra = random_laurent(rng, fractions)
+        kind = trial % 5
+        if kind == 0:  # +-q^m times b, spread over numerator and denominator
+            a = (unit * bn * extra, bd * extra)
+        elif kind == 1:  # zero on one side or both
+            a = (LaurentQ.zero(), random_laurent(rng, fractions))
+            if rng.random() < 0.5:
+                bn = LaurentQ.zero()
+        elif kind == 2:  # a non-monomial multiple of b
+            a = (bn * (unit + LaurentQ({5: 1})), bd)
+        elif kind == 3:  # a constant multiple of b, 2 or 1/2
+            a = (bn * rng.choice([2, Fraction(1, 2)]), bd * unit)
+        else:  # unrelated
+            a = (random_laurent(rng, fractions), random_laurent(rng, fractions))
+        if a[1].is_zero:
+            a = (a[0], LaurentQ.one())
+        if bn.is_zero or bd.is_zero:
+            bd = LaurentQ.one()
+        got = _power_match(a, (bn, bd), tolerance)
+        assert got == division_power_match(a, (bn, bd), tolerance), (a, bn, bd)
+        q_a, q_b = QFrac(*a), QFrac(bn, bd)
+        if not q_a.is_zero and not q_b.is_zero:
+            sp = (q_a / q_b).as_signed_q_power()
+            kinds[sp[0] if sp else "other"] += 1
+        else:
+            kinds["zero"] += 1
+        kinds["match" if got else "no match"] += 1
+    # every branch is reached: zero, +q^m, -q^m (refused when strict), other
+    assert all(kinds[k] > 20 for k in ("zero", 1, -1, "other", "match",
+                                        "no match")), kinds
 
 
 def test_prop65_valuation_mismatch_is_engine_error(monkeypatch):

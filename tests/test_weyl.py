@@ -13,9 +13,8 @@ from fockweyl.partitions import Partition, all_partitions, addable_row_indices
 from fockweyl.ring import LaurentQ, QFrac, poly_gcd, q_int, q_power
 from fockweyl.verify import RunConfig, run_family
 from fockweyl.weights import good_words, words_with_counts
-from fockweyl.weyl import (TensorVector, _lowered, _singular_vectors_in_span,
-                           highest_weight_vector, mu_singular_vectors,
-                           tensor_act, tensor_form)
+from fockweyl.weyl import (TensorVector, _lowered, highest_weight_vector,
+                           mu_singular_vectors, tensor_act, tensor_form)
 
 from conftest import P61, laurent_mod_p
 
@@ -110,12 +109,104 @@ def flat_highest_weight_vector(lam, rank):
 
 def flat_mu_singular_vectors(lam, rank):
     """`mu_singular_vectors` on V^{(x)(n+1)}: the same solve, run on the
-    flat action, form and highest weight vector."""
+    flat action, form and highest weight vector, with the normalization
+    ratio of each singular vector on those."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(weyl, "tensor_act", flat_tensor_act)
         m.setattr(weyl, "tensor_form", flat_tensor_form)
         m.setattr(weyl, "highest_weight_vector", flat_highest_weight_vector)
-        return mu_singular_vectors.__wrapped__(lam, rank)
+        svs = mu_singular_vectors.__wrapped__(lam, rank)
+        return svs, [normalization_ratio(sv, lam, rank) for sv in svs]
+
+
+def key_weight(key, rank):
+    """The letter-count weight of a basis key."""
+    counts = [0] * rank
+    for f in key:
+        for letter in (f,) if type(f) is int else f:
+            counts[letter - 1] += 1
+    return tuple(counts)
+
+
+def weights_of(x):
+    """The set of the weights of x's keys (one for a weight vector)."""
+    return {key_weight(key, x.rank) for key in x.terms}
+
+
+def normalization_ratio(sv, lam, rank):
+    """(u, top)/(u, u), u the singular vector and top = w_lam (x) v_k, with
+    the module's current form and highest weight vector."""
+    w_lam = weyl.highest_weight_vector(lam, rank)
+    top = TensorVector(lam.size + 1, rank,
+                       {w + (sv.row,): c for w, c in w_lam.terms.items()})
+    return QFrac(weyl.tensor_form(sv.integral, top),
+                 weyl.tensor_form(sv.integral, sv.integral))
+
+
+def normalized(sv, lam, rank):
+    """The triangularly normalized singular vector ((u, top)/(u, u)) u."""
+    return sv.integral.scale(normalization_ratio(sv, lam, rank))
+
+
+# Reference for the slot solves: the one elimination over every slot of
+# V(lam) (x) V at once that the oracle ran before.
+def singular_vectors_in_span(spanning, rank):
+    """A basis of the vectors in the span of `spanning` (TensorVectors with
+    LaurentQ coordinates) that every X_i kills, by one fraction-free
+    elimination of the rows [X_1 s | .. | X_{N-1} s | s], keyed (0, i, w)
+    and (1, w): the echelon rows whose pivot key starts with 1 have a zero
+    raising part, and their coordinates are primitive."""
+    rows = []
+    for s in spanning:
+        row = {}
+        for w, c in s.terms.items():
+            if not isinstance(c, LaurentQ):
+                raise EngineError("spanning vector with non-integral coefficient")
+            row[1, w] = c
+        for i in range(1, rank):
+            for w, c in tensor_act("X", i, s).terms.items():
+                row[0, i, w] = c
+        rows.append(row)
+    ech, piv = ff_echelon(rows)
+    return [TensorVector(spanning[0].n, rank,
+                         {k[1]: c for k, c in sorted(row.items())})
+            for row, p in zip(ech, piv) if p[0] == 1]
+
+
+def reference_spanning(lam, rank, k_j):
+    """Y_word (w_lam (x) v_k) for k <= k_j, over the good words in the
+    letters k .. k_j - 1."""
+    w_lam = highest_weight_vector(lam, rank)
+    spanning = []
+    for k in range(1, k_j + 1):
+        gen = TensorVector(lam.size + 1, rank,
+                           {w + (k,): c for w, c in w_lam.terms.items()})
+        spanning += _lowered(gen, good_words([0] * (k - 1) + [1] * (k_j - k)))
+    return spanning
+
+
+def reference_singular_vectors(lam, rank):
+    """(row, primitive u, norm) per addable row, by the one-solve
+    construction."""
+    w_lam = highest_weight_vector(lam, rank)
+    ww = tensor_form(w_lam, w_lam)
+    out = []
+    for k_j in addable_row_indices(lam, rank):
+        (u,) = singular_vectors_in_span(reference_spanning(lam, rank, k_j), rank)
+        top = TensorVector(lam.size + 1, rank,
+                           {w + (k_j,): c for w, c in w_lam.terms.items()})
+        g, uu = tensor_form(u, top), tensor_form(u, u)
+        out.append((k_j, u, QFrac(g * g, uu * ww)))
+    return out
+
+
+def unit_multiple(x, y):
+    """Whether x = +-q^m y for some m."""
+    key = next(iter(y.terms), None)
+    if key is None or key not in x.terms:
+        return not x.terms and not y.terms
+    sp = QFrac(x.terms[key], y.terms[key]).as_signed_q_power()
+    return sp is not None and x == y.scale(LaurentQ({sp[1]: sp[0]}))
 
 
 def wedge_keys(rank, heights):
@@ -277,8 +368,13 @@ class TestIntegralCoefficients:
             gen = TensorVector(4, rank,
                                {w + (k,): c for w, c in w_lam.terms.items()})
             spanning += _lowered(gen, interval_words(k, 3))
-        (u,) = _singular_vectors_in_span(spanning, rank)
+        (u,) = singular_vectors_in_span(spanning, rank)
         assert all(type(c) is LaurentQ for c in u.terms.values())
+        # and the slot solves of that weight, slot 2 and then slot 1
+        a_2, c_2 = weyl._slot_solve(w_lam, w_lam, 2, 3, Partition((2, 1)))
+        a_1, c_1 = weyl._slot_solve(w_lam, a_2, 1, 3, Partition((2, 1)))
+        for c in [c_2, c_1, *a_2.terms.values(), *a_1.terms.values()]:
+            assert type(c) is LaurentQ
         assert built == []
 
     def test_qfrac_input_stays_qfrac(self):
@@ -290,9 +386,9 @@ class TestIntegralCoefficients:
     def test_echelon_rejects_denominator(self):
         good = word(1, 2)
         bad = word(2, 1).scale(QFrac(LaurentQ.one(), q_int(2)))
-        assert len(_singular_vectors_in_span([good, word(2, 1)], 2)) == 1
+        assert len(singular_vectors_in_span([good, word(2, 1)], 2)) == 1
         with pytest.raises(EngineError):
-            _singular_vectors_in_span([good, bad], 2)
+            singular_vectors_in_span([good, bad], 2)
 
 
 class TestCoassociativity:
@@ -461,7 +557,7 @@ class TestWedgeBasis:
     def test_word_degree_and_weight(self):
         x = TensorVector.word(((1, 2), 3, (1, 3)), 3)
         assert x.n == 5
-        assert x.weight() == (2, 1, 2)
+        assert weights_of(x) == {(2, 1, 2)}
         assert "v[(1, 2), 3, (1, 3)]" in repr(x)
 
 
@@ -602,8 +698,8 @@ class TestClosedFormAgainstDenseKernel:
             assert tensor_act("X", i, w).is_zero
             assert tensor_act("X", i, v).is_zero
             assert flat_tensor_act("X", i, v).is_zero
-        assert w.weight() == v.weight()
-        assert v.weight() == tuple(lam.part(r) for r in range(1, rank + 1))
+        assert weights_of(w) == weights_of(v)
+        assert weights_of(v) == {tuple(lam.part(r) for r in range(1, rank + 1))}
         assert len(v.terms) == math.prod(math.factorial(c)
                                          for c in column_heights(lam))
         assert v.coeff(column_word(lam)) == LaurentQ.one()
@@ -649,14 +745,15 @@ class TestClosedFormAgainstDenseKernel:
         # V^{(x)(n+1)}: the per-column wedge constants cancel in all three
         rank = len(lam) + 1
         wedge = mu_singular_vectors.__wrapped__(lam, rank)
-        flat = flat_mu_singular_vectors(lam, rank)
+        flat, flat_ratios = flat_mu_singular_vectors(lam, rank)
         assert [sv.row for sv in wedge] == [sv.row for sv in flat]
         assert [sv.norm for sv in wedge] == [sv.norm for sv in flat]
-        assert [sv.ratio for sv in wedge] == [sv.ratio for sv in flat]
+        assert [normalization_ratio(sv, lam, rank) for sv in wedge] == \
+            flat_ratios
         assert [sv.norm.to_text() for sv in wedge] == \
             [sv.norm.to_text() for sv in flat]
-        for a, b in zip(wedge, flat):
-            assert expand(a.vector) == b.vector
+        for a, b, r in zip(wedge, flat, flat_ratios):
+            assert expand(normalized(a, lam, rank)) == b.integral.scale(r)
 
 
 def coordinate_rows(vectors):
@@ -725,7 +822,7 @@ class TestSingularVectors:
     def test_empty_partition(self):
         (sv,) = mu_singular_vectors(Partition(()), 1)
         assert sv.row == 1
-        assert sv.vector == TensorVector.word((1,), 1)
+        assert normalized(sv, Partition(()), 1) == TensorVector.word((1,), 1)
         assert sv.norm == QFrac.one()
 
     def test_single_box(self):
@@ -734,7 +831,7 @@ class TestSingularVectors:
         assert svs[0].norm == QFrac.one()
         assert svs[1].norm == QFrac(q_int(1), q_int(2))
         # triangular normalization pinned by the explicit vector
-        v = svs[1].vector
+        v = normalized(svs[1], Partition((1,)), 2)
         two = QFrac(q_int(2))
         assert v.coeff((1, 2)) == qf(q_power(1)) / two
         assert v.coeff((2, 1)) == -QFrac.one() / two
@@ -756,16 +853,16 @@ class TestSingularVectors:
             rank = len(p) + 1
             for sv in mu_singular_vectors(p, rank):
                 for i in range(1, rank):
-                    assert tensor_act("X", i, sv.vector).is_zero
+                    assert tensor_act("X", i, normalized(sv, p, rank)).is_zero
 
     @pytest.mark.parametrize("lam", list(all_partitions(5)), ids=str)
     def test_expanded_vectors_are_singular(self, lam):
         rank = len(lam) + 1
         for sv in mu_singular_vectors(lam, rank):
-            v = expand(sv.vector)
+            v = expand(sv.integral)
             assert v.n == lam.size + 1
             for i in range(1, rank):
-                assert tensor_act("X", i, sv.vector).is_zero
+                assert tensor_act("X", i, sv.integral).is_zero
                 assert flat_tensor_act("X", i, v).is_zero
 
     def test_cache_bounded_and_reused_across_ell(self):
@@ -785,17 +882,19 @@ class TestSingularSpan:
         rank = 3
         words = [TensorVector.word(w, rank)
                  for w in words_with_counts((2, 1, 0))]
-        assert len(_singular_vectors_in_span(words, rank)) == 2
-        assert _singular_vectors_in_span([word(1, 2)], 2) == []
+        assert len(singular_vectors_in_span(words, rank)) == 2
+        assert singular_vectors_in_span([word(1, 2)], 2) == []
 
     def test_dimension_guard_too_many(self, monkeypatch):
-        # span every word of the weight: the whole V^{(x)3} weight space
+        # span every word of slot 1's weight: the whole V^{(x)2} weight
+        # space, which also holds the singular vector of V(1, 1)
         real = weyl._lowered
 
         def padded(gen, words):
             out = real(gen, words)
+            (wt,) = weights_of(out[0])
             return out + [TensorVector.word(w, gen.rank)
-                          for w in words_with_counts(out[0].weight())]
+                          for w in words_with_counts(wt)]
 
         monkeypatch.setattr(weyl, "_lowered", padded)
         with pytest.raises(EngineError, match="singular space dimension 2 != 1"):
@@ -820,6 +919,57 @@ class TestSingularSpan:
             assert _strip_content(coords) == coords
             for i in range(1, rank):
                 assert tensor_act("X", i, sv.integral).is_zero
+
+
+class TestSlotSolve:
+    """The slot-by-slot solves against the one elimination over every slot
+    that they replaced, and their guards."""
+
+    def test_matches_one_solve_reference(self):
+        boxes = 0
+        for lam in all_partitions(8):
+            rank = len(lam) + 1
+            svs = mu_singular_vectors.__wrapped__(lam, rank)
+            ref = reference_singular_vectors(lam, rank)
+            assert [sv.row for sv in svs] == [row for row, _, _ in ref]
+            for sv, (_, u, norm) in zip(svs, ref):
+                assert sv.norm == norm, (lam, sv.row)
+                assert unit_multiple(sv.integral, u), (lam, sv.row)
+                boxes += 1
+        assert boxes == 187
+
+    @staticmethod
+    def patched_marker_row(monkeypatch, change):
+        """Run the oracle's eliminations with `change(row)` applied to the
+        echelon row whose pivot is the marker; it returns None to drop it."""
+        real = weyl.ff_echelon
+
+        def echelon(rows):
+            ech, piv = real(rows)
+            out = []
+            for row, p in zip(ech, piv):
+                if p == (1,):
+                    row = change(row)
+                    if row is None:
+                        continue
+                    p = min(row)
+                out.append((row, p))
+            return [row for row, _ in out], [p for _, p in out]
+
+        monkeypatch.setattr(weyl, "ff_echelon", echelon)
+
+    def test_coordinate_pivot_guard(self, monkeypatch):
+        # the solution row without its marker entry: a pivot in the
+        # coordinate block, a singular vector of V(1) below (1)
+        self.patched_marker_row(
+            monkeypatch, lambda row: {c: e for c, e in row.items() if c != (1,)})
+        with pytest.raises(EngineError, match="below its highest weight"):
+            mu_singular_vectors.__wrapped__(Partition((1,)), 2)
+
+    def test_missing_marker_guard(self, monkeypatch):
+        self.patched_marker_row(monkeypatch, lambda row: None)
+        with pytest.raises(EngineError, match="singular space dimension 0 != 1"):
+            mu_singular_vectors.__wrapped__(Partition((1,)), 2)
 
 
 def test_oracle_imports_nothing_it_is_checked_against():
