@@ -125,15 +125,15 @@ def _columns(lam: Partition, ell: int) -> _Columns:
                     tuple(map(tuple, F)), tuple(d))
 
 
-def _step(x: dict, ell: int, op: str, i: int, sign: int = 1) -> dict:
-    """E_i, F_i or K_i^sign (op "E", "F" or "K") on a combination of kets
+def _step(x: dict, ell: int, op: str, i: int) -> dict:
+    """E_i, F_i or K_i (op "E", "F" or "K") on a combination of kets
     v^e |lam>, a dict from (lam, e) to its coefficient: each term moves
     along its ket's column, read from the (lam, ell) table."""
     i %= ell
     y = {}
     for (lam, e), c in x.items():
         cols = _columns(lam, ell)
-        col = ((lam, sign * cols.d[i]),) if op == "K" else getattr(cols, op)[i]
+        col = ((lam, cols.d[i]),) if op == "K" else getattr(cols, op)[i]
         for mu, f in col:
             key = (mu, e + f)
             y[key] = y.get(key, 0) + c
@@ -148,12 +148,12 @@ def _vector(x: dict) -> FockVector:
     return out
 
 
-def _apply(op: str, i: int, x: FockVector, ell: int, sign: int = 1) -> FockVector:
+def _apply(op: str, i: int, x: FockVector, ell: int) -> FockVector:
     """One `_step` on x, its terms expanded into kets v^e |lam>.  Each ket's
     columns are computed once per (lam, ell) by `_columns`, whose cache holds
     at most 512 tables."""
     return _vector(_step({(lam, e): a for lam, c in x.terms.items()
-                          for e, a in c.terms.items()}, ell, op, i, sign))
+                          for e, a in c.terms.items()}, ell, op, i))
 
 
 def apply_F(i: int, x: FockVector, ell: int) -> FockVector:
@@ -170,9 +170,10 @@ def apply_E(i: int, x: FockVector, ell: int) -> FockVector:
     return _apply("E", i, x, ell)
 
 
-def apply_K(i: int, x: FockVector, ell: int, inverse: bool = False) -> FockVector:
-    """Diagonal operator with eigenvalue v^(#addable - #removable) per color."""
-    return _apply("K", i, x, ell, -1 if inverse else 1)
+def apply_K(i: int, x: FockVector, ell: int) -> FockVector:
+    """Diagonal operator with eigenvalue v^(#addable - #removable) per color.
+    K_i only: neither `fock apply` nor `check_relations` needs K_i^{-1}."""
+    return _apply("K", i, x, ell)
 
 
 def _word(lam: Partition, ell: int, *ops) -> dict:

@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .errors import PoleError
 from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly, _subresultant_last
 from .weights import Weight
 
@@ -69,10 +68,6 @@ class MultiPoly(_Poly):
     def q(cls, rank, power=1):
         e = [0] * rank + [power]
         return cls(rank, {tuple(e): 1})
-
-    @classmethod
-    def monomial(cls, rank, exps, coeff=1):
-        return cls(rank, {tuple(exps): coeff})
 
     @classmethod
     def from_laurent(cls, p: LaurentQ, rank):
@@ -616,29 +611,6 @@ def over_q_diff(p: MultiPoly, k: int) -> MultiRat:
             den = den * MultiPoly(rank, {_qexp(rank, 1): 1, _qexp(rank, 0): -c}) ** left
     num = p._like({z + (e,): v for z, b in blocks.items() for e, v in b.items()})
     return MultiRat(num, den, coprime=True)
-
-
-def eval_at_weight(f: MultiRat, lam) -> QFrac:
-    """Evaluate z_i -> q^{(lam, eps_i)}; raises PoleError if the denominator dies."""
-    den = f.den.eval_z(lam)
-    if den.is_zero:
-        raise PoleError(f"evaluation pole at {lam}")
-    return QFrac(f.num.eval_z(lam), den)
-
-
-def q_bracket_binom(i: int, c: int, k: int, rank: int) -> MultiRat:
-    """Product form of the Cartan q-binomial in the weight-coordinate z_i."""
-    if not 1 <= i <= rank:
-        raise ValueError(f"index {i} out of range for rank {rank}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    num = MultiPoly.one(rank)
-    den = MultiPoly.one(rank)
-    for s in range(1, k + 1):
-        num = num * (MultiPoly.z(i, rank).shifted(_qexp(rank, c + 1 - s))
-                     - MultiPoly.z(i, rank, -1).shifted(_qexp(rank, s - 1 - c)))
-        den = den * (MultiPoly.q(rank, s) - MultiPoly.q(rank, -s))
-    return MultiRat(num, den)
 
 
 def _qexp(rank, m):

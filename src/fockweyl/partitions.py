@@ -68,13 +68,6 @@ class Partition(tuple):
             for c in range(1, p + 1):
                 yield Box(r, c)
 
-    def to_json(self):
-        return list(self)
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data)
-
     def __repr__(self):
         return f"Partition({tuple(self)})"
 

@@ -342,11 +342,6 @@ class LaurentQ(_Poly):
         return {"var": self.var,
                 "coeffs": {str(e): str(v) for e, v in sorted(self.terms.items())}}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({int(e): Fraction(v) for e, v in data["coeffs"].items()},
-                   var=data["var"])
-
 
 def _prem(a: dict, b: dict):
     """Pseudo-remainder of ordinary polynomial dicts over an integral domain
@@ -438,10 +433,6 @@ def q_int(n: int, var: str = "q") -> LaurentQ:
     a = abs(n)
     sign = 1 if n > 0 else -1
     return LaurentQ({a - 1 - 2 * j: sign for j in range(a)}, var)
-
-
-def q_power(m: int, var: str = "q") -> LaurentQ:
-    return LaurentQ.term(m, 1, var)
 
 
 @lru_cache(maxsize=None)
@@ -664,9 +655,6 @@ class QFrac(_Frac):
         sp = self.as_signed_q_power()
         return sp is not None and (tolerance == "signed" or sp[0] == 1)
 
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
 
 def _strip_q_integers(p: LaurentQ):
     """Greedily factor p into a product of q-integers [n] times a monomial.
@@ -695,34 +683,22 @@ def _strip_q_integers(p: LaurentQ):
             return None
 
 
-def factor_q_integers(x: QFrac):
-    """Write x as sign * q^m * prod [a_i] / prod [b_j] when possible.
-
-    Returns (sign, m, nums, dens) or None.  Used for Figure-style rendering
-    of evaluated rational functions.
-    """
+def render_q_integers(x: QFrac):
+    """Render x as sign * q^m * prod [a_i] / prod [b_j], a q-integer product
+    like '[2][7]/([5][9])' for Figure-style output, or None when x is zero or
+    not of that form."""
     if x.is_zero:
         return None
     up = _strip_q_integers(x.num)
     dn = _strip_q_integers(x.den)
     if up is None or dn is None:
         return None
-    fn, en, cn = up
-    fd, ed, cd = dn
-    return (cn * cd, en - ed, tuple(sorted(fn)), tuple(sorted(fd)))
-
-
-def render_q_integers(x: QFrac):
-    """Render x as a q-integer product like '[2][7]/([5][9])', or None."""
-    parts = factor_q_integers(x)
-    if parts is None:
-        return None
-    sign, m, nums, dens = parts
-    head = "".join(f"[{n}]" for n in nums) or "1"
-    prefix = ""
-    if m:
-        prefix = f"q^{m}*"
-    if sign < 0:
-        prefix = "-" + prefix
-    body = head if not dens else f"{head}/({''.join(f'[{n}]' for n in dens)})"
+    nums, en, cn = up
+    dens, ed, cd = dn
+    body = "".join(f"[{n}]" for n in sorted(nums)) or "1"
+    if dens:
+        body += "/(" + "".join(f"[{n}]" for n in sorted(dens)) + ")"
+    prefix = "-" if cn * cd < 0 else ""
+    if en != ed:
+        prefix += f"q^{en - ed}*"
     return prefix + body

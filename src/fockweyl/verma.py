@@ -71,14 +71,6 @@ class VermaElement(SparseVector):
         return "VermaElement(" + " + ".join(bits) + ")"
 
 
-def act_y(i: int, e: VermaElement) -> VermaElement:
-    if not 1 <= i <= e.rank - 1:
-        raise ValueError(f"Y index {i} out of range for rank {e.rank}")
-    out = VermaElement(e.shift, e.rank)
-    out.terms = {(i,) + w: c for w, c in e.terms.items()}
-    return out
-
-
 def _zq(rank: int, i: int, j: int, a: int = 0) -> tuple:
     """Exponent vector of the monomial z_i z_j^{-1} q^a."""
     e = [0] * (rank + 1)
@@ -426,24 +418,17 @@ def _hook_parts(lam, k):
     return num, den
 
 
-def jantzen_evaluate_closed(lam: Partition, k: int, rank: int | None = None) -> QFrac:
-    """Evaluate the closed Jantzen product at a partition (z_i -> q^{lam_i}).
+def _jantzen_closed_parts(lam, k):
+    """The closed Jantzen product evaluated at a partition (z_i -> q^{lam_i}),
+    as an unreduced (numerator, denominator) pair over Q[q^{+-1}].
 
-    Factor by factor: the images of the binomial factors are multiplied in
-    Q[q^{+-1}], with no `MultiRat` expanded.  Raises PoleError when a
+    Factor by factor: the images of the binomial factors are multiplied with
+    no `MultiRat` expanded.  The product is taken at rank max(len(lam) + 1, k);
+    every larger rank gives the same value.  Raises PoleError when a
     denominator factor vanishes.
     """
-    return QFrac(*_jantzen_closed_parts(lam, k, rank))
-
-
-def _jantzen_closed_parts(lam, k, rank=None):
-    """`jantzen_evaluate_closed` as an unreduced (numerator, denominator)
-    pair; raises PoleError as it does."""
     lam = Partition(lam)
-    if rank is None:
-        rank = max(len(lam) + 1, k)
-    if rank < len(lam) or rank < k:
-        raise ValueError("rank too small")
+    rank = max(len(lam) + 1, k)
     at = Weight(tuple(lam.part(r) for r in range(1, rank + 1)))
     num = den = LaurentQ.one()
     for f, g in _jantzen_closed_factors(k, rank):

@@ -1,12 +1,14 @@
-"""Shared hypothesis strategies, deterministic test settings and the mod-p
-helpers of the evaluation witnesses."""
+"""Shared hypothesis strategies, deterministic test settings, the exact
+evaluation of a `MultiRat` at a weight and the mod-p helpers of the
+evaluation witnesses."""
 
 import hypothesis.strategies as st
 from hypothesis import settings, HealthCheck
 
+from fockweyl.errors import PoleError
 from fockweyl.multirat import MultiPoly, MultiRat
 from fockweyl.partitions import Partition
-from fockweyl.ring import LaurentQ
+from fockweyl.ring import LaurentQ, QFrac
 from fockweyl.weights import Weight
 
 settings.register_profile(
@@ -52,6 +54,14 @@ def partitions(max_size=8):
     return st.lists(st.integers(1, 5), max_size=4).map(
         lambda parts: Partition(sorted(parts, reverse=True))
     ).filter(lambda lam: lam.size <= max_size)
+
+
+def eval_at_weight(f: MultiRat, lam) -> QFrac:
+    """Evaluate z_i -> q^{(lam, eps_i)}; raises PoleError if the denominator dies."""
+    den = f.den.eval_z(lam)
+    if den.is_zero:
+        raise PoleError(f"evaluation pole at {lam}")
+    return QFrac(f.num.eval_z(lam), den)
 
 
 # Evaluation witness: an exact verdict is an identity of rational functions,

@@ -18,13 +18,15 @@ import random
 import time
 
 from fockweyl.fock import check_relations
-from fockweyl.multirat import MultiPoly, MultiRat, eval_at_weight, sigma_shift
+from fockweyl.multirat import MultiPoly, MultiRat, sigma_shift
 from fockweyl.partitions import Partition, color
 from fockweyl.ring import LaurentQ, QFrac, q_int, render_q_integers, val_cyclotomic
 from fockweyl.verma import VermaElement, hook_ratio, shapovalov_pair
 from fockweyl.verify import RunConfig, run_family
 from fockweyl.weights import Weight, alpha
 from fockweyl.weyl import TensorVector, tensor_act, tensor_form
+
+from conftest import eval_at_weight
 
 
 def report(name, dt, budget=None):

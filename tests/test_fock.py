@@ -60,9 +60,6 @@ class TestApplyK:
     def test_neutral(self):
         assert apply_K(1, ket(), 2) == ket()
 
-    def test_inverse(self):
-        assert apply_K(0, apply_K(0, ket(2, 1), 3), 3, inverse=True) == ket(2, 1)
-
 
 class TestOperatorStructure:
     def test_degree_grading(self):
@@ -182,13 +179,11 @@ def old_apply_E(i, x, ell):
     return out
 
 
-def old_apply_K(i, x, ell, inverse=False):
+def old_apply_K(i, x, ell):
     out = FockVector()
     for lam, c in x.terms.items():
         d = (sum(color(b, ell) == i % ell for b in addable_boxes(lam))
              - sum(color(b, ell) == i % ell for b in removable_boxes(lam)))
-        if inverse:
-            d = -d
         out.add_term(lam, c * LaurentQ.term(d, 1, "v"))
     return out
 
@@ -218,8 +213,6 @@ class TestCachedColumns:
         (apply_E, old_apply_E),
         (apply_F, old_apply_F),
         (apply_K, old_apply_K),
-        (lambda i, x, ell: apply_K(i, x, ell, inverse=True),
-         lambda i, x, ell: old_apply_K(i, x, ell, inverse=True)),
     )
 
     def check(self, x, ell):

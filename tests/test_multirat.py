@@ -8,16 +8,15 @@ from hypothesis import given
 
 from fockweyl.errors import PoleError
 from fockweyl.multirat import (MultiPoly, MultiRat, UnitParts, _divexact,
-                               eval_at_weight, poly_gcd_multi, q_bracket_binom,
-                               sigma_shift, unit_ratio)
+                               poly_gcd_multi, sigma_shift, unit_ratio)
 import fockweyl.ring as ring
 from fockweyl.ring import (LaurentQ, QFrac, _coef, _prem, _subresultant_last,
                            poly_gcd, q_int)
 from fockweyl.verify import TOLERANCES, RunConfig, enumerate_cases, run_case
 from fockweyl.weights import Weight
 
-from conftest import (laurents, multipolys, multirats, nonzero_laurents,
-                      weights)
+from conftest import (eval_at_weight, laurents, multipolys, multirats,
+                      nonzero_laurents, weights)
 
 
 def z(i, rank=2, p=1):
@@ -487,7 +486,7 @@ class TestDivExact:
     def test_fraction_quotient(self):
         two = MultiPoly.const(self.rank, 2)
         out = _divexact(self.z1, two)
-        assert out == MultiPoly.monomial(self.rank, (1, 0, 0), Fraction(1, 2))
+        assert out == MultiPoly(self.rank, {(1, 0, 0): Fraction(1, 2)})
         assert out.terms[(1, 0, 0)] == Fraction(1, 2)
 
     def test_fraction_coefficients(self):
@@ -568,31 +567,6 @@ class TestEvalAtWeight:
         except PoleError:
             return
         assert lhs == eval_at_weight(f, lam + mu)
-
-
-class TestQBracketBinom:
-    def test_single_factor_c0(self):
-        # c = 0, k = 1: (z1 - z1^-1)/(q - q^-1)
-        b = q_bracket_binom(1, 0, 1, 2)
-        expected = (z(1) - z(1, p=-1)) / (q() - q(p=-1))
-        assert b == expected
-
-    def test_single_factor_c1(self):
-        b = q_bracket_binom(2, 1, 1, 2)
-        expected = (z(2) * q() - z(2, p=-1) * q(p=-1)) / (q() - q(p=-1))
-        assert b == expected
-
-    def test_eval_at_zero_weight(self):
-        # the "x choose 1 at x=0" analogues: c=1 evaluates to 1, c=0 to 0
-        assert eval_at_weight(q_bracket_binom(1, 1, 1, 2), Weight((0, 0))) == QFrac.one()
-        assert eval_at_weight(q_bracket_binom(1, 0, 1, 2), Weight((0, 0))).is_zero
-
-    def test_eval_is_q_binomial(self):
-        # [x; c, k] at x = q^a equals the balanced binomial [a+c, k]
-        b = q_bracket_binom(1, 0, 2, 1)
-        val = eval_at_weight(b, Weight((4,)))
-        gauss = QFrac(q_int(4) * q_int(3), q_int(2) * q_int(1))
-        assert val == gauss
 
 
 def unit_ratio_by_division(a, b):
@@ -839,8 +813,8 @@ class TestAgainstSympy:
             assert sympy.cancel(num / den - sympy.cancel(a / b)) == 0
             # reduced: an ordinary associate of the numerator shares no
             # factor with the denominator
-            shift, _ = self.to_sympy(MultiPoly.monomial(
-                self.RANK, tuple(-m for m in x.num.min_exps())))
+            shift, _ = self.to_sympy(MultiPoly(
+                self.RANK, {tuple(-m for m in x.num.min_exps()): 1}))
             assert sympy.gcd(sympy.expand(num * shift), den).is_number
 
     def test_qfrac_matches_cancel(self):

@@ -56,11 +56,6 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
-    def test_json(self):
-        lam = Partition((3, 1))
-        assert lam.to_json() == [3, 1]
-        assert Partition.from_json([3, 1]) == lam
-
     def test_add_remove_round_trip(self):
         for lam in all_partitions(8):
             for b in addable_boxes(lam):

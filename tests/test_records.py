@@ -1,5 +1,7 @@
-"""The package's record types and what importing the package loads."""
+"""The package's record types, what importing the package loads and what
+it exports."""
 
+import ast
 import copy
 import pickle
 import subprocess
@@ -23,6 +25,52 @@ def test_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout == "[]\n"
+
+
+def _read_names(path, strings=False):
+    """The names a file reads: each Name, Attribute and import alias, or
+    (strings=True) each dotted part of a string constant that is not a
+    docstring."""
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    names = set()
+    for node in ast.walk(tree):
+        if strings:
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings):
+                names.update(node.value.split("."))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def unread_exports(root):
+    """The names `fockweyl/__init__.py` under root imports that no module
+    of the package, no script and no benchmark string reads."""
+    package = root / "src" / "fockweyl"
+    init = package / "__init__.py"
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse(init.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    read = set()
+    for path in [*package.glob("*.py"), *(root / "scripts").glob("*.py")]:
+        if path != init:
+            read |= _read_names(path)
+    for path in (root / "fwlbench").glob("*.py"):
+        read |= _read_names(path, strings=True)
+    return exported - read
+
+
+def test_every_export_is_read_outside_the_tests():
+    # a public name that only the tests call is surface to keep for nothing
+    assert unread_exports(Path(__file__).resolve().parents[1]) == set()
 
 
 class TestWeight:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given
 
-from fockweyl.multirat import MultiPoly, MultiRat, q_bracket_binom
+from fockweyl.multirat import MultiPoly, MultiRat
 from fockweyl.ring import LaurentQ, QFrac, q_int
 
 from conftest import laurents, multipolys, nonzero_laurents
@@ -108,7 +108,10 @@ PRINTED = [
     (MultiRat(MultiPoly.z(2, 2, -2) * F(-5, 3)),
      '-5/3*z2^-2',
      "MultiRat('-5/3*z2^-2')"),
-    (q_bracket_binom(1, 0, 2, 2),
+    # the Cartan q-binomial [z1; 2], as a product of binomials
+    (MultiRat((z1 - MultiPoly.z(1, 2, -1))
+              * (z1 * MultiPoly.q(2, -1) - MultiPoly.z(1, 2, -1) * q2),
+              (q2 - MultiPoly.q(2, -1)) * (MultiPoly.q(2, 2) - MultiPoly.q(2, -2))),
      '(z1^-2*q^4 - q^2 - q^4 + z1^2*q^2)/(1 - q^2 - q^4 + q^6)',
      "MultiRat('(z1^-2*q^4 - q^2 - q^4 + z1^2*q^2)/(1 - q^2 - q^4 + q^6)')"),
     (MultiRat.const(2, -3),
