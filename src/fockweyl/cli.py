@@ -148,6 +148,8 @@ def _cmd_partition_stats(args) -> int:
 
 
 def _cmd_shapovalov_det(args) -> int:
+    if args.rank < 1:
+        raise SystemExit2("rank must be >= 1")
     try:
         coords = tuple(int(c) for c in args.eta.split(","))
     except ValueError as exc:

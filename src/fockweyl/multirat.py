@@ -21,7 +21,8 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .ring import LaurentQ, QFrac, _coef, _Frac, _Poly, _subresultant_last
+from .ring import (LaurentQ, QFrac, _coef, _Frac, _Poly, _subresultant_last,
+                   power_match)
 from .weights import Weight
 
 
@@ -68,10 +69,6 @@ class MultiPoly(_Poly):
     def q(cls, rank, power=1):
         e = [0] * rank + [power]
         return cls(rank, {tuple(e): 1})
-
-    @classmethod
-    def from_laurent(cls, p: LaurentQ, rank):
-        return cls(rank, {(0,) * rank + (e,): v for e, v in p.terms.items()})
 
     def _space(self):
         return self.rank
@@ -161,12 +158,6 @@ class MultiPoly(_Poly):
         return self._like({
             e[:-1] + (e[-1] + sum(a * b for a, b in zip(e[:-1], coords)),): v
             for e, v in self.terms.items()})
-
-    def __hash__(self):
-        # a polynomial in q alone hashes as the LaurentQ with its terms
-        if any(any(e[:-1]) for e in self.terms):
-            return super().__hash__()
-        return hash(LaurentQ({e[-1]: v for e, v in self.terms.items()}))
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()!r})"
@@ -475,10 +466,6 @@ class MultiRat(_Frac):
     def q(cls, rank, power=1):
         return cls(MultiPoly.q(rank, power), coprime=True)
 
-    @classmethod
-    def from_laurent(cls, p: LaurentQ, rank):
-        return cls(MultiPoly.from_laurent(p, rank), coprime=True)
-
     def _wrap(self, x):
         if isinstance(x, MultiRat):
             return x
@@ -486,22 +473,7 @@ class MultiRat(_Frac):
             return MultiRat.const(self.rank, x)
         if isinstance(x, MultiPoly):
             return MultiRat(x)
-        if isinstance(x, LaurentQ) and x.var == "q":
-            return MultiRat.from_laurent(x, self.rank)
-        if isinstance(x, QFrac) and x.var == "q":
-            return MultiRat(MultiPoly.from_laurent(x.num, self.rank),
-                            MultiPoly.from_laurent(x.den, self.rank), coprime=True)
         return NotImplemented
-
-    def __hash__(self):
-        # in Q(q) the QFrac canonical form is this one divided by the
-        # denominator's leading coefficient: hash as that QFrac
-        lead = self.den.lead()[1]
-        if lead != 1 and not any(any(e[:-1]) for p in (self.num, self.den)
-                                 for e in p.terms):
-            return hash((self.num._scaled(Fraction(1, lead)),
-                         self.den._scaled(Fraction(1, lead))))
-        return super().__hash__()
 
     def __add__(self, other):
         other = self._wrap(other)
@@ -635,9 +607,10 @@ class UnitParts:
 
     def is_q_power(self, tolerance: str = "signed") -> bool:
         """Whether this unit is a z-monomial times q^m ("strict"), times
-        +-q^m ("signed") or any unit ("unit"): `QFrac.is_q_power` of its
-        Q(q) part sign * scalar, which has q-degree 0."""
-        return (self.scalar if self.sign == 1 else -self.scalar).is_q_power(tolerance)
+        +-q^m ("signed") or any unit ("unit"): `ring.power_match` of its
+        Q(q) part sign * scalar, which has q-degree 0, against 1."""
+        s, one = self.scalar, LaurentQ.one()
+        return power_match((s.num * self.sign, s.den), (one, one), tolerance)
 
     def __repr__(self):
         return (f"UnitParts(sign={self.sign}, q_exp={self.q_exp}, "

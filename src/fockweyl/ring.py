@@ -3,16 +3,17 @@
 Everything is exact (int / fractions.Fraction coefficients); there is no
 floating point anywhere in the package.  Two bases carry what both levels of
 the scalar tower share: `_Poly`, a sparse Laurent polynomial over Q (the
-ring operations, exact division, equality, hashing and the printer), and
-`_Frac`, a fraction of two `_Poly`s in a canonical form (negation,
-subtraction, powers, equality, hashing and the printer).  `LaurentQ` and
-`QFrac` here, and `MultiPoly` and `MultiRat` in `fockweyl.multirat`, supply
-only what depends on their exponents and canonical form.  One subresultant
+ring operations, exact division, equality and the printer), and `_Frac`, a
+fraction of two `_Poly`s in a canonical form (negation, subtraction, powers,
+equality and the printer).  `LaurentQ` and `QFrac` here, and `MultiPoly` and
+`MultiRat` in `fockweyl.multirat`, supply only what depends on their
+exponents and canonical form; none of them is hashable.  One subresultant
 remainder sequence, `_subresultant_last` over int or `MultiPoly`
 coefficients, is the univariate `poly_gcd` here and the fallback of the
-multivariate gcd in `fockweyl.multirat`.  Laurent polynomials carry a
-variable tag ('q' for quantum-group scalars, 'v' for Fock-space scalars) so
-the two deformation parameters cannot be mixed by accident.
+multivariate gcd in `fockweyl.multirat`; `power_match` is the one test of a
+ratio against +-q^m.  Laurent polynomials carry a variable tag ('q' for
+quantum-group scalars, 'v' for Fock-space scalars) so the two deformation
+parameters cannot be mixed by accident.
 """
 
 from __future__ import annotations
@@ -122,12 +123,6 @@ class _Poly:
         if other is NotImplemented:
             return NotImplemented
         return self.terms == other.terms and self._space() == other._space()
-
-    def __hash__(self):
-        # a constant hashes as the number it equals
-        if self.terms.keys() <= {self._origin()}:
-            return hash(self.terms.get(self._origin(), 0))
-        return hash((self._space(), frozenset(self.terms.items())))
 
     def _quotient(self, g):
         """self / g for ordinary polynomials (g nonzero) when it is exact,
@@ -426,6 +421,26 @@ def poly_gcd(a: LaurentQ, b: LaurentQ) -> LaurentQ:
     return a._like(_subresultant_last(ra, rb)).int_primitive()
 
 
+def power_match(a, b, tolerance: str) -> bool:
+    """Whether a / b is q^m ("strict"), +-q^m ("signed") or any nonzero
+    element ("unit"), for a and b given as (numerator, denominator) pairs of
+    LaurentQ, in lowest terms or not; zero matches only zero.  Decided as
+    a_num * b_den == +-q^m * b_num * a_den, with no gcd."""
+    (an, ad), (bn, bd) = a, b
+    if an.is_zero or bn.is_zero:
+        return an.is_zero and bn.is_zero
+    if tolerance == "unit":
+        return True
+    x, y = (an * bd).terms, (bn * ad).terms
+    if len(x) != len(y):
+        return False
+    low_x, low_y = min(x), min(y)
+    sign = 1 if x[low_x] == y[low_y] else -1
+    if x[low_x] != sign * y[low_y] or (sign == -1 and tolerance == "strict"):
+        return False
+    return all(x.get(e + low_x - low_y) == sign * c for e, c in y.items())
+
+
 def q_int(n: int, var: str = "q") -> LaurentQ:
     """The balanced quantum integer [n] = (q^n - q^-n)/(q - q^-1)."""
     if n == 0:
@@ -523,12 +538,6 @@ class _Frac:
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        # a fraction over 1 hashes as the polynomial it equals
-        if self.den == 1:
-            return hash(self.num)
-        return hash((self.num, self.den))
 
     def to_text(self):
         if self.den == 1:
@@ -632,28 +641,6 @@ class QFrac(_Frac):
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
         return QFrac(self.num * other.den, self.den * other.num)
-
-    def as_signed_q_power(self):
-        """Return (sign, m) when this equals sign * q**m, else None."""
-        if self.den != 1:
-            return None
-        mono = self.num.as_monomial()
-        if mono is None:
-            return None
-        e, v = mono
-        if v == 1:
-            return (1, e)
-        if v == -1:
-            return (-1, e)
-        return None
-
-    def is_q_power(self, tolerance: str = "signed") -> bool:
-        """Whether this equals q^m ("strict"), +-q^m ("signed") or is any
-        nonzero element ("unit")."""
-        if tolerance == "unit":
-            return not self.is_zero
-        sp = self.as_signed_q_power()
-        return sp is not None and (tolerance == "signed" or sp[0] == 1)
 
 
 def _strip_q_integers(p: LaurentQ):

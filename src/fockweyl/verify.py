@@ -21,7 +21,7 @@ from .multirat import sigma_shift, unit_ratio
 from .partitions import (Box, Partition, all_partitions, color, content,
                          is_addable, n_left)
 from .reports import CaseResult, Report
-from .ring import QFrac, val_cyclotomic
+from .ring import QFrac, power_match, val_cyclotomic
 from .verma import (_hook_parts, _jantzen_closed_parts, det_product_identity,
                     gram_matrix, hook_ratio, jantzen_closed, jantzen_engine,
                     jantzen_valuation, pair_words, shapovalov_det_closed)
@@ -66,25 +66,6 @@ class RunConfig:
         if self.n_rank is not None and family == "theorem51":
             cfg["n_rank"] = self.n_rank
         return cfg
-
-
-def _power_match(a, b, tolerance: str = "signed") -> bool:
-    """a / b is +-q^m (under the tolerance), for a and b given as (numerator,
-    denominator) pairs of LaurentQ, in lowest terms or not; zero matches only
-    zero.  Decided as a_num * b_den == +-q^m * b_num * a_den, with no gcd."""
-    (an, ad), (bn, bd) = a, b
-    if an.is_zero or bn.is_zero:
-        return an.is_zero and bn.is_zero
-    if tolerance == "unit":
-        return True
-    x, y = (an * bd).terms, (bn * ad).terms
-    if len(x) != len(y):
-        return False
-    low_x, low_y = min(x), min(y)
-    sign = 1 if x[low_x] == y[low_y] else -1
-    if x[low_x] != sign * y[low_y] or (sign == -1 and tolerance == "strict"):
-        return False
-    return all(x.get(e + low_x - low_y) == sign * c for e, c in y.items())
 
 
 def _ratio_ok(parts, tolerance: str) -> bool:
@@ -166,11 +147,11 @@ def _prop64(lam_t, k, tolerance):
     lam = Partition(lam_t)
     hn, hd = hook = _hook_parts(lam, k)
     cn, cd = closed = _jantzen_closed_parts(lam, k)
+    ok = power_match(closed, hook, tolerance)
     if hn.is_zero or cn.is_zero:
-        return _power_match(closed, hook, tolerance), {"zero_case": True}
-    ratio = QFrac(cn * hd, cd * hn)  # the report shows it: reduced once, here
-    return ratio.is_q_power(tolerance), {"zero_case": False,
-                                         "ratio": ratio.to_text()}
+        return ok, {"zero_case": True}
+    # the report shows the ratio: reduced once, here
+    return ok, {"zero_case": False, "ratio": QFrac(cn * hd, cd * hn).to_text()}
 
 
 def _prop65(lam_t, k, ell, tolerance):
@@ -202,9 +183,9 @@ def _theorem61(lam_t, ell, tolerance):
         wrong_residue = any(nu == mu for i in range(ell) if i != col
                             for nu, _ in F[i])
         norm = (sv.norm.num, sv.norm.den)
-        closed_ok = _power_match(norm, _jantzen_closed_parts(lam, sv.row),
-                                 tolerance)
-        hook_ok = _power_match(norm, _hook_parts(lam, sv.row), tolerance)
+        closed_ok = power_match(norm, _jantzen_closed_parts(lam, sv.row),
+                                tolerance)
+        hook_ok = power_match(norm, _hook_parts(lam, sv.row), tolerance)
         ok = (exps == [val] and val == nl and not wrong_residue
               and closed_ok and hook_ok)
         boxes.append({

@@ -1,6 +1,6 @@
 """Shared hypothesis strategies, deterministic test settings, the exact
-evaluation of a `MultiRat` at a weight and the mod-p helpers of the
-evaluation witnesses."""
+evaluation of a `MultiRat` at a weight, the reduce-then-test reference for
++-q^m and the mod-p helpers of the evaluation witnesses."""
 
 import hypothesis.strategies as st
 from hypothesis import settings, HealthCheck
@@ -62,6 +62,19 @@ def eval_at_weight(f: MultiRat, lam) -> QFrac:
     if den.is_zero:
         raise PoleError(f"evaluation pole at {lam}")
     return QFrac(f.num.eval_z(lam), den)
+
+
+def reference_power_match(x: QFrac, y: QFrac, tolerance: str) -> bool:
+    """The reference for `ring.power_match`: reduce x / y with QFrac, then
+    test for q^m ("strict"), +-q^m ("signed") or any nonzero element
+    ("unit"); zero matches only zero."""
+    if x.is_zero or y.is_zero:
+        return x.is_zero and y.is_zero
+    ratio = x / y
+    mono = ratio.num.as_monomial()
+    return tolerance == "unit" or (
+        ratio.den == 1 and mono is not None
+        and mono[1] in ((1,) if tolerance == "strict" else (1, -1)))
 
 
 # Evaluation witness: an exact verdict is an identity of rational functions,

@@ -26,7 +26,7 @@ from fockweyl.verify import RunConfig, run_family
 from fockweyl.weights import Weight, alpha
 from fockweyl.weyl import TensorVector, tensor_act, tensor_form
 
-from conftest import eval_at_weight
+from conftest import eval_at_weight, reference_power_match
 
 
 def report(name, dt, budget=None):
@@ -39,9 +39,8 @@ def test_criterion_01_figure_evaluation():
     lam = Partition((10, 10, 8, 8, 8, 6, 6, 6, 6, 1, 1))
     value = hook_ratio(lam, 6)
     expected = QFrac(q_int(2) * q_int(7), q_int(5) * q_int(9))
-    ratio = value / expected
-    assert ratio.as_signed_q_power() is not None
-    assert ratio == QFrac.one()  # in fact exactly equal
+    assert reference_power_match(value, expected, "signed")
+    assert value / expected == QFrac.one()  # in fact exactly equal
     assert render_q_integers(value) == "[2][7]/([5][9])"
     dt = time.time() - t0
     assert dt < 1.0

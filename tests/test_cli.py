@@ -130,6 +130,8 @@ class TestPointwiseUsageErrors:
         (["jantzen", "val", "--partition", "1", "--k", "1", "--ell", "1"],
          "ell must be >= 2"),
         (["jantzen", "val", "--partition", "1", "--k", "0"], "k must be >= 1"),
+        (["shapovalov", "det", "--eta", "0", "--rank", "-2"],
+         "rank must be >= 1"),
     ])
     def test_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

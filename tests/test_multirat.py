@@ -16,7 +16,7 @@ from fockweyl.verify import TOLERANCES, RunConfig, enumerate_cases, run_case
 from fockweyl.weights import Weight
 
 from conftest import (eval_at_weight, laurents, multipolys, multirats,
-                      nonzero_laurents, weights)
+                      nonzero_laurents, reference_power_match, weights)
 
 
 def z(i, rank=2, p=1):
@@ -591,12 +591,17 @@ def unit_ratio_by_division(a, b):
     return UnitParts(sign, m, z_exps, u / QFrac(LaurentQ.term(m, sign)))
 
 
+def lift(p: LaurentQ, rank=2):
+    """The Laurent polynomial p in q as a MultiPoly."""
+    return MultiPoly(rank, {(0,) * rank + (e,): v for e, v in p.terms.items()})
+
+
 def as_multirat(x: QFrac, rank, z_exps=None):
     """The QFrac x times the z-monomial z^z_exps, as a MultiRat."""
-    num = MultiPoly.from_laurent(x.num, rank)
+    num = lift(x.num, rank)
     if z_exps is not None:
         num = num.shifted(tuple(z_exps) + (0,))
-    return MultiRat(num, MultiPoly.from_laurent(x.den, rank))
+    return MultiRat(num, lift(x.den, rank))
 
 
 class TestUnitRatioAgainstDivision:
@@ -631,7 +636,7 @@ class TestUnitRatioAgainstDivision:
     def test_strict(self):
         f = z(1) - z(2)
         assert self.check(q(p=4) * f, f).is_q_power("strict")
-        assert not self.check(f * q_int(2), f).is_q_power("signed")
+        assert not self.check(f * lift(q_int(2)), f).is_q_power("signed")
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("m", [-3, 2])
@@ -691,11 +696,11 @@ class TestUnitRatio:
         assert (parts.sign, parts.q_exp, parts.z_exps) == (-1, -1, (0, 0))
         assert parts.is_q_power("signed") and not parts.is_q_power("strict")
         # a scalar that is not a power of q is not a signed q-power
-        assert not unit_ratio(f * QFrac(q_int(2)).num, f).is_q_power("signed")
+        assert not unit_ratio(f * lift(q_int(2)), f).is_q_power("signed")
 
     def test_general_scalar_reported(self):
         f = z(1) - z(2)
-        parts = unit_ratio(f * q_int(2), f)
+        parts = unit_ratio(f * lift(q_int(2)), f)
         assert parts is not None and not parts.is_q_power("signed")
 
     def test_zero_divisor(self):
@@ -708,10 +713,9 @@ class TestUnitRatio:
         QFrac(q_int(2)), QFrac(2), QFrac(LaurentQ.one(), q_int(2))])
     def test_is_q_power_as_for_qfrac(self, scalar, tolerance):
         f = z(1) - z(2)
-        unit = MultiRat(MultiPoly.from_laurent(scalar.num, 2),
-                        MultiPoly.from_laurent(scalar.den, 2))
-        parts = unit_ratio(f * z(2, p=-1) * unit, f)
-        assert parts.is_q_power(tolerance) == scalar.is_q_power(tolerance)
+        parts = unit_ratio(f * z(2, p=-1) * as_multirat(scalar, 2), f)
+        assert parts.is_q_power(tolerance) \
+            == reference_power_match(scalar, QFrac.one(), tolerance)
 
 
 try:

@@ -7,7 +7,8 @@ from hypothesis import given
 from fockweyl import ring
 from fockweyl.multirat import MultiPoly, _divexact
 from fockweyl.ring import (LaurentQ, QFrac, _coef, cyclotomic, poly_gcd,
-                           q_int, render_q_integers, val_cyclotomic)
+                           power_match, q_int, render_q_integers,
+                           val_cyclotomic)
 
 from conftest import laurents, nonzero_laurents
 
@@ -183,8 +184,10 @@ class TestQFrac:
         assert y.den == x.den
 
     def test_signed_power(self):
-        assert QFrac(L({3: -1})).as_signed_q_power() == (-1, 3)
-        assert QFrac(q_int(2)).as_signed_q_power() is None
+        one = (LaurentQ.one(), LaurentQ.one())
+        assert power_match((L({3: -1}), LaurentQ.one()), one, "signed")
+        assert not power_match((L({3: -1}), LaurentQ.one()), one, "strict")
+        assert not power_match((q_int(2), LaurentQ.one()), one, "signed")
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

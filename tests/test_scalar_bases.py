@@ -1,6 +1,7 @@
 """The shared scalar bases: `ring._Poly` behind LaurentQ and MultiPoly,
 `ring._Frac` behind QFrac and MultiRat."""
 
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from fockweyl.multirat import MultiPoly, MultiRat
 from fockweyl.ring import LaurentQ, QFrac, q_int
 
-from conftest import laurents, multipolys, nonzero_laurents
+from conftest import laurents, multipolys
 
 z1, z2, q2 = MultiPoly.z(1, 2), MultiPoly.z(2, 2), MultiPoly.q(2)
 
@@ -130,63 +131,57 @@ def test_printer(x, text, rep):
 
 
 class TestHash:
+    """The equality half of the hash contract the names refer to: scalars
+    have no hash, and a constant or a fraction over 1 equals its number or
+    polynomial within its own ring."""
+
     def test_one_across_the_tower(self):
-        assert len({1, LaurentQ.one(), QFrac.one()}) == 1
-        assert len({1, F(1), MultiPoly.one(2), MultiRat.one(2)}) == 1
+        assert 1 == LaurentQ.one() == QFrac.one()
+        assert 1 == F(1) == MultiPoly.one(2) == MultiRat.one(2)
 
     def test_constants_hash_as_numbers(self):
         for value in (0, 5, -3, F(-7, 2)):
             for x in (LaurentQ({0: value}), QFrac(value), MultiPoly.const(2, value),
                       MultiRat.const(2, value)):
-                assert x == value and hash(x) == hash(value)
+                assert x == value
 
     @given(laurents())
     def test_fraction_over_one_hashes_as_numerator(self, p):
-        assert QFrac(p) == p and hash(QFrac(p)) == hash(p)
+        assert QFrac(p) == p
 
     @given(multipolys())
     def test_multirat_over_one_hashes_as_numerator(self, p):
         x = MultiRat(p)
         assert x.den == 1
-        assert x == x.num and hash(x) == hash(x.num)
-
-    def test_multirat_in_q_equals_and_hashes_as_laurent(self):
-        p = LaurentQ({1: 1, 0: 2})
-        x = MultiRat.from_laurent(p, 2)
-        assert x == p and p == x and hash(x) == hash(p)
-        assert x == QFrac(p) and QFrac(p) == x
-        assert len({p, QFrac(p), x}) == 1
-
-    @given(laurents(), nonzero_laurents())
-    def test_q_fractions_agree_across_types(self, p, d):
-        a = QFrac(p, d)
-        x = MultiRat(MultiPoly.from_laurent(p, 2), MultiPoly.from_laurent(d, 2))
-        assert a == x and x == a and hash(a) == hash(x)
-
-    @given(laurents())
-    def test_q_values_hash_alike_at_every_rank(self, p):
-        hashes = {hash(p), hash(QFrac(p))}
-        hashes |= {hash(MultiRat.from_laurent(p, r)) for r in (1, 2, 3)}
-        assert len(hashes) == 1
+        assert x == x.num
 
     def test_monic_and_primitive_denominators_hash_alike(self):
         a = QFrac(LaurentQ({0: 1}), LaurentQ({1: 2, 0: 1}))
         x = MultiRat(MultiPoly.one(2), 2 * q2 + 1)
         assert str(a) == "(1/2)/(1/2 + q)" and str(x) == "(1)/(1 + 2*q)"
-        assert a == x and len({a, x}) == 1
-
-    def test_mixed_arithmetic_lifts_q_fractions(self):
-        a = QFrac(q_int(2), q_int(3))
-        x = MultiRat.z(1, 2)
-        assert x * a == a * x == x * MultiRat.from_laurent(q_int(2), 2) \
-            / MultiRat.from_laurent(q_int(3), 2)
-        assert (x + a) - a == x
 
     def test_other_variable_stays_apart(self):
         v = LaurentQ({1: 1, 0: 2}, "v")
-        x = MultiRat.from_laurent(LaurentQ({1: 1, 0: 2}), 2)
+        x = MultiRat(q2 + 2)
         assert x != v and v != x and x != QFrac(v)
 
     def test_equal_values_share_a_set_entry(self):
         p = q_int(2) * q_int(3)
-        assert len({p, QFrac(p), QFrac(p * q_int(5), q_int(5))}) == 1
+        assert p == QFrac(p) == QFrac(p * q_int(5), q_int(5))
+
+
+@pytest.mark.parametrize("x", [LaurentQ.one(), QFrac.one(), MultiPoly.one(2),
+                               MultiRat.one(2)], ids=lambda x: type(x).__name__)
+def test_no_hash_and_no_lift_from_q_into_multirat(x):
+    with pytest.raises(TypeError):
+        hash(x)
+    one = MultiRat.one(2)
+    if isinstance(x, (MultiPoly, MultiRat)):
+        assert one == x and x == one and one * x == x * one == one
+        return
+    assert one != x and x != one
+    for op in (operator.add, operator.mul):
+        with pytest.raises(TypeError):
+            op(one, x)
+        with pytest.raises(TypeError):
+            op(x, one)

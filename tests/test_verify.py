@@ -14,11 +14,13 @@ from fockweyl.errors import EngineError
 from fockweyl.fock import FockVector, apply_F
 from fockweyl.partitions import (Box, Partition, all_partitions, color,
                                  content, n_left, partitions_of)
-from fockweyl.ring import LaurentQ, QFrac, val_cyclotomic
+from fockweyl.ring import LaurentQ, QFrac, power_match, val_cyclotomic
 from fockweyl.verify import FAMILIES, RunConfig, enumerate_cases, run_case
 from fockweyl.verma import _jantzen_closed_parts, hook_ratio
 from fockweyl.weights import from_alpha_coords
 from fockweyl.weyl import mu_singular_vectors
+
+from conftest import reference_power_match
 
 
 def root_lattice_points(rank, max_height):
@@ -158,20 +160,11 @@ def test_theorem61_zero_hook_ratio_fails(monkeypatch):
 
 
 def test_power_match_zero():
-    from fockweyl.verify import _power_match
-
     zero, one = (LaurentQ.zero(), LaurentQ.one()), (LaurentQ.one(), LaurentQ.one())
-    assert _power_match(zero, zero)
-    assert not _power_match(zero, one)
-    assert not _power_match(one, zero)
-
-
-def division_power_match(a, b, tolerance):
-    """The rule `_power_match` replaced: reduce a / b, then test it."""
-    a, b = QFrac(*a), QFrac(*b)
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero
-    return (a / b).is_q_power(tolerance)
+    for tolerance in verify.TOLERANCES:
+        assert power_match(zero, zero, tolerance)
+        assert not power_match(zero, one, tolerance)
+        assert not power_match(one, zero, tolerance)
 
 
 def random_laurent(rng, fractions):
@@ -186,8 +179,6 @@ def random_laurent(rng, fractions):
 
 @pytest.mark.parametrize("tolerance", verify.TOLERANCES)
 def test_power_match_agrees_with_division(tolerance):
-    from fockweyl.verify import _power_match
-
     rng = random.Random(61)
     kinds = Counter()
     for trial in range(600):
@@ -214,14 +205,15 @@ def test_power_match_agrees_with_division(tolerance):
             a = (a[0], LaurentQ.one())
         if bn.is_zero or bd.is_zero:
             bd = LaurentQ.one()
-        got = _power_match(a, (bn, bd), tolerance)
-        assert got == division_power_match(a, (bn, bd), tolerance), (a, bn, bd)
+        got = power_match(a, (bn, bd), tolerance)
         q_a, q_b = QFrac(*a), QFrac(bn, bd)
-        if not q_a.is_zero and not q_b.is_zero:
-            sp = (q_a / q_b).as_signed_q_power()
-            kinds[sp[0] if sp else "other"] += 1
-        else:
+        assert got == reference_power_match(q_a, q_b, tolerance), (a, bn, bd)
+        if q_a.is_zero or q_b.is_zero:
             kinds["zero"] += 1
+        elif reference_power_match(q_a, q_b, "strict"):
+            kinds[1] += 1
+        else:
+            kinds[-1 if reference_power_match(q_a, q_b, "signed") else "other"] += 1
         kinds["match" if got else "no match"] += 1
     # every branch is reached: zero, +q^m, -q^m (refused when strict), other
     assert all(kinds[k] > 20 for k in ("zero", 1, -1, "other", "match",
@@ -281,11 +273,6 @@ def reference_fock_match(lam, ell, tolerance="signed"):
     ket = FockVector.ket(lam)
     images = {i: apply_F(i, ket, ell) for i in range(ell)}
 
-    def power_match(a, b):
-        if a.is_zero or b.is_zero:
-            return a.is_zero and b.is_zero
-        return (a / b).is_q_power(tolerance)
-
     boxes = []
     passed = True
     seen = set()
@@ -300,8 +287,10 @@ def reference_fock_match(lam, ell, tolerance="signed"):
         exp_ok = mono is not None and mono[1] == 1 and mono[0] == val and val == nl
         wrong_residue = any(not images[i].coeff(mu).is_zero
                             for i in range(ell) if i != col)
-        closed_ok = power_match(sv.norm, QFrac(*_jantzen_closed_parts(lam, sv.row)))
-        hook_ok = power_match(sv.norm, hook_ratio(lam, sv.row))
+        closed_ok = reference_power_match(
+            sv.norm, QFrac(*_jantzen_closed_parts(lam, sv.row)), tolerance)
+        hook_ok = reference_power_match(sv.norm, hook_ratio(lam, sv.row),
+                                        tolerance)
         ok = exp_ok and not wrong_residue and closed_ok and hook_ok
         passed = passed and ok
         boxes.append({

@@ -16,7 +16,7 @@ from fockweyl.weights import good_words, words_with_counts
 from fockweyl.weyl import (TensorVector, _lowered, highest_weight_vector,
                            mu_singular_vectors, tensor_act, tensor_form)
 
-from conftest import P61, laurent_mod_p
+from conftest import P61, laurent_mod_p, reference_power_match
 
 
 def word(*letters, rank=2):
@@ -205,8 +205,9 @@ def unit_multiple(x, y):
     key = next(iter(y.terms), None)
     if key is None or key not in x.terms:
         return not x.terms and not y.terms
-    sp = QFrac(x.terms[key], y.terms[key]).as_signed_q_power()
-    return sp is not None and x == y.scale(LaurentQ({sp[1]: sp[0]}))
+    ratio = QFrac(x.terms[key], y.terms[key])
+    return reference_power_match(ratio, QFrac.one(), "signed") \
+        and x == y.scale(ratio.num)
 
 
 def wedge_keys(rank, heights):
