@@ -3,11 +3,13 @@ matrix entries, the diagonal operator completing them to a quantum affine
 sl_ell action, and an exhaustive relation checker.
 
 The generators' columns at a basis ket |lam> are one table per (lam, ell),
-`_columns`: for every color i, the columns of E_i and F_i, tuples of
-(partition, v-exponent), and the K_i exponent d_i = #addable_i - #removable_i.
-A table is built in two walks along `partitions.corners(lam)`, lam's
-addable and removable boxes, which alternate by decreasing content, and kept
-in a cache bounded at 512 tables.
+`_columns`: for the colors i that lam's corners have, the columns of E_i and
+F_i, tuples of (partition, v-exponent), and the K_i exponent
+d_i = #addable_i - #removable_i; every other color has empty columns and
+d_i = 0, so a table's size does not depend on ell.  A table is built in two
+walks along `partitions.corners(lam)`, lam's addable and removable boxes,
+which alternate by decreasing content, and kept in a cache bounded at 512
+tables.
 
 Every nonzero matrix entry is a single power of v, so one column step,
 `_step`, acts on combinations of kets v^e |mu>, dicts from (mu, e) to a
@@ -46,10 +48,6 @@ class FockVector(SparseVector):
     def ket(cls, lam) -> "FockVector":
         return cls({Partition(lam): LaurentQ.one("v")})
 
-    @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
     def sorted_terms(self):
         """Deterministic order: by size, then parts lexicographically."""
         return sorted(self.terms.items(), key=lambda kv: (kv[0].size, kv[0]))
@@ -82,16 +80,19 @@ class FockVector(SparseVector):
 
 
 class _Columns(NamedTuple):
-    """The generators' columns at one ket |lam>, indexed by color i."""
+    """The generators' columns at one ket |lam>, keyed by color i.  Only the
+    colors of lam's corners are keys: any other color has an empty column
+    and d 0.  Cached tables are shared, so no caller changes them."""
 
-    E: tuple  # E[i]: the column of E_i, a tuple of (mu, e) for v^e |mu>
-    F: tuple  # F[i]: the column of F_i, likewise
-    d: tuple  # d[i] = #addable_i - #removable_i: K_i |lam> = v^d[i] |lam>
+    E: dict  # E[i]: the column of E_i, a tuple of (mu, e) for v^e |mu>
+    F: dict  # F[i]: the column of F_i, likewise
+    d: dict  # d[i] = #addable_i - #removable_i: K_i |lam> = v^d[i] |lam>
 
 
 @lru_cache(maxsize=512)
 def _columns(lam: Partition, ell: int) -> _Columns:
-    """Columns of E_i and F_i and the K_i exponent at |lam>, for every color.
+    """Columns of E_i and F_i and the K_i exponent at |lam>, for the colors
+    lam has: those of its corners.
 
     lam's `corners`, by decreasing content, alternate addable and removable
     boxes, from an addable box to an addable box.  One walk forward keeps,
@@ -104,25 +105,23 @@ def _columns(lam: Partition, ell: int) -> _Columns:
     """
     walk = corners(lam)
     colors = [color(b, ell) for b in walk]
-    E = [[] for _ in range(ell)]
-    F = [[] for _ in range(ell)]
-    d = [0] * ell
+    E, F, d = {}, {}, dict.fromkeys(colors, 0)
     for j, (b, i) in enumerate(zip(walk, colors)):
         if j % 2:
             d[i] -= 1
         else:
-            F[i].append((lam.add_box(b), -d[i]))
+            F.setdefault(i, []).append((lam.add_box(b), -d[i]))
             d[i] += 1
-    below = [0] * ell
+    below = dict.fromkeys(colors, 0)
     for j in range(len(walk) - 1, -1, -1):
         b, i = walk[j], colors[j]
         if j % 2:
-            E[i].append((lam.remove_box(b), below[i]))
+            E.setdefault(i, []).append((lam.remove_box(b), below[i]))
             below[i] -= 1
         else:
             below[i] += 1
-    return _Columns(tuple(tuple(reversed(col)) for col in E),
-                    tuple(map(tuple, F)), tuple(d))
+    return _Columns({i: tuple(reversed(col)) for i, col in E.items()},
+                    {i: tuple(col) for i, col in F.items()}, d)
 
 
 def _step(x: dict, ell: int, op: str, i: int) -> dict:
@@ -133,7 +132,8 @@ def _step(x: dict, ell: int, op: str, i: int) -> dict:
     y = {}
     for (lam, e), c in x.items():
         cols = _columns(lam, ell)
-        col = ((lam, cols.d[i]),) if op == "K" else getattr(cols, op)[i]
+        col = ((lam, cols.d.get(i, 0)),) if op == "K" \
+            else getattr(cols, op).get(i, ())
         for mu, f in col:
             key = (mu, e + f)
             y[key] = y.get(key, 0) + c
@@ -213,7 +213,7 @@ def _commutator(lam: Partition, ell: int, i: int, j: int, a: int):
                     (-1, 0, _word(lam, ell, ("F", j), ("E", i)))))
     rhs = {}
     if i == j:
-        d = _columns(lam, ell).d[i]
+        d = _columns(lam, ell).d.get(i, 0)
         rhs = {(lam, s): c for s, c in q_int(d, "v").terms.items()}
     if lhs != rhs:
         return (f"[E_{i},F_{j}] mismatch: "
@@ -223,9 +223,10 @@ def _commutator(lam: Partition, ell: int, i: int, j: int, a: int):
 
 def _k_conjugation(lam: Partition, ell: int, i: int, j: int, a: int):
     cols = _columns(lam, ell)
-    for col, s in ((cols.E[j], 1), (cols.F[j], -1)):
+    d_i = cols.d.get(i, 0)
+    for col, s in ((cols.E.get(j, ()), 1), (cols.F.get(j, ()), -1)):
         for mu, _ in col:
-            if _columns(mu, ell).d[i] - cols.d[i] != s * a:
+            if _columns(mu, ell).d.get(i, 0) - d_i != s * a:
                 return f"K_{i} conjugation of op_{j} fails"
     return None
 

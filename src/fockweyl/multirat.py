@@ -58,14 +58,6 @@ class MultiPoly(_Poly):
         return cls.const(rank, 1)
 
     @classmethod
-    def z(cls, i, rank, power=1):
-        if not 1 <= i <= rank:
-            raise ValueError(f"z index {i} out of range for rank {rank}")
-        e = [0] * (rank + 1)
-        e[i - 1] = power
-        return cls(rank, {tuple(e): 1})
-
-    @classmethod
     def q(cls, rank, power=1):
         e = [0] * rank + [power]
         return cls(rank, {tuple(e): 1})
@@ -458,14 +450,6 @@ class MultiRat(_Frac):
     def const(cls, rank, value):
         return cls(MultiPoly.const(rank, value))
 
-    @classmethod
-    def z(cls, i, rank, power=1):
-        return cls(MultiPoly.z(i, rank, power), coprime=True)
-
-    @classmethod
-    def q(cls, rank, power=1):
-        return cls(MultiPoly.q(rank, power), coprime=True)
-
     def _wrap(self, x):
         if isinstance(x, MultiRat):
             return x
@@ -605,7 +589,7 @@ class UnitParts:
         self.z_exps = z_exps
         self.scalar = scalar
 
-    def is_q_power(self, tolerance: str = "signed") -> bool:
+    def is_q_power(self, tolerance: str) -> bool:
         """Whether this unit is a z-monomial times q^m ("strict"), times
         +-q^m ("signed") or any unit ("unit"): `ring.power_match` of its
         Q(q) part sign * scalar, which has q-degree 0, against 1."""

@@ -63,11 +63,6 @@ class Partition(tuple):
             parts.pop()
         return Partition(parts)
 
-    def boxes(self):
-        for r, p in enumerate(self, start=1):
-            for c in range(1, p + 1):
-                yield Box(r, c)
-
     def __repr__(self):
         return f"Partition({tuple(self)})"
 

@@ -32,8 +32,6 @@ def _coef(x):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
-    if isinstance(x, str):
-        return _coef(Fraction(x))
     raise TypeError(f"bad coefficient {x!r}")
 
 
@@ -560,9 +558,9 @@ class QFrac(_Frac):
 
     __slots__ = ()
 
-    def __init__(self, num, den=None, var="q"):
+    def __init__(self, num, den=None):
         if not isinstance(num, LaurentQ):
-            num = LaurentQ({0: num}, var)
+            num = LaurentQ({0: num})
         if den is None:
             den = LaurentQ.one(num.var)
         elif not isinstance(den, LaurentQ):
@@ -593,18 +591,6 @@ class QFrac(_Frac):
         self.num = n._like({e - shift: _coef(v / lead) for e, v in n.terms.items()})
         self.den = d._like({e - shift: _coef(v / lead) for e, v in d.terms.items()})
 
-    @classmethod
-    def zero(cls, var="q"):
-        return cls(LaurentQ.zero(var))
-
-    @classmethod
-    def one(cls, var="q"):
-        return cls(LaurentQ.one(var))
-
-    @property
-    def var(self):
-        return self.num.var
-
     def shift(self, k):
         """Multiply by q**k.  q is a unit prime to the canonical denominator,
         so only the numerator's exponents move and no gcd is needed."""
@@ -614,7 +600,8 @@ class QFrac(_Frac):
         if isinstance(x, QFrac):
             return x
         if isinstance(x, (int, Fraction, LaurentQ)):
-            return QFrac(x if isinstance(x, LaurentQ) else LaurentQ({0: x}, self.var))
+            return QFrac(x if isinstance(x, LaurentQ)
+                         else LaurentQ({0: x}, self.num.var))
         return NotImplemented
 
     def __add__(self, other):

@@ -74,11 +74,18 @@ def _ratio_ok(parts, tolerance: str) -> bool:
 
 
 def _root_lattice_points(rank: int, max_height: int) -> list[tuple]:
-    """Coordinates of each nonzero nu in Q+ of height <= max_height."""
-    return [from_alpha_coords(combo, rank).coords
-            for total in range(1, max_height + 1)
-            for combo in itertools.product(range(total + 1), repeat=rank - 1)
-            if sum(combo) == total]
+    """Coordinates of each nonzero nu in Q+ of height <= max_height, by
+    height, then lexicographically in the simple-root coordinates: the
+    compositions of each height h into rank - 1 parts, read off the rank - 2
+    bar positions among h + rank - 2 slots, which come in the same order."""
+    out = []
+    for total in range(1, max_height + 1):
+        slots = total + rank - 2
+        for bars in itertools.combinations(range(slots), rank - 2):
+            ends = (-1, *bars, slots)
+            combo = [b - a - 1 for a, b in zip(ends, ends[1:])]
+            out.append(from_alpha_coords(combo, rank).coords)
+    return out
 
 
 def _theorem51_cases(config: RunConfig) -> list[tuple]:
@@ -179,9 +186,9 @@ def _theorem61(lam_t, ell, tolerance):
         val = val_cyclotomic(sv.norm, 2 * ell)
         nl = n_left(lam, b, ell)
         # mu's coefficient in F_col |lam> is the sum of v^e over these
-        exps = [e for nu, e in F[col] if nu == mu]
-        wrong_residue = any(nu == mu for i in range(ell) if i != col
-                            for nu, _ in F[i])
+        exps = [e for nu, e in F.get(col, ()) if nu == mu]
+        wrong_residue = any(nu == mu for i, c in F.items() if i != col
+                            for nu, _ in c)
         norm = (sv.norm.num, sv.norm.den)
         closed_ok = power_match(norm, _jantzen_closed_parts(lam, sv.row),
                                 tolerance)
@@ -194,7 +201,7 @@ def _theorem61(lam_t, ell, tolerance):
             "fock_exponent": exps[0] if len(set(exps)) == 1 else None,
             "r": sv.norm.to_text(), "matches_closed_form": closed_ok,
             "matches_hook_ratio": hook_ok, "pass": ok})
-    for i in range(ell):
+    for i in sorted(F):
         for mu in sorted({nu for nu, _ in F[i]} - seen,
                          key=lambda nu: (nu.size, nu)):
             boxes.append({"unexpected": list(mu), "color": i, "pass": False})

@@ -33,7 +33,7 @@ from .partitions import (Partition, Box, addable_boxes, content, is_addable,
                          n_left, removable_boxes)
 from .ring import LaurentQ, QFrac, q_int, val_cyclotomic
 from .sparse import SparseVector
-from .weights import Weight, alpha, good_words, positive_roots, words_with_counts
+from .weights import Weight, alpha, good_words, words_with_counts
 
 YWord = tuple  # sequence of indices in 1..N-1
 
@@ -153,31 +153,26 @@ def ywords(nu: Weight) -> list[YWord]:
 
 @lru_cache(maxsize=None)
 def _kostant_cached(coords: tuple) -> int:
-    gamma = Weight(coords)
-    n = gamma.rank
-    target = -gamma
-    if not target.in_q_plus:
+    """The number of ways to write -Weight(coords) as a sum of positive
+    roots, counted root by root with no recursion: a dict from each
+    remainder, in simple-root coordinates, to its number of ways.  The roots alpha_a + .. + alpha_{b-1} are taken by
+    increasing a, each as often as the remainder stays in Q+; no later root
+    holds alpha_a, so a remainder whose a-th coordinate is left is dropped."""
+    ac = Weight(coords).alpha_coords()
+    if ac is None or any(c > 0 for c in ac):
         return 0
-    roots = positive_roots(n)
-
-    @lru_cache(maxsize=None)
-    def rec(idx: int, tcoords: tuple) -> int:
-        t = Weight(tcoords)
-        if all(c == 0 for c in tcoords):
-            return 1
-        if idx == len(roots):
-            return 0
-        r = roots[idx]
-        total = 0
-        cur = t
-        while True:
-            total += rec(idx + 1, cur.coords)
-            cur = cur - r
-            if not cur.in_q_plus:
-                break
-        return total
-
-    return rec(0, target.coords)
+    n = len(ac)
+    ways = {tuple(-c for c in ac): 1}
+    for a in range(n):
+        for b in range(a + 1, n + 1):
+            nxt = {}
+            for t, w in ways.items():
+                for m in range(min(t[a:b]) + 1):
+                    key = t[:a] + tuple(c - m for c in t[a:b]) + t[b:]
+                    nxt[key] = nxt.get(key, 0) + w
+            ways = nxt
+        ways = {t: w for t, w in ways.items() if not t[a]}
+    return ways.get((0,) * n, 0)
 
 
 def kostant_p(gamma: Weight) -> int:

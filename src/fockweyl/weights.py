@@ -84,18 +84,6 @@ class Weight:
             out.append(acc)
         return tuple(out)
 
-    @property
-    def in_q_plus(self) -> bool:
-        ac = self.alpha_coords()
-        return ac is not None and all(c >= 0 for c in ac)
-
-    def height(self) -> int:
-        """Number of simple roots in an element of Q+ (sum of alpha coordinates)."""
-        ac = self.alpha_coords()
-        if ac is None:
-            raise ValueError("height of a weight outside the root lattice")
-        return sum(ac)
-
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 

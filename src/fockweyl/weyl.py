@@ -22,9 +22,8 @@ Each Lambda_q^c V is minuscule: X_i omega_S = omega_{S - {i+1} + {i}} when
 i + 1 is in S and i is not, and 0 otherwise (Y_i the other way), with
 coefficient 1.  So X_i on a key replaces i + 1 by i inside one factor, times q
 to the K_i weight of the later factors; Y_i replaces i by i + 1, times q to
-minus the K_i weight of the earlier factors; L_i is q to the number of factors
-that contain i.  The contravariant form is diagonal,
-(e, e) = q^{sum over factors S, s in S, of (1 - s)}.  In V^{(x)c},
+minus the K_i weight of the earlier factors.  The contravariant form is
+diagonal, (e, e) = q^{sum over factors S, s in S, of (1 - s)}.  In V^{(x)c},
 (omega_S, omega_S) is that times sum_sigma q^{-2 inv sigma}, a constant of the
 column height alone.  Every key of one weight space in the singular-vector
 solve has the same factor heights, so these constants appear once in (u, top)
@@ -73,11 +72,6 @@ class TensorVector(SparseVector):
     def _space(self):
         return (self.n, self.rank)
 
-    @classmethod
-    def word(cls, w, rank) -> "TensorVector":
-        """The basis key w (a word, or a tuple of letters and wedges)."""
-        return cls(sum(map(len, _factors(w))), rank, {tuple(w): LaurentQ.one()})
-
     def __repr__(self):
         if not self.terms:
             return "TensorVector(0)"
@@ -113,26 +107,17 @@ def _swap(f, old, new):
 def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
     """Act by a generator through the left-nested iterated coproduct.
 
-    gen is one of 'X', 'Y', 'L', 'Linv'.  On a single factor the actions are
+    gen is 'X' or 'Y'.  On a single factor the actions are
     X_i omega_S = omega_{S'} with S' = S - {i+1} + {i} (when i+1 in S and i
-    not), Y_i the other way, L_i omega_S = q^{[i in S]} omega_S; a letter is
-    the wedge of one element (X_i v_{i+1} = v_i, Y_i v_i = v_{i+1}).
+    not) and Y_i the other way; a letter is the wedge of one element
+    (X_i v_{i+1} = v_i, Y_i v_i = v_{i+1}).
     The q-powers are exponent shifts, so LaurentQ coefficients stay LaurentQ.
     """
     rank = x.rank
-    if gen in ("L", "Linv"):
-        if not 1 <= i <= rank:
-            raise ValueError(f"L index {i} out of range")
-        sgn = -1 if gen == "Linv" else 1
-        out = TensorVector(x.n, rank)
-        for w, c in x.terms.items():
-            k = sum(1 for f in w if (f == i if type(f) is int else i in f))
-            out.terms[w] = c.shift(sgn * k)
-        return out
-    if not 1 <= i <= rank - 1:
-        raise ValueError(f"{gen} index {i} out of range for rank {rank}")
     if gen not in ("X", "Y"):
         raise ValueError(f"unknown generator {gen!r}")
+    if not 1 <= i <= rank - 1:
+        raise ValueError(f"{gen} index {i} out of range for rank {rank}")
     # X_i: q to the K_i weight of the factors after the one acted on, walked
     # from the right; Y_i: q to minus that weight of those before, from the left
     old, new, sign, step = (i + 1, i, 1, -1) if gen == "X" else (i, i + 1, -1, 1)

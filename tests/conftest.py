@@ -1,15 +1,18 @@
-"""Shared hypothesis strategies, deterministic test settings, the exact
-evaluation of a `MultiRat` at a weight, the reduce-then-test reference for
-+-q^m and the mod-p helpers of the evaluation witnesses."""
+"""Shared hypothesis strategies, deterministic test settings, the z and q
+monomials of the multivariate tower, the boxes of a diagram, the L_i action
+on tensors, the exact evaluation of a `MultiRat` at a weight, the
+reduce-then-test reference for +-q^m and the mod-p helpers of the evaluation
+witnesses."""
 
 import hypothesis.strategies as st
 from hypothesis import settings, HealthCheck
 
 from fockweyl.errors import PoleError
 from fockweyl.multirat import MultiPoly, MultiRat
-from fockweyl.partitions import Partition
+from fockweyl.partitions import Box, Partition
 from fockweyl.ring import LaurentQ, QFrac
 from fockweyl.weights import Weight
+from fockweyl.weyl import TensorVector
 
 settings.register_profile(
     "ci",
@@ -54,6 +57,39 @@ def partitions(max_size=8):
     return st.lists(st.integers(1, 5), max_size=4).map(
         lambda parts: Partition(sorted(parts, reverse=True))
     ).filter(lambda lam: lam.size <= max_size)
+
+
+def z_poly(i, rank, power=1):
+    """z_i^power in the MultiPoly ring of the given rank."""
+    e = [0] * (rank + 1)
+    e[i - 1] = power
+    return MultiPoly(rank, {tuple(e): 1})
+
+
+def z_rat(i, rank, power=1):
+    """z_i^power as a MultiRat."""
+    return MultiRat(z_poly(i, rank, power), coprime=True)
+
+
+def q_rat(rank, power=1):
+    """q^power as a MultiRat."""
+    return MultiRat(MultiPoly.q(rank, power), coprime=True)
+
+
+def diagram_boxes(lam):
+    """The boxes of lam, row by row, each row left to right."""
+    return [Box(r, c) for r, p in enumerate(lam, 1) for c in range(1, p + 1)]
+
+
+def tensor_l(i, x, power=1):
+    """L_i^power on a TensorVector: each key times q^power per factor that
+    holds the letter i (L_i omega_S = q^{[i in S]} omega_S, and the
+    coproduct of L_i is L_i (x) L_i)."""
+    out = TensorVector(x.n, x.rank)
+    for w, c in x.terms.items():
+        k = sum(1 for f in w if (f == i if type(f) is int else i in f))
+        out.terms[w] = c.shift(power * k)
+    return out
 
 
 def eval_at_weight(f: MultiRat, lam) -> QFrac:

@@ -28,6 +28,14 @@ class TestFockApply:
         assert json.loads(out) == [
             {"partition": [], "coeff": {"var": "v", "coeffs": {"1": "1"}}}]
 
+    @pytest.mark.parametrize("op, i", [("E", "1"), ("F", "0"), ("K", "1")])
+    def test_huge_ell_gives_small_ell_bytes(self, capsys, op, i):
+        # the colors of 2,1 lie in 0..2 or near ell: the same kets at any
+        # ell >= 5, and a table that does not grow with ell
+        outs = [run(capsys, "fock", "apply", "--op", op, "--i", i, "--ell",
+                    ell, "--partition", "2,1") for ell in ("7", "1000000000")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
     def test_bad_residue(self, capsys):
         code, _, err = run(capsys, "fock", "apply", "--op", "F", "--i", "5",
                            "--ell", "2", "--partition", "1")
@@ -57,6 +65,12 @@ class TestJantzen:
                            "--k", "2", "--ell", "2")
         assert code == 0
         assert out == "-1\n"
+
+    def test_engine_at_rank_32(self, capsys):
+        # 496 positive roots: Kostant's count must not recurse per root
+        outs = [run(capsys, "jantzen", "engine", "--k", "2", "--rank", rank)
+                for rank in ("31", "32")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
 
     def test_closed_engine_agree_on_output(self, capsys):
         code1, out1, _ = run(capsys, "jantzen", "closed", "--k", "2", "--rank", "2")

@@ -7,7 +7,8 @@ from fockweyl import fock
 from fockweyl.fock import (FockVector, _columns, affine_cartan, apply_E,
                            apply_F, apply_K, check_relations)
 from fockweyl.partitions import (Partition, addable_boxes, all_partitions,
-                                 color, n_left, n_right, removable_boxes)
+                                 color, corners, n_left, n_right,
+                                 removable_boxes)
 from fockweyl.ring import LaurentQ, q_int
 
 
@@ -126,7 +127,7 @@ class TestRendering:
 
     def test_empty_ket(self):
         assert ket().render() == "|0>"
-        assert FockVector.zero().render() == "0"
+        assert FockVector().render() == "0"
 
     def test_polynomial_coefficient(self):
         x = ket(1).scale(q_int(2, "v"))
@@ -189,20 +190,20 @@ def old_apply_K(i, x, ell):
 
 
 def per_box_columns(lam, ell):
-    """The (lam, ell) table with n_left and n_right computed box by box."""
-    E = [[] for _ in range(ell)]
-    F = [[] for _ in range(ell)]
-    d = [0] * ell
+    """The (lam, ell) table with n_left and n_right computed box by box,
+    keyed by the colors of lam's addable and removable boxes."""
+    E, F, d = {}, {}, {}
     for b in addable_boxes(lam):
         i = color(b, ell)
-        F[i].append((lam.add_box(b), n_left(lam, b, ell)))
-        d[i] += 1
+        F.setdefault(i, []).append((lam.add_box(b), n_left(lam, b, ell)))
+        d[i] = d.get(i, 0) + 1
     for b in removable_boxes(lam):
         i = color(b, ell)
         mu = lam.remove_box(b)
-        E[i].append((mu, -n_right(mu, b, ell)))
-        d[i] -= 1
-    return tuple(map(tuple, E)), tuple(map(tuple, F)), tuple(d)
+        E.setdefault(i, []).append((mu, -n_right(mu, b, ell)))
+        d[i] = d.get(i, 0) - 1
+    return ({i: tuple(col) for i, col in E.items()},
+            {i: tuple(col) for i, col in F.items()}, d)
 
 
 class TestCachedColumns:
@@ -230,7 +231,28 @@ class TestCachedColumns:
                 got = _columns.__wrapped__(lam, ell)
                 assert tuple(got) == per_box_columns(lam, ell)
                 assert all(type(mu) is Partition
-                           for col in got.E + got.F for mu, _ in col)
+                           for col in [*got.E.values(), *got.F.values()]
+                           for mu, _ in col)
+
+    def test_table_sized_by_lam_not_ell(self):
+        # at ell = 10^9 the table of (2, 1) holds the colors of its five
+        # corners, with the columns of ell = 7 under the same contents
+        lam, big = Partition((2, 1)), 10 ** 9
+        got, small = _columns(lam, big), _columns(lam, 7)
+        walk = corners(lam)
+        assert set(got.d) == {color(b, big) for b in walk} \
+            == {2, 1, 0, big - 1, big - 2}
+        assert set(got.F) == {color(b, big) for b in walk[::2]}
+        assert set(got.E) == {color(b, big) for b in walk[1::2]}
+        for b in walk:
+            i, j = color(b, big), color(b, 7)
+            assert got.d[i] == small.d[j]
+            assert got.E.get(i) == small.E.get(j)
+            assert got.F.get(i) == small.F.get(j)
+        for op in (apply_E, apply_F, apply_K):
+            for b in walk:
+                assert op(color(b, big), FockVector.ket(lam), big) \
+                    == op(color(b, 7), FockVector.ket(lam), 7)
 
     def test_every_ket(self):
         _columns.cache_clear()
@@ -286,10 +308,10 @@ def reference_check_relations(ell, max_size):
                 lhs = apply_E(i, apply_F(j, ket, ell), ell) \
                     - apply_F(j, apply_E(i, ket, ell), ell)
                 if i == j:
-                    d = fock._columns(lam, ell).d[i]
+                    d = fock._columns(lam, ell).d.get(i, 0)
                     rhs = ket.scale(q_int(d, "v"))
                 else:
-                    rhs = FockVector.zero()
+                    rhs = FockVector()
                 if lhs != rhs:
                     return f"[E_{i},F_{j}] mismatch: {lhs.render()} vs {rhs.render()}"
                 return None
@@ -344,17 +366,17 @@ def reference_check_relations(ell, max_size):
 def shift_F_exponent(cols, i):
     """The first entry of F_i's column, one power of v off."""
     (mu, e), *rest = cols.F[i]
-    return cols._replace(F=cols.F[:i] + (((mu, e + 1), *rest),) + cols.F[i + 1:])
+    return cols._replace(F={**cols.F, i: ((mu, e + 1), *rest)})
 
 
 def drop_E_entry(cols, i):
     """E_i's column without its first mu."""
-    return cols._replace(E=cols.E[:i] + (cols.E[i][1:],) + cols.E[i + 1:])
+    return cols._replace(E={**cols.E, i: cols.E[i][1:]})
 
 
 def shift_K_exponent(cols, i):
     """d_i one too large."""
-    return cols._replace(d=cols.d[:i] + (cols.d[i] + 1,) + cols.d[i + 1:])
+    return cols._replace(d={**cols.d, i: cols.d.get(i, 0) + 1})
 
 
 class TestFailureReports:

@@ -49,7 +49,7 @@ def upper(matrix):
 def cofactor_det(m):
     if len(m) == 1:
         return m[0][0]
-    total = QFrac.zero()
+    total = QFrac(0)
     for c in range(len(m)):
         minor = [row[:c] + row[c + 1:] for row in m[1:]]
         term = m[0][c] * cofactor_det(minor)
@@ -181,21 +181,21 @@ class TestSparseUpdate:
 
 class TestFieldOps:
     def test_det_and_rank(self):
-        m = [[QFrac(L({1: 1})), QFrac.one()], [QFrac.one(), QFrac(L({-1: 1}))]]
+        m = [[QFrac(L({1: 1})), QFrac(1)], [QFrac(1), QFrac(L({-1: 1}))]]
         # det = q * q^-1 - 1 = 0
         assert field_det(m).is_zero
         assert field_rank(m) == 1
 
     def test_det_sign_under_row_swap(self):
         assert field_det(Q([[0, 1], [1, 0]])) == QFrac(L({0: -1}))
-        assert field_det(Q([[1, 0], [0, 1]])) == QFrac.one()
+        assert field_det(Q([[1, 0], [0, 1]])) == QFrac(1)
 
     def test_det_against_cofactor_expansion(self):
         q = L({1: 1})
         # zero top-left entry forces a swap; q-dependent entries elsewhere
-        m = [[QFrac.zero(), QFrac(q), QFrac.one()],
-             [QFrac(q + L({0: 1})), QFrac.one(), QFrac(L({-1: 2}))],
-             [QFrac.one(), QFrac(L({2: 1}) - L({0: 3})), QFrac(q) / QFrac(L({0: 1}) + q)]]
+        m = [[QFrac(0), QFrac(q), QFrac(1)],
+             [QFrac(q + L({0: 1})), QFrac(1), QFrac(L({-1: 2}))],
+             [QFrac(1), QFrac(L({2: 1}) - L({0: 3})), QFrac(q) / QFrac(L({0: 1}) + q)]]
         d = field_det(m)
         assert not d.is_zero
         assert d == cofactor_det(m)
@@ -204,7 +204,7 @@ class TestFieldOps:
         # the pivot of column 0 is row 1 (entry 1, simpler than 1 + q)
         m = Q([[L({0: 1, 1: 1}), 1], [1, 1]])
         ech, piv, sign = field_echelon(m)
-        assert ech[0][0] == QFrac.one() and piv == [0, 1] and sign == -1
+        assert ech[0][0] == QFrac(1) and piv == [0, 1] and sign == -1
         assert field_det(m) == QFrac(L({1: 1})) == cofactor_det(m)
 
     def test_echelon_sign_and_pivots(self):
@@ -280,7 +280,7 @@ class TestSymmetricPivots:
             symmetric_pivots(upper(m))  # index 1: zero pivot, row entry 3 - 2 = 1
         chosen, pivots = symmetric_pivots(
             upper(Q([[1, 2, 1], [2, 4, 2], [1, 2, 2]])))
-        assert chosen == [0, 2] and pivots == [QFrac.one(), QFrac.one()]
+        assert chosen == [0, 2] and pivots == [QFrac(1), QFrac(1)]
 
     def test_isotropic_raises(self):
         with pytest.raises(ValueError):

@@ -16,22 +16,23 @@ from fockweyl.verify import TOLERANCES, RunConfig, enumerate_cases, run_case
 from fockweyl.weights import Weight
 
 from conftest import (eval_at_weight, laurents, multipolys, multirats,
-                      nonzero_laurents, reference_power_match, weights)
+                      nonzero_laurents, q_rat, reference_power_match, weights,
+                      z_poly, z_rat)
 
 
 def z(i, rank=2, p=1):
-    return MultiRat.z(i, rank, p)
+    return z_rat(i, rank, p)
 
 
 def q(rank=2, p=1):
-    return MultiRat.q(rank, p)
+    return q_rat(rank, p)
 
 
 class TestMultiPolyGcd:
     def test_difference_of_squares(self):
         rank = 2
-        z1 = MultiPoly.z(1, rank)
-        z2 = MultiPoly.z(2, rank)
+        z1 = z_poly(1, rank)
+        z2 = z_poly(2, rank)
         f = z1 * z1 - z2 * z2
         g = z1 - z2
         d = poly_gcd_multi(f, g)
@@ -39,8 +40,8 @@ class TestMultiPolyGcd:
 
     def test_fraction_reduces(self):
         rank = 2
-        z1 = MultiPoly.z(1, rank)
-        z2 = MultiPoly.z(2, rank)
+        z1 = z_poly(1, rank)
+        z2 = z_poly(2, rank)
         r = MultiRat(z1 * z1 - z2 * z2, z1 - z2)
         assert r == MultiRat(z1 + z2)
 
@@ -89,7 +90,7 @@ class TestMultiPolyGcd:
         # into that slot; z1 + q is content in z2
         from fockweyl.multirat import _gcd_subresultant, _main_var
         rank = 3
-        z1, z2, z3 = (MultiPoly.z(i, rank) for i in (1, 2, 3))
+        z1, z2, z3 = (z_poly(i, rank) for i in (1, 2, 3))
         qq = MultiPoly.q(rank)
         h = (z1 * z1 * z2 + qq ** 3 + z3 * z3) * (z1 + qq)
         f = h * (z1 * z1 * z2 + z3 ** 3 + 2)
@@ -100,10 +101,10 @@ class TestMultiPolyGcd:
 
     def test_laurent_input_rejected(self):
         rank = 2
-        z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+        z1, z2 = z_poly(1, rank), z_poly(2, rank)
         qq = MultiPoly.q(rank)
         h = z1 + z2 * qq
-        f = (MultiPoly.z(1, rank, -1) + qq) * h
+        f = (z_poly(1, rank, -1) + qq) * h
         g = (z2 + qq * qq) * h
         for args in ((f, g), (g, f), (MultiPoly.zero(rank), f)):
             with pytest.raises(ValueError, match="ordinary polynomials"):
@@ -398,7 +399,7 @@ class TestExactHeuristic:
         # z1 + 1 evaluates to an integer; the gcd must not drop it
         from fockweyl.multirat import _heugcd
         rank = 2
-        z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+        z1, z2 = z_poly(1, rank), z_poly(2, rank)
         qq = MultiPoly.q(rank)
         f = (z1 + 1) * (z1 + z2 + qq * qq)
         g = (z1 + 1) * (z2 * z2 + qq + 1)
@@ -407,7 +408,7 @@ class TestExactHeuristic:
     def test_content_and_monomial_kept(self):
         from fockweyl.multirat import _heugcd
         rank = 2
-        z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+        z1, z2 = z_poly(1, rank), z_poly(2, rank)
         qq = MultiPoly.q(rank)
         f = (z1 * 6) * (z1 + z2 + qq * qq)
         g = (z1 * 4) * (z2 * z2 + qq + 1)
@@ -439,7 +440,7 @@ class TestExactHeuristic:
         # the subresultant gives the gcd
         import fockweyl.multirat as mr
         rank = 2
-        z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+        z1, z2 = z_poly(1, rank), z_poly(2, rank)
         qq = MultiPoly.q(rank)
         f = (z1 + 1) * (z1 + z2 + qq * qq)
         g = (z1 + 1) * (z2 * z2 + qq + 1)
@@ -465,7 +466,7 @@ class TestExactHeuristic:
 
     def test_unit_operand(self):
         rank = 2
-        f = MultiPoly.z(1, rank) * 3 + MultiPoly.q(rank)
+        f = z_poly(1, rank) * 3 + MultiPoly.q(rank)
         for one in (MultiPoly.const(rank, 5), MultiPoly.const(rank, -1)):
             assert poly_gcd_multi(f, one) == MultiPoly.one(rank)
             assert poly_gcd_multi(one, f) == MultiPoly.one(rank)
@@ -473,7 +474,7 @@ class TestExactHeuristic:
 
 class TestDivExact:
     rank = 2
-    z1, z2 = MultiPoly.z(1, rank), MultiPoly.z(2, rank)
+    z1, z2 = z_poly(1, rank), z_poly(2, rank)
     qq = MultiPoly.q(rank)
 
     def test_integer_quotient_stays_int(self):
@@ -523,8 +524,8 @@ class TestMultiRatField:
 
     def test_denominator_normalized(self):
         rank = 2
-        z1 = MultiPoly.z(1, rank)
-        z2 = MultiPoly.z(2, rank)
+        z1 = z_poly(1, rank)
+        z2 = z_poly(2, rank)
         r = MultiRat(MultiPoly.one(rank), z1 * 2 + z2 * 4)
         # canonical denominator: integer primitive, positive lex lead, min exp 0
         assert r.den == z1 + z2 * 2
@@ -682,7 +683,7 @@ class TestUnitRatio:
         parts = unit_ratio(q(p=3) * z(1) * f, f)
         assert parts is not None
         assert (parts.sign, parts.q_exp, parts.z_exps) == (1, 3, (1, 0))
-        assert parts.scalar == QFrac.one()
+        assert parts.scalar == QFrac(1)
         assert parts.is_q_power("strict")
 
     def test_not_a_unit(self):
@@ -709,13 +710,13 @@ class TestUnitRatio:
 
     @pytest.mark.parametrize("tolerance", TOLERANCES)
     @pytest.mark.parametrize("scalar", [
-        QFrac.one(), QFrac(LaurentQ.term(3)), QFrac(LaurentQ.term(-2, -1)),
+        QFrac(1), QFrac(LaurentQ.term(3)), QFrac(LaurentQ.term(-2, -1)),
         QFrac(q_int(2)), QFrac(2), QFrac(LaurentQ.one(), q_int(2))])
     def test_is_q_power_as_for_qfrac(self, scalar, tolerance):
         f = z(1) - z(2)
         parts = unit_ratio(f * z(2, p=-1) * as_multirat(scalar, 2), f)
         assert parts.is_q_power(tolerance) \
-            == reference_power_match(scalar, QFrac.one(), tolerance)
+            == reference_power_match(scalar, QFrac(1), tolerance)
 
 
 try:

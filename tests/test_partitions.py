@@ -6,7 +6,7 @@ from fockweyl.partitions import (Box, Partition, addable_boxes,
                                  content, corners, n_left, n_right,
                                  removable_boxes)
 
-from conftest import partitions
+from conftest import diagram_boxes, partitions
 
 
 # Colors of the 36 boxes of (7,6,6,5,5,3,3,1) at ell=3, frozen from the
@@ -43,7 +43,7 @@ class TestContentColor:
         lam = Partition((7, 6, 6, 5, 5, 3, 3, 1))
         assert lam.size == 36
         seen = 0
-        for b in lam.boxes():
+        for b in diagram_boxes(lam):
             assert color(b, 3) == FIGURE_COLORS[b.row][b.col - 1]
             seen += 1
         assert seen == 36
@@ -155,7 +155,7 @@ def brute_addable(lam, ell, color_filter=None):
 
 def brute_removable(lam, ell, color_filter=None):
     """Boxes of lam whose lower and right neighbours are outside it."""
-    boxes = [b for b in lam.boxes()
+    boxes = [b for b in diagram_boxes(lam)
              if not lam.contains(Box(b.row + 1, b.col))
              and not lam.contains(Box(b.row, b.col + 1))]
     return _by_content(boxes, ell, color_filter)

@@ -10,7 +10,7 @@ from fockweyl.ring import (LaurentQ, QFrac, _coef, cyclotomic, poly_gcd,
                            power_match, q_int, render_q_integers,
                            val_cyclotomic)
 
-from conftest import laurents, nonzero_laurents
+from conftest import laurents, nonzero_laurents, z_poly
 
 
 def L(d, var="q"):
@@ -83,7 +83,7 @@ class TestValuation:
 
     def test_zero_raises(self):
         with pytest.raises(ValueError, match="valuation of zero"):
-            val_cyclotomic(QFrac.zero(), 4)
+            val_cyclotomic(QFrac(0), 4)
         with pytest.raises(ValueError, match="valuation of zero"):
             val_cyclotomic(LaurentQ.zero(), 4)
 
@@ -158,13 +158,13 @@ class TestQFrac:
     @given(nonzero_laurents(), nonzero_laurents())
     def test_mul_inverse(self, a, b):
         x = QFrac(a, b)
-        assert x * x.inverse() == QFrac.one()
+        assert x * x.inverse() == QFrac(1)
 
     @given(laurents(), nonzero_laurents())
     def test_add_sub(self, a, b):
         x = QFrac(a, b)
         assert (x - x).is_zero
-        assert x + QFrac.zero() == x
+        assert x + QFrac(0) == x
 
     @given(laurents(), nonzero_laurents())
     def test_unit_denominator_fast_path(self, p, d):
@@ -288,7 +288,7 @@ class TestPolyDivmod:
         # (2q^3 + 2q^2 - 3q - 3) / (q + 1) = 2q^2 - 3 is
         a = {0: -3, 1: -3, 2: 2, 3: 2}
         assert quotient(a, {0: 2, 1: 2}) == typed({0: Fraction(-3, 2), 2: 1})
-        z1, q1 = MultiPoly.z(1, 1), MultiPoly.q(1)
+        z1, q1 = z_poly(1, 1), MultiPoly.q(1)
         f, g = z1 * z1 * 2 - q1 * 3, z1 + q1
         monkeypatch.setattr(ring, "Fraction", no_fraction)
         assert quotient(a, {0: 1, 1: 1}) == typed({0: -3, 2: 2})

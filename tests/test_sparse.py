@@ -11,6 +11,8 @@ from fockweyl.verma import VermaElement
 from fockweyl.weights import Weight
 from fockweyl.weyl import TensorVector
 
+from conftest import z_rat
+
 
 def _fock():
     x = FockVector({(2, 1): LaurentQ({-1: 2, 1: 1}, "v"), (1,): 3})
@@ -19,15 +21,15 @@ def _fock():
 
 def _verma():
     shift = Weight((1, 0, -1))
-    x = VermaElement(shift, 3, {(1, 2): MultiRat.z(1, 3), (2, 1): 5})
+    x = VermaElement(shift, 3, {(1, 2): z_rat(1, 3), (2, 1): 5})
     return {"x": x, "absent": (1,), "zero": MultiRat.zero(3),
             "other_space": VermaElement(Weight((0, 0, 0)), 3, {(1, 2): 1})}
 
 
 def _tensor():
     x = TensorVector(2, 3, {(1, 2): LaurentQ({1: 1}), (3, 1): 2})
-    return {"x": x, "absent": (2, 2), "zero": QFrac.zero(),
-            "other_space": TensorVector.word((1, 2, 3), 3)}
+    return {"x": x, "absent": (2, 2), "zero": QFrac(0),
+            "other_space": TensorVector(3, 3, {(1, 2, 3): LaurentQ.one()})}
 
 
 CASES = {"fock": _fock, "verma": _verma, "tensor": _tensor}

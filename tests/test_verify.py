@@ -3,6 +3,7 @@ against the comparison it replaced, and the records of faults that no
 passing sweep reaches."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fockweyl.partitions import (Box, Partition, all_partitions, color,
 from fockweyl.ring import LaurentQ, QFrac, power_match, val_cyclotomic
 from fockweyl.verify import FAMILIES, RunConfig, enumerate_cases, run_case
 from fockweyl.verma import _jantzen_closed_parts, hook_ratio
-from fockweyl.weights import from_alpha_coords
+from fockweyl.weights import Weight, from_alpha_coords
 from fockweyl.weyl import mu_singular_vectors
 
 from conftest import reference_power_match
@@ -30,6 +31,25 @@ def root_lattice_points(rank, max_height):
             if sum(combo) == total:
                 out.append(from_alpha_coords(combo, rank))
     return out
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_root_lattice_points_match_filter(rank):
+    assert verify._root_lattice_points(rank, 4) \
+        == [nu.coords for nu in root_lattice_points(rank, 4)]
+
+
+def test_root_lattice_points_at_rank_40():
+    # C(h + 38, 38) compositions of each height h into 39 parts, by height
+    # and then in lexicographic order, with no (h + 1)^39 cube filtered
+    points = verify._root_lattice_points(40, 3)
+    alphas = [Weight(c).alpha_coords() for c in points]
+    heights = [sum(ac) for ac in alphas]
+    assert heights == sorted(heights)
+    assert Counter(heights) == {h: math.comb(h + 38, 38) for h in (1, 2, 3)}
+    assert all(a < b for a, b in zip(alphas, alphas[1:])
+               if sum(a) == sum(b))
+    assert min(min(ac) for ac in alphas) == 0
 
 
 def reference_cases(family, config):
@@ -135,7 +155,7 @@ def test_theorem61_records_unexpected_box(monkeypatch):
         cols = real(mu, ell)
         if (mu, ell) != (lam, 2):
             return cols
-        return cols._replace(F=((*cols.F[0], (extra, 0)),) + cols.F[1:])
+        return cols._replace(F={**cols.F, 0: (*cols.F.get(0, ()), (extra, 0))})
 
     spec = ("theorem61", (1,), 2)
     assert run_case(spec).passed
@@ -311,30 +331,30 @@ def reference_fock_match(lam, ell, tolerance="signed"):
     return passed, boxes
 
 
-def extra_kets(cols, lam):
+def extra_kets(cols, lam, ell):
     """Kets no addable row gives: two under color 0, out of size order, and
     one under the last color."""
     n = lam.size
     extra = ((Partition((n + 3,)), 0), (Partition((n + 2,)), 1))
-    F = list(cols.F)
-    F[0] += extra
-    F[-1] += extra[1:]
-    return cols._replace(F=tuple(F))
+    F = dict(cols.F)
+    F[0] = F.get(0, ()) + extra
+    F[ell - 1] = F.get(ell - 1, ()) + extra[1:]
+    return cols._replace(F=F)
 
 
-def listed_twice(cols, lam):
+def listed_twice(cols, lam, ell):
     """Each color's first ket once more: under color 0 with the same
     exponent, under the others with the exponent + 1."""
-    return cols._replace(F=tuple(
-        col + ((col[0][0], col[0][1] + (i > 0)),) if col else col
-        for i, col in enumerate(cols.F)))
+    return cols._replace(F={
+        i: col + ((col[0][0], col[0][1] + (i > 0)),)
+        for i, col in cols.F.items()})
 
 
-def second_color(cols, lam):
+def second_color(cols, lam, ell):
     """Each color's first ket also under the next color."""
-    ell = len(cols.F)
-    return cols._replace(F=tuple(
-        col + cols.F[(i - 1) % ell][:1] for i, col in enumerate(cols.F)))
+    F = {i: cols.F.get(i, ()) + cols.F.get((i - 1) % ell, ())[:1]
+         for i in range(ell)}
+    return cols._replace(F={i: col for i, col in F.items() if col})
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
@@ -349,7 +369,7 @@ def test_theorem61_matches_reference(ell):
 def test_theorem61_faults_match_reference(monkeypatch, fault):
     real = fock._columns
     monkeypatch.setattr(fock, "_columns",
-                        lambda lam, ell: fault(real(lam, ell), lam))
+                        lambda lam, ell: fault(real(lam, ell), lam, ell))
     for lam in all_partitions(4):
         for ell in (2, 3, 4):
             case = run_case(("theorem61", tuple(lam), ell))

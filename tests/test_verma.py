@@ -23,15 +23,15 @@ from fockweyl.weights import (Weight, alpha, from_alpha_coords, good_words,
                               positive_roots, words_with_counts)
 
 from conftest import (P61, det_mod_p, eval_at_weight, eval_mod_p, pivots_mod_p,
-                      reference_power_match, unit_mod_p)
+                      q_rat, reference_power_match, unit_mod_p, z_poly, z_rat)
 
 
 @functools.lru_cache(maxsize=None)
 def cartan(rank, i, a=0):
     """(q^a z_i z_{i+1}^{-1} - q^{-a} z_i^{-1} z_{i+1}) / (q - q^{-1})."""
-    num = (MultiRat.q(rank, a) * MultiRat.z(i, rank) * MultiRat.z(i + 1, rank, -1)
-           - MultiRat.q(rank, -a) * MultiRat.z(i, rank, -1) * MultiRat.z(i + 1, rank))
-    return num / (MultiRat.q(rank) - MultiRat.q(rank, -1))
+    num = (q_rat(rank, a) * z_rat(i, rank) * z_rat(i + 1, rank, -1)
+           - q_rat(rank, -a) * z_rat(i, rank, -1) * z_rat(i + 1, rank))
+    return num / (q_rat(rank) - q_rat(rank, -1))
 
 
 def word_weight(word, shift):
@@ -49,7 +49,7 @@ def act_l(i, e, inverse=False):
     out = VermaElement(e.shift, e.rank)
     for w, c in e.terms.items():
         a = word_weight(w, e.shift).coords[i - 1]
-        mono = MultiPoly.z(i, e.rank, p).shifted((0,) * e.rank + (p * a,))
+        mono = z_poly(i, e.rank, p).shifted((0,) * e.rank + (p * a,))
         out.add_term(w, c * MultiRat(mono, coprime=True))
     return out
 
@@ -98,7 +98,7 @@ class TestGeneratorActions:
         v = VermaElement.highest(Weight.eps(1, 2), 2)
         out = act_l(1, v)
         assert out == VermaElement(Weight.eps(1, 2), 2,
-                                   {(): MultiRat.q(2) * MultiRat.z(1, 2)})
+                                   {(): q_rat(2) * z_rat(1, 2)})
 
     def test_x_other_index_kills(self):
         v = VermaElement.highest(Weight.zero(3), 3)
@@ -139,7 +139,7 @@ class TestShapovalovPair:
     def test_hand_value(self):
         v0 = VermaElement.highest(Weight.zero(2), 2)
         y = act_y(1, v0)
-        expected = MultiRat.z(1, 2, -1) * MultiRat.z(2, 2) * cartan(2, 1)
+        expected = z_rat(1, 2, -1) * z_rat(2, 2) * cartan(2, 1)
         assert shapovalov_pair(y, y) == expected
 
     def test_symmetry_random_words(self):
@@ -220,8 +220,8 @@ class TestIntegralPairing:
     def test_shapovalov_pair_is_bilinear(self):
         rank, mu = 3, Weight.eps(1, 3)
         words = ywords(alpha(1, rank) + alpha(2, rank))
-        c1 = MultiRat.z(1, rank) + MultiRat.q(rank)
-        c2 = MultiRat.q(rank, -2)
+        c1 = z_rat(1, rank) + q_rat(rank)
+        c2 = q_rat(rank, -2)
         a = VermaElement(mu, rank, {words[0]: c1, words[1]: c2})
         b = VermaElement(mu, rank, {words[1]: c1, (): c2})
         assert shapovalov_pair(a, b) == reference_pair(a, b)
@@ -245,11 +245,18 @@ class TestOverQDiff:
         def forbidden(*args, **kwargs):
             raise AssertionError("gcd called")
 
-        p = (MultiPoly.q(2) - 1) ** 2 * (MultiPoly.z(1, 2) + MultiPoly.q(2, 3))
+        p = (MultiPoly.q(2) - 1) ** 2 * (z_poly(1, 2) + MultiPoly.q(2, 3))
         with monkeypatch.context() as m:
             m.setattr(multirat, "poly_gcd_multi", forbidden)
             x = over_q_diff(p, 3)
         assert x * MultiRat(q_diff(2) ** 3, coprime=True) == p
+
+
+def in_q_plus(w):
+    """Whether w is in Q+: in the root lattice, no simple-root coordinate
+    negative."""
+    ac = w.alpha_coords()
+    return ac is not None and all(c >= 0 for c in ac)
 
 
 class TestKostant:
@@ -263,10 +270,12 @@ class TestKostant:
         assert kostant_p(Weight.eps(1, 3) - Weight.eps(2, 3)) == 0
 
     def brute_force(self, gamma):
-        """Independent oracle: enumerate all positive-root multisets."""
+        """Independent oracle: enumerate all positive-root multisets, one
+        recursion level per root, as `_kostant_cached` once did (so it runs
+        out of stack from rank 32)."""
         n = gamma.rank
         target = -gamma
-        if not target.in_q_plus:
+        if not in_q_plus(target):
             return 0
         roots = positive_roots(n)
         count = 0
@@ -283,18 +292,32 @@ class TestKostant:
             while True:
                 rec(idx + 1, cur)
                 cur = cur - r
-                if not cur.in_q_plus:
+                if not in_q_plus(cur):
                     break
         rec(0, target)
         return count
 
-    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
     def test_against_enumeration(self, rank):
-        for ac in itertools.product(range(5), repeat=rank - 1):
-            if sum(ac) == 0 or sum(ac) > 4:
-                continue
-            nu = from_alpha_coords(ac, rank)
-            assert kostant_p(-nu) == self.brute_force(-nu)
+        # every -nu with nu in Q+ of height <= 5, and its opposite
+        for ac in itertools.product(range(6), repeat=rank - 1):
+            if sum(ac) <= 5:
+                nu = from_alpha_coords(ac, rank)
+                assert kostant_p(-nu) == self.brute_force(-nu), ac
+                assert kostant_p(nu) == self.brute_force(nu) == (nu == -nu)
+        eps = Weight.eps(1, rank)
+        assert kostant_p(eps) == self.brute_force(eps) == 0
+
+    def test_rank_32(self):
+        # 496 positive roots: a count that recurses per root runs out of
+        # stack here
+        rank = 32
+        a1, a2 = alpha(1, rank), alpha(2, rank)
+        assert kostant_p(Weight.zero(rank)) == 1
+        assert kostant_p(-a1) == kostant_p(-2 * a1) == 1
+        assert kostant_p(-(a1 + a2)) == 2
+        assert kostant_p(-(alpha(30, rank) + alpha(31, rank))) == 2
+        assert kostant_p(a1) == 0
 
 
 class TestGramMatrix:
@@ -451,7 +474,7 @@ class TestGramMatrix:
             chosen, pivots = real(matrix)
             rank = pivots[0].rank
             # D_1 = pivot_1 would have the denominator z_1 + q
-            return chosen, [pivots[0] / (MultiRat.z(1, rank) + MultiRat.q(rank))
+            return chosen, [pivots[0] / (z_rat(1, rank) + q_rat(rank))
                             ] + pivots[1:]
 
         monkeypatch.setattr(verma, "symmetric_pivots", bad)
@@ -666,8 +689,8 @@ class TestEvaluationWitness:
 class TestClosedDeterminant:
     def test_first_weight_space(self):
         det = shapovalov_det_closed(-alpha(1, 2), 2)
-        assert det == MultiRat.z(1, 2) * MultiRat.z(2, 2, -1) \
-            - MultiRat.z(1, 2, -1) * MultiRat.z(2, 2)
+        assert det == z_rat(1, 2) * z_rat(2, 2, -1) \
+            - z_rat(1, 2, -1) * z_rat(2, 2)
 
     def test_outside_root_cone(self):
         assert shapovalov_det_closed(Weight.eps(1, 2), 2) == MultiRat.one(2)
@@ -680,8 +703,8 @@ class TestClosedDeterminant:
         # the unit is z1^-1 z2 / (q - q^-1)
         assert parts.z_exps == (-1, 1)
         value = gm.det / closed
-        expected = MultiRat.z(1, 2, -1) * MultiRat.z(2, 2) \
-            / (MultiRat.q(2) - MultiRat.q(2, -1))
+        expected = z_rat(1, 2, -1) * z_rat(2, 2) \
+            / (q_rat(2) - q_rat(2, -1))
         assert value == expected
 
 
@@ -691,8 +714,8 @@ class TestJantzenClosed:
 
     def test_rank_two_value(self):
         s2 = jantzen_closed(2, 2)
-        f = MultiRat.z(1, 2) * MultiRat.z(2, 2, -1) \
-            - MultiRat.z(1, 2, -1) * MultiRat.z(2, 2)
+        f = z_rat(1, 2) * z_rat(2, 2, -1) \
+            - z_rat(1, 2, -1) * z_rat(2, 2)
         assert s2 == f / sigma_shift(f, Weight.eps(1, 2))
 
     def test_eval_small(self):
@@ -721,7 +744,7 @@ class TestJantzenClosed:
         # no partition is a pole; a denominator factor that vanishes must
         # raise as eval_at_weight does
         rank = 2
-        vanishing = MultiPoly.z(1, rank) - MultiPoly.z(2, rank)
+        vanishing = z_poly(1, rank) - z_poly(2, rank)
         monkeypatch.setattr(verma, "_jantzen_closed_factors", lambda k, rank: [
             (MultiPoly.one(rank), vanishing)])
         with pytest.raises(PoleError, match=r"evaluation pole at"):
@@ -822,10 +845,10 @@ def per_factor_hook_ratio(lam, k):
                                      removable_boxes)
     new_box = Box(k, lam.part(k) + 1)
     if not is_addable(lam, new_box):
-        return QFrac.zero()
+        return QFrac(0)
     c0 = content(new_box)
-    num = QFrac.one()
-    den = QFrac.one()
+    num = QFrac(1)
+    den = QFrac(1)
     for b in removable_boxes(lam):
         if b.row < k:
             num = num * QFrac(q_int(content(b) - c0))
@@ -854,7 +877,7 @@ class TestHookRatio:
         assert hook_ratio(lam, 6) == expected
 
     def test_empty(self):
-        assert hook_ratio(Partition(()), 1) == QFrac.one()
+        assert hook_ratio(Partition(()), 1) == QFrac(1)
 
     def test_single(self):
         assert hook_ratio(Partition((1,)), 2) == QFrac(q_int(1), q_int(2))
