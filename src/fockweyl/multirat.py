@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .ring import (LaurentQ, QFrac, _coef, _Frac, _Poly, _subresultant_last,
-                   power_match)
+from .ring import (LaurentQ, QFrac, _coef, _Frac, _lifted, _Poly,
+                   _subresultant_last, power_match)
 from .weights import Weight
 
 
@@ -450,19 +450,8 @@ class MultiRat(_Frac):
     def const(cls, rank, value):
         return cls(MultiPoly.const(rank, value))
 
-    def _wrap(self, x):
-        if isinstance(x, MultiRat):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return MultiRat.const(self.rank, x)
-        if isinstance(x, MultiPoly):
-            return MultiRat(x)
-        return NotImplemented
-
+    @_lifted
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
         if self.is_zero:
             return other
         if other.is_zero:
@@ -485,10 +474,8 @@ class MultiRat(_Frac):
 
     __radd__ = __add__
 
+    @_lifted
     def __mul__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
         if self.is_zero or other.is_zero:
             return MultiRat.zero(self.rank)
         an, ad, bn, bd = self.num, self.den, other.num, other.den
@@ -504,14 +491,6 @@ class MultiRat(_Frac):
         return MultiRat(an * bn, ad * bd, coprime=True)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero")
-        return self * other.inverse()
 
     def inverse(self):
         if self.is_zero:

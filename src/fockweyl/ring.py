@@ -4,8 +4,9 @@ Everything is exact (int / fractions.Fraction coefficients); there is no
 floating point anywhere in the package.  Two bases carry what both levels of
 the scalar tower share: `_Poly`, a sparse Laurent polynomial over Q (the
 ring operations, exact division, equality and the printer), and `_Frac`, a
-fraction of two `_Poly`s in a canonical form (negation, subtraction, powers,
-equality and the printer).  `LaurentQ` and `QFrac` here, and `MultiPoly` and
+fraction of two `_Poly`s in a canonical form (lifting, negation, subtraction,
+division, powers, equality and the printer); `_lifted` is their one lifting
+rule.  `LaurentQ` and `QFrac` here, and `MultiPoly` and
 `MultiRat` in `fockweyl.multirat`, supply only what depends on their
 exponents and canonical form; none of them is hashable.  One subresultant
 remainder sequence, `_subresultant_last` over int or `MultiPoly`
@@ -19,8 +20,8 @@ parameters cannot be mixed by accident.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import lru_cache, wraps
+from math import gcd, isqrt, lcm
 from operator import add
 
 
@@ -33,6 +34,18 @@ def _coef(x):
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"bad coefficient {x!r}")
+
+
+def _lifted(op):
+    """The binary operator `op` on the other operand lifted into self's type
+    by `self._wrap`; NotImplemented when `_wrap` cannot lift it."""
+    @wraps(op)
+    def lifted(self, other):
+        other = self._wrap(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return op(self, other)
+    return lifted
 
 
 def _power(x, n):
@@ -55,7 +68,8 @@ class _Poly:
     (what two operands must share), `_origin()` (the exponent of the constant
     monomial), `_like(terms)` (a polynomial in the same space holding already
     normalized terms), `_exp_sub(a, b)` (a - b, or None when that is not an
-    ordinary exponent), `_exp_add(a, b)`, `_monomial_text(exp)` and `__mul__`.
+    ordinary exponent), `_exp_add(a, b)`, `_monomial_text(exp)` and `__mul__`,
+    which lifts numbers itself; `_wrap` lifts only numbers and self's type.
     """
 
     __slots__ = ("terms",)
@@ -83,10 +97,8 @@ class _Poly:
             return self._like({})
         return self._like({e: _coef(v * c) for e, v in self.terms.items()})
 
+    @_lifted
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
         self._check(other)
         t = dict(self.terms)
         for e, v in other.terms.items():
@@ -102,10 +114,8 @@ class _Poly:
     def __neg__(self):
         return self._like({e: -v for e, v in self.terms.items()})
 
+    @_lifted
     def __sub__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -116,10 +126,8 @@ class _Poly:
             raise ValueError("negative power of a polynomial; use a fraction")
         return _power(self, n)
 
+    @_lifted
     def __eq__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.terms == other.terms and self._space() == other._space()
 
     def _quotient(self, g):
@@ -460,36 +468,46 @@ def cyclotomic(d: int) -> LaurentQ:
     return p
 
 
+def _totient(n: int) -> int:
+    """Euler's phi(n), by trial division."""
+    out = n
+    for p in range(2, isqrt(n) + 1):
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+    return out - out // n if n > 1 else out
+
+
 def val_cyclotomic(x, d: int) -> int:
-    """Multiplicity of cyclotomic(d) in x (numerator minus denominator)."""
-    phi = cyclotomic(d)
+    """Multiplicity of cyclotomic(d) in x (numerator minus denominator).
+    Phi_d has degree phi(d) >= sqrt(d/2), so a polynomial of span s counts 0
+    when d > 2 s^2 or phi(d) > s, and Phi_d is built only past both tests."""
+    if d < 1:
+        raise ValueError("cyclotomic index must be >= 1")
 
     def mult(p: LaurentQ) -> int:
-        m = 0
-        while True:
-            quo = p.try_exact_div(phi)
-            if quo is None:
-                return m
-            p = quo
-            m += 1
+        span = p.degree() - p.low_degree()
+        if d > 2 * span * span or _totient(d) > span:
+            return 0
+        phi, m = cyclotomic(d), 0
+        while (quo := p.try_exact_div(phi)) is not None:
+            p, m = quo, m + 1
+        return m
 
-    if isinstance(x, LaurentQ):
-        if x.is_zero:
-            raise ValueError("valuation of zero undefined")
-        return mult(x)
-    if isinstance(x, QFrac):
-        if x.is_zero:
-            raise ValueError("valuation of zero undefined")
-        return mult(x.num) - mult(x.den)
-    raise TypeError(f"cannot take valuation of {x!r}")
+    if not isinstance(x, (LaurentQ, QFrac)):
+        raise TypeError(f"cannot take valuation of {x!r}")
+    if x.is_zero:
+        raise ValueError("valuation of zero undefined")
+    return mult(x) if isinstance(x, LaurentQ) else mult(x.num) - mult(x.den)
 
 
 class _Frac:
     """Fraction num/den of two `_Poly`s, held in the canonical form that the
     subclass's `__init__` pins, so equality is structural.
 
-    A subclass supplies `__init__`, `_wrap` (lift a scalar or polynomial),
-    `+`, `*` and `/`.
+    A subclass supplies `__init__(num, den=None)`, `+`, `*` and `inverse`;
+    the base owns lifting (`_wrap`) and `/`, which is `self * other.inverse()`.
     """
 
     __slots__ = ("num", "den")
@@ -510,31 +528,39 @@ class _Frac:
         """Pivot-selection key: numerator plus denominator term count."""
         return len(self.num.terms) + len(self.den.terms)
 
+    def _wrap(self, x):
+        """x as a fraction of this type, for exactly the x that the
+        numerator's `_Poly._wrap` lifts: numbers and polynomials of its type."""
+        if isinstance(x, type(self)):
+            return x
+        x = self.num._wrap(x)
+        return x if x is NotImplemented else type(self)(x)
+
     def __neg__(self):
         return self._raw(-self.num, self.den)
 
+    @_lifted
     def __sub__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_lifted
+    def __truediv__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero")
+        return self * other.inverse()
+
+    @_lifted
     def __rtruediv__(self, other):
-        return self._wrap(other) / self
+        return other / self
 
     def __pow__(self, n):
         return _power(self, n) if n >= 0 else _power(self, -n).inverse()
 
-    def inverse(self):
-        return self._wrap(1) / self
-
+    @_lifted
     def __eq__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def to_text(self):
@@ -596,38 +622,21 @@ class QFrac(_Frac):
         so only the numerator's exponents move and no gcd is needed."""
         return self._raw(self.num.shift(k), self.den)
 
-    def _wrap(self, x):
-        if isinstance(x, QFrac):
-            return x
-        if isinstance(x, (int, Fraction, LaurentQ)):
-            return QFrac(x if isinstance(x, LaurentQ)
-                         else LaurentQ({0: x}, self.num.var))
-        return NotImplemented
-
+    @_lifted
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QFrac(self.num * other.den + other.num * self.den,
                      self.den * other.den)
 
     __radd__ = __add__
 
+    @_lifted
     def __mul__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
         return QFrac(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return QFrac(self.num * other.den, self.den * other.num)
+    def inverse(self):
+        return QFrac(self.den, self.num)
 
 
 def _strip_q_integers(p: LaurentQ):

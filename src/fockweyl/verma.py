@@ -271,18 +271,22 @@ def _jantzen_factor(j: int, k: int, rank: int, m: int = 1) -> MultiPoly:
 
 def shapovalov_det_closed(eta: Weight, rank: int) -> MultiRat:
     """Closed-form determinant (up to a unit) of the pairing on the eta
-    weight space: product of linear factors with Kostant-function exponents."""
+    weight space: product of linear factors with Kostant-function exponents,
+    in (i, j, m) order.  With nu = -eta in simple-root coordinates, only the
+    1 <= m <= min(nu_i..nu_{j-1}) give P(nu - m(eps_i - eps_j)) > 0, so no
+    other root is visited; the product is 1 when eta is outside -Q+."""
     out = MultiPoly.one(rank)
-    for i in range(1, rank + 1):
+    nu = (-eta).alpha_coords()
+    if nu is None or any(c < 0 for c in nu):
+        nu = ()  # outside -Q+: no factor
+    for i in range(1, len(nu) + 1):
         for j in range(i + 1, rank + 1):
+            top = min(nu[i - 1:j - 1])
+            if not top:
+                break
             step = Weight.eps(i, rank) - Weight.eps(j, rank)
-            m = 1
-            while True:
-                p = kostant_p(eta + m * step)
-                if p == 0:
-                    break
-                out = out * _jantzen_factor(i, j, rank, m) ** p
-                m += 1
+            for m in range(1, top + 1):
+                out = out * _jantzen_factor(i, j, rank, m) ** kostant_p(eta + m * step)
     return MultiRat(out, coprime=True)
 
 

@@ -1,3 +1,7 @@
+import functools
+import math
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +15,10 @@ from fockweyl.ring import (LaurentQ, QFrac, _coef, cyclotomic, poly_gcd,
                            val_cyclotomic)
 
 from conftest import laurents, nonzero_laurents, z_poly
+
+
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 def L(d, var="q"):
@@ -98,6 +106,46 @@ class TestValuation:
         for x in range(1, 41):
             expected = 1 if x % ell == 0 else 0
             assert val_cyclotomic(q_int(x), 2 * ell) == expected
+
+    @staticmethod
+    def uncut(x, d):
+        """`val_cyclotomic` before its span cutoff: Phi_d tried on every
+        numerator and denominator."""
+        phi = cyclotomic(d)
+
+        def mult(p):
+            m = 0
+            while (quo := p.try_exact_div(phi)) is not None:
+                p, m = quo, m + 1
+            return m
+
+        return mult(x.num) - mult(x.den)
+
+    def test_cutoff_matches_the_uncut_loop(self):
+        rng = random.Random(2011)
+        factors = [q_int(n) for n in range(1, 13)] + \
+            [cyclotomic(e) for e in range(1, 25)]
+        values = []
+        for _ in range(12):
+            num, den = (functools.reduce(operator.mul, rng.sample(factors, 3))
+                        for _ in "nd")
+            values.append(QFrac(num.shift(rng.randint(-3, 3)), den))
+        for d in range(1, 61):
+            for x in values:
+                assert val_cyclotomic(x, d) == self.uncut(x, d), (x, d)
+                assert val_cyclotomic(x.num, d) == self.uncut(QFrac(x.num), d)
+
+    @pytest.mark.parametrize("d", range(1, 61))
+    def test_phi_d_counts_itself(self, d):
+        phi = cyclotomic(d)
+        assert phi.degree() - phi.low_degree() == totient(d)
+        assert val_cyclotomic(phi.shift(-2), d) == 1
+        assert val_cyclotomic(QFrac(phi * phi, q_int(d + 1)), d) == 2
+
+    def test_index_below_one_raises(self):
+        for d in (0, -4):
+            with pytest.raises(ValueError, match="cyclotomic index"):
+                val_cyclotomic(q_int(3), d)
 
 
 class TestLaurentRing:

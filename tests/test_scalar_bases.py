@@ -3,14 +3,16 @@
 
 import operator
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+from fockweyl import ring
 from fockweyl.multirat import MultiPoly, MultiRat
-from fockweyl.ring import LaurentQ, QFrac, q_int
+from fockweyl.ring import LaurentQ, QFrac, _Frac, q_int
 
-from conftest import laurents, multipolys, z_poly, z_rat
+from conftest import laurents, multipolys, nonzero_laurents, z_poly, z_rat
 
 z1, z2, q2 = z_poly(1, 2), z_poly(2, 2), MultiPoly.q(2)
 
@@ -185,3 +187,84 @@ def test_no_hash_and_no_lift_from_q_into_multirat(x):
             op(one, x)
         with pytest.raises(TypeError):
             op(x, one)
+
+
+# One value of each scalar type, how a number lifts into it, and the
+# scalars of the other level of the tower
+LIFTS = [pytest.param(x, lift, id=type(x).__name__) for x, lift in [
+    (LaurentQ({-1: 1, 2: 3}), lambda n: LaurentQ({0: n})),
+    (z1 * 2 - q2, lambda n: MultiPoly.const(2, n)),
+    (QFrac(q_int(2), q_int(3)), QFrac),
+    (MultiRat(z1 - z2, z1 + q2), lambda n: MultiRat.const(2, n)),
+]]
+OTHER_LEVEL = {LaurentQ: (MultiPoly.one(2), MultiRat.one(2)),
+               QFrac: (MultiPoly.one(2), MultiRat.one(2)),
+               MultiPoly: (LaurentQ.one(), QFrac(1)),
+               MultiRat: (LaurentQ.one(), QFrac(1))}
+FRACTIONS = (QFrac, MultiRat)
+
+
+@pytest.mark.parametrize("n", [3, F(-2, 5)], ids=str)
+@pytest.mark.parametrize("x, lift", LIFTS)
+def test_numbers_lift_on_either_side(x, lift, n):
+    c = lift(n)
+    assert x + n == n + x == x + c
+    assert x - n == x - c and n - x == c - x == -(x - c)
+    assert x * n == n * x == x * c
+    if isinstance(x, FRACTIONS):
+        frac = type(x)
+        assert x / n == frac(x.num, x.den * n)
+        assert n / x == frac(x.den * n, x.num)
+        assert 1 - x == frac(x.den - x.num, x.den)
+        assert 2 / x == frac(x.den * 2, x.num)
+
+
+@pytest.mark.parametrize("x, lift", LIFTS)
+def test_other_level_and_strings_do_not_lift(x, lift):
+    ops = [operator.add, operator.sub, operator.mul]
+    if isinstance(x, FRACTIONS):
+        ops.append(operator.truediv)
+    for y in OTHER_LEVEL[type(x)] + ("1",):
+        assert not x == y and not y == x and x != y
+        for op in ops:
+            with pytest.raises(TypeError):
+                op(x, y)
+            with pytest.raises(TypeError):
+                op(y, x)
+
+
+def test_fraction_division_by_zero():
+    x = QFrac(q_int(2), q_int(3))
+    for zero in (0, QFrac(0), LaurentQ.zero()):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            x / zero
+    with pytest.raises(ZeroDivisionError):
+        QFrac(0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        MultiRat(z1) / 0
+
+
+def old_qfrac_div(a, b):
+    """`QFrac` division as it was before `_Frac` owned `/`: one
+    normalisation of the cross products."""
+    return QFrac(a.num * b.den, a.den * b.num)
+
+
+@given(laurents(), nonzero_laurents(), nonzero_laurents(), nonzero_laurents())
+def test_qfrac_inverse_and_division_match_the_cross_products(a, b, c, d):
+    x, y = QFrac(a, b), QFrac(c, d)
+    if not x.is_zero:
+        assert x.inverse() == old_qfrac_div(QFrac(1), x)
+    assert x / y == old_qfrac_div(x, y)
+
+
+def test_one_lifting_rule():
+    """The lifting prologue is written once, in `ring._lifted`, and the
+    fraction base alone lifts and divides."""
+    src = Path(ring.__file__).parent
+    text = "".join(p.read_text() for p in sorted(src.glob("*.py")))
+    assert text.count("other = self._wrap(other)") == 1
+    assert "inverse" not in vars(_Frac)
+    assert set(_Frac.__subclasses__()) == {QFrac, MultiRat}
+    for cls in _Frac.__subclasses__():
+        assert "_wrap" not in vars(cls) and "__truediv__" not in vars(cls)

@@ -695,6 +695,33 @@ class TestClosedDeterminant:
     def test_outside_root_cone(self):
         assert shapovalov_det_closed(Weight.eps(1, 2), 2) == MultiRat.one(2)
 
+    @staticmethod
+    def all_roots(eta, rank):
+        """`shapovalov_det_closed` before it skipped roots: every positive
+        root eps_i - eps_j, each m while the Kostant count stays nonzero."""
+        out = MultiPoly.one(rank)
+        for i in range(1, rank + 1):
+            for j in range(i + 1, rank + 1):
+                step = Weight.eps(i, rank) - Weight.eps(j, rank)
+                m = 1
+                while p := kostant_p(eta + m * step):
+                    out = out * verma._jantzen_factor(i, j, rank, m) ** p
+                    m += 1
+        return MultiRat(out, coprime=True)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_matches_every_root(self, rank):
+        for nu in itertools.product(range(5), repeat=rank - 1):
+            if sum(nu) <= 4:
+                eta = -from_alpha_coords(nu, rank)
+                assert shapovalov_det_closed(eta, rank) == self.all_roots(eta, rank)
+
+    @pytest.mark.parametrize("eta", [(1, -1), (1, 0), (0, 1, -2), (2, -1, 0)])
+    def test_outside_minus_q_plus_is_one(self, eta):
+        eta = Weight(eta)
+        det = shapovalov_det_closed(eta, eta.rank)
+        assert det == 1 and repr(det) == repr(self.all_roots(eta, eta.rank))
+
     def test_unit_ratio_with_engine(self):
         gm = gram_matrix(Weight.zero(2), alpha(1, 2), 2)
         closed = shapovalov_det_closed(-alpha(1, 2), 2)
@@ -909,6 +936,14 @@ class TestJantzenValuation:
         assert jantzen_valuation(Partition((1,)), 2, 2) == -1
         assert jantzen_valuation(Partition((1,)), 1, 2) == 0
         assert jantzen_valuation(Partition((1, 1)), 2, 2) is None
+
+    def test_huge_ell_matches_ell_11(self):
+        # Phi_22 and Phi_2000000000 divide no hook ratio of |lam| <= 6
+        from fockweyl.partitions import all_partitions
+        for lam in all_partitions(6):
+            for k in range(1, len(lam) + 2):
+                assert jantzen_valuation(lam, k, 10 ** 9) == \
+                    jantzen_valuation(lam, k, 11), (lam, k)
 
     def test_matches_n_left_everywhere(self):
         from fockweyl.partitions import all_partitions, Box, n_left, is_addable
