@@ -6,7 +6,7 @@ number of the 11-row partition at row 6, rendered as a q-integer ratio.
 
 from fockweyl.partitions import Partition, Box, color, content, addable_boxes, removable_boxes
 from fockweyl.ring import render_q_integers
-from fockweyl.verma import hook_ratio
+from fockweyl.verma import hook_factors
 
 
 def color_diagram(lam, ell):
@@ -20,8 +20,7 @@ def color_diagram(lam, ell):
 
 def jantzen_evaluation(lam, k):
     lam = Partition(lam)
-    value = hook_ratio(lam, k)
-    rendered = render_q_integers(value) or value.to_text()
+    rendered = render_q_integers(*hook_factors(lam, k))
     print(f"evaluated Jantzen number for {','.join(map(str, lam))}, row {k}:")
     above = [b for b in removable_boxes(lam) if b.row < k]
     below = [b for b in addable_boxes(lam) if b.row < k]

@@ -17,7 +17,7 @@ from .partitions import (Partition, addable_boxes, color, content,
 from .reports import render_json, render_text
 from .ring import render_q_integers
 from .verify import FAMILIES, TOLERANCES, RunConfig, run_all, run_family
-from .verma import (hook_ratio, jantzen_closed, jantzen_engine,
+from .verma import (hook_factors, jantzen_closed, jantzen_engine,
                     jantzen_valuation, shapovalov_det_closed)
 from .weights import Weight
 
@@ -172,12 +172,8 @@ def _cmd_jantzen(args) -> int:
     if args.subcommand == "ev":
         if args.k < 1:
             raise SystemExit2("k must be >= 1")
-        value = hook_ratio(lam, args.k)
-        if value.is_zero:
-            print("0")
-            return 0
-        rendered = render_q_integers(value)
-        print(rendered if rendered is not None else value.to_text())
+        factors = hook_factors(lam, args.k)
+        print("0" if factors is None else render_q_integers(*factors))
         return 0
     if args.subcommand == "val":
         if args.ell < 2:

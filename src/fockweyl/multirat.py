@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .ring import (LaurentQ, QFrac, _coef, _Frac, _lifted, _Poly,
+from .ring import (LaurentQ, QFrac, _coef, _Frac, _lifted, _Poly, _power,
                    _subresultant_last, power_match)
 from .weights import Weight
 
@@ -401,7 +401,8 @@ def _div_laurent(p: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 class MultiRat(_Frac):
-    """Element of the fraction field Q(q, z_1, ..., z_N) in canonical form."""
+    """Element of the fraction field Q(q, z_1, ..., z_N) in canonical form,
+    with the field operations: the one fraction type that computes."""
 
     __slots__ = ()
 
@@ -491,6 +492,19 @@ class MultiRat(_Frac):
         return MultiRat(an * bn, ad * bd, coprime=True)
 
     __rmul__ = __mul__
+
+    @_lifted
+    def __sub__(self, other):
+        return self + (-other)
+
+    @_lifted
+    def __truediv__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero")
+        return self * other.inverse()
+
+    def __pow__(self, n):
+        return _power(self, n) if n >= 0 else _power(self, -n).inverse()
 
     def inverse(self):
         if self.is_zero:

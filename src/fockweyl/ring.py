@@ -4,11 +4,13 @@ Everything is exact (int / fractions.Fraction coefficients); there is no
 floating point anywhere in the package.  Two bases carry what both levels of
 the scalar tower share: `_Poly`, a sparse Laurent polynomial over Q (the
 ring operations, exact division, equality and the printer), and `_Frac`, a
-fraction of two `_Poly`s in a canonical form (lifting, negation, subtraction,
-division, powers, equality and the printer); `_lifted` is their one lifting
-rule.  `LaurentQ` and `QFrac` here, and `MultiPoly` and
-`MultiRat` in `fockweyl.multirat`, supply only what depends on their
-exponents and canonical form; none of them is hashable.  One subresultant
+fraction of two `_Poly`s in a canonical form (lifting, negation, equality
+and the printer); `_lifted` is their one lifting rule.  `LaurentQ` and
+`QFrac` here, and `MultiPoly` and `MultiRat` in `fockweyl.multirat`, supply
+only what depends on their exponents and canonical form; none of them is
+hashable.  `QFrac` is a value: the q-integer ratios and oracle norms are
+built in canonical form and then compared, shifted, negated, printed or
+valued, so only `MultiRat` has the field operations.  One subresultant
 remainder sequence, `_subresultant_last` over int or `MultiPoly`
 coefficients, is the univariate `poly_gcd` here and the fallback of the
 multivariate gcd in `fockweyl.multirat`; `power_match` is the one test of a
@@ -19,6 +21,7 @@ parameters cannot be mixed by accident.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import gcd, isqrt, lcm
@@ -49,7 +52,7 @@ def _lifted(op):
 
 
 def _power(x, n):
-    """x**n for n >= 0 by square-and-multiply, for a `_Poly` or a `_Frac`."""
+    """x**n for n >= 0 by square-and-multiply, for a `_Poly` or a `MultiRat`."""
     out = x._wrap(1)
     while n:
         if n & 1:
@@ -69,7 +72,8 @@ class _Poly:
     monomial), `_like(terms)` (a polynomial in the same space holding already
     normalized terms), `_exp_sub(a, b)` (a - b, or None when that is not an
     ordinary exponent), `_exp_add(a, b)`, `_monomial_text(exp)` and `__mul__`,
-    which lifts numbers itself; `_wrap` lifts only numbers and self's type.
+    which lifts numbers itself; `_wrap` lifts only numbers and self's type,
+    on either side of `+` and `*` and on the right of `-`.
     """
 
     __slots__ = ("terms",)
@@ -117,9 +121,6 @@ class _Poly:
     @_lifted
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __pow__(self, n):
         if n < 0:
@@ -355,6 +356,7 @@ def _prem(a: dict, b: dict):
     """
     db = max(b)
     lb = b[db]
+    zero = lb * 0  # of the coefficients' type: no number minus a polynomial
     r = dict(a)
     n = max(a) - db + 1
     while r:
@@ -368,7 +370,7 @@ def _prem(a: dict, b: dict):
             if e == db:
                 continue
             e2 = e + dr - db
-            s = nr.get(e2, 0) - lr * v
+            s = nr.get(e2, zero) - lr * v
             if s != 0:
                 nr[e2] = s
             else:
@@ -506,8 +508,9 @@ class _Frac:
     """Fraction num/den of two `_Poly`s, held in the canonical form that the
     subclass's `__init__` pins, so equality is structural.
 
-    A subclass supplies `__init__(num, den=None)`, `+`, `*` and `inverse`;
-    the base owns lifting (`_wrap`) and `/`, which is `self * other.inverse()`.
+    A subclass supplies `__init__(num, den=None)`; the base owns lifting
+    (`_wrap`, which `==` and `MultiRat`'s operators use), negation, equality
+    and the printer.  The field operations are `MultiRat`'s alone.
     """
 
     __slots__ = ("num", "den")
@@ -538,26 +541,6 @@ class _Frac:
 
     def __neg__(self):
         return self._raw(-self.num, self.den)
-
-    @_lifted
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    @_lifted
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero")
-        return self * other.inverse()
-
-    @_lifted
-    def __rtruediv__(self, other):
-        return other / self
-
-    def __pow__(self, n):
-        return _power(self, n) if n >= 0 else _power(self, -n).inverse()
 
     @_lifted
     def __eq__(self, other):
@@ -622,66 +605,16 @@ class QFrac(_Frac):
         so only the numerator's exponents move and no gcd is needed."""
         return self._raw(self.num.shift(k), self.den)
 
-    @_lifted
-    def __add__(self, other):
-        return QFrac(self.num * other.den + other.num * self.den,
-                     self.den * other.den)
 
-    __radd__ = __add__
-
-    @_lifted
-    def __mul__(self, other):
-        return QFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return QFrac(self.den, self.num)
-
-
-def _strip_q_integers(p: LaurentQ):
-    """Greedily factor p into a product of q-integers [n] times a monomial.
-
-    Returns (factors, exp, coeff) with p = prod [n_i] * coeff * q^exp,
-    or None if the leftover is not a monomial with coefficient +-1.
-    """
-    factors = []
-    while True:
-        mono = p.as_monomial()
-        if mono is not None:
-            e, v = mono
-            if v in (1, -1):
-                return factors, e, v
-            return None
-        span = p.degree() - p.low_degree()
-        hit = False
-        for n in range(span // 2 + 1, 1, -1):
-            quo = p.try_exact_div(q_int(n, p.var))
-            if quo is not None:
-                factors.append(n)
-                p = quo
-                hit = True
-                break
-        if not hit:
-            return None
-
-
-def render_q_integers(x: QFrac):
-    """Render x as sign * q^m * prod [a_i] / prod [b_j], a q-integer product
-    like '[2][7]/([5][9])' for Figure-style output, or None when x is zero or
-    not of that form."""
-    if x.is_zero:
-        return None
-    up = _strip_q_integers(x.num)
-    dn = _strip_q_integers(x.den)
-    if up is None or dn is None:
-        return None
-    nums, en, cn = up
-    dens, ed, cd = dn
-    body = "".join(f"[{n}]" for n in sorted(nums)) or "1"
-    if dens:
-        body += "/(" + "".join(f"[{n}]" for n in sorted(dens)) + ")"
-    prefix = "-" if cn * cd < 0 else ""
-    if en != ed:
-        prefix += f"q^{en - ed}*"
-    return prefix + body
+def render_q_integers(ups, downs) -> str:
+    """The ratio prod [a] / prod [b] of the q-integers [n] for the n in ups
+    and in downs, as a Figure-style string like '[2][7]/([5][9])': equal |n|
+    above and below cancel, [1] is dropped and [-n] = -[n] gives the sign."""
+    negative = sum(n < 0 for n in (*ups, *downs)) % 2
+    above = Counter(abs(n) for n in ups if abs(n) != 1)
+    below = Counter(abs(n) for n in downs if abs(n) != 1)
+    above, below = above - below, below - above
+    body = "".join(f"[{n}]" for n in sorted(above.elements())) or "1"
+    if below:
+        body += "/(" + "".join(f"[{n}]" for n in sorted(below.elements())) + ")"
+    return "-" * negative + body

@@ -1,11 +1,13 @@
 """Finite formal sums: the one sparse-vector type behind Fock vectors, Verma
 elements and tensor words.
 
-A vector is a dict from basis key to nonzero coefficient.  Subclasses supply
-two hooks: `_coerce` (lift a plain number into the coefficient ring) and
-`_space` (a tuple naming the ambient space; it is also the positional
-argument list of the subclass constructor, so `type(v)(*v._space())` is the
-empty vector of the same space).  `_key` normalises a basis key on input.
+A vector is a dict from basis key to nonzero coefficient, built by the
+constructor, `add_term` and `scale`; the commands read its `terms`, so it has
+no vector arithmetic or equality of its own.  Subclasses supply two hooks:
+`_coerce` (lift a plain number into the coefficient ring) and `_space` (a
+tuple naming the ambient space; it is also the positional argument list of
+the subclass constructor, so `type(v)(*v._space())` is the empty vector of
+the same space).  `_key` normalises a basis key on input.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ class SparseVector:
             raise ValueError(f"cannot combine {type(self).__name__} "
                              f"{self._space()} with {type(other).__name__}")
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, key):
-        c = self.terms.get(self._key(key))
-        return self._coerce(0) if c is None else c
-
     def add_term(self, key, c):
         """Add c to the coefficient of an already normalised key, in place."""
         old = self.terms.get(key)
@@ -58,30 +52,9 @@ class SparseVector:
         else:
             self.terms[key] = c
 
-    def __add__(self, other):
-        self._check(other)
-        out = self._empty()
-        out.terms = dict(self.terms)
-        for k, c in other.terms.items():
-            out.add_term(k, c)
-        return out
-
-    def __neg__(self):
-        out = self._empty()
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
         c = self._coerce(c)
         out = self._empty()
         if not c.is_zero:
             out.terms = {k: v * c for k, v in self.terms.items()}
         return out
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._space() == other._space() and self.terms == other.terms

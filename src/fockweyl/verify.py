@@ -55,11 +55,6 @@ class RunConfig:
         self.tolerance = tolerance
         self.jobs = jobs
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
     def echo(self, family: str) -> dict:
         cfg = {"family": family, "ell": self.ell, "max_size": self.max_size,
                "tolerance": self.tolerance}

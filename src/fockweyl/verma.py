@@ -21,8 +21,8 @@ type, and its answer is the last pivot.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from operator import add
+from functools import cached_property, lru_cache, reduce
+from operator import add, mul
 
 from .errors import EngineError, PoleError
 # field_det is unused here: fwlbench/selftest.py asserts verma.field_det is linalg.field_det
@@ -400,21 +400,25 @@ def hook_ratio(lam: Partition, k: int) -> QFrac:
     return QFrac(*_hook_parts(lam, k))
 
 
-def _hook_parts(lam, k):
-    """`hook_ratio` as an unreduced (numerator, denominator) pair."""
+def hook_factors(lam, k):
+    """The n of the q-integers [n] whose ratio is `hook_ratio`: (content
+    differences of the removable boxes above row k, the same for the addable
+    boxes), or None when adding a box on row k gives no partition."""
     lam = Partition(lam)
     new_box = Box(k, lam.part(k) + 1)
     if not is_addable(lam, new_box):
-        return LaurentQ.zero(), LaurentQ.one()
+        return None
     c0 = content(new_box)
-    num = den = LaurentQ.one()
-    for b in removable_boxes(lam):
-        if b.row < k:
-            num = num * q_int(content(b) - c0)
-    for b in addable_boxes(lam):
-        if b.row < k:
-            den = den * q_int(content(b) - c0)
-    return num, den
+    return ([content(b) - c0 for b in removable_boxes(lam) if b.row < k],
+            [content(b) - c0 for b in addable_boxes(lam) if b.row < k])
+
+
+def _hook_parts(lam, k):
+    """`hook_ratio` as an unreduced (numerator, denominator) pair."""
+    factors = hook_factors(lam, k)
+    if factors is None:
+        return LaurentQ.zero(), LaurentQ.one()
+    return tuple(reduce(mul, map(q_int, ns), LaurentQ.one()) for ns in factors)
 
 
 def _jantzen_closed_parts(lam, k):
@@ -444,10 +448,10 @@ def jantzen_valuation(lam: Partition, k: int, ell: int):
     if ell < 2:
         raise ValueError("ell must be >= 2")
     lam = Partition(lam)
-    hr = hook_ratio(lam, k)
-    if hr.is_zero:
+    num, den = _hook_parts(lam, k)
+    if num.is_zero:
         return None
-    val = val_cyclotomic(hr, 2 * ell)
+    val = val_cyclotomic(num, 2 * ell) - val_cyclotomic(den, 2 * ell)
     nb = Box(k, lam.part(k) + 1)
     nl = n_left(lam, nb, ell)
     if val != nl:

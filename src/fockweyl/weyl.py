@@ -57,7 +57,8 @@ from .weights import good_words
 
 class TensorVector(SparseVector):
     """Exact linear combination of basis keys (tuples of letters and column
-    q-wedges) of degree n, with LaurentQ (or QFrac) coefficients."""
+    q-wedges) of degree n, with LaurentQ coefficients; a `QFrac` passes
+    through as it is, for a caller whose fraction type adds and multiplies."""
 
     __slots__ = ("n", "rank")
 
@@ -132,14 +133,14 @@ def tensor_act(gen: str, i: int, x: TensorVector) -> TensorVector:
     return out
 
 
-def tensor_form(x: TensorVector, y: TensorVector) -> LaurentQ | QFrac:
+def tensor_form(x: TensorVector, y: TensorVector) -> LaurentQ:
     """Product contravariant form, diagonal on keys:
     (e, e) = q^{sum over factors S, s in S, of (1 - s)}; on words,
     (v_k, v_k) = q^{1-k}.  On a wedge factor this leaves out the constant
     (omega_S, omega_S) / q^{sum (1 - s)} of V^{(x)c}, which depends only on c.
 
-    A LaurentQ on integral vectors; a QFrac when either side has QFrac
-    coefficients."""
+    A LaurentQ on the integral vectors the package builds; with fraction
+    coefficients, a fraction of their type."""
     x._check(y)
     total = LaurentQ.zero()
     small, big = (x.terms, y.terms) if len(x.terms) <= len(y.terms) else (y.terms, x.terms)

@@ -1,8 +1,10 @@
 """Shared hypothesis strategies, deterministic test settings, the z and q
 monomials of the multivariate tower, the boxes of a diagram, the L_i action
 on tensors, the exact evaluation of a `MultiRat` at a weight, the
-reduce-then-test reference for +-q^m and the mod-p helpers of the evaluation
-witnesses."""
+reduce-then-test reference for +-q^m, the mod-p helpers of the evaluation
+witnesses, and the arithmetic the package leaves out: the field operations
+of `QField` over Q(q) and the sums, coefficients and comparison of sparse
+vectors."""
 
 import hypothesis.strategies as st
 from hypothesis import settings, HealthCheck
@@ -10,7 +12,7 @@ from hypothesis import settings, HealthCheck
 from fockweyl.errors import PoleError
 from fockweyl.multirat import MultiPoly, MultiRat
 from fockweyl.partitions import Box, Partition
-from fockweyl.ring import LaurentQ, QFrac
+from fockweyl.ring import LaurentQ, QFrac, _lifted
 from fockweyl.weights import Weight
 from fockweyl.weyl import TensorVector
 
@@ -22,6 +24,79 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("ci")
+
+
+class QField(QFrac):
+    """A `QFrac` with the field operations, which the package leaves out (it
+    builds q-fractions in canonical form, then compares, shifts, negates,
+    prints and values them): the tests' reference arithmetic over Q(q).
+    Every result goes through the canonical constructor, a/b + c/d being
+    QField(a*d + c*b, b*d), and a `QFrac` or a `LaurentQ` or a number on the
+    other side lifts."""
+
+    __slots__ = ()
+
+    def __init__(self, num, den=None):
+        if isinstance(num, QFrac) and den is None:
+            num, den = num.num, num.den
+        super().__init__(num, den)
+
+    def _wrap(self, x):
+        if isinstance(x, QFrac):
+            return x
+        x = self.num._wrap(x)
+        return x if x is NotImplemented else QField(x)
+
+    @_lifted
+    def __add__(self, other):
+        return QField(self.num * other.den + other.num * self.den,
+                      self.den * other.den)
+
+    __radd__ = __add__
+
+    @_lifted
+    def __sub__(self, other):
+        return self + (-other)
+
+    @_lifted
+    def __mul__(self, other):
+        return QField(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    @_lifted
+    def __truediv__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("division by zero")
+        return QField(self.num * other.den, self.den * other.num)
+
+
+def vec(x):
+    """A sparse vector as what two equal vectors share: type, space and
+    terms (the package's vectors define no ==)."""
+    return type(x).__name__, x._space(), x.terms
+
+
+def coeff(x, key):
+    """The coefficient of a basis key, the ring's zero when it is absent."""
+    c = x.terms.get(x._key(key))
+    return x._coerce(0) if c is None else c
+
+
+def vadd(x, y, scale=1):
+    """x + scale * y for sparse vectors of one type and space."""
+    x._check(y)
+    out = x._empty()
+    out.terms = dict(x.terms)
+    for k, c in y.scale(scale).terms.items():
+        out.add_term(k, c)
+    return out
+
+
+def vsub(x, y):
+    """x - y for sparse vectors of one type and space."""
+    return vadd(x, y, -1)
+
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -106,7 +181,7 @@ def reference_power_match(x: QFrac, y: QFrac, tolerance: str) -> bool:
     ("unit"); zero matches only zero."""
     if x.is_zero or y.is_zero:
         return x.is_zero and y.is_zero
-    ratio = x / y
+    ratio = QField(1) * x / y
     mono = ratio.num.as_monomial()
     return tolerance == "unit" or (
         ratio.den == 1 and mono is not None

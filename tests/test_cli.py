@@ -55,6 +55,16 @@ class TestJantzen:
         assert code == 0
         assert out == "[2][7]/([5][9])\n"
 
+    @pytest.mark.parametrize("partition, want", [
+        ("2,2", "[2]/([4])\n"), ("3,1", "[4]/([2][5])\n")])
+    def test_partly_cancelled_ratio_stays_q_integers(self, capsys, partition,
+                                                      want):
+        # reduced, [2]/[4] is q^2/(1 + q^4): the q-integers come from the
+        # hook's unreduced factors
+        code, out, _ = run(capsys, "jantzen", "ev", "--partition", partition,
+                           "--k", "3")
+        assert (code, out) == (0, want)
+
     def test_zero_case(self, capsys):
         code, out, _ = run(capsys, "jantzen", "ev", "--partition", "1,1", "--k", "2")
         assert code == 0
@@ -424,7 +434,7 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_all", lambda config: [fake_family("all", config)])
         code, _, err = run(capsys, "verify", *argv)
         assert (code, err) == (0, "")
-        assert seen == [RunConfig(**fields)]
+        assert [vars(c) for c in seen] == [vars(RunConfig(**fields))]
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "fock", "apply", "--bogus", "x")

@@ -9,7 +9,9 @@ from fockweyl import verma, weyl
 from fockweyl.linalg import ff_echelon, field_det, field_echelon, symmetric_pivots
 from fockweyl.multirat import MultiRat
 from fockweyl.partitions import all_partitions
-from fockweyl.ring import LaurentQ, QFrac
+from fockweyl.ring import LaurentQ
+
+from conftest import QField
 
 
 def L(d):
@@ -25,7 +27,7 @@ def field_rank(rows):
 
 
 def Q(rows):
-    return [[QFrac(e) for e in row] for row in M(rows)]
+    return [[QField(e) for e in row] for row in M(rows)]
 
 
 def sparse(rows):
@@ -49,7 +51,7 @@ def upper(matrix):
 def cofactor_det(m):
     if len(m) == 1:
         return m[0][0]
-    total = QFrac(0)
+    total = QField(0)
     for c in range(len(m)):
         minor = [row[:c] + row[c + 1:] for row in m[1:]]
         term = m[0][c] * cofactor_det(minor)
@@ -181,21 +183,21 @@ class TestSparseUpdate:
 
 class TestFieldOps:
     def test_det_and_rank(self):
-        m = [[QFrac(L({1: 1})), QFrac(1)], [QFrac(1), QFrac(L({-1: 1}))]]
+        m = [[QField(L({1: 1})), QField(1)], [QField(1), QField(L({-1: 1}))]]
         # det = q * q^-1 - 1 = 0
         assert field_det(m).is_zero
         assert field_rank(m) == 1
 
     def test_det_sign_under_row_swap(self):
-        assert field_det(Q([[0, 1], [1, 0]])) == QFrac(L({0: -1}))
-        assert field_det(Q([[1, 0], [0, 1]])) == QFrac(1)
+        assert field_det(Q([[0, 1], [1, 0]])) == QField(L({0: -1}))
+        assert field_det(Q([[1, 0], [0, 1]])) == QField(1)
 
     def test_det_against_cofactor_expansion(self):
         q = L({1: 1})
         # zero top-left entry forces a swap; q-dependent entries elsewhere
-        m = [[QFrac(0), QFrac(q), QFrac(1)],
-             [QFrac(q + L({0: 1})), QFrac(1), QFrac(L({-1: 2}))],
-             [QFrac(1), QFrac(L({2: 1}) - L({0: 3})), QFrac(q) / QFrac(L({0: 1}) + q)]]
+        m = [[QField(0), QField(q), QField(1)],
+             [QField(q + L({0: 1})), QField(1), QField(L({-1: 2}))],
+             [QField(1), QField(L({2: 1}) - L({0: 3})), QField(q) / QField(L({0: 1}) + q)]]
         d = field_det(m)
         assert not d.is_zero
         assert d == cofactor_det(m)
@@ -204,8 +206,8 @@ class TestFieldOps:
         # the pivot of column 0 is row 1 (entry 1, simpler than 1 + q)
         m = Q([[L({0: 1, 1: 1}), 1], [1, 1]])
         ech, piv, sign = field_echelon(m)
-        assert ech[0][0] == QFrac(1) and piv == [0, 1] and sign == -1
-        assert field_det(m) == QFrac(L({1: 1})) == cofactor_det(m)
+        assert ech[0][0] == QField(1) and piv == [0, 1] and sign == -1
+        assert field_det(m) == QField(L({1: 1})) == cofactor_det(m)
 
     def test_echelon_sign_and_pivots(self):
         ech, piv, sign = field_echelon(Q([[0, 0, 1], [0, 2, 0], [3, 0, 0]]))
@@ -218,7 +220,7 @@ class TestFieldOps:
             n = rng.randint(1, 4)
             rows = [[L({rng.randint(-2, 2): rng.randint(-2, 2)})
                      for _ in range(n)] for _ in range(n)]
-            frows = [[QFrac(e) for e in row] for row in rows]
+            frows = [[QField(e) for e in row] for row in rows]
             d = field_det(frows)
             assert d.is_zero == (field_rank(frows) < n)
             assert d == cofactor_det(frows)
@@ -231,7 +233,7 @@ class TestFieldOps:
             nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
             rows = [[L({rng.randint(-1, 1): rng.randint(-1, 1)})
                      for _ in range(ncols)] for _ in range(nrows)]
-            frows = [[QFrac(e) for e in row] for row in rows]
+            frows = [[QField(e) for e in row] for row in rows]
             assert ff_echelon(sparse(rows))[1] == field_echelon(frows)[1]
 
 
@@ -272,7 +274,7 @@ class TestSymmetricPivots:
         # pivots are ratios of successive leading principal minors
         m = Q([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
         assert symmetric_pivots(upper(m)) == (
-            [0, 1, 2], [QFrac(2), QFrac(Fraction(3, 2)), QFrac(Fraction(4, 3))])
+            [0, 1, 2], [QField(2), QField(Fraction(3, 2)), QField(Fraction(4, 3))])
 
     def test_zero_pivot_needs_zero_row(self):
         m = Q([[1, 1, 2], [1, 1, 3], [2, 3, 5]])
@@ -280,7 +282,7 @@ class TestSymmetricPivots:
             symmetric_pivots(upper(m))  # index 1: zero pivot, row entry 3 - 2 = 1
         chosen, pivots = symmetric_pivots(
             upper(Q([[1, 2, 1], [2, 4, 2], [1, 2, 2]])))
-        assert chosen == [0, 2] and pivots == [QFrac(1), QFrac(1)]
+        assert chosen == [0, 2] and pivots == [QField(1), QField(1)]
 
     def test_isotropic_raises(self):
         with pytest.raises(ValueError):
@@ -312,7 +314,7 @@ class TestSymmetricPivots:
                 for c in range(r, n):
                     v = 0 if group[r] != group[c] or rng.random() < 0.3 \
                         else rng.randint(-3, 3)
-                    m[r][c] = m[c][r] = QFrac(L({0: v}))
+                    m[r][c] = m[c][r] = QField(L({0: v}))
             try:
                 expected = dense_symmetric_pivots(m)
             except ValueError:

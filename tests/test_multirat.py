@@ -15,7 +15,7 @@ from fockweyl.ring import (LaurentQ, QFrac, _coef, _prem, _subresultant_last,
 from fockweyl.verify import TOLERANCES, RunConfig, enumerate_cases, run_case
 from fockweyl.weights import Weight
 
-from conftest import (eval_at_weight, laurents, multipolys, multirats,
+from conftest import (QField, eval_at_weight, laurents, multipolys, multirats,
                       nonzero_laurents, q_rat, reference_power_match, weights,
                       z_poly, z_rat)
 
@@ -589,7 +589,7 @@ def unit_ratio_by_division(a, b):
     u = QFrac(pn, pd)
     m = u.num.low_degree() - u.den.low_degree()
     sign = 1 if (u.num.trailing_coeff() > 0) == (u.den.trailing_coeff() > 0) else -1
-    return UnitParts(sign, m, z_exps, u / QFrac(LaurentQ.term(m, sign)))
+    return UnitParts(sign, m, z_exps, QField(u) / LaurentQ.term(m, sign))
 
 
 def lift(p: LaurentQ, rank=2):
@@ -642,8 +642,8 @@ class TestUnitRatioAgainstDivision:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("m", [-3, 2])
     @pytest.mark.parametrize("c", [
-        QFrac(LaurentQ({0: 2, 1: 1}), LaurentQ({0: 3, 2: 1})),
-        QFrac(LaurentQ({0: 1, 1: Fraction(1, 2)}), LaurentQ({0: 5, 1: 2}))],
+        QField(LaurentQ({0: 2, 1: 1}), LaurentQ({0: 3, 2: 1})),
+        QField(LaurentQ({0: 1, 1: Fraction(1, 2)}), LaurentQ({0: 5, 1: 2}))],
         ids=["int", "fraction"])
     def test_scalar_is_the_division_by_the_unit(self, sign, m, c):
         # the scalar is u / (sign q^m), taken by a shift with no gcd

@@ -131,15 +131,6 @@ class TestRunConfig:
             RunConfig(**kwargs)
         assert str(exc.value) == message
 
-    def test_equality(self):
-        assert RunConfig() == RunConfig(2, None, 4, "signed", 1)
-        assert RunConfig(ell=3, jobs=2) == RunConfig(jobs=2, ell=3)
-        for other in (RunConfig(ell=3), RunConfig(n_rank=2),
-                      RunConfig(max_size=5), RunConfig(tolerance="unit"),
-                      RunConfig(jobs=2)):
-            assert RunConfig() != other
-        assert RunConfig() != (2, None, 4, "signed", 1)
-
 
 class TestCaseResult:
     def test_default_detail_not_shared(self):

@@ -21,7 +21,7 @@ from fockweyl.verma import _jantzen_closed_parts, hook_ratio
 from fockweyl.weights import Weight, from_alpha_coords
 from fockweyl.weyl import mu_singular_vectors
 
-from conftest import reference_power_match
+from conftest import coeff, reference_power_match
 
 
 def root_lattice_points(rank, max_height):
@@ -303,9 +303,9 @@ def reference_fock_match(lam, ell, tolerance="signed"):
         seen.add(mu)
         val = val_cyclotomic(sv.norm, 2 * ell)
         nl = n_left(lam, b, ell)
-        mono = images[col].coeff(mu).as_monomial()
+        mono = coeff(images[col], mu).as_monomial()
         exp_ok = mono is not None and mono[1] == 1 and mono[0] == val and val == nl
-        wrong_residue = any(not images[i].coeff(mu).is_zero
+        wrong_residue = any(not coeff(images[i], mu).is_zero
                             for i in range(ell) if i != col)
         closed_ok = reference_power_match(
             sv.norm, QFrac(*_jantzen_closed_parts(lam, sv.row)), tolerance)
